@@ -26,10 +26,10 @@ from .wavefield import (
 from .engine import (
     BASIS_PAIRS,
     CouplingConfig,
-    CouplingMode,
+    PROJECTORS,
     PointerState,
     Projector,
-    ReadoutRecord,
+    ScanRecords,
     couple_and_postselect,
     dwt_pointer,
     gauge_fix,
@@ -47,7 +47,6 @@ from .reconstruct import (
     reconstruct_dst,
     reconstruct_dwt,
     score,
-    write_result,
 )
 from .holography import (
     ObjectReconstruction,
@@ -66,21 +65,21 @@ __version__ = "0.1.0"
 __all__ = [
     "BASIS_PAIRS",
     "CouplingConfig",
-    "CouplingMode",
     "DegenerateFieldError",
     "FileFormatError",
     "GridSpec",
     "ModeKind",
     "ModeSpec",
     "ObjectReconstruction",
+    "PROJECTORS",
     "PointerState",
     "Projector",
     "PropagationKernel",
     "PropagationSpec",
     "QualityReport",
-    "ReadoutRecord",
     "ReconstructionResult",
     "SamplingGuardError",
+    "ScanRecords",
     "TransverseWavefunction",
     "apply_object",
     "apply_vortex_plate",
@@ -107,6 +106,5 @@ __all__ = [
     "scan_probability_maps",
     "score",
     "write_records_csv",
-    "write_result",
     "write_wfgrid",
 ]

@@ -8,6 +8,7 @@ error, 4 I/O or file-format error.  Output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,35 +23,25 @@ from .errors import DegenerateFieldError, FileFormatError, SamplingGuardError
 # helpers
 # ---------------------------------------------------------------------------
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _atomic_write(path: str, content) -> None:
+    """Write ``content`` to ``path`` via a temp file in its directory and a rename.
 
-
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode())
-
-
-def _atomic_via(path: str, writer) -> None:
-    """Run a path-taking writer against a temp file, then rename into place."""
+    ``content`` is text, or a writer called with the temp file's path.  On
+    any failure the temp file is removed and ``path`` is left untouched.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     os.close(fd)
     try:
-        writer(tmp)
+        if isinstance(content, str):
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+        else:
+            content(tmp)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
@@ -96,16 +87,12 @@ def _out_path(cfg: cfgmod.ExperimentConfig, name: str) -> str:
 
 
 def _write_plot_maps(res: reconstruct.ReconstructionResult, cfg) -> None:
-    """Emit gnuplot-ready density/phase maps: 'x_um y_um value' triplets."""
-    xs = res.grid.x_coords() * 1e6
-    ys = res.grid.y_coords() * 1e6
+    """Emit gnuplot-ready density/phase maps: 'x_um y_um value' triplets, a blank line per row."""
+    xs = ["%.9g" % x for x in res.grid.x_coords() * 1e6]
+    rows = (" %.9g %%.17g\n" % y for y in res.grid.y_coords() * 1e6)
+    fmt = "".join("".join(x + row for x in xs) + "\n" for row in rows)  # coordinates baked in
     for name, data in (("density.dat", res.density_map), ("phase.dat", res.phase_map)):
-        lines = []
-        for iy in range(res.grid.ny):
-            for ix in range(res.grid.nx):
-                lines.append(f"{xs[ix]:.9g} {ys[iy]:.9g} {data[iy, ix]:.17g}")
-            lines.append("")
-        _atomic_write_text(_out_path(cfg, name), "\n".join(lines) + "\n")
+        _atomic_write(_out_path(cfg, name), fmt % tuple(data.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +105,8 @@ def cmd_prepare(args) -> None:
     field = wavefield.make_mode(_mode_spec(cfg, grid), grid)
     if cfg.vortex_l:
         field = wavefield.apply_vortex_plate(field, cfg.vortex_l)
-    _atomic_via(_out_path(cfg, "field.wfgrid"), lambda p: wavefield.write_wfgrid(p, field))
-    _atomic_write_text(_out_path(cfg, "config.resolved"), cfgmod.to_text(cfg))
+    _atomic_write(_out_path(cfg, "field.wfgrid"), lambda p: wavefield.write_wfgrid(p, field))
+    _atomic_write(_out_path(cfg, "config.resolved"), cfgmod.to_text(cfg))
     print(_out_path(cfg, "field.wfgrid"))
 
 
@@ -128,8 +115,8 @@ def cmd_measure(args) -> None:
     field = wavefield.read_wfgrid(args.field)
     coupling = engine.CouplingConfig(cfg.resolved_theta())
     records = engine.scan(field, coupling, cfg.photons, cfg.seed)
-    _atomic_via(_out_path(cfg, "records.csv"),
-                lambda p: engine.write_records_csv(records, p))
+    _atomic_write(_out_path(cfg, "records.csv"),
+                  lambda p: engine.write_records_csv(records, p))
     print(_out_path(cfg, "records.csv"))
 
 
@@ -137,10 +124,6 @@ def cmd_reconstruct(args) -> None:
     cfg = _load_config(args)
     records = engine.read_records_csv(args.records)
     grid = _grid(cfg)
-    if grid.ncells != len(records):
-        raise ValueError(
-            f"configured grid {grid.nx}x{grid.ny} does not match {len(records)} records"
-        )
     if cfg.estimator == "dwt":
         res = reconstruct.reconstruct_dwt(records, grid, cfg.resolved_theta())
     else:
@@ -148,10 +131,10 @@ def cmd_reconstruct(args) -> None:
     report = None
     if args.ideal:
         report = reconstruct.score(res, wavefield.read_wfgrid(args.ideal))
-    _atomic_via(_out_path(cfg, "reconstruction.wfgrid"),
-                lambda p: wavefield.write_wfgrid(p, res.field()))
+    _atomic_write(_out_path(cfg, "reconstruction.wfgrid"),
+                  lambda p: wavefield.write_wfgrid(p, res.field()))
     sidecar = json.dumps(reconstruct.sidecar_dict(res, report), indent=2, sort_keys=True)
-    _atomic_write_text(_out_path(cfg, "report.json"), sidecar + "\n")
+    _atomic_write(_out_path(cfg, "report.json"), sidecar + "\n")
     _write_plot_maps(res, cfg)
     print(_out_path(cfg, "report.json"))
 
@@ -162,7 +145,7 @@ def cmd_score(args) -> None:
     ideal = wavefield.read_wfgrid(args.ideal)
     report = reconstruct.score(reconstruct.ReconstructionResult.from_field(rec_field), ideal)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    _atomic_write_text(_out_path(cfg, "score.json"), text)
+    _atomic_write(_out_path(cfg, "score.json"), text)
     sys.stdout.write(text)
 
 
@@ -173,7 +156,7 @@ def cmd_holo_forward(args) -> None:
         img = holography.read_pgm(args.object)
         field = holography.apply_object(field, holography.object_from_pgm(img, args.object_map))
     out = holography.propagate_forward(field, _prop_spec(cfg), cfg.pad_factor)
-    _atomic_via(_out_path(cfg, "propagated.wfgrid"), lambda p: wavefield.write_wfgrid(p, out))
+    _atomic_write(_out_path(cfg, "propagated.wfgrid"), lambda p: wavefield.write_wfgrid(p, out))
     print(_out_path(cfg, "propagated.wfgrid"))
 
 
@@ -181,7 +164,7 @@ def cmd_holo_inverse(args) -> None:
     cfg = _load_config(args)
     field = wavefield.read_wfgrid(args.infile)
     out = holography.propagate_inverse(field, _prop_spec(cfg), cfg.pad_factor)
-    _atomic_via(_out_path(cfg, "backpropagated.wfgrid"), lambda p: wavefield.write_wfgrid(p, out))
+    _atomic_write(_out_path(cfg, "backpropagated.wfgrid"), lambda p: wavefield.write_wfgrid(p, out))
     print(_out_path(cfg, "backpropagated.wfgrid"))
 
 
@@ -194,15 +177,15 @@ def cmd_holo_object(args) -> None:
         pad_factor=cfg.pad_factor,
     )
     t_field = wavefield.TransverseWavefunction(measured.grid, obj.transmission_map)
-    _atomic_via(_out_path(cfg, "transmission.wfgrid"),
-                lambda p: wavefield.write_wfgrid(p, t_field))
+    _atomic_write(_out_path(cfg, "transmission.wfgrid"),
+                  lambda p: wavefield.write_wfgrid(p, t_field))
     summary = {
         "threshold": args.threshold,
         "valid_cells": int(obj.validity_mask.sum()),
         "total_cells": int(obj.validity_mask.size),
     }
-    _atomic_write_text(_out_path(cfg, "object_report.json"),
-                       json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _atomic_write(_out_path(cfg, "object_report.json"),
+                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(_out_path(cfg, "transmission.wfgrid"))
 
 

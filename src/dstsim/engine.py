@@ -19,8 +19,8 @@ reduces to a0 = (ptilde - psi)/sqrt(N), a1 = psi/sqrt(N).
 
 from __future__ import annotations
 
-import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 
@@ -53,24 +53,15 @@ BASIS_PAIRS: tuple[tuple[Projector, Projector], ...] = (
     (Projector.P0, Projector.P1),
     (Projector.LEFT, Projector.RIGHT),
 )
-
-
-class CouplingMode(enum.Enum):
-    STRONG_EXACT = "strong"
-    WEAK_FIRST_ORDER = "weak"
+#: The six projectors in basis order: the first axis of :class:`ScanRecords`.
+PROJECTORS: tuple[Projector, ...] = tuple(p for pair in BASIS_PAIRS for p in pair)
 
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Coupling angle and which estimator the records are destined for.
-
-    The simulated physics is exact for any theta; ``mode`` only tags whether
-    downstream reconstruction uses the exact strong-coupling inversion or
-    the first-order weak-value formulas.
-    """
+    """Coupling angle of the pointer unitary; the physics is exact for any theta."""
 
     theta: float = math.pi / 2
-    mode: CouplingMode = CouplingMode.STRONG_EXACT
 
     def __post_init__(self):
         if not (0.0 < self.theta <= math.pi / 2 + 1e-12):
@@ -99,19 +90,41 @@ class PointerState:
         return PointerState(self.a0 / n, self.a1 / n)
 
 
-@dataclass
-class ReadoutRecord:
-    """Per-cell readout: exact projector probabilities and optional counts.
+@dataclass(frozen=True)
+class ScanRecords:
+    """Readout of a full scan as arrays indexed ``[projector, iy, ix]``.
 
-    Probabilities are unnormalized by post-selection: each basis pair sums
-    to the post-selection weight of the cell, not to one.  ``counts`` is
-    None for noiseless records (``photons_per_setting == 0``).
+    ``probs[k]`` is the map of projector ``PROJECTORS[k]`` (the records CSV
+    column order).  Probabilities are unnormalized by post-selection: each
+    basis pair sums to the post-selection weight of the cell, not to one.
+    ``counts`` has the same layout and is None exactly when the scan is
+    noiseless (``photons_per_setting == 0``).
     """
 
-    cell: tuple[int, int]
-    probs: dict[Projector, float]
-    counts: dict[Projector, int] | None = None
+    probs: np.ndarray
+    counts: np.ndarray | None = None
     photons_per_setting: int = 0
+
+    def __post_init__(self):
+        probs, counts = self.probs, self.counts
+        if probs.ndim != 3 or probs.shape[0] != len(PROJECTORS) or probs.size == 0:
+            raise ValueError(f"probs must have shape (6, ny, nx), got {probs.shape}")
+        if not np.isfinite(probs).all():
+            raise ValueError("non-finite probability")
+        if (probs < 0).any():
+            raise ValueError("negative probability")
+        if self.photons_per_setting < 0:
+            raise ValueError("photons_per_setting must be >= 0")
+        if counts is None:
+            if self.photons_per_setting > 0:
+                raise ValueError(f"budget {self.photons_per_setting} but no counts")
+            return
+        if self.photons_per_setting == 0:
+            raise ValueError("counts need a budget > 0")
+        if counts.shape != probs.shape or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"counts must be integers of shape {probs.shape}")
+        if (counts < 0).any():
+            raise ValueError("negative count")
 
 
 def gauge_fix(f: TransverseWavefunction) -> tuple[TransverseWavefunction, float]:
@@ -170,7 +183,19 @@ def dwt_pointer(f: TransverseWavefunction, cell: tuple[int, int], theta: float) 
     formulas differ between the strong and weak estimators, so weak-mode
     bias can be measured against the exact ground truth.
     """
-    return couple_and_postselect(f, cell, CouplingConfig(theta, CouplingMode.WEAK_FIRST_ORDER))
+    return couple_and_postselect(f, cell, CouplingConfig(theta))
+
+
+def _projector_probs(a0, a1) -> dict[Projector, np.ndarray]:
+    """The six projector probabilities of pointer amplitudes, scalars or arrays alike."""
+    return {
+        Projector.P0: np.abs(a0) ** 2,
+        Projector.P1: np.abs(a1) ** 2,
+        Projector.PLUS: np.abs(a0 + a1) ** 2 / 2.0,
+        Projector.MINUS: np.abs(a0 - a1) ** 2 / 2.0,
+        Projector.LEFT: np.abs(a0 - 1j * a1) ** 2 / 2.0,
+        Projector.RIGHT: np.abs(a0 + 1j * a1) ** 2 / 2.0,
+    }
 
 
 def readout_probs(p: PointerState) -> dict[Projector, float]:
@@ -179,14 +204,7 @@ def readout_probs(p: PointerState) -> dict[Projector, float]:
     if not (math.isfinite(a0.real) and math.isfinite(a0.imag)
             and math.isfinite(a1.real) and math.isfinite(a1.imag)):
         raise ValueError("pointer amplitudes must be finite")
-    return {
-        Projector.P0: abs(a0) ** 2,
-        Projector.P1: abs(a1) ** 2,
-        Projector.PLUS: abs(a0 + a1) ** 2 / 2.0,
-        Projector.MINUS: abs(a0 - a1) ** 2 / 2.0,
-        Projector.LEFT: abs(a0 - 1j * a1) ** 2 / 2.0,
-        Projector.RIGHT: abs(a0 + 1j * a1) ** 2 / 2.0,
-    }
+    return {proj: float(v) for proj, v in _projector_probs(a0, a1).items()}
 
 
 def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
@@ -200,17 +218,16 @@ def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_with_rng(
-    probs: dict[Projector, float], photons_per_setting: int, rng: np.random.Generator
-) -> dict[Projector, int]:
-    counts: dict[Projector, int] = {}
-    for proj_a, proj_b in BASIS_PAIRS:
-        pa, pb = probs[proj_a], probs[proj_b]
+def _sample_cell(
+    probs: list[float], photons_per_setting: int, rng: np.random.Generator
+) -> list[int]:
+    """Counts for one cell's six probabilities, both in :data:`PROJECTORS` order."""
+    counts: list[int] = []
+    for pa, pb in zip(probs[0::2], probs[1::2]):
         weight = pa + pb
         detected = int(rng.poisson(photons_per_setting * weight)) if weight > 0 else 0
         na = int(rng.binomial(detected, pa / weight)) if detected > 0 else 0
-        counts[proj_a] = na
-        counts[proj_b] = detected - na
+        counts += (na, detected - na)
     return counts
 
 
@@ -225,13 +242,16 @@ def sample_counts(
     Each basis receives an independent ensemble of ``photons_per_setting``
     photons; the number that survives post-selection is Poisson with mean
     ``photons_per_setting * (pair weight)`` and is split binomially between
-    the two projectors of the basis.  Deterministic given (seed, cell).
+    the two projectors of the basis.  Deterministic given (seed, cell), and
+    equal to what :func:`scan` draws at that cell.
     """
     if photons_per_setting < 0:
         raise ValueError("photons_per_setting must be >= 0")
     if photons_per_setting == 0:
-        return {proj: 0 for pair in BASIS_PAIRS for proj in pair}
-    return _sample_with_rng(probs, photons_per_setting, cell_rng(seed, *cell))
+        return {proj: 0 for proj in PROJECTORS}
+    counts = _sample_cell([probs[p] for p in PROJECTORS], photons_per_setting,
+                          cell_rng(seed, *cell))
+    return dict(zip(PROJECTORS, counts))
 
 
 def scan_probability_maps(
@@ -248,14 +268,7 @@ def scan_probability_maps(
     root_n = math.sqrt(g.grid.ncells)
     a0 = (ptilde - (1.0 - math.cos(cfg.theta)) * g.amps) / root_n
     a1 = math.sin(cfg.theta) * g.amps / root_n
-    return {
-        Projector.P0: np.abs(a0) ** 2,
-        Projector.P1: np.abs(a1) ** 2,
-        Projector.PLUS: np.abs(a0 + a1) ** 2 / 2.0,
-        Projector.MINUS: np.abs(a0 - a1) ** 2 / 2.0,
-        Projector.LEFT: np.abs(a0 - 1j * a1) ** 2 / 2.0,
-        Projector.RIGHT: np.abs(a0 + 1j * a1) ** 2 / 2.0,
-    }, ptilde
+    return _projector_probs(a0, a1), ptilde
 
 
 def scan(
@@ -263,29 +276,29 @@ def scan(
     cfg: CouplingConfig,
     photons_per_setting: int = 0,
     seed: int = 0,
-) -> list[ReadoutRecord]:
-    """Measure every grid cell; one record per cell in row-major order.
+) -> ScanRecords:
+    """Measure every grid cell.
 
-    Each cell is measured on a fresh photon ensemble, so records are
-    statistically independent.  With ``photons_per_setting == 0`` the
-    records carry exact probabilities only.
+    Each cell is measured on a fresh photon ensemble drawn from its own
+    :func:`cell_rng` stream, so cells are statistically independent.  With
+    ``photons_per_setting == 0`` the records carry exact probabilities only.
     """
     if photons_per_setting < 0:
         raise ValueError("photons_per_setting must be >= 0")
     maps, _ = scan_probability_maps(f, cfg)
-    records: list[ReadoutRecord] = []
-    for iy in range(f.grid.ny):
-        for ix in range(f.grid.nx):
-            probs = {proj: float(maps[proj][iy, ix]) for proj in Projector}
-            counts = None
-            if photons_per_setting > 0:
-                counts = _sample_with_rng(probs, photons_per_setting, cell_rng(seed, ix, iy))
-            records.append(ReadoutRecord((ix, iy), probs, counts, photons_per_setting))
-    return records
+    probs = np.stack([maps[p] for p in PROJECTORS])
+    if photons_per_setting == 0:
+        return ScanRecords(probs)
+    nx = f.grid.nx
+    cells = probs.reshape(len(PROJECTORS), -1).T.tolist()
+    counts = np.array(
+        [_sample_cell(p, photons_per_setting, cell_rng(seed, i % nx, i // nx))
+         for i, p in enumerate(cells)], dtype=np.int64)
+    return ScanRecords(probs, counts.T.reshape(probs.shape), photons_per_setting)
 
 
 # ---------------------------------------------------------------------------
-# Records CSV
+# Records CSV: one row per cell, row-major, CRLF line ends
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = [
@@ -294,57 +307,91 @@ _CSV_HEADER = [
     "n_plus", "n_minus", "n_0", "n_1", "n_L", "n_R",
     "budget",
 ]
-_CSV_PROJ_ORDER = [
-    Projector.PLUS, Projector.MINUS, Projector.P0,
-    Projector.P1, Projector.LEFT, Projector.RIGHT,
-]
+#: Six empty count fields, between w_R and the budget of a noiseless row.
+_EMPTY_COUNTS = b"," * 7
+#: Rows formatted per write, which bounds the writer's memory.
+_ROW_BLOCK = 4096
+_ROW_DTYPE = np.dtype([("ix", np.int64), ("iy", np.int64), ("w", np.float64, 6),
+                       ("n", np.int64, 6), ("budget", np.int64)])
+_NOISELESS_DTYPE = np.dtype([("ix", np.int64), ("iy", np.int64), ("w", np.float64, 6),
+                             ("budget", np.int64)])
+_NOISELESS_COLS = (0, 1, 2, 3, 4, 5, 6, 7, 14)
 
 
-def write_records_csv(records: list[ReadoutRecord], path) -> None:
+def write_records_csv(records: ScanRecords, path) -> None:
+    """Write one row per cell, row-major; probabilities with 17 significant digits."""
+    nk, ny, nx = records.probs.shape
+    columns = [records.probs.reshape(nk, -1).T]
+    counts_fmt = _EMPTY_COUNTS.decode()
+    if records.counts is not None:
+        columns.append(records.counts.reshape(nk, -1).T)
+        counts_fmt = ",%d" * nk + ","
+    fmt = "%d,%d" + ",%.17g" * nk + counts_fmt + f"{records.photons_per_setting}\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for rec in records:
-            row = [str(rec.cell[0]), str(rec.cell[1])]
-            row += [f"{rec.probs[p]:.17g}" for p in _CSV_PROJ_ORDER]
-            if rec.counts is None:
-                row += [""] * 6
-            else:
-                row += [str(rec.counts[p]) for p in _CSV_PROJ_ORDER]
-            row.append(str(rec.photons_per_setting))
-            writer.writerow(row)
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        for start in range(0, ny * nx, _ROW_BLOCK):
+            cells = np.arange(start, min(start + _ROW_BLOCK, ny * nx))
+            block = np.empty((len(cells), 2 + nk * len(columns)), dtype=object)
+            block[:, 1], block[:, 0] = np.divmod(cells, nx)
+            for k, column in enumerate(columns):
+                block[:, 2 + nk * k:2 + nk * (k + 1)] = column[cells]
+            fh.write((fmt * len(cells)) % tuple(block.ravel()))
 
 
-def read_records_csv(path) -> list[ReadoutRecord]:
-    records: list[ReadoutRecord] = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty records file") from None
-        if header != _CSV_HEADER:
-            raise FileFormatError(f"{path}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_CSV_HEADER):
-                raise FileFormatError(f"{path}:{lineno}: expected {len(_CSV_HEADER)} fields")
-            try:
-                ix, iy = int(row[0]), int(row[1])
-                probs = {p: float(row[2 + i]) for i, p in enumerate(_CSV_PROJ_ORDER)}
-                count_fields = row[8:14]
-                budget = int(row[14])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in probs.values()):
-                raise FileFormatError(f"{path}:{lineno}: non-finite probability")
-            if all(c == "" for c in count_fields):
-                counts = None
-            elif any(c == "" for c in count_fields):
-                raise FileFormatError(f"{path}:{lineno}: partial counts row")
-            else:
-                try:
-                    counts = {p: int(count_fields[i]) for i, p in enumerate(_CSV_PROJ_ORDER)}
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-            records.append(ReadoutRecord((ix, iy), probs, counts, budget))
-    return records
+def read_records_csv(path) -> ScanRecords:
+    """Read a records CSV, placing each row at its (ix, iy) cell.
+
+    Raises :class:`FileFormatError` unless the rows cover an ``nx x ny``
+    grid exactly once, every row has all fields with integer ix, iy, counts
+    and budget, and the rows share one budget: 0 with empty count columns,
+    or > 0 with counts on every row.  Negative or non-finite probabilities
+    and negative counts are rejected too.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = raw.find(b"\n")
+    if end < 0:
+        raise FileFormatError(f"{path}: empty records file")
+    header = raw[:end].rstrip(b"\r").decode("latin-1")
+    if header.split(",") != _CSV_HEADER:
+        raise FileFormatError(f"{path}: unexpected header {header!r}")
+    if raw.find(b",", end) < 0:
+        raise FileFormatError(f"{path}: no records")
+    noiseless = _EMPTY_COUNTS in raw
+    try:
+        rows = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=1,
+                          encoding="latin-1",
+                          dtype=_NOISELESS_DTYPE if noiseless else _ROW_DTYPE,
+                          usecols=_NOISELESS_COLS if noiseless else None)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    n = len(rows)
+    fields = len(_CSV_HEADER)
+    if b"\n\n" in raw or b"\n\r\n" in raw or raw.count(b",") != (fields - 1) * (n + 1):
+        raise FileFormatError(f"{path}: expected {fields} fields on every row")
+    if noiseless and raw.count(_EMPTY_COUNTS) != n:
+        raise FileFormatError(f"{path}: count columns are empty on some rows only")
+
+    ix, iy, budget = rows["ix"], rows["iy"], rows["budget"]
+    if ix.min() < 0 or iy.min() < 0:
+        raise FileFormatError(f"{path}: negative cell index")
+    nx, ny = int(ix.max()) + 1, int(iy.max()) + 1
+    if nx * ny != n:
+        raise FileFormatError(f"{path}: {n} records do not cover the {nx}x{ny} grid once")
+    seen = np.bincount(iy * nx + ix, minlength=n)
+    if (seen > 1).any():
+        dup = int(np.argmax(seen > 1))
+        raise FileFormatError(f"{path}: duplicate record for cell {(dup % nx, dup // nx)}")
+    if (budget != budget[0]).any():
+        raise FileFormatError(f"{path}: budgets differ between rows")
+
+    probs = np.empty((len(PROJECTORS), ny, nx))
+    probs[:, iy, ix] = rows["w"].T
+    counts = None
+    if not noiseless:
+        counts = np.empty(probs.shape, dtype=np.int64)
+        counts[:, iy, ix] = rows["n"].T
+    try:
+        return ScanRecords(probs, counts, int(budget[0]))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None

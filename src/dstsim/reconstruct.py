@@ -23,14 +23,13 @@ raw maps, ptilde_est = N * sqrt(sum |r|^2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFieldError
-from .wavefield import GridSpec, TransverseWavefunction, write_wfgrid
-from .engine import Projector, ReadoutRecord
+from .wavefield import GridSpec, TransverseWavefunction
+from .engine import ScanRecords
 
 _DST = "DST"
 _DWT = "DWT"
@@ -87,45 +86,25 @@ class QualityReport:
 
 
 def _effective_prob_maps(
-    records: list[ReadoutRecord], grid: GridSpec
-) -> tuple[dict[Projector, np.ndarray], np.ndarray | None]:
-    """Per-projector maps of probabilities or empirical frequencies.
+    records: ScanRecords, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Projector maps ``[projector, iy, ix]`` of probabilities or empirical frequencies.
 
     Sampled records contribute count/budget, which estimates the
     unnormalized projector probability directly (the per-basis frequency
     times the sampled post-selection weight).  Noiseless records contribute
-    their exact probabilities, so both paths share the inversion code.
+    their exact probabilities, so both paths share the inversion code.  The
+    mask marks cells where some basis registered no photons at all.
     """
-    if len(records) != grid.ncells:
-        raise ValueError(f"need {grid.ncells} records, got {len(records)}")
-    maps = {p: np.full((grid.ny, grid.nx), np.nan) for p in Projector}
-    zero_mask = np.zeros((grid.ny, grid.nx), dtype=bool)
-    any_counts = False
-    for rec in records:
-        ix, iy = rec.cell
-        if not (0 <= ix < grid.nx and 0 <= iy < grid.ny):
-            raise ValueError(f"record cell {rec.cell} outside {grid.nx}x{grid.ny} grid")
-        if not np.isnan(maps[Projector.P0][iy, ix]):
-            raise ValueError(f"duplicate record for cell {rec.cell}")
-        if rec.counts is not None and rec.photons_per_setting > 0:
-            any_counts = True
-            budget = rec.photons_per_setting
-            for p in Projector:
-                maps[p][iy, ix] = rec.counts[p] / budget
-            zero_mask[iy, ix] = any(
-                rec.counts[a] + rec.counts[b] == 0 for a, b in
-                ((Projector.PLUS, Projector.MINUS), (Projector.P0, Projector.P1),
-                 (Projector.LEFT, Projector.RIGHT))
-            )
-        else:
-            for p in Projector:
-                maps[p][iy, ix] = rec.probs[p]
-    for p in Projector:
-        if np.isnan(maps[p]).any():
-            raise ValueError("records do not cover every grid cell")
-        if not np.all(np.isfinite(maps[p])):
-            raise ValueError("non-finite frequencies in records")
-    return maps, (zero_mask if any_counts else None)
+    ny, nx = records.probs.shape[1:]
+    if (ny, nx) != (grid.ny, grid.nx):
+        raise ValueError(f"configured grid {grid.nx}x{grid.ny} does not match "
+                         f"records of {nx}x{ny} cells")
+    counts = records.counts
+    if counts is None:
+        return records.probs, None
+    zero_mask = (counts[0::2] + counts[1::2] == 0).any(axis=0)
+    return counts / records.photons_per_setting, zero_mask
 
 
 def _assemble(
@@ -157,7 +136,7 @@ def _assemble(
 
 
 def reconstruct_dst(
-    records: list[ReadoutRecord],
+    records: ScanRecords,
     grid: GridSpec,
     psi_tilde: float | None = None,
 ) -> ReconstructionResult:
@@ -169,13 +148,14 @@ def reconstruct_dst(
     up to floating-point rounding.
     """
     maps, zero_mask = _effective_prob_maps(records, grid)
-    u = (maps[Projector.PLUS] + 2.0 * maps[Projector.P1] - maps[Projector.MINUS]) / 2.0
-    v = (maps[Projector.LEFT] - maps[Projector.RIGHT]) / 2.0
+    plus, minus, _, p1, left, right = maps
+    u = (plus + 2.0 * p1 - minus) / 2.0
+    v = (left - right) / 2.0
     return _assemble(grid, u + 1j * v, psi_tilde, _DST, zero_mask)
 
 
 def reconstruct_dwt(
-    records: list[ReadoutRecord],
+    records: ScanRecords,
     grid: GridSpec,
     theta: float,
     psi_tilde: float | None = None,
@@ -190,8 +170,9 @@ def reconstruct_dwt(
     if not (0.0 < theta <= np.pi / 2 + 1e-12):
         raise ValueError(f"theta must be in (0, pi/2], got {theta}")
     maps, zero_mask = _effective_prob_maps(records, grid)
-    u = (maps[Projector.PLUS] - maps[Projector.MINUS]) / (2.0 * theta)
-    v = (maps[Projector.LEFT] - maps[Projector.RIGHT]) / (2.0 * theta)
+    plus, minus, _, _, left, right = maps
+    u = (plus - minus) / (2.0 * theta)
+    v = (left - right) / (2.0 * theta)
     return _assemble(grid, u + 1j * v, psi_tilde, _DWT, zero_mask)
 
 
@@ -244,15 +225,3 @@ def sidecar_dict(res: ReconstructionResult, report: QualityReport | None = None)
         "fidelity": report.fidelity if report is not None else None,
     }
 
-
-def write_result(
-    res: ReconstructionResult,
-    wfgrid_path,
-    sidecar_path,
-    report: QualityReport | None = None,
-) -> None:
-    """Persist a reconstruction as WFGRID plus a JSON sidecar."""
-    write_wfgrid(wfgrid_path, res.field())
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar_dict(res, report), fh, indent=2, sort_keys=True)
-        fh.write("\n")

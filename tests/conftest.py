@@ -40,3 +40,13 @@ def random_smooth_field(grid: GridSpec, seed: int, corr_cells: float = 3.0) -> T
     f = normalize(TransverseWavefunction(grid, amps))
     assert abs(f.amp_sum()) > 0.5
     return f
+
+
+def edit_csv(path, rows, column, value):
+    """Set one field of the given data rows (0 = first row after the header)."""
+    lines = path.read_text().splitlines()
+    for row in rows:
+        cells = lines[1 + row].split(",")
+        cells[column] = value
+        lines[1 + row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")

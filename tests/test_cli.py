@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from dstsim import read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction, normalize
+from dstsim import cli
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_text, to_text
+from dstsim.reconstruct import ReconstructionResult
+from conftest import edit_csv
 
 
 def run(*argv):
@@ -175,11 +178,54 @@ class TestMeasureReconstruct:
         assert report["mode"] == "DWT"
         assert 0.9 < report["fidelity"] < 1.0
 
+    def test_invalid_records_are_format_error(self, tmp_path):
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "100",
+                   "--out", str(out)) == 0
+        path = out / "records.csv"
+        edit_csv(path, [4], 8, "-3")   # a negative n_plus
+        assert run("reconstruct", "--records", str(path), "--nx", "12", "--ny", "12",
+                   "--out", str(out)) == 4
+
     def test_grid_mismatch_is_validation_error(self, tmp_path):
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
         assert run("reconstruct", "--records", str(out / "records.csv"),
                    "--nx", "9", "--ny", "9", "--out", str(out)) == 2
+
+
+class TestOutputFiles:
+    def test_failed_writer_leaves_nothing(self, tmp_path):
+        target = tmp_path / "out" / "result.dat"
+
+        def writer(path):
+            with open(path, "w") as fh:
+                fh.write("partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError):
+            cli._atomic_write(str(target), writer)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_plot_map_golden_bytes(self, tmp_path):
+        # a 3x2 grid whose coordinates need all 9 digits of x_um and y_um
+        grid = GridSpec(3, 2, 1e-4 / 3)
+        amps = np.array([[0.1, 0.2j, 0.3], [1 / 3, -0.5, 0.25 + 0.25j]])
+        res = ReconstructionResult.from_field(TransverseWavefunction(grid, amps))
+        cli._write_plot_maps(res, ExperimentConfig(out=str(tmp_path)))
+        xy = [b"-33.3333333 -16.6666667", b"0 -16.6666667", b"33.3333333 -16.6666667",
+              b"-33.3333333 16.6666667", b"0 16.6666667", b"33.3333333 16.6666667"]
+
+        def expected(values):
+            lines = [b"%s %s\n" % (a, v) for a, v in zip(xy, values)]
+            return b"".join(lines[:3]) + b"\n" + b"".join(lines[3:]) + b"\n"
+
+        assert (tmp_path / "density.dat").read_bytes() == expected(
+            [b"0.010000000000000002", b"0.040000000000000008", b"0.089999999999999997",
+             b"0.1111111111111111", b"0.25", b"0.125"])
+        assert (tmp_path / "phase.dat").read_bytes() == expected(
+            [b"0", b"1.5707963267948966", b"0", b"0", b"3.1415926535897931",
+             b"0.78539816339744828"])
 
 
 class TestScoreCommand:

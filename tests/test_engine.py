@@ -9,8 +9,10 @@ from dstsim import (
     DegenerateFieldError,
     FileFormatError,
     GridSpec,
+    PROJECTORS,
     PointerState,
     Projector,
+    ScanRecords,
     TransverseWavefunction,
     couple_and_postselect,
     dwt_pointer,
@@ -26,7 +28,7 @@ from dstsim import (
     scan_probability_maps,
     write_records_csv,
 )
-from conftest import random_field
+from conftest import edit_csv, random_field
 
 STRONG = CouplingConfig()
 
@@ -34,6 +36,20 @@ STRONG = CouplingConfig()
 def uniform_field(n=2, pitch=1e-4):
     grid = GridSpec(n, n, pitch)
     return normalize(TransverseWavefunction(grid, np.ones((n, n), complex)))
+
+
+# records.csv of the uniform 2x2 field, as written since the format was fixed
+UNIFORM_2X2_HEADER = (b"ix,iy,w_plus,w_minus,w_0,w_1,w_L,w_R,"
+                      b"n_plus,n_minus,n_0,n_1,n_L,n_R,budget\r\n")
+UNIFORM_2X2_PROBS = b"0.5,0.125,0.5625,0.0625,0.31250000000000006,0.31250000000000006"
+UNIFORM_2X2_NOISELESS = UNIFORM_2X2_HEADER + b"".join(
+    b"%s,%s,,,,,,,0\r\n" % (cell, UNIFORM_2X2_PROBS)
+    for cell in (b"0,0", b"1,0", b"0,1", b"1,1"))
+UNIFORM_2X2_SAMPLED_SEED0 = UNIFORM_2X2_HEADER + b"".join(
+    b"%s,%s,%s,10\r\n" % (cell, UNIFORM_2X2_PROBS, counts)
+    for cell, counts in ((b"0,0", b"2,0,6,1,1,6"), (b"1,0", b"1,2,4,0,4,7"),
+                         (b"0,1", b"3,4,5,0,1,1"), (b"1,1", b"7,2,8,2,3,0"))
+)
 
 
 class TestCouplingConfig:
@@ -205,44 +221,43 @@ class TestScan:
     def test_enumerates_cells_row_major(self):
         f = uniform_field(2)
         records = scan(f, STRONG)
-        assert [r.cell for r in records] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-        assert all(r.counts is None for r in records)
+        assert records.probs.shape == (6, 2, 2)
+        assert records.counts is None
 
     def test_uniform_field_identical_probs(self):
         records = scan(uniform_field(4), STRONG)
-        first = records[0].probs
-        for rec in records[1:]:
-            for p in Projector:
-                assert rec.probs[p] == pytest.approx(first[p], abs=1e-14)
+        first = records.probs[:, :1, :1]
+        assert records.probs == pytest.approx(np.broadcast_to(first, records.probs.shape),
+                                              abs=1e-14)
 
     def test_gaussian_p1_peaks_at_center(self):
         grid = GridSpec(33, 33, 1e-4)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4 * grid.pitch), grid)
         records = scan(f, STRONG)
-        p1 = np.array([r.probs[Projector.P1] for r in records]).reshape(33, 33)
+        p1 = records.probs[PROJECTORS.index(Projector.P1)]
         assert np.unravel_index(np.argmax(p1), p1.shape) == (16, 16)
 
     def test_matches_single_cell_api(self, grid_8):
         f = random_field(grid_8, seed=2)
         records = scan(f, STRONG, photons_per_setting=500, seed=99)
-        for rec in [records[0], records[13], records[63]]:
-            probs = readout_probs(couple_and_postselect(f, rec.cell, STRONG))
-            for p in Projector:
-                assert rec.probs[p] == pytest.approx(probs[p], abs=1e-15)
-            assert rec.counts == sample_counts(probs, 500, seed=99, cell=rec.cell)
+        for cell in [(0, 0), (5, 1), (7, 7)]:
+            ix, iy = cell
+            probs = readout_probs(couple_and_postselect(f, cell, STRONG))
+            for k, p in enumerate(PROJECTORS):
+                assert records.probs[k, iy, ix] == pytest.approx(probs[p], abs=1e-15)
+            counts = dict(zip(PROJECTORS, records.counts[:, iy, ix].tolist()))
+            assert counts == sample_counts(probs, 500, seed=99, cell=cell)
 
     def test_probability_maps_match_records(self, gaussian_8):
         maps, _ = scan_probability_maps(gaussian_8, STRONG)
         records = scan(gaussian_8, STRONG)
-        for rec in records:
-            ix, iy = rec.cell
-            for p in Projector:
-                assert rec.probs[p] == maps[p][iy, ix]
+        for k, p in enumerate(PROJECTORS):
+            assert np.array_equal(records.probs[k], maps[p])
 
     def test_sampled_records_carry_budget(self, gaussian_8):
         records = scan(gaussian_8, STRONG, photons_per_setting=100, seed=1)
-        assert all(r.photons_per_setting == 100 for r in records)
-        assert all(r.counts is not None for r in records)
+        assert records.photons_per_setting == 100
+        assert records.counts is not None
 
 
 class TestRecordsCsv:
@@ -251,22 +266,18 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
         back = read_records_csv(path)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert a.cell == b.cell
-            assert b.counts is None
-            assert b.photons_per_setting == 0
-            for p in Projector:
-                assert a.probs[p] == b.probs[p]  # 17 significant digits round-trip
+        assert back.probs.shape == records.probs.shape
+        assert back.counts is None
+        assert back.photons_per_setting == 0
+        assert np.array_equal(back.probs, records.probs)  # 17 significant digits round-trip
 
     def test_round_trip_sampled(self, tmp_path, gaussian_8):
         records = scan(gaussian_8, STRONG, photons_per_setting=1000, seed=5)
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
         back = read_records_csv(path)
-        for a, b in zip(records, back):
-            assert a.counts == b.counts
-            assert b.photons_per_setting == 1000
+        assert np.array_equal(back.counts, records.counts)
+        assert back.photons_per_setting == 1000
 
     def test_header_schema(self, tmp_path, gaussian_8):
         path = tmp_path / "records.csv"
@@ -298,3 +309,63 @@ class TestRecordsCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError):
             read_records_csv(path)
+
+    def test_golden_bytes_noiseless(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(scan(uniform_field(2), STRONG), path)
+        assert path.read_bytes() == UNIFORM_2X2_NOISELESS
+
+    def test_golden_bytes_sampled(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(scan(uniform_field(2), STRONG, photons_per_setting=10, seed=0), path)
+        assert path.read_bytes() == UNIFORM_2X2_SAMPLED_SEED0
+
+    def test_reads_rows_in_any_order(self, tmp_path, gaussian_8):
+        records = scan(gaussian_8, STRONG, photons_per_setting=10, seed=0)
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        back = read_records_csv(path)
+        assert np.array_equal(back.probs, records.probs)
+        assert np.array_equal(back.counts, records.counts)
+
+    @pytest.mark.parametrize("budget, rows, column, value", [
+        (10, [3], 9, "-1"),              # a negative count
+        (0, [3], 2, "-0.5"),             # a negative probability
+        (10, [3], 14, "11"),             # budgets that differ between rows
+        (10, range(64), 14, "0"),        # counts with a zero budget
+        (0, range(64), 14, "10"),        # a budget with empty count columns
+        (0, [3], 4, "nan"),              # a non-finite probability
+        (10, [3], 0, "-1"),              # a cell index out of range
+        (10, [3], 13, "2.0"),            # a non-integer count
+        (0, [3], 14, "0,0"),             # an extra field
+    ], ids=["negative-count", "negative-prob", "budgets-differ", "counts-zero-budget",
+            "budget-no-counts", "nan-prob", "negative-index", "float-count", "extra-field"])
+    def test_rejects_invalid_rows(self, tmp_path, gaussian_8, budget, rows, column, value):
+        path = tmp_path / "records.csv"
+        write_records_csv(scan(gaussian_8, STRONG, photons_per_setting=budget, seed=0), path)
+        read_records_csv(path)
+        edit_csv(path, rows, column, value)
+        with pytest.raises(FileFormatError):
+            read_records_csv(path)
+
+
+class TestScanRecords:
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            ScanRecords(np.zeros((4, 2, 2)))
+        with pytest.raises(ValueError):
+            ScanRecords(np.zeros((6, 2, 2)), np.zeros((6, 2, 3), dtype=np.int64), 10)
+
+    def test_counts_and_budget_go_together(self):
+        with pytest.raises(ValueError):
+            ScanRecords(np.zeros((6, 2, 2)), None, 10)
+        with pytest.raises(ValueError):
+            ScanRecords(np.zeros((6, 2, 2)), np.zeros((6, 2, 2), dtype=np.int64), 0)
+
+    def test_rejects_non_finite_probability(self):
+        probs = np.zeros((6, 2, 2))
+        probs[1, 1, 0] = np.inf
+        with pytest.raises(ValueError):
+            ScanRecords(probs)

@@ -6,22 +6,24 @@ import pytest
 from dstsim import (
     CouplingConfig,
     DegenerateFieldError,
+    FileFormatError,
     GridSpec,
     ModeKind,
     ModeSpec,
-    Projector,
-    ReadoutRecord,
+    ScanRecords,
     TransverseWavefunction,
     fidelity,
     gauge_fix,
     make_mode,
     normalize,
+    read_records_csv,
     reconstruct_dst,
     reconstruct_dwt,
     scan,
     score,
+    write_records_csv,
 )
-from conftest import random_smooth_field
+from conftest import edit_csv, random_smooth_field
 
 STRONG = CouplingConfig()
 
@@ -46,12 +48,9 @@ class TestDstInversion:
         # probs frozen from the pointer (3/4, 1/4); with ptilde = 2 supplied,
         # Re = (4 / (2*2)) * (1/2 + 2/16 - 1/8) = 1/2 = 1/sqrt(N)
         grid = GridSpec(2, 2, 1e-4)
-        probs = {
-            Projector.PLUS: 0.5, Projector.MINUS: 0.125,
-            Projector.P0: 0.5625, Projector.P1: 0.0625,
-            Projector.LEFT: 0.3125, Projector.RIGHT: 0.3125,
-        }
-        records = [ReadoutRecord((ix, iy), dict(probs)) for iy in range(2) for ix in range(2)]
+        # plus, minus, 0, 1, L, R at every cell
+        probs = np.array([0.5, 0.125, 0.5625, 0.0625, 0.3125, 0.3125])
+        records = ScanRecords(np.broadcast_to(probs[:, None, None], (6, 2, 2)))
         res = reconstruct_dst(records, grid, psi_tilde=2.0)
         assert np.allclose(res.re_map, 0.5, atol=1e-12)
         assert np.allclose(res.im_map, 0.0, atol=1e-12)
@@ -102,16 +101,25 @@ class TestDstInversion:
         target = res.re_map[sig] + 1j * res.im_map[sig]
         assert np.max(np.abs(cand - target)) < 1e-12
 
-    def test_missing_cell_rejected(self, gaussian_8):
-        records = scan(gaussian_8, STRONG)[:-1]
-        with pytest.raises(ValueError):
-            reconstruct_dst(records, gaussian_8.grid)
+    def test_missing_cell_rejected(self, gaussian_8, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(scan(gaussian_8, STRONG), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(FileFormatError):
+            reconstruct_dst(read_records_csv(path), gaussian_8.grid)
 
-    def test_duplicate_cell_rejected(self, gaussian_8):
-        records = scan(gaussian_8, STRONG)
-        records[-1] = ReadoutRecord(records[0].cell, records[-1].probs)
+    def test_duplicate_cell_rejected(self, gaussian_8, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(scan(gaussian_8, STRONG), path)
+        edit_csv(path, [63], 0, "0")   # the last row repeats cell (0, 0)
+        edit_csv(path, [63], 1, "0")
+        with pytest.raises(FileFormatError):
+            reconstruct_dst(read_records_csv(path), gaussian_8.grid)
+
+    def test_grid_mismatch_rejected(self, gaussian_8):
         with pytest.raises(ValueError):
-            reconstruct_dst(records, gaussian_8.grid)
+            reconstruct_dst(scan(gaussian_8, STRONG), GridSpec(8, 4, gaussian_8.grid.pitch))
 
     def test_bad_psi_tilde_rejected(self, gaussian_8):
         records = scan(gaussian_8, STRONG)
@@ -119,8 +127,7 @@ class TestDstInversion:
             reconstruct_dst(records, gaussian_8.grid, psi_tilde=-1.0)
 
     def test_all_zero_records_degenerate(self, grid_8):
-        probs = {p: 0.0 for p in Projector}
-        records = [ReadoutRecord((ix, iy), dict(probs)) for iy in range(8) for ix in range(8)]
+        records = ScanRecords(np.zeros((6, 8, 8)))
         with pytest.raises(DegenerateFieldError):
             reconstruct_dst(records, grid_8)
 
