@@ -24,17 +24,13 @@ from .wavefield import (
     write_wfgrid,
 )
 from .engine import (
-    BASIS_PAIRS,
     CouplingConfig,
     PROJECTORS,
-    PointerState,
     Projector,
     ScanRecords,
-    couple_and_postselect,
-    dwt_pointer,
     gauge_fix,
+    pointer_amplitudes,
     read_records_csv,
-    readout_probs,
     sample_counts,
     scan,
     scan_probability_maps,
@@ -63,7 +59,6 @@ from .holography import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASIS_PAIRS",
     "CouplingConfig",
     "DegenerateFieldError",
     "FileFormatError",
@@ -72,7 +67,6 @@ __all__ = [
     "ModeSpec",
     "ObjectReconstruction",
     "PROJECTORS",
-    "PointerState",
     "Projector",
     "PropagationKernel",
     "PropagationSpec",
@@ -83,21 +77,19 @@ __all__ = [
     "TransverseWavefunction",
     "apply_object",
     "apply_vortex_plate",
-    "couple_and_postselect",
     "default_waist",
-    "dwt_pointer",
     "fidelity",
     "gauge_fix",
     "make_mode",
     "normalize",
     "object_from_pgm",
     "phase_winding",
+    "pointer_amplitudes",
     "propagate_forward",
     "propagate_inverse",
     "read_pgm",
     "read_records_csv",
     "read_wfgrid",
-    "readout_probs",
     "reconstruct_dst",
     "reconstruct_dwt",
     "reconstruct_object",

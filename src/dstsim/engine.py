@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,12 @@ class Projector(enum.Enum):
     RIGHT = "R"
 
 
-#: Measurement bases in the fixed order used for sampling and CSV columns.
-BASIS_PAIRS: tuple[tuple[Projector, Projector], ...] = (
-    (Projector.PLUS, Projector.MINUS),
-    (Projector.P0, Projector.P1),
-    (Projector.LEFT, Projector.RIGHT),
+#: The six projectors in the order of the first axis of :class:`ScanRecords`
+#: and of the CSV columns.  The two projectors of each measurement basis
+#: (+/-, 0/1, L/R) are adjacent, so ``[0::2]`` and ``[1::2]`` pair them up.
+PROJECTORS: tuple[Projector, ...] = (
+    Projector.PLUS, Projector.MINUS, Projector.P0, Projector.P1, Projector.LEFT, Projector.RIGHT,
 )
-#: The six projectors in basis order: the first axis of :class:`ScanRecords`.
-PROJECTORS: tuple[Projector, ...] = tuple(p for pair in BASIS_PAIRS for p in pair)
 
 
 @dataclass(frozen=True)
@@ -66,28 +65,6 @@ class CouplingConfig:
     def __post_init__(self):
         if not (0.0 < self.theta <= math.pi / 2 + 1e-12):
             raise ValueError(f"theta must be in (0, pi/2], got {self.theta}")
-
-
-@dataclass(frozen=True)
-class PointerState:
-    """Two-component pointer amplitudes on {|0>, |1>}; may be unnormalized.
-
-    Post-selected pointers carry physical norm: |a0|^2 + |a1|^2 equals the
-    post-selection probability of the cell's measurement.
-    """
-
-    a0: complex
-    a1: complex
-
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.a0) ** 2 + abs(self.a1) ** 2
-
-    def normalized(self) -> "PointerState":
-        n = math.sqrt(self.norm_sq)
-        if n == 0.0:
-            raise DegenerateFieldError("cannot normalize a zero pointer state")
-        return PointerState(self.a0 / n, self.a1 / n)
 
 
 @dataclass(frozen=True)
@@ -113,6 +90,11 @@ class ScanRecords:
             raise ValueError("non-finite probability")
         if (probs < 0).any():
             raise ValueError("negative probability")
+        try:
+            operator.index(self.photons_per_setting)
+        except TypeError:
+            raise ValueError(f"photons_per_setting must be an integer, "
+                             f"got {self.photons_per_setting!r}") from None
         if self.photons_per_setting < 0:
             raise ValueError("photons_per_setting must be >= 0")
         if counts is None:
@@ -145,66 +127,42 @@ def gauge_fix(f: TransverseWavefunction) -> tuple[TransverseWavefunction, float]
     return f.with_amps(f.amps * (mag / s)), mag
 
 
-def _check_cell(f: TransverseWavefunction, cell: tuple[int, int]) -> None:
-    ix, iy = cell
-    if not (0 <= ix < f.grid.nx and 0 <= iy < f.grid.ny):
-        raise ValueError(f"cell {cell} outside {f.grid.nx}x{f.grid.ny} grid")
-
-
 def _require_normalized(f: TransverseWavefunction) -> None:
     if abs(f.power() - 1.0) > 1e-9:
         raise ValueError("input field must be normalized (power within 1e-9 of 1)")
 
 
-def couple_and_postselect(
-    f: TransverseWavefunction, cell: tuple[int, int], cfg: CouplingConfig
-) -> PointerState:
-    """Unnormalized pointer state after coupling at ``cell`` and post-selection.
+def pointer_amplitudes(
+    f: TransverseWavefunction, cfg: CouplingConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized post-selected pointer amplitudes ``(a0, a1)`` of every cell.
 
-    Applies the ptilde-real-positive gauge to the field internally, so the
-    result is invariant under any global phase on the input.
+    Both are ``(ny, nx)`` complex arrays; element ``[iy, ix]`` is the pointer
+    after coupling at cell ``(ix, iy)`` and post-selection.  Applies the
+    ptilde-real-positive gauge to the field internally, so the result is
+    invariant under any global phase on the input.
     """
-    _check_cell(f, cell)
     _require_normalized(f)
     g, ptilde = gauge_fix(f)
-    ix, iy = cell
-    psi_c = complex(g.amps[iy, ix])
     root_n = math.sqrt(g.grid.ncells)
-    a0 = (ptilde - (1.0 - math.cos(cfg.theta)) * psi_c) / root_n
-    a1 = math.sin(cfg.theta) * psi_c / root_n
-    return PointerState(a0, a1)
+    a0 = (ptilde - (1.0 - math.cos(cfg.theta)) * g.amps) / root_n
+    a1 = math.sin(cfg.theta) * g.amps / root_n
+    return a0, a1
 
 
-def dwt_pointer(f: TransverseWavefunction, cell: tuple[int, int], theta: float) -> PointerState:
-    """Post-selected pointer for a weak-tomography run at coupling ``theta``.
+def _projector_probs(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """The six projector probabilities of pointer amplitudes.
 
-    The physics is the same exact closed form as
-    :func:`couple_and_postselect`; only the downstream reconstruction
-    formulas differ between the strong and weak estimators, so weak-mode
-    bias can be measured against the exact ground truth.
+    Stacked on a new first axis in :data:`PROJECTORS` order.
     """
-    return couple_and_postselect(f, cell, CouplingConfig(theta))
-
-
-def _projector_probs(a0, a1) -> dict[Projector, np.ndarray]:
-    """The six projector probabilities of pointer amplitudes, scalars or arrays alike."""
-    return {
-        Projector.P0: np.abs(a0) ** 2,
-        Projector.P1: np.abs(a1) ** 2,
-        Projector.PLUS: np.abs(a0 + a1) ** 2 / 2.0,
-        Projector.MINUS: np.abs(a0 - a1) ** 2 / 2.0,
-        Projector.LEFT: np.abs(a0 - 1j * a1) ** 2 / 2.0,
-        Projector.RIGHT: np.abs(a0 + 1j * a1) ** 2 / 2.0,
-    }
-
-
-def readout_probs(p: PointerState) -> dict[Projector, float]:
-    """Exact probabilities of the six projectors for an unnormalized pointer."""
-    a0, a1 = complex(p.a0), complex(p.a1)
-    if not (math.isfinite(a0.real) and math.isfinite(a0.imag)
-            and math.isfinite(a1.real) and math.isfinite(a1.imag)):
-        raise ValueError("pointer amplitudes must be finite")
-    return {proj: float(v) for proj, v in _projector_probs(a0, a1).items()}
+    return np.stack([
+        np.abs(a0 + a1) ** 2 / 2.0,
+        np.abs(a0 - a1) ** 2 / 2.0,
+        np.abs(a0) ** 2,
+        np.abs(a1) ** 2,
+        np.abs(a0 - 1j * a1) ** 2 / 2.0,
+        np.abs(a0 + 1j * a1) ** 2 / 2.0,
+    ])
 
 
 def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
@@ -232,43 +190,39 @@ def _sample_cell(
 
 
 def sample_counts(
-    probs: dict[Projector, float],
+    probs: np.ndarray,
     photons_per_setting: int,
     seed: int,
     cell: tuple[int, int] = (0, 0),
-) -> dict[Projector, int]:
-    """Photon counts for the three basis settings at one cell.
+) -> np.ndarray:
+    """Photon counts for the three basis settings at one cell ``(ix, iy)``.
 
-    Each basis receives an independent ensemble of ``photons_per_setting``
-    photons; the number that survives post-selection is Poisson with mean
-    ``photons_per_setting * (pair weight)`` and is split binomially between
-    the two projectors of the basis.  Deterministic given (seed, cell), and
-    equal to what :func:`scan` draws at that cell.
+    ``probs`` holds the cell's six probabilities in :data:`PROJECTORS` order,
+    e.g. ``records.probs[:, iy, ix]``, and the counts come back in the same
+    order.  Each basis receives an independent ensemble of
+    ``photons_per_setting`` photons; the number that survives post-selection
+    is Poisson with mean ``photons_per_setting * (pair weight)`` and is split
+    binomially between the two projectors of the basis.  Deterministic given
+    (seed, cell), and equal to what :func:`scan` draws at that cell.
     """
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (len(PROJECTORS),):
+        raise ValueError(f"probs must have shape (6,), got {probs.shape}")
     if photons_per_setting < 0:
         raise ValueError("photons_per_setting must be >= 0")
     if photons_per_setting == 0:
-        return {proj: 0 for proj in PROJECTORS}
-    counts = _sample_cell([probs[p] for p in PROJECTORS], photons_per_setting,
-                          cell_rng(seed, *cell))
-    return dict(zip(PROJECTORS, counts))
+        return np.zeros(len(PROJECTORS), dtype=np.int64)
+    return np.array(_sample_cell(probs.tolist(), photons_per_setting, cell_rng(seed, *cell)),
+                    dtype=np.int64)
 
 
-def scan_probability_maps(
-    f: TransverseWavefunction, cfg: CouplingConfig
-) -> tuple[dict[Projector, np.ndarray], float]:
-    """Exact probability maps for every cell at once.
+def scan_probability_maps(f: TransverseWavefunction, cfg: CouplingConfig) -> np.ndarray:
+    """Exact probabilities of every projector at every cell.
 
-    Returns ``(maps, ptilde)`` where each map is a ``(ny, nx)`` array equal
-    to what :func:`readout_probs` of :func:`couple_and_postselect` gives at
-    that cell.
+    Returns a ``(6, ny, nx)`` array indexed ``[projector, iy, ix]`` in
+    :data:`PROJECTORS` order: the ``probs`` of a :func:`scan`.
     """
-    _require_normalized(f)
-    g, ptilde = gauge_fix(f)
-    root_n = math.sqrt(g.grid.ncells)
-    a0 = (ptilde - (1.0 - math.cos(cfg.theta)) * g.amps) / root_n
-    a1 = math.sin(cfg.theta) * g.amps / root_n
-    return _projector_probs(a0, a1), ptilde
+    return _projector_probs(*pointer_amplitudes(f, cfg))
 
 
 def scan(
@@ -285,8 +239,7 @@ def scan(
     """
     if photons_per_setting < 0:
         raise ValueError("photons_per_setting must be >= 0")
-    maps, _ = scan_probability_maps(f, cfg)
-    probs = np.stack([maps[p] for p in PROJECTORS])
+    probs = scan_probability_maps(f, cfg)
     if photons_per_setting == 0:
         return ScanRecords(probs)
     nx = f.grid.nx

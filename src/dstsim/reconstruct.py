@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateFieldError
 from .wavefield import GridSpec, TransverseWavefunction
-from .engine import ScanRecords
+from .engine import CouplingConfig, ScanRecords
 
 _DST = "DST"
 _DWT = "DWT"
@@ -49,11 +49,18 @@ class ReconstructionResult:
     grid: GridSpec
     re_map: np.ndarray
     im_map: np.ndarray
-    density_map: np.ndarray
-    phase_map: np.ndarray
     psi_tilde: float
     mode: str
     zero_count_mask: np.ndarray | None = None
+
+    @property
+    def density_map(self) -> np.ndarray:
+        return self.re_map**2 + self.im_map**2
+
+    @property
+    def phase_map(self) -> np.ndarray:
+        phase = np.arctan2(self.im_map, self.re_map)
+        return np.where(phase <= -np.pi, np.pi, phase)
 
     def field(self) -> TransverseWavefunction:
         return TransverseWavefunction(self.grid, self.re_map + 1j * self.im_map)
@@ -61,11 +68,7 @@ class ReconstructionResult:
     @classmethod
     def from_field(cls, f: TransverseWavefunction, mode: str = _DST) -> "ReconstructionResult":
         """Wrap an existing field (e.g. loaded from disk) as a result."""
-        re_map = np.ascontiguousarray(f.amps.real)
-        im_map = np.ascontiguousarray(f.amps.imag)
-        phase = np.arctan2(im_map, re_map)
-        return cls(f.grid, re_map, im_map, re_map**2 + im_map**2,
-                   np.where(phase <= -np.pi, np.pi, phase),
+        return cls(f.grid, np.ascontiguousarray(f.amps.real), np.ascontiguousarray(f.amps.imag),
                    float(abs(f.amp_sum())), mode)
 
 
@@ -126,13 +129,9 @@ def _assemble(
         if not np.isfinite(psi_tilde) or psi_tilde <= 0.0:
             raise ValueError(f"psi_tilde must be positive, got {psi_tilde}")
         scaled = raw * (n / psi_tilde)
-    re_map = np.ascontiguousarray(scaled.real)
-    im_map = np.ascontiguousarray(scaled.imag)
-    density = re_map**2 + im_map**2
-    phase = np.arctan2(im_map, re_map)
-    phase = np.where(phase <= -np.pi, np.pi, phase)
-    return ReconstructionResult(grid, re_map, im_map, density, phase,
-                                float(psi_tilde), mode, zero_mask)
+    return ReconstructionResult(grid, np.ascontiguousarray(scaled.real),
+                                np.ascontiguousarray(scaled.imag), float(psi_tilde), mode,
+                                zero_mask)
 
 
 def reconstruct_dst(
@@ -167,8 +166,7 @@ def reconstruct_dwt(
     overall scale, so the bias grows with theta and the density map is
     visibly distorted at theta = pi/2.
     """
-    if not (0.0 < theta <= np.pi / 2 + 1e-12):
-        raise ValueError(f"theta must be in (0, pi/2], got {theta}")
+    CouplingConfig(theta)  # raises ValueError unless theta is in (0, pi/2]
     maps, zero_mask = _effective_prob_maps(records, grid)
     plus, minus, _, _, left, right = maps
     u = (plus - minus) / (2.0 * theta)

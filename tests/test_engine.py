@@ -4,25 +4,21 @@ import numpy as np
 import pytest
 
 from dstsim import (
-    BASIS_PAIRS,
     CouplingConfig,
     DegenerateFieldError,
     FileFormatError,
     GridSpec,
     PROJECTORS,
-    PointerState,
     Projector,
     ScanRecords,
     TransverseWavefunction,
-    couple_and_postselect,
-    dwt_pointer,
     gauge_fix,
     make_mode,
     ModeKind,
     ModeSpec,
     normalize,
+    pointer_amplitudes,
     read_records_csv,
-    readout_probs,
     sample_counts,
     scan,
     scan_probability_maps,
@@ -62,75 +58,85 @@ class TestCouplingConfig:
         assert STRONG.theta == pytest.approx(math.pi / 2)
 
 
+def zero_cell_field(grid):
+    """Random field with zero amplitude at cell (ix, iy) = (2, 4)."""
+    amps = np.array(random_field(grid, seed=1).amps)
+    amps[4, 2] = 0.0
+    return normalize(TransverseWavefunction(grid, amps))
+
+
 class TestCoupleAndPostselect:
+    """Coupling at every cell and zero-momentum post-selection: :func:`pointer_amplitudes`."""
+
     def test_uniform_2x2_closed_form(self):
         # uniform psi = 1/2 per cell: sum = 2, a0 = (2 - 1/2)/2, a1 = (1/2)/2
-        f = uniform_field(2)
-        for cell in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            p = couple_and_postselect(f, cell, STRONG)
-            assert p.a0 == pytest.approx(0.75, abs=1e-12)
-            assert p.a1 == pytest.approx(0.25, abs=1e-12)
+        a0, a1 = pointer_amplitudes(uniform_field(2), STRONG)
+        assert a0.shape == a1.shape == (2, 2)
+        assert a0 == pytest.approx(np.full((2, 2), 0.75), abs=1e-12)
+        assert a1 == pytest.approx(np.full((2, 2), 0.25), abs=1e-12)
 
     def test_strong_theta_ratio_identity(self, grid_8):
         # a1/a0 == psi / (ptilde - psi) at theta = pi/2, for every cell
         f = random_field(grid_8, seed=3)
         g, ptilde = gauge_fix(f)
-        for cell in [(0, 0), (3, 5), (7, 7)]:
-            p = couple_and_postselect(f, cell, STRONG)
-            psi_c = g.amps[cell[1], cell[0]]
-            assert p.a1 / p.a0 == pytest.approx(psi_c / (ptilde - psi_c), abs=1e-12)
+        a0, a1 = pointer_amplitudes(f, STRONG)
+        assert a1 / a0 == pytest.approx(g.amps / (ptilde - g.amps), abs=1e-12)
 
     def test_zero_amplitude_cell(self, grid_8):
-        f = random_field(grid_8, seed=1)
-        amps = np.array(f.amps)
-        amps[4, 2] = 0.0
-        f = normalize(TransverseWavefunction(grid_8, amps))
-        p = couple_and_postselect(f, (2, 4), STRONG)
-        assert p.a1 == 0.0
-        probs = readout_probs(p)
+        f = zero_cell_field(grid_8)
+        _, a1 = pointer_amplitudes(f, STRONG)
+        assert a1[4, 2] == 0.0
+        probs = dict(zip(PROJECTORS, scan_probability_maps(f, STRONG)[:, 4, 2]))
         assert probs[Projector.P1] == 0.0
         assert probs[Projector.LEFT] == probs[Projector.RIGHT]
 
     def test_global_phase_invariance(self, grid_8):
         f = random_field(grid_8, seed=5)
         g = f.with_amps(f.amps * np.exp(1j * 1.234))
-        for cell in [(0, 0), (5, 2)]:
-            pa = readout_probs(couple_and_postselect(f, cell, STRONG))
-            pb = readout_probs(couple_and_postselect(g, cell, STRONG))
-            for proj in Projector:
-                assert pa[proj] == pytest.approx(pb[proj], abs=1e-12)
-
-    def test_cell_out_of_range(self, gaussian_8):
-        with pytest.raises(ValueError):
-            couple_and_postselect(gaussian_8, (8, 0), STRONG)
+        assert scan_probability_maps(f, STRONG) == pytest.approx(
+            scan_probability_maps(g, STRONG), abs=1e-12)
 
     def test_unnormalized_rejected(self, grid_8):
         f = TransverseWavefunction(grid_8, np.full((8, 8), 0.5 + 0j))
         with pytest.raises(ValueError):
-            couple_and_postselect(f, (0, 0), STRONG)
+            pointer_amplitudes(f, STRONG)
 
     def test_zero_sum_field_degenerate(self):
         grid = GridSpec(2, 2, 1e-4)
         amps = np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)
         f = normalize(TransverseWavefunction(grid, amps))
         with pytest.raises(DegenerateFieldError):
-            couple_and_postselect(f, (0, 0), STRONG)
+            pointer_amplitudes(f, STRONG)
 
     def test_general_theta_reduces_to_strong(self, gaussian_8):
-        a = couple_and_postselect(gaussian_8, (3, 3), CouplingConfig(math.pi / 2))
-        b = dwt_pointer(gaussian_8, (3, 3), math.pi / 2)
-        assert a == b
+        # at theta = pi/2: a0 = (ptilde - psi)/sqrt(N), a1 = psi/sqrt(N)
+        g, ptilde = gauge_fix(gaussian_8)
+        a0, a1 = pointer_amplitudes(gaussian_8, CouplingConfig(math.pi / 2))
+        assert a0 == pytest.approx((ptilde - g.amps) / 8, abs=1e-15)
+        assert a1 == pytest.approx(g.amps / 8, abs=1e-15)
 
     def test_weak_limit_no_information(self, gaussian_8):
         g, ptilde = gauge_fix(gaussian_8)
-        p = dwt_pointer(gaussian_8, (3, 3), 1e-9)
-        assert abs(p.a1) < 1e-9
-        assert p.a0 == pytest.approx(ptilde / math.sqrt(64), rel=1e-9)
+        a0, a1 = pointer_amplitudes(gaussian_8, CouplingConfig(1e-9))
+        assert np.abs(a1).max() < 1e-9
+        assert a0 == pytest.approx(np.full((8, 8), ptilde / math.sqrt(64)), rel=1e-9)
+
+
+def circular_field():
+    """2x2 field whose pointer at cell (0, 0) is the circular eigenstate: a1 = i a0."""
+    amps = np.full((2, 2), (1 - 1j) / 6)
+    amps[0, 0] = (1 + 1j) / 2
+    return normalize(TransverseWavefunction(GridSpec(2, 2, 1e-4), amps))
 
 
 class TestReadoutProbs:
-    def test_pole_state(self):
-        probs = readout_probs(PointerState(1.0, 0.0))
+    """The six projector probabilities of the pointers: :func:`scan_probability_maps`."""
+
+    def test_pole_state(self, grid_8):
+        # a zero-amplitude cell leaves the pointer at a0 |0>
+        f = zero_cell_field(grid_8)
+        a0, _ = pointer_amplitudes(f, STRONG)
+        probs = dict(zip(PROJECTORS, scan_probability_maps(f, STRONG)[:, 4, 2] / abs(a0[4, 2]) ** 2))
         assert probs[Projector.PLUS] == pytest.approx(0.5)
         assert probs[Projector.MINUS] == pytest.approx(0.5)
         assert probs[Projector.P1] == 0.0
@@ -138,83 +144,83 @@ class TestReadoutProbs:
         assert probs[Projector.RIGHT] == pytest.approx(0.5)
 
     def test_uniform_field_probs(self):
-        # frozen from the (a0, a1) = (3/4, 1/4) pointer
-        probs = readout_probs(PointerState(0.75, 0.25))
-        assert probs[Projector.PLUS] == pytest.approx(0.5, abs=1e-15)
-        assert probs[Projector.MINUS] == pytest.approx(0.125, abs=1e-15)
-        assert probs[Projector.P1] == pytest.approx(0.0625, abs=1e-15)
-        assert probs[Projector.LEFT] == pytest.approx(0.3125, abs=1e-15)
-        assert probs[Projector.RIGHT] == pytest.approx(0.3125, abs=1e-15)
+        # frozen from the (a0, a1) = (3/4, 1/4) pointer of every cell
+        maps = scan_probability_maps(uniform_field(2), STRONG)
+        for ix, iy in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            probs = dict(zip(PROJECTORS, maps[:, iy, ix]))
+            assert probs[Projector.PLUS] == pytest.approx(0.5, abs=1e-15)
+            assert probs[Projector.MINUS] == pytest.approx(0.125, abs=1e-15)
+            assert probs[Projector.P1] == pytest.approx(0.0625, abs=1e-15)
+            assert probs[Projector.LEFT] == pytest.approx(0.3125, abs=1e-15)
+            assert probs[Projector.RIGHT] == pytest.approx(0.3125, abs=1e-15)
 
     def test_circular_eigenstate(self):
-        probs = readout_probs(PointerState(1 / math.sqrt(2), 1j / math.sqrt(2)))
+        f = circular_field()
+        a0, a1 = pointer_amplitudes(f, STRONG)
+        assert a1[0, 0] == pytest.approx(1j * a0[0, 0], abs=1e-15)
+        norm = abs(a0[0, 0]) ** 2 + abs(a1[0, 0]) ** 2
+        probs = dict(zip(PROJECTORS, scan_probability_maps(f, STRONG)[:, 0, 0] / norm))
         assert probs[Projector.LEFT] == pytest.approx(1.0)
         assert probs[Projector.RIGHT] == pytest.approx(0.0, abs=1e-15)
 
     def test_pair_sums_equal_norm(self, grid_8):
         f = random_field(grid_8, seed=11)
-        for cell in [(0, 0), (2, 6), (7, 1)]:
-            p = couple_and_postselect(f, cell, STRONG)
-            probs = readout_probs(p)
-            w = p.norm_sq
-            for a, b in BASIS_PAIRS:
-                assert probs[a] + probs[b] == pytest.approx(w, abs=1e-12)
+        a0, a1 = pointer_amplitudes(f, STRONG)
+        probs = scan_probability_maps(f, STRONG)
+        norm = np.abs(a0) ** 2 + np.abs(a1) ** 2
+        for pair_sum in probs[0::2] + probs[1::2]:
+            assert pair_sum == pytest.approx(norm, abs=1e-12)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            readout_probs(PointerState(float("nan"), 0.0))
+
+UNIFORM_2X2_CELL = scan_probability_maps(uniform_field(2), STRONG)[:, 0, 0]
+CIRCULAR_CELL = scan_probability_maps(circular_field(), STRONG)[:, 0, 0]
+RIGHT = PROJECTORS.index(Projector.RIGHT)
 
 
 class TestSampleCounts:
     def test_zero_budget(self):
-        probs = readout_probs(PointerState(0.75, 0.25))
-        counts = sample_counts(probs, 0, seed=1)
-        assert all(v == 0 for v in counts.values())
+        counts = sample_counts(UNIFORM_2X2_CELL, 0, seed=1)
+        assert np.array_equal(counts, np.zeros(6, dtype=np.int64))
 
     def test_impossible_outcome_never_sampled(self):
-        probs = readout_probs(PointerState(1 / math.sqrt(2), 1j / math.sqrt(2)))
         for seed in range(20):
-            counts = sample_counts(probs, 10_000, seed=seed)
-            assert counts[Projector.RIGHT] == 0
+            counts = sample_counts(CIRCULAR_CELL, 10_000, seed=seed)
+            assert counts[RIGHT] == 0
 
     def test_deterministic_per_seed_and_cell(self):
-        probs = readout_probs(PointerState(0.75, 0.25))
-        a = sample_counts(probs, 1000, seed=42, cell=(3, 4))
-        b = sample_counts(probs, 1000, seed=42, cell=(3, 4))
-        c = sample_counts(probs, 1000, seed=42, cell=(4, 3))
-        d = sample_counts(probs, 1000, seed=43, cell=(3, 4))
-        assert a == b
-        assert a != c
-        assert a != d
+        a = sample_counts(UNIFORM_2X2_CELL, 1000, seed=42, cell=(3, 4))
+        b = sample_counts(UNIFORM_2X2_CELL, 1000, seed=42, cell=(3, 4))
+        c = sample_counts(UNIFORM_2X2_CELL, 1000, seed=42, cell=(4, 3))
+        d = sample_counts(UNIFORM_2X2_CELL, 1000, seed=43, cell=(3, 4))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert not np.array_equal(a, d)
 
     def test_basis_ratio_uniform_field(self):
         # P(plus | +/- basis) = (1/2) / (5/8) = 0.8 for the uniform 2x2 field
-        probs = readout_probs(PointerState(0.75, 0.25))
-        counts = sample_counts(probs, 10**6, seed=7)
-        total = counts[Projector.PLUS] + counts[Projector.MINUS]
-        ratio = counts[Projector.PLUS] / total
+        n_plus, n_minus = sample_counts(UNIFORM_2X2_CELL, 10**6, seed=7)[:2]
+        total = n_plus + n_minus
+        ratio = n_plus / total
         sigma = math.sqrt(0.8 * 0.2 / total)
         assert abs(ratio - 0.8) < 3 * sigma
 
     def test_poisson_means(self):
         # pooled over seeds, each projector frequency matches its probability
-        probs = readout_probs(PointerState(0.75, 0.25))
+        probs = UNIFORM_2X2_CELL
         budget = 10**5
         seeds = 100
-        totals = {p: 0 for p in probs}
-        for seed in range(seeds):
-            counts = sample_counts(probs, budget, seed=seed)
-            for p, v in counts.items():
-                totals[p] += v
-        for p in totals:
-            freq = totals[p] / (seeds * budget)
-            sigma = math.sqrt(probs[p] * (1 - probs[p]) / (seeds * budget))
-            assert abs(freq - probs[p]) <= 5 * sigma
+        totals = sum(sample_counts(probs, budget, seed=seed) for seed in range(seeds))
+        freq = totals / (seeds * budget)
+        sigma = np.sqrt(probs * (1 - probs) / (seeds * budget))
+        assert (np.abs(freq - probs) <= 5 * sigma).all()
 
     def test_negative_budget(self):
-        probs = readout_probs(PointerState(1.0, 0.0))
         with pytest.raises(ValueError):
-            sample_counts(probs, -1, seed=0)
+            sample_counts(UNIFORM_2X2_CELL, -1, seed=0)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            sample_counts(UNIFORM_2X2_CELL[:5], 10, seed=0)
 
 
 class TestScan:
@@ -238,21 +244,23 @@ class TestScan:
         assert np.unravel_index(np.argmax(p1), p1.shape) == (16, 16)
 
     def test_matches_single_cell_api(self, grid_8):
+        # resampling any one cell from the maps reproduces the full scan there exactly
         f = random_field(grid_8, seed=2)
-        records = scan(f, STRONG, photons_per_setting=500, seed=99)
-        for cell in [(0, 0), (5, 1), (7, 7)]:
-            ix, iy = cell
-            probs = readout_probs(couple_and_postselect(f, cell, STRONG))
-            for k, p in enumerate(PROJECTORS):
-                assert records.probs[k, iy, ix] == pytest.approx(probs[p], abs=1e-15)
-            counts = dict(zip(PROJECTORS, records.counts[:, iy, ix].tolist()))
-            assert counts == sample_counts(probs, 500, seed=99, cell=cell)
+        for theta in (math.pi / 2, 0.3):
+            cfg = CouplingConfig(theta)
+            records = scan(f, cfg, photons_per_setting=500, seed=99)
+            maps = scan_probability_maps(f, cfg)
+            for iy in range(8):
+                for ix in range(8):
+                    probs = maps[:, iy, ix]
+                    assert np.array_equal(records.probs[:, iy, ix], probs)
+                    assert np.array_equal(records.counts[:, iy, ix],
+                                          sample_counts(probs, 500, seed=99, cell=(ix, iy)))
 
     def test_probability_maps_match_records(self, gaussian_8):
-        maps, _ = scan_probability_maps(gaussian_8, STRONG)
-        records = scan(gaussian_8, STRONG)
-        for k, p in enumerate(PROJECTORS):
-            assert np.array_equal(records.probs[k], maps[p])
+        maps = scan_probability_maps(gaussian_8, STRONG)
+        assert maps.shape == (6, 8, 8)
+        assert np.array_equal(scan(gaussian_8, STRONG).probs, maps)
 
     def test_sampled_records_carry_budget(self, gaussian_8):
         records = scan(gaussian_8, STRONG, photons_per_setting=100, seed=1)
@@ -369,3 +377,13 @@ class TestScanRecords:
         probs[1, 1, 0] = np.inf
         with pytest.raises(ValueError):
             ScanRecords(probs)
+
+    def test_rejects_non_integer_budget(self, tmp_path, gaussian_8):
+        with pytest.raises(ValueError):
+            scan(gaussian_8, STRONG, photons_per_setting=1e3)
+        records = scan(gaussian_8, STRONG, photons_per_setting=np.int64(1000), seed=5)
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        back = read_records_csv(path)
+        assert back.photons_per_setting == 1000
+        assert np.array_equal(back.counts, records.counts)

@@ -5,13 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from dstsim import CouplingConfig, GridSpec, TransverseWavefunction, couple_and_postselect, normalize
+from dstsim import CouplingConfig, GridSpec, pointer_amplitudes
 from conftest import random_field
 from oracles import pointer_via_matrix_exponential
 
 
-def all_cells(grid):
-    return [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)]
+def assert_matches_oracle(f, theta):
+    """Closed-form pointer of every cell against the oracle at that cell."""
+    a0, a1 = pointer_amplitudes(f, CouplingConfig(theta))
+    for iy in range(f.grid.ny):
+        for ix in range(f.grid.nx):
+            o0, o1 = pointer_via_matrix_exponential(f.amps, (ix, iy), theta)
+            assert abs(a0[iy, ix] - o0) < 1e-10
+            assert abs(a1[iy, ix] - o1) < 1e-10
 
 
 def test_uniform_2x2_oracle_value():
@@ -26,25 +32,19 @@ def test_uniform_2x2_oracle_value():
 @pytest.mark.parametrize("seed", range(5))
 def test_closed_form_matches_oracle_strong(n, seed):
     grid = GridSpec(n, n, 1e-4)
-    f = random_field(grid, seed=seed * 31 + n)
-    cfg = CouplingConfig(math.pi / 2)
-    for cell in all_cells(grid):
-        p = couple_and_postselect(f, cell, cfg)
-        a0, a1 = pointer_via_matrix_exponential(f.amps, cell, cfg.theta)
-        assert abs(p.a0 - a0) < 1e-10
-        assert abs(p.a1 - a1) < 1e-10
+    assert_matches_oracle(random_field(grid, seed=seed * 31 + n), math.pi / 2)
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0])
 def test_closed_form_matches_oracle_general_theta(theta):
-    grid = GridSpec(3, 3, 1e-4)
-    f = random_field(grid, seed=17)
-    cfg = CouplingConfig(theta)
-    for cell in all_cells(grid):
-        p = couple_and_postselect(f, cell, cfg)
-        a0, a1 = pointer_via_matrix_exponential(f.amps, cell, theta)
-        assert abs(p.a0 - a0) < 1e-10
-        assert abs(p.a1 - a1) < 1e-10
+    assert_matches_oracle(random_field(GridSpec(3, 3, 1e-4), seed=17), theta)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 0.3], ids=["strong", "0.3"])
+@pytest.mark.parametrize("nx, ny", [(3, 2), (2, 3)])
+def test_closed_form_matches_oracle_non_square(nx, ny, theta):
+    # on a non-square grid an ix/iy transposition cannot go unnoticed
+    assert_matches_oracle(random_field(GridSpec(nx, ny, 1e-4), seed=nx * 10 + ny), theta)
 
 
 def test_oracle_rejects_zero_sum():
