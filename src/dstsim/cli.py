@@ -183,6 +183,8 @@ def cmd_holo_object(args) -> None:
         "threshold": args.threshold,
         "valid_cells": int(obj.validity_mask.sum()),
         "total_cells": int(obj.validity_mask.size),
+        "nyquist_fraction": obj.nyquist_fraction,
+        "distance_over_extent": obj.distance_over_extent,
     }
     _atomic_write(_out_path(cfg, "object_report.json"),
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")

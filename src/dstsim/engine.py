@@ -176,6 +176,12 @@ def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_seed(seed: int) -> None:
+    """:func:`cell_rng` keys a stream by 64 seed bits; reject seeds that would alias."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _sample_cell(
     probs: list[float], photons_per_setting: int, rng: np.random.Generator
 ) -> list[int]:
@@ -203,13 +209,18 @@ def sample_counts(
     ``photons_per_setting`` photons; the number that survives post-selection
     is Poisson with mean ``photons_per_setting * (pair weight)`` and is split
     binomially between the two projectors of the basis.  Deterministic given
-    (seed, cell), and equal to what :func:`scan` draws at that cell.
+    (seed, cell), and equal to what :func:`scan` draws at that cell.  A seed
+    outside ``[0, 2**64)`` or a cell index outside ``[0, 2**32)`` raises
+    ValueError: :func:`cell_rng` would alias it onto another stream.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (len(PROJECTORS),):
         raise ValueError(f"probs must have shape (6,), got {probs.shape}")
     if photons_per_setting < 0:
         raise ValueError("photons_per_setting must be >= 0")
+    _check_seed(seed)
+    if not all(0 <= i < 2**32 for i in cell):
+        raise ValueError(f"cell indices must be in [0, 2**32), got {cell}")
     if photons_per_setting == 0:
         return np.zeros(len(PROJECTORS), dtype=np.int64)
     return np.array(_sample_cell(probs.tolist(), photons_per_setting, cell_rng(seed, *cell)),
@@ -239,6 +250,7 @@ def scan(
     """
     if photons_per_setting < 0:
         raise ValueError("photons_per_setting must be >= 0")
+    _check_seed(seed)
     probs = scan_probability_maps(f, cfg)
     if photons_per_setting == 0:
         return ScanRecords(probs)

@@ -16,13 +16,19 @@ used for back-propagation from the detection plane to the object plane.
 Convolutions are evaluated on a zero-padded grid (at least 2x per axis) so
 they are linear, not circular, over all offsets that connect input cells to
 output cells; the result is cropped back to the input grid and scaled by
-pitch^2 to discretize the propagation integral.
+pitch^2 to discretize the propagation integral.  The padding happens inside
+``fft2`` (each axis is zero-extended just before its pass), and the kernel
+is evaluated once per ``(|dx|, |dy|)`` and mirrored into the other three
+quadrants of the padded grid, since it depends on the offsets only through
+their squares.
 
 Both kernels are quadratic-phase-like at the grid scale, so sampling them
 on too coarse a grid aliases silently.  Propagation therefore refuses to
 run unless the kernel's local spatial frequency at the largest relevant
 offset (one full grid extent per axis) stays below Nyquist:
-``|d phase / dx| * pitch <= pi``.
+``|d phase / dx| * pitch <= pi``.  Object reconstruction reports both guard
+margins: that frequency as a fraction of Nyquist and, for the paraxial
+kernel, distance over grid extent.
 """
 
 from __future__ import annotations
@@ -64,49 +70,72 @@ class PropagationSpec:
         return 2.0 * math.pi / self.wavelength
 
 
-def _check_guards(grid: GridSpec, spec: PropagationSpec) -> None:
+def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float | None]:
+    """Refuse an aliased or non-paraxial propagation; return its guard margins.
+
+    The margins are the kernel's largest local frequency as a fraction of
+    Nyquist (accepted up to 1) and, for the paraxial kernel only, distance
+    over grid extent (accepted from :data:`PARAXIAL_MIN_EXTENTS`); None for
+    the spherical kernel.
+    """
     k = spec.wavenumber
     d = spec.distance
+    nyquist_fraction = 0.0
     for n in (grid.nx, grid.ny):
         dmax = n * grid.pitch  # largest in-cell to out-cell offset per axis
         if spec.kernel is PropagationKernel.FRESNEL_PARAXIAL:
             slope = k * dmax / d
         else:
             slope = k * dmax / math.hypot(dmax, d)
+        fraction = slope * grid.pitch / math.pi
         if slope * grid.pitch > math.pi:
             raise SamplingGuardError(
-                f"kernel local frequency {slope * grid.pitch / math.pi:.2f} x Nyquist "
+                f"kernel local frequency {fraction:.2f} x Nyquist "
                 f"at offset {dmax:.3e} m; increase distance or refine the grid"
             )
-    if spec.kernel is PropagationKernel.FRESNEL_PARAXIAL:
-        if d < PARAXIAL_MIN_EXTENTS * grid.extent:
-            raise SamplingGuardError(
-                f"paraxial kernel needs distance >= {PARAXIAL_MIN_EXTENTS:g} x grid extent "
-                f"({PARAXIAL_MIN_EXTENTS * grid.extent:.3e} m), got {d:.3e} m"
-            )
-
-
-def _offset_grids(grid: GridSpec, pad_factor: int) -> tuple[np.ndarray, np.ndarray]:
-    px = grid.nx * pad_factor
-    py = grid.ny * pad_factor
-    dx = np.fft.fftfreq(px, 1.0 / px) * grid.pitch
-    dy = np.fft.fftfreq(py, 1.0 / py) * grid.pitch
-    return dx[None, :], dy[:, None]
+        nyquist_fraction = max(nyquist_fraction, fraction)
+    if spec.kernel is not PropagationKernel.FRESNEL_PARAXIAL:
+        return nyquist_fraction, None
+    if d < PARAXIAL_MIN_EXTENTS * grid.extent:
+        raise SamplingGuardError(
+            f"paraxial kernel needs distance >= {PARAXIAL_MIN_EXTENTS:g} x grid extent "
+            f"({PARAXIAL_MIN_EXTENTS * grid.extent:.3e} m), got {d:.3e} m"
+        )
+    return nyquist_fraction, d / grid.extent
 
 
 def _kernel_array(grid: GridSpec, spec: PropagationSpec, pad_factor: int,
                   inverse: bool) -> np.ndarray:
-    dx, dy = _offset_grids(grid, pad_factor)
+    """The kernel sampled at every offset of the padded grid, in FFT order.
+
+    The kernel depends on the offsets only through dx^2 and dy^2, and the
+    negative ``fftfreq`` bins are exact negatives of the positive ones, so it
+    is evaluated on the non-negative quadrant and mirrored bit for bit.
+    """
+    py = grid.ny * pad_factor
+    px = grid.nx * pad_factor
+    my = py // 2 + 1
+    mx = px // 2 + 1
+    # |fftfreq| rather than arange * pitch: fftfreq's scale 1 / (n * (1 / n))
+    # is not exactly 1 for every n, and the mirror must match it bit for bit
+    dx = np.abs(np.fft.fftfreq(px, 1.0 / px)[:mx] * grid.pitch)
+    dy = np.abs(np.fft.fftfreq(py, 1.0 / py)[:my] * grid.pitch)
     k = spec.wavenumber
     d = spec.distance
     lam = spec.wavelength
-    rho2 = dx**2 + dy**2
+    rho2 = dx[None, :]**2 + dy[:, None]**2
     if spec.kernel is PropagationKernel.FEYNMAN_EXACT:
         r = np.sqrt(rho2 + d * d)
-        return np.exp(1j * k * r) / (1j * lam * r)
-    if inverse:
-        return np.exp(-1j * k * d) / (-1j * lam * d) * np.exp(-1j * k * rho2 / (2.0 * d))
-    return np.exp(1j * k * d) / (1j * lam * d) * np.exp(1j * k * rho2 / (2.0 * d))
+        quad = np.exp(1j * k * r) / (1j * lam * r)
+    elif inverse:
+        quad = np.exp(-1j * k * d) / (-1j * lam * d) * np.exp(-1j * k * rho2 / (2.0 * d))
+    else:
+        quad = np.exp(1j * k * d) / (1j * lam * d) * np.exp(1j * k * rho2 / (2.0 * d))
+    full = np.empty((py, px), dtype=np.complex128)
+    full[:my, :mx] = quad
+    full[:my, mx:] = quad[:, px - mx:0:-1]
+    full[my:] = full[py - my:0:-1]
+    return full
 
 
 def _convolve(f: TransverseWavefunction, spec: PropagationSpec, pad_factor: int,
@@ -115,11 +144,11 @@ def _convolve(f: TransverseWavefunction, spec: PropagationSpec, pad_factor: int,
         raise ValueError(f"pad_factor must be an integer >= 2, got {pad_factor}")
     _check_guards(f.grid, spec)
     grid = f.grid
-    buf = np.zeros((grid.ny * pad_factor, grid.nx * pad_factor), dtype=np.complex128)
-    buf[: grid.ny, : grid.nx] = f.amps
     kern = _kernel_array(grid, spec, pad_factor, inverse)
-    out = np.fft.ifft2(np.fft.fft2(buf) * np.fft.fft2(kern)) * grid.pitch**2
-    return TransverseWavefunction(grid, out[: grid.ny, : grid.nx])
+    spectrum = np.fft.fft2(f.amps, s=kern.shape)  # zero-pads each axis before its pass
+    spectrum *= np.fft.fft2(kern)
+    out = np.fft.ifft2(spectrum)[: grid.ny, : grid.nx] * grid.pitch**2
+    return TransverseWavefunction(grid, out)
 
 
 def propagate_forward(
@@ -149,10 +178,14 @@ class ObjectReconstruction:
     ``transmission_map`` holds measured-over-illumination ratios on cells
     where ``validity_mask`` is True and zeros elsewhere (the division is
     numerically meaningless below the illumination threshold).
+    ``nyquist_fraction`` and ``distance_over_extent`` are the margins of the
+    back-propagation's sampling and paraxial guards.
     """
 
     transmission_map: np.ndarray
     validity_mask: np.ndarray
+    nyquist_fraction: float
+    distance_over_extent: float
 
 
 def reconstruct_object(
@@ -168,18 +201,21 @@ def reconstruct_object(
     and divides by the known illumination, on cells where the illumination
     amplitude is at least ``threshold`` times its maximum.  The object and
     illumination planes coincide (thin object), so the true transmitted
-    field is ``t * known_input``.
+    field is ``t * known_input``.  ``threshold`` must be positive and finite.
     """
     if measured_d.grid != known_input.grid:
         raise ValueError("measured and known-input grids differ")
+    if not math.isfinite(threshold) or threshold <= 0:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     back = propagate_inverse(measured_d, spec, pad_factor)
+    nyquist_fraction, distance_over_extent = _check_guards(measured_d.grid, spec)
     mag = np.abs(known_input.amps)
     mask = mag >= threshold * mag.max()
     if not mask.any():
         raise DegenerateFieldError("validity mask is empty; illumination too weak")
     t = np.zeros_like(back.amps)
     t[mask] = back.amps[mask] / known_input.amps[mask]
-    return ObjectReconstruction(t, mask)
+    return ObjectReconstruction(t, mask, nyquist_fraction, distance_over_extent)
 
 
 # ---------------------------------------------------------------------------

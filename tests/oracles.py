@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's closed-form code paths: the pointer
 oracle builds the full joint system-pointer state and exponentiates the
-coupling Hamiltonian as a dense matrix, and the beam oracle evaluates the
-textbook Gaussian-beam propagation formula.
+coupling Hamiltonian as a dense matrix, the beam oracle evaluates the
+textbook Gaussian-beam propagation formula, and the kernel oracle evaluates
+the propagation kernel at every offset of the padded grid and convolves
+through an explicitly zero-filled buffer.
 """
 
 from __future__ import annotations
@@ -71,3 +73,43 @@ def gaussian_beam_at_distance(
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(np.ravel(a), np.ravel(b))[0, 1])
+
+
+def kernel_on_padded_grid(
+    nx: int, ny: int, pitch: float, pad_factor: int,
+    wavelength: float, distance: float, kind: str,
+) -> np.ndarray:
+    """Propagation kernel at every offset of the padded grid, in FFT order.
+
+    ``kind`` is ``feynman`` (spherical), ``fresnel`` (paraxial) or
+    ``fresnel-inverse`` (the paraxial kernel's closed-form inverse).  Each
+    entry is evaluated directly from its own signed offset.
+    """
+    px, py = nx * pad_factor, ny * pad_factor
+    dx = (np.fft.fftfreq(px, 1.0 / px) * pitch)[None, :]
+    dy = (np.fft.fftfreq(py, 1.0 / py) * pitch)[:, None]
+    k = 2.0 * np.pi / wavelength
+    d = distance
+    rho2 = dx**2 + dy**2
+    if kind == "feynman":
+        r = np.sqrt(rho2 + d * d)
+        return np.exp(1j * k * r) / (1j * wavelength * r)
+    if kind == "fresnel":
+        return np.exp(1j * k * d) / (1j * wavelength * d) * np.exp(1j * k * rho2 / (2.0 * d))
+    if kind == "fresnel-inverse":
+        return np.exp(-1j * k * d) / (-1j * wavelength * d) * np.exp(-1j * k * rho2 / (2.0 * d))
+    raise ValueError(f"unknown kernel kind {kind!r}")
+
+
+def convolve_zero_padded(amps: np.ndarray, kern: np.ndarray, pitch: float) -> np.ndarray:
+    """Linear convolution of ``amps`` with ``kern`` through a zero-filled buffer.
+
+    The field is copied into the corner of a zero array of the kernel's
+    shape, both are transformed in full, and the product's inverse is scaled
+    by ``pitch**2`` and cropped back to the field's shape.
+    """
+    ny, nx = amps.shape
+    buf = np.zeros(kern.shape, dtype=np.complex128)
+    buf[:ny, :nx] = amps
+    out = np.fft.ifft2(np.fft.fft2(buf) * np.fft.fft2(kern)) * pitch**2
+    return out[:ny, :nx]

@@ -7,6 +7,7 @@ from dstsim import read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction, 
 from dstsim import cli
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_text, to_text
+from dstsim.holography import PARAXIAL_MIN_EXTENTS
 from dstsim.reconstruct import ReconstructionResult
 from conftest import edit_csv
 
@@ -291,6 +292,28 @@ class TestHoloCommands:
         valid = np.abs(t.amps) > 0
         corr = np.corrcoef(np.abs(t.amps[valid]), (mask[valid] / 255.0))[0, 1]
         assert corr >= 0.9
+
+    def test_object_report_guard_margins(self, tmp_path):
+        out = self._field(tmp_path)
+        common = ["--lambda-nm", "808", "--distance-mm", "2.5", "--kernel", "fresnel",
+                  "--out", str(out)]
+        assert run("holo", "forward", "--in", str(out / "field.wfgrid"), *common) == 0
+        assert run("holo", "object", "--measured", str(out / "propagated.wfgrid"),
+                   "--input", str(out / "field.wfgrid"), *common) == 0
+        report = json.loads((out / "object_report.json").read_text())
+        assert 0.0 < report["nyquist_fraction"] < 1.0
+        assert report["distance_over_extent"] >= PARAXIAL_MIN_EXTENTS
+
+    @pytest.mark.parametrize("threshold", ["-1", "0", "nan"])
+    def test_bad_threshold_is_validation_error(self, tmp_path, threshold):
+        out = self._field(tmp_path)
+        common = ["--lambda-nm", "808", "--distance-mm", "2.5", "--kernel", "fresnel",
+                  "--out", str(out)]
+        assert run("holo", "forward", "--in", str(out / "field.wfgrid"), *common) == 0
+        code = run("holo", "object", "--measured", str(out / "propagated.wfgrid"),
+                   "--input", str(out / "field.wfgrid"), "--threshold", threshold, *common)
+        assert code == 2
+        assert not (out / "object_report.json").exists()
 
     def test_feynman_inverse_rejected(self, tmp_path):
         out = self._field(tmp_path)

@@ -222,6 +222,23 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             sample_counts(UNIFORM_2X2_CELL[:5], 10, seed=0)
 
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (2**32, 0), (0, 2**32)])
+    def test_rejects_aliasing_cell(self, cell):
+        # cell_rng keeps 32 bits per index: (-1, 0) would draw cell (2**32 - 1, 0)'s stream
+        with pytest.raises(ValueError):
+            sample_counts(UNIFORM_2X2_CELL, 1000, seed=3, cell=cell)
+        top = sample_counts(UNIFORM_2X2_CELL, 1000, seed=3, cell=(2**32 - 1, 2**32 - 1))
+        assert top.sum() > 0
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_aliasing_seed(self, seed):
+        # cell_rng keeps 64 seed bits: -1 would draw seed 2**64 - 1's streams
+        with pytest.raises(ValueError):
+            sample_counts(UNIFORM_2X2_CELL, 1000, seed=seed)
+        with pytest.raises(ValueError):
+            scan(uniform_field(2), STRONG, photons_per_setting=10, seed=seed)
+        assert sample_counts(UNIFORM_2X2_CELL, 1000, seed=2**64 - 1).sum() > 0
+
 
 class TestScan:
     def test_enumerates_cells_row_major(self):

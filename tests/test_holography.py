@@ -20,7 +20,8 @@ from dstsim import (
     read_pgm,
     reconstruct_object,
 )
-from oracles import gaussian_beam_at_distance
+from dstsim.holography import PARAXIAL_MIN_EXTENTS, _kernel_array
+from oracles import convolve_zero_padded, gaussian_beam_at_distance, kernel_on_padded_grid
 
 LAM = 808e-9
 
@@ -85,6 +86,34 @@ class TestKernelSampling:
         f = gaussian_on(GRID64)
         with pytest.raises(ValueError):
             propagate_inverse(f, FEYNMAN64)
+
+
+KERNEL_KINDS = [(FEYNMAN64, False, "feynman"), (FRESNEL64, False, "fresnel"),
+                (FRESNEL64, True, "fresnel-inverse")]
+
+
+class TestKernelMirror:
+    # odd, even and mixed padded sizes; 7x14 pad 7 pads to 49 x 98, where
+    # fftfreq's scale 1 / (n * (1 / n)) is not exactly 1
+    @pytest.mark.parametrize("nx,ny,pad", [(5, 3, 3), (7, 4, 2), (16, 9, 5), (8, 8, 4),
+                                           (7, 14, 7)])
+    @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
+                             ids=[kind for _, _, kind in KERNEL_KINDS])
+    def test_matches_direct_formula(self, nx, ny, pad, spec, inverse, kind):
+        grid = GridSpec(nx, ny, 3e-6)
+        expected = kernel_on_padded_grid(nx, ny, grid.pitch, pad, LAM, spec.distance, kind)
+        assert np.array_equal(_kernel_array(grid, spec, pad, inverse), expected)
+
+    @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
+                             ids=[kind for _, _, kind in KERNEL_KINDS])
+    def test_propagation_matches_zero_buffer_convolution(self, spec, inverse, kind):
+        grid = GridSpec(7, 5, 3e-6)
+        rng = np.random.default_rng(9)
+        f = TransverseWavefunction(grid, rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7)))
+        kern = kernel_on_padded_grid(7, 5, grid.pitch, 3, LAM, spec.distance, kind)
+        propagate = propagate_inverse if inverse else propagate_forward
+        out = propagate(f, spec, pad_factor=3)
+        assert np.array_equal(out.amps, convolve_zero_padded(f.amps, kern, grid.pitch))
 
 
 class TestAgainstBeamOptics:
@@ -199,6 +228,24 @@ class TestObjectReconstruction:
         other = gaussian_on(GridSpec(32, 32, 3e-6))
         with pytest.raises(ValueError):
             reconstruct_object(f, other, FRESNEL64)
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, np.nan, np.inf])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        # -1 would mark every cell valid and divide by illumination near 0;
+        # nan is a validation error, not an empty mask (DegenerateFieldError)
+        f = gaussian_on(GRID64)
+        with pytest.raises(ValueError, match="threshold"):
+            reconstruct_object(f, f, FRESNEL64, threshold=threshold)
+
+    def test_guard_margins(self):
+        f = gaussian_on(GRID64)
+        obj = reconstruct_object(propagate_forward(f, FRESNEL64), f, FRESNEL64)
+        extent = GRID64.extent
+        slope = FRESNEL64.wavenumber * extent / D64
+        assert obj.nyquist_fraction == pytest.approx(slope * GRID64.pitch / np.pi, rel=1e-12)
+        assert obj.distance_over_extent == pytest.approx(D64 / extent, rel=1e-12)
+        assert obj.nyquist_fraction < 1.0
+        assert obj.distance_over_extent >= PARAXIAL_MIN_EXTENTS
 
 
 class TestPgm:
