@@ -26,7 +26,6 @@ from .wavefield import (
 from .engine import (
     CouplingConfig,
     PROJECTORS,
-    Projector,
     ScanRecords,
     gauge_fix,
     pointer_amplitudes,
@@ -67,7 +66,6 @@ __all__ = [
     "ModeSpec",
     "ObjectReconstruction",
     "PROJECTORS",
-    "Projector",
     "PropagationKernel",
     "PropagationSpec",
     "QualityReport",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -46,19 +47,12 @@ def _atomic_write(path: str, content) -> None:
         raise
 
 
-_OVERRIDE_KEYS = (
-    "nx", "ny", "pitch_um", "mode", "l", "waist_um", "cx_um", "cy_um",
-    "vortex_l", "theta", "estimator", "photons", "seed", "lambda_nm",
-    "distance_mm", "kernel", "pad_factor", "out",
-)
-
-
 def _load_config(args) -> cfgmod.ExperimentConfig:
     cfg = cfgmod.from_file(args.config) if args.config else cfgmod.ExperimentConfig()
-    for key in _OVERRIDE_KEYS:
-        val = getattr(args, key, None)
+    for f in dataclasses.fields(cfg):
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(cfg, key, val)
+            setattr(cfg, f.name, val)
     cfg.validate()
     return cfg
 
@@ -69,17 +63,15 @@ def _grid(cfg: cfgmod.ExperimentConfig) -> wavefield.GridSpec:
 
 def _mode_spec(cfg: cfgmod.ExperimentConfig, grid: wavefield.GridSpec) -> wavefield.ModeSpec:
     waist = cfg.waist_um * 1e-6 if cfg.waist_um is not None else wavefield.default_waist(grid)
-    kind = wavefield.ModeKind.GAUSSIAN if cfg.mode == "gaussian" else wavefield.ModeKind.LAGUERRE_GAUSSIAN
     return wavefield.ModeSpec(
-        kind=kind, waist=waist, oam=cfg.l, radial=cfg.radial,
+        kind=wavefield.ModeKind(cfg.mode), waist=waist, oam=cfg.l, radial=cfg.radial,
         center=(cfg.cx_um * 1e-6, cfg.cy_um * 1e-6),
     )
 
 
 def _prop_spec(cfg: cfgmod.ExperimentConfig) -> holography.PropagationSpec:
-    kern = (holography.PropagationKernel.FRESNEL_PARAXIAL if cfg.kernel == "fresnel"
-            else holography.PropagationKernel.FEYNMAN_EXACT)
-    return holography.PropagationSpec(cfg.lambda_nm * 1e-9, cfg.distance_mm * 1e-3, kern)
+    return holography.PropagationSpec(cfg.lambda_nm * 1e-9, cfg.distance_mm * 1e-3,
+                                      holography.PropagationKernel(cfg.kernel))
 
 
 def _out_path(cfg: cfgmod.ExperimentConfig, name: str) -> str:
@@ -144,7 +136,7 @@ def cmd_score(args) -> None:
     rec_field = wavefield.read_wfgrid(args.rec)
     ideal = wavefield.read_wfgrid(args.ideal)
     report = reconstruct.score(reconstruct.ReconstructionResult.from_field(rec_field), ideal)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
     _atomic_write(_out_path(cfg, "score.json"), text)
     sys.stdout.write(text)
 
@@ -203,15 +195,15 @@ def _shared_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int)
     p.add_argument("--ny", type=int)
     p.add_argument("--pitch-um", dest="pitch_um", type=float)
-    p.add_argument("--mode", choices=["gaussian", "lg"])
+    p.add_argument("--mode", choices=[k.value for k in wavefield.ModeKind])
     p.add_argument("--l", type=int)
     p.add_argument("--waist-um", dest="waist_um", type=float)
     p.add_argument("--theta", type=float)
-    p.add_argument("--estimator", choices=["dst", "dwt"])
+    p.add_argument("--estimator", choices=reconstruct.ESTIMATORS)
     p.add_argument("--photons", type=int, help="photons per basis setting per cell (0 = noiseless)")
     p.add_argument("--lambda-nm", dest="lambda_nm", type=float)
     p.add_argument("--distance-mm", dest="distance_mm", type=float)
-    p.add_argument("--kernel", choices=["fresnel", "feynman"])
+    p.add_argument("--kernel", choices=[k.value for k in holography.PropagationKernel])
     p.add_argument("--pad-factor", dest="pad_factor", type=int)
     return p
 

@@ -9,7 +9,12 @@ returns identical text), which keeps experiment provenance diff-friendly.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, fields
+
+from .holography import PropagationKernel
+from .reconstruct import ESTIMATORS
+from .wavefield import ModeKind
 
 _AUTO = "auto"
 
@@ -21,7 +26,7 @@ class ExperimentConfig:
     ny: int = 64
     pitch_um: float = 125.0
     # input mode
-    mode: str = "gaussian"          # gaussian | lg
+    mode: str = "gaussian"          # a wavefield.ModeKind value
     l: int = 1
     radial: int = 0
     waist_um: float | None = None   # None: nx * pitch / 8
@@ -30,13 +35,13 @@ class ExperimentConfig:
     vortex_l: int = 0               # vortex plate applied after mode generation
     # coupling / estimator
     theta: float | None = None      # None: pi/2 for dst; dwt requires explicit
-    estimator: str = "dst"          # dst | dwt
+    estimator: str = "dst"          # one of reconstruct.ESTIMATORS
     photons: int = 0                # photons per basis setting per cell; 0 = noiseless
     seed: int = 0
     # propagation
     lambda_nm: float = 808.0
     distance_mm: float = 10.0
-    kernel: str = "fresnel"         # fresnel | feynman
+    kernel: str = "fresnel"         # a holography.PropagationKernel value
     pad_factor: int = 2
     # output
     out: str = "out"
@@ -45,12 +50,18 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.mode not in ("gaussian", "lg"):
-            raise ValueError(f"mode must be 'gaussian' or 'lg', got {self.mode!r}")
-        if self.estimator not in ("dst", "dwt"):
-            raise ValueError(f"estimator must be 'dst' or 'dwt', got {self.estimator!r}")
-        if self.kernel not in ("fresnel", "feynman"):
-            raise ValueError(f"kernel must be 'fresnel' or 'feynman', got {self.kernel!r}")
+        for key, choices in (("mode", [k.value for k in ModeKind]), ("estimator", ESTIMATORS),
+                             ("kernel", [k.value for k in PropagationKernel])):
+            value = getattr(self, key)
+            if value not in choices:
+                raise ValueError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # from_text ends a value at '#' or a line break and strips surrounding spaces
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ValueError(f"{f.name} must not contain '#' or a line break, or start "
+                                 f"or end with whitespace, got {value!r}")
         if self.photons < 0:
             raise ValueError("photons must be >= 0")
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
@@ -82,22 +93,17 @@ def to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_INT_KEYS = {"nx", "ny", "l", "radial", "photons", "seed", "pad_factor", "vortex_l"}
-_FLOAT_KEYS = {"pitch_um", "cx_um", "cy_um", "lambda_nm", "distance_mm"}
-_OPT_FLOAT_KEYS = {"waist_um", "theta"}
-_STR_KEYS = {"mode", "estimator", "kernel", "out"}
+#: The type of every key: int, float, str or float | None.
+_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _parse_value(key: str, text: str):
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    if key in _OPT_FLOAT_KEYS:
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
+        raise ValueError(f"unknown configuration key {key!r}")
+    if kind == float | None:
         return None if text == _AUTO else float(text)
-    if key in _STR_KEYS:
-        return text
-    raise ValueError(f"unknown configuration key {key!r}")
+    return kind(text)
 
 
 def from_text(text: str) -> ExperimentConfig:

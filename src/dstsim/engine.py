@@ -19,7 +19,6 @@ reduces to a0 = (ptilde - psi)/sqrt(N), a1 = psi/sqrt(N).
 
 from __future__ import annotations
 
-import enum
 import io
 import math
 import operator
@@ -33,27 +32,13 @@ from .wavefield import TransverseWavefunction
 _PSI_TILDE_MIN = 1e-12
 
 
-class Projector(enum.Enum):
-    """The six pointer projectors read out per cell.
-
-    |+/-> = (|0> +/- |1>)/sqrt(2), |L> = (|0> + i|1>)/sqrt(2),
-    |R> = (|0> - i|1>)/sqrt(2).
-    """
-
-    P0 = "0"
-    P1 = "1"
-    PLUS = "plus"
-    MINUS = "minus"
-    LEFT = "L"
-    RIGHT = "R"
-
-
-#: The six projectors in the order of the first axis of :class:`ScanRecords`
-#: and of the CSV columns.  The two projectors of each measurement basis
-#: (+/-, 0/1, L/R) are adjacent, so ``[0::2]`` and ``[1::2]`` pair them up.
-PROJECTORS: tuple[Projector, ...] = (
-    Projector.PLUS, Projector.MINUS, Projector.P0, Projector.P1, Projector.LEFT, Projector.RIGHT,
-)
+#: The six pointer projectors read out per cell, named by their records CSV
+#: column suffixes, in the order of the first axis of :class:`ScanRecords` and
+#: of the CSV columns: |+/-> = (|0> +/- |1>)/sqrt(2), |0>, |1>,
+#: |L> = (|0> + i|1>)/sqrt(2) and |R> = (|0> - i|1>)/sqrt(2).  The two
+#: projectors of each measurement basis are adjacent, so ``[0::2]`` and
+#: ``[1::2]`` pair them up.
+PROJECTORS = ("plus", "minus", "0", "1", "L", "R")
 
 
 @dataclass(frozen=True)
@@ -266,12 +251,8 @@ def scan(
 # Records CSV: one row per cell, row-major, CRLF line ends
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = [
-    "ix", "iy",
-    "w_plus", "w_minus", "w_0", "w_1", "w_L", "w_R",
-    "n_plus", "n_minus", "n_0", "n_1", "n_L", "n_R",
-    "budget",
-]
+_CSV_HEADER = ["ix", "iy", *("w_" + p for p in PROJECTORS), *("n_" + p for p in PROJECTORS),
+               "budget"]
 #: Six empty count fields, between w_R and the budget of a noiseless row.
 _EMPTY_COUNTS = b"," * 7
 #: Rows formatted per write, which bounds the writer's memory.

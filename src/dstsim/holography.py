@@ -8,11 +8,13 @@ distance D:
     paraxial (Fresnel):        K(dx, dy) = exp(i k D) / (i lambda D)
                                * exp(i k (dx^2 + dy^2) / (2 D))
 
-The paraxial kernel has a closed-form inverse,
+The paraxial kernel has a closed-form inverse, its complex conjugate
 
     L(dx, dy) = exp(-i k D) / (-i lambda D) * exp(-i k (dx^2+dy^2) / (2 D)),
 
 used for back-propagation from the detection plane to the object plane.
+It is taken as the conjugate of the sampled forward kernel, which is bit
+for bit what evaluating L directly gives.
 Convolutions are evaluated on a zero-padded grid (at least 2x per axis) so
 they are linear, not circular, over all offsets that connect input cells to
 output cells; the result is cropped back to the input grid and scaled by
@@ -127,10 +129,10 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec, pad_factor: int,
     if spec.kernel is PropagationKernel.FEYNMAN_EXACT:
         r = np.sqrt(rho2 + d * d)
         quad = np.exp(1j * k * r) / (1j * lam * r)
-    elif inverse:
-        quad = np.exp(-1j * k * d) / (-1j * lam * d) * np.exp(-1j * k * rho2 / (2.0 * d))
     else:
         quad = np.exp(1j * k * d) / (1j * lam * d) * np.exp(1j * k * rho2 / (2.0 * d))
+        if inverse:
+            np.conj(quad, out=quad)
     full = np.empty((py, px), dtype=np.complex128)
     full[:my, :mx] = quad
     full[:my, mx:] = quad[:, px - mx:0:-1]

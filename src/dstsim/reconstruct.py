@@ -31,6 +31,8 @@ from .errors import DegenerateFieldError
 from .wavefield import GridSpec, TransverseWavefunction
 from .engine import CouplingConfig, ScanRecords
 
+#: The ``estimator`` values of the configuration: strong and weak-value inversion.
+ESTIMATORS = ("dst", "dwt")
 _DST = "DST"
 _DWT = "DWT"
 
@@ -66,10 +68,10 @@ class ReconstructionResult:
         return TransverseWavefunction(self.grid, self.re_map + 1j * self.im_map)
 
     @classmethod
-    def from_field(cls, f: TransverseWavefunction, mode: str = _DST) -> "ReconstructionResult":
+    def from_field(cls, f: TransverseWavefunction) -> "ReconstructionResult":
         """Wrap an existing field (e.g. loaded from disk) as a result."""
         return cls(f.grid, np.ascontiguousarray(f.amps.real), np.ascontiguousarray(f.amps.imag),
-                   float(abs(f.amp_sum())), mode)
+                   float(abs(f.amp_sum())), _DST)
 
 
 @dataclass(frozen=True)
@@ -78,14 +80,6 @@ class QualityReport:
     fidelity: float
     rmse_re: float
     rmse_im: float
-
-    def to_dict(self) -> dict:
-        return {
-            "r_square": self.r_square,
-            "fidelity": self.fidelity,
-            "rmse_re": self.rmse_re,
-            "rmse_im": self.rmse_im,
-        }
 
 
 def _effective_prob_maps(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -99,7 +99,6 @@ class TransverseWavefunction:
 class ModeKind(enum.Enum):
     GAUSSIAN = "gaussian"
     LAGUERRE_GAUSSIAN = "lg"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,8 @@ class ModeSpec:
 
     ``waist`` is the 1/e amplitude radius w0 in meters.  ``oam`` (azimuthal
     index l) and ``radial`` (index p) apply to LG modes only.  ``center`` is
-    the mode center in meters relative to the grid center.  ``custom`` holds
-    an explicit complex amplitude array for ``ModeKind.CUSTOM``.
+    the mode center in meters relative to the grid center.  For an arbitrary
+    field, use ``normalize(TransverseWavefunction(grid, amps))`` instead.
     """
 
     kind: ModeKind
@@ -117,16 +116,12 @@ class ModeSpec:
     oam: int = 0
     radial: int = 0
     center: tuple[float, float] = (0.0, 0.0)
-    custom: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind is not ModeKind.CUSTOM:
-            if not np.isfinite(self.waist) or self.waist <= 0:
-                raise ValueError(f"waist must be positive and finite, got {self.waist}")
+        if not np.isfinite(self.waist) or self.waist <= 0:
+            raise ValueError(f"waist must be positive and finite, got {self.waist}")
         if self.radial < 0:
             raise ValueError("radial index must be non-negative")
-        if self.kind is ModeKind.CUSTOM and self.custom is None:
-            raise ValueError("custom mode requires an explicit amplitude array")
 
 
 def default_waist(grid: GridSpec) -> float:
@@ -161,8 +156,6 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
             * np.exp(-r2 / spec.waist**2)
             * np.exp(1j * spec.oam * phi)
         )
-    elif spec.kind is ModeKind.CUSTOM:
-        amps = np.asarray(spec.custom, dtype=np.complex128)
     else:  # pragma: no cover
         raise ValueError(f"unknown mode kind {spec.kind}")
 

@@ -1,14 +1,16 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from dstsim import read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction, normalize
-from dstsim import cli
+from dstsim import ModeKind, PropagationKernel, cli
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_text, to_text
 from dstsim.holography import PARAXIAL_MIN_EXTENTS
-from dstsim.reconstruct import ReconstructionResult
+from dstsim.reconstruct import ESTIMATORS, ReconstructionResult
 from conftest import edit_csv
 
 
@@ -16,11 +18,43 @@ def run(*argv):
     return main(list(argv))
 
 
+def subparser(name: str) -> argparse.ArgumentParser:
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[name]
+
+
+#: Every field away from its default, so a field that to_text or from_text
+#: drops or mistypes breaks the round trip.
+EVERY_FIELD_SET = dict(
+    nx=32, ny=24, pitch_um=100.5, mode="lg", l=2, radial=1, waist_um=500.0, cx_um=-12.5,
+    cy_um=7.25, vortex_l=-1, theta=0.4, estimator="dwt", photons=100, seed=2**64 - 1,
+    lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, out="runs/a b=c",
+)
+
+
 class TestConfig:
     def test_round_trip_fixed_point(self):
-        cfg = ExperimentConfig(nx=32, waist_um=500.0, theta=0.4, photons=100)
-        text = to_text(cfg)
-        assert to_text(from_text(text)) == text
+        for values in (dict(nx=32, waist_um=500.0, theta=0.4, photons=100), EVERY_FIELD_SET):
+            cfg = ExperimentConfig(**values)
+            text = to_text(cfg)
+            assert from_text(text) == cfg, values
+            assert to_text(from_text(text)) == text, values
+
+    def test_every_field_set_covers_every_field(self):
+        for f in dataclasses.fields(ExperimentConfig):
+            assert EVERY_FIELD_SET[f.name] != f.default, f.name
+
+    @pytest.mark.parametrize("out", ["run#1", " run ", "run ", "a\nseed = 5", "a\rb", "a\x0bb"])
+    def test_unrepresentable_string_rejected(self, out):
+        with pytest.raises(ValueError, match="out"):
+            ExperimentConfig(out=out)
+
+    @pytest.mark.parametrize("key, value", [("mode", "custom"), ("estimator", "DST"),
+                                            ("kernel", "spherical")])
+    def test_choice_error_names_key_and_values(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be one of"):
+            ExperimentConfig(**{key: value})
 
     def test_comments_and_blanks(self):
         text = "# hello\n\nnx = 16\nny = 16  # inline\n"
@@ -352,3 +386,31 @@ class TestExitCodes:
 
     def test_bad_flag_is_validation_error(self, tmp_path):
         assert run("prepare", "--photons", "-5", "--out", str(tmp_path)) == 2
+
+    def test_unrepresentable_out_is_validation_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("prepare", "--nx", "8", "--ny", "8", "--out", "run#1") == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_custom_mode_in_config_is_validation_error(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("mode = custom\n")
+        assert run("prepare", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 2
+
+    def test_custom_mode_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("prepare", "--mode", "custom", "--out", str(tmp_path))
+        assert exc.value.code == 2
+
+
+class TestParser:
+    def test_choices_come_from_the_enums(self):
+        actions = {a.dest: a for a in subparser("reconstruct")._actions}
+        assert actions["mode"].choices == [k.value for k in ModeKind]
+        assert actions["kernel"].choices == [k.value for k in PropagationKernel]
+        assert list(actions["estimator"].choices) == list(ESTIMATORS)
+
+    def test_config_flags_are_config_fields(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        dests = {a.dest for a in subparser("prepare")._actions} - {"help", "config"}
+        assert dests <= names

@@ -9,7 +9,6 @@ from dstsim import (
     FileFormatError,
     GridSpec,
     PROJECTORS,
-    Projector,
     ScanRecords,
     TransverseWavefunction,
     gauge_fix,
@@ -87,8 +86,8 @@ class TestCoupleAndPostselect:
         _, a1 = pointer_amplitudes(f, STRONG)
         assert a1[4, 2] == 0.0
         probs = dict(zip(PROJECTORS, scan_probability_maps(f, STRONG)[:, 4, 2]))
-        assert probs[Projector.P1] == 0.0
-        assert probs[Projector.LEFT] == probs[Projector.RIGHT]
+        assert probs["1"] == 0.0
+        assert probs["L"] == probs["R"]
 
     def test_global_phase_invariance(self, grid_8):
         f = random_field(grid_8, seed=5)
@@ -137,22 +136,22 @@ class TestReadoutProbs:
         f = zero_cell_field(grid_8)
         a0, _ = pointer_amplitudes(f, STRONG)
         probs = dict(zip(PROJECTORS, scan_probability_maps(f, STRONG)[:, 4, 2] / abs(a0[4, 2]) ** 2))
-        assert probs[Projector.PLUS] == pytest.approx(0.5)
-        assert probs[Projector.MINUS] == pytest.approx(0.5)
-        assert probs[Projector.P1] == 0.0
-        assert probs[Projector.LEFT] == pytest.approx(0.5)
-        assert probs[Projector.RIGHT] == pytest.approx(0.5)
+        assert probs["plus"] == pytest.approx(0.5)
+        assert probs["minus"] == pytest.approx(0.5)
+        assert probs["1"] == 0.0
+        assert probs["L"] == pytest.approx(0.5)
+        assert probs["R"] == pytest.approx(0.5)
 
     def test_uniform_field_probs(self):
         # frozen from the (a0, a1) = (3/4, 1/4) pointer of every cell
         maps = scan_probability_maps(uniform_field(2), STRONG)
         for ix, iy in [(0, 0), (1, 0), (0, 1), (1, 1)]:
             probs = dict(zip(PROJECTORS, maps[:, iy, ix]))
-            assert probs[Projector.PLUS] == pytest.approx(0.5, abs=1e-15)
-            assert probs[Projector.MINUS] == pytest.approx(0.125, abs=1e-15)
-            assert probs[Projector.P1] == pytest.approx(0.0625, abs=1e-15)
-            assert probs[Projector.LEFT] == pytest.approx(0.3125, abs=1e-15)
-            assert probs[Projector.RIGHT] == pytest.approx(0.3125, abs=1e-15)
+            assert probs["plus"] == pytest.approx(0.5, abs=1e-15)
+            assert probs["minus"] == pytest.approx(0.125, abs=1e-15)
+            assert probs["1"] == pytest.approx(0.0625, abs=1e-15)
+            assert probs["L"] == pytest.approx(0.3125, abs=1e-15)
+            assert probs["R"] == pytest.approx(0.3125, abs=1e-15)
 
     def test_circular_eigenstate(self):
         f = circular_field()
@@ -160,8 +159,8 @@ class TestReadoutProbs:
         assert a1[0, 0] == pytest.approx(1j * a0[0, 0], abs=1e-15)
         norm = abs(a0[0, 0]) ** 2 + abs(a1[0, 0]) ** 2
         probs = dict(zip(PROJECTORS, scan_probability_maps(f, STRONG)[:, 0, 0] / norm))
-        assert probs[Projector.LEFT] == pytest.approx(1.0)
-        assert probs[Projector.RIGHT] == pytest.approx(0.0, abs=1e-15)
+        assert probs["L"] == pytest.approx(1.0)
+        assert probs["R"] == pytest.approx(0.0, abs=1e-15)
 
     def test_pair_sums_equal_norm(self, grid_8):
         f = random_field(grid_8, seed=11)
@@ -174,7 +173,7 @@ class TestReadoutProbs:
 
 UNIFORM_2X2_CELL = scan_probability_maps(uniform_field(2), STRONG)[:, 0, 0]
 CIRCULAR_CELL = scan_probability_maps(circular_field(), STRONG)[:, 0, 0]
-RIGHT = PROJECTORS.index(Projector.RIGHT)
+RIGHT = PROJECTORS.index("R")
 
 
 class TestSampleCounts:
@@ -257,7 +256,7 @@ class TestScan:
         grid = GridSpec(33, 33, 1e-4)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4 * grid.pitch), grid)
         records = scan(f, STRONG)
-        p1 = records.probs[PROJECTORS.index(Projector.P1)]
+        p1 = records.probs[PROJECTORS.index("1")]
         assert np.unravel_index(np.argmax(p1), p1.shape) == (16, 16)
 
     def test_matches_single_cell_api(self, grid_8):

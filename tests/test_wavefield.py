@@ -99,16 +99,6 @@ class TestMakeMode:
         profile = f.amps[16, 17:].real
         assert np.min(profile) < 0 < np.max(profile)
 
-    def test_custom_mode(self, grid_8):
-        amps = np.ones((8, 8))
-        f = make_mode(ModeSpec(ModeKind.CUSTOM, waist=1.0, custom=amps), grid_8)
-        assert f.power() == pytest.approx(1.0, abs=1e-12)
-        assert f.amps[0, 0] == pytest.approx(1 / 8)
-
-    def test_custom_without_array(self):
-        with pytest.raises(ValueError):
-            ModeSpec(ModeKind.CUSTOM, waist=1.0)
-
     @pytest.mark.parametrize("waist", [0.0, -1e-4, float("inf")])
     def test_bad_waist(self, waist):
         with pytest.raises(ValueError):
