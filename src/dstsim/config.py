@@ -9,6 +9,7 @@ returns identical text), which keeps experiment provenance diff-friendly.
 from __future__ import annotations
 
 import math
+import numbers
 import typing
 from dataclasses import dataclass, fields
 
@@ -57,6 +58,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
         for f in fields(self):
             value = getattr(self, f.name)
+            if _KEY_TYPES[f.name] is int and (isinstance(value, bool)
+                                              or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
             # from_text ends a value at '#' or a line break and strips surrounding spaces
             if isinstance(value, str) and ("#" in value or value != value.strip()
                                            or len(value.splitlines()) > 1):
@@ -78,23 +82,27 @@ class ExperimentConfig:
         return math.pi / 2
 
 
-def _format_value(value) -> str:
+#: The type of every key: int, float, str or float | None.
+_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _format_value(key: str, value) -> str:
+    """The text of ``value`` as its field's type, which ``_parse_value`` reads back."""
+    kind = _KEY_TYPES[key]
     if value is None:
         return _AUTO
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if kind is int:
+        return str(int(value))
+    if kind is str:
+        return value
+    return repr(float(value))
 
 
 def to_text(cfg: ExperimentConfig) -> str:
     lines = ["# dstsim experiment configuration"]
     for f in fields(ExperimentConfig):
-        lines.append(f"{f.name} = {_format_value(getattr(cfg, f.name))}")
+        lines.append(f"{f.name} = {_format_value(f.name, getattr(cfg, f.name))}")
     return "\n".join(lines) + "\n"
-
-
-#: The type of every key: int, float, str or float | None.
-_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _parse_value(key: str, text: str):

@@ -24,6 +24,13 @@ is evaluated once per ``(|dx|, |dy|)`` and mirrored into the other three
 quadrants of the padded grid, since it depends on the offsets only through
 their squares.
 
+A propagation holds at most three padded arrays at once.  The field
+spectrum is taken first; the kernel is then built and transformed in its
+own buffer (``fft2(..., out=kern)``), multiplied into the spectrum and
+released before the inverse transform.  The inverse transform cannot be
+done in place: numpy's ``ifft2`` accepts ``out=`` but does not pass it on,
+so its two passes allocate their outputs next to the spectrum.
+
 Both kernels are quadratic-phase-like at the grid scale, so sampling them
 on too coarse a grid aliases silently.  Propagation therefore refuses to
 run unless the kernel's local spatial frequency at the largest relevant
@@ -146,9 +153,12 @@ def _convolve(f: TransverseWavefunction, spec: PropagationSpec, pad_factor: int,
         raise ValueError(f"pad_factor must be an integer >= 2, got {pad_factor}")
     _check_guards(f.grid, spec)
     grid = f.grid
+    shape = (grid.ny * pad_factor, grid.nx * pad_factor)
+    spectrum = np.fft.fft2(f.amps, s=shape)  # zero-pads each axis before its pass
     kern = _kernel_array(grid, spec, pad_factor, inverse)
-    spectrum = np.fft.fft2(f.amps, s=kern.shape)  # zero-pads each axis before its pass
-    spectrum *= np.fft.fft2(kern)
+    spectrum *= np.fft.fft2(kern, out=kern)
+    del kern
+    # numpy's ifft2 ignores out= (it passes out=None on), so its passes allocate
     out = np.fft.ifft2(spectrum)[: grid.ny, : grid.nx] * grid.pitch**2
     return TransverseWavefunction(grid, out)
 

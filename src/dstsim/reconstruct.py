@@ -23,7 +23,7 @@ raw maps, ptilde_est = N * sqrt(sum |r|^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -210,10 +210,8 @@ def score(rec: ReconstructionResult, ideal: TransverseWavefunction) -> QualityRe
 
 
 def sidecar_dict(res: ReconstructionResult, report: QualityReport | None = None) -> dict:
-    return {
-        "psi_tilde": res.psi_tilde,
-        "mode": res.mode,
-        "r_square": report.r_square if report is not None else None,
-        "fidelity": report.fidelity if report is not None else None,
-    }
+    """The ``report.json`` fields: every ``QualityReport`` metric, or null without one."""
+    metrics = (asdict(report) if report is not None
+               else dict.fromkeys(f.name for f in fields(QualityReport)))
+    return {"psi_tilde": res.psi_tilde, "mode": res.mode, **metrics}
 

@@ -45,6 +45,25 @@ class TestConfig:
         for f in dataclasses.fields(ExperimentConfig):
             assert EVERY_FIELD_SET[f.name] != f.default, f.name
 
+    def test_integral_float_values_written_as_floats(self):
+        cfg = ExperimentConfig(pitch_um=100, theta=1)
+        text = to_text(cfg)
+        assert "pitch_um = 100.0\n" in text and "theta = 1.0\n" in text
+        assert from_text(text) == cfg
+        assert to_text(from_text(text)) == text
+
+    def test_numpy_scalars_written_as_plain_numbers(self):
+        cfg = ExperimentConfig(pitch_um=np.float64(100.5), nx=np.int64(32))
+        text = to_text(cfg)
+        assert "pitch_um = 100.5\n" in text and "nx = 32\n" in text
+        assert from_text(text) == cfg
+
+    @pytest.mark.parametrize("key, value", [("nx", True), ("photons", False),
+                                            ("pad_factor", 4.0)])
+    def test_bool_or_float_in_int_field_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            ExperimentConfig(**{key: value})
+
     @pytest.mark.parametrize("out", ["run#1", " run ", "run ", "a\nseed = 5", "a\rb", "a\x0bb"])
     def test_unrepresentable_string_rejected(self, out):
         with pytest.raises(ValueError, match="out"):
@@ -179,6 +198,7 @@ class TestMeasureReconstruct:
         assert report["mode"] == "DST"
         assert report["fidelity"] >= 1 - 1e-10
         assert report["r_square"] == pytest.approx(1.0, abs=1e-9)
+        assert report["rmse_re"] < 1e-9 and report["rmse_im"] < 1e-9
         rec = read_wfgrid(out / "reconstruction.wfgrid")
         ideal = read_wfgrid(field)
         assert np.max(np.abs(rec.amps - ideal.amps)) < 1e-9
@@ -192,6 +212,7 @@ class TestMeasureReconstruct:
                    "--nx", "12", "--ny", "12", "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["r_square"] is None and report["fidelity"] is None
+        assert report["rmse_re"] is None and report["rmse_im"] is None
 
     def test_dwt_without_theta_fails_fast(self, tmp_path):
         out = self._prepare(tmp_path)

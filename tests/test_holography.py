@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,43 @@ class TestKernelMirror:
         propagate = propagate_inverse if inverse else propagate_forward
         out = propagate(f, spec, pad_factor=3)
         assert np.array_equal(out.amps, convolve_zero_padded(f.amps, kern, grid.pitch))
+
+
+def random_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (grid.ny, grid.nx)
+    return TransverseWavefunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
+                         ids=[kind for _, _, kind in KERNEL_KINDS])
+class TestPropagationBuffers:
+    def test_peak_below_three_and_a_half_padded_arrays(self, spec, inverse, kind):
+        # spectrum, kernel (transformed in place) and the inverse transform's
+        # two pass outputs: three padded arrays at a time, not four
+        f = random_field(GRID64, 3)
+        propagate = propagate_inverse if inverse else propagate_forward
+        padded_bytes = (64 * 4) ** 2 * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            propagate(f, spec, pad_factor=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * padded_bytes
+
+    def test_input_unchanged(self, spec, inverse, kind):
+        f = random_field(GRID64, 4)
+        propagate = propagate_inverse if inverse else propagate_forward
+        before = f.amps.copy()
+        propagate(f, spec, pad_factor=4)
+        assert np.array_equal(f.amps, before)
+
+    def test_repeat_call_identical(self, spec, inverse, kind):
+        f = random_field(GRID64, 5)
+        propagate = propagate_inverse if inverse else propagate_forward
+        first = propagate(f, spec, pad_factor=4)
+        assert np.array_equal(propagate(f, spec, pad_factor=4).amps, first.amps)
 
 
 class TestAgainstBeamOptics:
