@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -208,6 +209,7 @@ def _shared_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache  # parse_args leaves the parser as it is, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     shared = _shared_parser()
     parser = argparse.ArgumentParser(

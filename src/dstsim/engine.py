@@ -25,6 +25,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateFieldError, FileFormatError
 from .wavefield import TransverseWavefunction
@@ -75,13 +76,7 @@ class ScanRecords:
             raise ValueError("non-finite probability")
         if (probs < 0).any():
             raise ValueError("negative probability")
-        try:
-            operator.index(self.photons_per_setting)
-        except TypeError:
-            raise ValueError(f"photons_per_setting must be an integer, "
-                             f"got {self.photons_per_setting!r}") from None
-        if self.photons_per_setting < 0:
-            raise ValueError("photons_per_setting must be >= 0")
+        _check_budget(self.photons_per_setting)
         if counts is None:
             if self.photons_per_setting > 0:
                 raise ValueError(f"budget {self.photons_per_setting} but no counts")
@@ -150,20 +145,56 @@ def _projector_probs(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     ])
 
 
+class _CellKey(ISeedSequence):
+    """The two 64-bit Philox key words of one cell, handed to Philox as they are.
+
+    A seed sequence that hashes nothing: ``Philox(_CellKey(words))`` takes
+    ``words`` as its key with the counter at 0, without first building a
+    ``SeedSequence`` from OS entropy as ``Philox(key=...)`` does.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a cell key is two uint64 words, not {n_words} x {dtype}")
+        return self._words
+
+
 def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
     """Counter-based stream for one scan cell, independent of execution order.
 
     Streams are keyed by (seed, iy, ix), so a full scan and a single-cell
     resample agree bit for bit and the scan may be parallelized over cells
-    without changing results.
+    without changing results.  The stream is that of
+    ``Philox(key=(seed << 64) | (iy << 32) | ix)`` (stream v1), keyed
+    directly.  ``spawn()`` on the generator raises TypeError: a cell key is
+    not a spawnable seed sequence.
     """
-    key = ((int(seed) & 0xFFFFFFFFFFFFFFFF) << 64) | ((int(iy) & 0xFFFFFFFF) << 32) | (int(ix) & 0xFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=key))
+    words = np.array([((int(iy) & 0xFFFFFFFF) << 32) | (int(ix) & 0xFFFFFFFF),
+                      int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_CellKey(words)))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or other non-integer raises ValueError, never truncates."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_budget(photons_per_setting: int) -> None:
+    if _integer("photons_per_setting", photons_per_setting) < 0:
+        raise ValueError("photons_per_setting must be >= 0")
 
 
 def _check_seed(seed: int) -> None:
     """:func:`cell_rng` keys a stream by 64 seed bits; reject seeds that would alias."""
-    if not 0 <= seed < 2**64:
+    if not 0 <= _integer("seed", seed) < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
@@ -171,11 +202,12 @@ def _sample_cell(
     probs: list[float], photons_per_setting: int, rng: np.random.Generator
 ) -> list[int]:
     """Counts for one cell's six probabilities, both in :data:`PROJECTORS` order."""
+    poisson, binomial = rng.poisson, rng.binomial
     counts: list[int] = []
     for pa, pb in zip(probs[0::2], probs[1::2]):
         weight = pa + pb
-        detected = int(rng.poisson(photons_per_setting * weight)) if weight > 0 else 0
-        na = int(rng.binomial(detected, pa / weight)) if detected > 0 else 0
+        detected = int(poisson(photons_per_setting * weight)) if weight > 0 else 0
+        na = int(binomial(detected, pa / weight)) if detected > 0 else 0
         counts += (na, detected - na)
     return counts
 
@@ -196,15 +228,15 @@ def sample_counts(
     binomially between the two projectors of the basis.  Deterministic given
     (seed, cell), and equal to what :func:`scan` draws at that cell.  A seed
     outside ``[0, 2**64)`` or a cell index outside ``[0, 2**32)`` raises
-    ValueError: :func:`cell_rng` would alias it onto another stream.
+    ValueError: :func:`cell_rng` would alias it onto another stream.  So does
+    a budget, seed or cell index that is not an integer, such as ``1.5``.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (len(PROJECTORS),):
         raise ValueError(f"probs must have shape (6,), got {probs.shape}")
-    if photons_per_setting < 0:
-        raise ValueError("photons_per_setting must be >= 0")
+    _check_budget(photons_per_setting)
     _check_seed(seed)
-    if not all(0 <= i < 2**32 for i in cell):
+    if not all(0 <= _integer("cell index", i) < 2**32 for i in cell):
         raise ValueError(f"cell indices must be in [0, 2**32), got {cell}")
     if photons_per_setting == 0:
         return np.zeros(len(PROJECTORS), dtype=np.int64)
@@ -233,8 +265,7 @@ def scan(
     :func:`cell_rng` stream, so cells are statistically independent.  With
     ``photons_per_setting == 0`` the records carry exact probabilities only.
     """
-    if photons_per_setting < 0:
-        raise ValueError("photons_per_setting must be >= 0")
+    _check_budget(photons_per_setting)
     _check_seed(seed)
     probs = scan_probability_maps(f, cfg)
     if photons_per_setting == 0:

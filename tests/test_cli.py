@@ -431,6 +431,14 @@ class TestParser:
         assert actions["kernel"].choices == [k.value for k in PropagationKernel]
         assert list(actions["estimator"].choices) == list(ESTIMATORS)
 
+    def test_calls_share_the_parser_but_not_its_values(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("prepare", "--mode", "lg", "--l", "2", "--nx", "10", "--ny", "8",
+                   "--seed", "9", "--theta", "0.5", "--out", str(a)) == 0
+        assert run("prepare", "--out", str(b)) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert from_text((b / "config.resolved").read_text()) == ExperimentConfig(out=str(b))
+
     def test_config_flags_are_config_fields(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         dests = {a.dest for a in subparser("prepare")._actions} - {"help", "config"}

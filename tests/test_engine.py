@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dstsim import (
     CouplingConfig,
@@ -23,6 +24,7 @@ from dstsim import (
     scan_probability_maps,
     write_records_csv,
 )
+from dstsim.engine import cell_rng
 from conftest import edit_csv, random_field
 
 STRONG = CouplingConfig()
@@ -229,6 +231,33 @@ class TestSampleCounts:
         top = sample_counts(UNIFORM_2X2_CELL, 1000, seed=3, cell=(2**32 - 1, 2**32 - 1))
         assert top.sum() > 0
 
+    def test_rejects_non_integer_seed(self):
+        # int() would truncate seed 1.5 onto seed 1's streams
+        with pytest.raises(ValueError):
+            sample_counts(UNIFORM_2X2_CELL, 1000, seed=1.5)
+        with pytest.raises(ValueError):
+            scan(uniform_field(2), STRONG, photons_per_setting=1000, seed=1.5)
+
+    def test_rejects_non_integer_cell(self):
+        # int() would truncate cell (3.7, 2) onto cell (3, 2)'s stream
+        with pytest.raises(ValueError):
+            sample_counts(UNIFORM_2X2_CELL, 1000, seed=1, cell=(3.7, 2))
+        assert sample_counts(UNIFORM_2X2_CELL, 1000, seed=1,
+                             cell=(np.int64(3), np.uint32(2))).sum() > 0
+
+    def test_rejects_non_integer_budget(self):
+        # ScanRecords refuses such a budget, so a resample must not draw for it
+        with pytest.raises(ValueError):
+            sample_counts(UNIFORM_2X2_CELL, 1000.5, seed=1)
+        with pytest.raises(ValueError):
+            sample_counts(UNIFORM_2X2_CELL, 1e3, seed=1)
+
+    def test_golden_counts_large_budget(self):
+        # pins the large-mean Poisson and binomial paths of stream v1, which the
+        # 10-photon golden CSV never reaches
+        counts = sample_counts(UNIFORM_2X2_CELL, 10**8, seed=7, cell=(3, 4))
+        assert counts.tolist() == [50005344, 12502285, 56247354, 6252281, 31248610, 31243416]
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_aliasing_seed(self, seed):
         # cell_rng keeps 64 seed bits: -1 would draw seed 2**64 - 1's streams
@@ -237,6 +266,45 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             scan(uniform_field(2), STRONG, photons_per_setting=10, seed=seed)
         assert sample_counts(UNIFORM_2X2_CELL, 1000, seed=2**64 - 1).sum() > 0
+
+
+EDGE_CELLS = [(0, 0), (2**32 - 1, 0), (0, 2**32 - 1), (2**32 - 1, 2**32 - 1)]
+
+
+class TestCellStream:
+    """Stream v1: each cell draws from Philox keyed by ``(seed << 64) | (iy << 32) | ix``."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("cell", EDGE_CELLS)
+    def test_equals_philox_keyed_by_the_cell(self, cell, seed):
+        ix, iy = cell
+        rng = cell_rng(seed, ix, iy)
+        ref = np.random.Generator(np.random.Philox(key=(seed << 64) | (iy << 32) | ix))
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+        assert np.array_equal(rng.integers(0, 2**64, size=8, dtype=np.uint64),
+                              ref.integers(0, 2**64, size=8, dtype=np.uint64))
+        assert rng.poisson(1e7) == ref.poisson(1e7)
+        assert rng.binomial(10**8, 0.3) == ref.binomial(10**8, 0.3)
+
+    def test_cell_key_is_not_a_seed_sequence(self):
+        rng = cell_rng(5, 3, 4)
+        with pytest.raises(TypeError):
+            rng.spawn(1)
+        with pytest.raises(ValueError):
+            np.random.MT19937(rng.bit_generator.seed_seq)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(nx=st.integers(2, 9), ny=st.integers(2, 7), field_seed=st.integers(0, 2**16),
+       seed=st.integers(0, 2**64 - 1), budget=st.sampled_from([0, 1, 10**3, 10**8]))
+def test_single_cell_resample_equals_scan(nx, ny, field_seed, seed, budget):
+    records = scan(random_field(GridSpec(nx, ny, 1e-4), field_seed), STRONG, budget, seed)
+    counts = (records.counts if budget else np.zeros(records.probs.shape, dtype=np.int64))
+    for iy in range(ny):
+        for ix in range(nx):
+            assert np.array_equal(
+                sample_counts(records.probs[:, iy, ix], budget, seed, (ix, iy)),
+                counts[:, iy, ix])
 
 
 class TestScan:
