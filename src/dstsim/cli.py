@@ -12,9 +12,9 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
-import tempfile
 
 from . import config as cfgmod
 from . import engine, holography, reconstruct, wavefield
@@ -25,16 +25,18 @@ from .errors import DegenerateFieldError, FileFormatError, SamplingGuardError
 # helpers
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, content) -> None:
+def _atomic_write(path: str, content) -> str:
     """Write ``content`` to ``path`` via a temp file in its directory and a rename.
 
-    ``content`` is text, or a writer called with the temp file's path.  On
+    ``content`` is text, or a writer called with the temp file's path.  The
+    file gets the mode ``open(path, "w")`` would give it under the umask.  On
     any failure the temp file is removed and ``path`` is left untouched.
+    Returns ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         if isinstance(content, str):
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -46,16 +48,15 @@ def _atomic_write(path: str, content) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    return path
 
 
 def _load_config(args) -> cfgmod.ExperimentConfig:
+    """The ``--config`` file's configuration, or the defaults, with the given flags applied."""
     cfg = cfgmod.from_file(args.config) if args.config else cfgmod.ExperimentConfig()
-    for f in dataclasses.fields(cfg):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            setattr(cfg, f.name, val)
-    cfg.validate()
-    return cfg
+    flags = {f.name: cfgmod.parse_value(f.name, getattr(args, f.name))
+             for f in dataclasses.fields(cfg) if getattr(args, f.name) is not None}
+    return dataclasses.replace(cfg, **flags)
 
 
 def _grid(cfg: cfgmod.ExperimentConfig) -> wavefield.GridSpec:
@@ -92,33 +93,33 @@ def _write_plot_maps(res: reconstruct.ReconstructionResult, cfg) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_prepare(args) -> None:
-    cfg = _load_config(args)
+def cmd_prepare(args, cfg: cfgmod.ExperimentConfig) -> str:
     grid = _grid(cfg)
     field = wavefield.make_mode(_mode_spec(cfg, grid), grid)
     if cfg.vortex_l:
         field = wavefield.apply_vortex_plate(field, cfg.vortex_l)
-    _atomic_write(_out_path(cfg, "field.wfgrid"), lambda p: wavefield.write_wfgrid(p, field))
+    path = _atomic_write(_out_path(cfg, "field.wfgrid"), lambda p: wavefield.write_wfgrid(p, field))
     _atomic_write(_out_path(cfg, "config.resolved"), cfgmod.to_text(cfg))
-    print(_out_path(cfg, "field.wfgrid"))
+    return path
 
 
-def cmd_measure(args) -> None:
-    cfg = _load_config(args)
+def cmd_measure(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.field)
     coupling = engine.CouplingConfig(cfg.resolved_theta())
     records = engine.scan(field, coupling, cfg.photons, cfg.seed)
-    _atomic_write(_out_path(cfg, "records.csv"),
-                  lambda p: engine.write_records_csv(records, p))
-    print(_out_path(cfg, "records.csv"))
+    return _atomic_write(_out_path(cfg, "records.csv"),
+                         lambda p: engine.write_records_csv(records, p))
 
 
-def cmd_reconstruct(args) -> None:
-    cfg = _load_config(args)
+def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
+    theta = cfg.resolved_theta()
+    if cfg.estimator == "dst" and abs(theta - math.pi / 2) > engine.THETA_TOL:
+        raise ValueError(f"estimator 'dst' inverts records taken at theta = pi/2 only, got "
+                         f"theta = {theta!r}; use --estimator dwt for any other angle")
     records = engine.read_records_csv(args.records)
     grid = _grid(cfg)
     if cfg.estimator == "dwt":
-        res = reconstruct.reconstruct_dwt(records, grid, cfg.resolved_theta())
+        res = reconstruct.reconstruct_dwt(records, grid, theta)
     else:
         res = reconstruct.reconstruct_dst(records, grid)
     report = None
@@ -127,42 +128,38 @@ def cmd_reconstruct(args) -> None:
     _atomic_write(_out_path(cfg, "reconstruction.wfgrid"),
                   lambda p: wavefield.write_wfgrid(p, res.field()))
     sidecar = json.dumps(reconstruct.sidecar_dict(res, report), indent=2, sort_keys=True)
-    _atomic_write(_out_path(cfg, "report.json"), sidecar + "\n")
+    path = _atomic_write(_out_path(cfg, "report.json"), sidecar + "\n")
     _write_plot_maps(res, cfg)
-    print(_out_path(cfg, "report.json"))
+    return path
 
 
-def cmd_score(args) -> None:
-    cfg = _load_config(args)
+def cmd_score(args, cfg: cfgmod.ExperimentConfig) -> str:
     rec_field = wavefield.read_wfgrid(args.rec)
     ideal = wavefield.read_wfgrid(args.ideal)
     report = reconstruct.score(reconstruct.ReconstructionResult.from_field(rec_field), ideal)
-    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
-    _atomic_write(_out_path(cfg, "score.json"), text)
-    sys.stdout.write(text)
+    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+    _atomic_write(_out_path(cfg, "score.json"), text + "\n")
+    return text
 
 
-def cmd_holo_forward(args) -> None:
-    cfg = _load_config(args)
+def cmd_holo_forward(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.infile)
     if args.object:
         img = holography.read_pgm(args.object)
         field = holography.apply_object(field, holography.object_from_pgm(img, args.object_map))
     out = holography.propagate_forward(field, _prop_spec(cfg), cfg.pad_factor)
-    _atomic_write(_out_path(cfg, "propagated.wfgrid"), lambda p: wavefield.write_wfgrid(p, out))
-    print(_out_path(cfg, "propagated.wfgrid"))
+    return _atomic_write(_out_path(cfg, "propagated.wfgrid"),
+                         lambda p: wavefield.write_wfgrid(p, out))
 
 
-def cmd_holo_inverse(args) -> None:
-    cfg = _load_config(args)
+def cmd_holo_inverse(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.infile)
     out = holography.propagate_inverse(field, _prop_spec(cfg), cfg.pad_factor)
-    _atomic_write(_out_path(cfg, "backpropagated.wfgrid"), lambda p: wavefield.write_wfgrid(p, out))
-    print(_out_path(cfg, "backpropagated.wfgrid"))
+    return _atomic_write(_out_path(cfg, "backpropagated.wfgrid"),
+                         lambda p: wavefield.write_wfgrid(p, out))
 
 
-def cmd_holo_object(args) -> None:
-    cfg = _load_config(args)
+def cmd_holo_object(args, cfg: cfgmod.ExperimentConfig) -> str:
     measured = wavefield.read_wfgrid(args.measured)
     known = wavefield.read_wfgrid(args.input)
     obj = holography.reconstruct_object(
@@ -170,8 +167,8 @@ def cmd_holo_object(args) -> None:
         pad_factor=cfg.pad_factor,
     )
     t_field = wavefield.TransverseWavefunction(measured.grid, obj.transmission_map)
-    _atomic_write(_out_path(cfg, "transmission.wfgrid"),
-                  lambda p: wavefield.write_wfgrid(p, t_field))
+    path = _atomic_write(_out_path(cfg, "transmission.wfgrid"),
+                         lambda p: wavefield.write_wfgrid(p, t_field))
     summary = {
         "threshold": args.threshold,
         "valid_cells": int(obj.validity_mask.sum()),
@@ -181,7 +178,7 @@ def cmd_holo_object(args) -> None:
     }
     _atomic_write(_out_path(cfg, "object_report.json"),
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(_out_path(cfg, "transmission.wfgrid"))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +186,11 @@ def cmd_holo_object(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _shared_parser() -> argparse.ArgumentParser:
+    """``--config`` and one flag per configuration key, its value read as the file would."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="configuration file (flags override its values)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--pitch-um", dest="pitch_um", type=float)
-    p.add_argument("--mode", choices=[k.value for k in wavefield.ModeKind])
-    p.add_argument("--l", type=int)
-    p.add_argument("--waist-um", dest="waist_um", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--estimator", choices=reconstruct.ESTIMATORS)
-    p.add_argument("--photons", type=int, help="photons per basis setting per cell (0 = noiseless)")
-    p.add_argument("--lambda-nm", dest="lambda_nm", type=float)
-    p.add_argument("--distance-mm", dest="distance_mm", type=float)
-    p.add_argument("--kernel", choices=[k.value for k in holography.PropagationKernel])
-    p.add_argument("--pad-factor", dest="pad_factor", type=int)
+    for f in dataclasses.fields(cfgmod.ExperimentConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **f.metadata)
     return p
 
 
@@ -219,10 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", parents=[shared], help="generate an input mode")
-    p.add_argument("--cx-um", dest="cx_um", type=float, help="mode center x offset")
-    p.add_argument("--cy-um", dest="cy_um", type=float, help="mode center y offset")
-    p.add_argument("--vortex-l", dest="vortex_l", type=int,
-                   help="apply a vortex phase plate of this charge about the grid center")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("measure", parents=[shared], help="scan a field cell by cell")
@@ -264,10 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        print(args.func(args, _load_config(args)))
     except (DegenerateFieldError, SamplingGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,7 +1,8 @@
 """Flat key-value experiment configuration with canonical serialization.
 
 A run is reproducible bit for bit from (config, seed): every knob the CLI
-commands consume lives here, flags override file values, and the canonical
+commands consume lives here, each key ``k`` is also the flag ``--k`` (``_``
+written as ``-``) whose value overrides the file's, and the canonical
 text form is a serialization fixed point (serialize -> parse -> serialize
 returns identical text), which keeps experiment provenance diff-friendly.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .holography import PropagationKernel
 from .reconstruct import ESTIMATORS
@@ -20,44 +21,49 @@ from .wavefield import ModeKind
 _AUTO = "auto"
 
 
+def _key(default, doc: str, choices=None):
+    """A configuration key: its default, and the ``help`` and ``choices`` of its flag."""
+    return field(default=default, metadata={"help": doc, "choices": choices})
+
+
 @dataclass
 class ExperimentConfig:
     # grid
-    nx: int = 64
-    ny: int = 64
-    pitch_um: float = 125.0
+    nx: int = _key(64, "scan cells along x")
+    ny: int = _key(64, "scan cells along y")
+    pitch_um: float = _key(125.0, "cell width (um)")
     # input mode
-    mode: str = "gaussian"          # a wavefield.ModeKind value
-    l: int = 1
-    radial: int = 0
-    waist_um: float | None = None   # None: nx * pitch / 8
-    cx_um: float = 0.0
-    cy_um: float = 0.0
-    vortex_l: int = 0               # vortex plate applied after mode generation
+    mode: str = _key("gaussian", "input mode", [k.value for k in ModeKind])
+    l: int = _key(1, "azimuthal index of an lg mode")
+    radial: int = _key(0, "radial index of an lg mode")
+    waist_um: float | None = _key(None, "beam waist (um); auto: nx * pitch / 8")
+    cx_um: float = _key(0.0, "mode center x offset (um)")
+    cy_um: float = _key(0.0, "mode center y offset (um)")
+    vortex_l: int = _key(0, "charge of a vortex phase plate applied about the grid center "
+                            "after mode generation (0: none)")
     # coupling / estimator
-    theta: float | None = None      # None: pi/2 for dst; dwt requires explicit
-    estimator: str = "dst"          # one of reconstruct.ESTIMATORS
-    photons: int = 0                # photons per basis setting per cell; 0 = noiseless
-    seed: int = 0
+    theta: float | None = _key(None, "coupling angle (rad); auto: pi/2 for dst, which inverts "
+                                     "no other angle; dwt requires a value")
+    estimator: str = _key("dst", "strong (dst) or weak-value (dwt) inversion", ESTIMATORS)
+    photons: int = _key(0, "photons per basis setting per cell (0 = noiseless)")
+    seed: int = _key(0, "photon sampling seed")
     # propagation
-    lambda_nm: float = 808.0
-    distance_mm: float = 10.0
-    kernel: str = "fresnel"         # a holography.PropagationKernel value
-    pad_factor: int = 2
+    lambda_nm: float = _key(808.0, "wavelength (nm)")
+    distance_mm: float = _key(10.0, "propagation distance (mm)")
+    kernel: str = _key("fresnel", "propagation kernel", [k.value for k in PropagationKernel])
+    pad_factor: int = _key(2, "zero-padding factor of the propagation grid (>= 2)")
     # output
-    out: str = "out"
+    out: str = _key("out", "output directory")
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
-        for key, choices in (("mode", [k.value for k in ModeKind]), ("estimator", ESTIMATORS),
-                             ("kernel", [k.value for k in PropagationKernel])):
-            value = getattr(self, key)
-            if value not in choices:
-                raise ValueError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
         for f in fields(self):
             value = getattr(self, f.name)
+            choices = f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"{f.name} must be one of {', '.join(choices)}; got {value!r}")
             if _KEY_TYPES[f.name] is int and (isinstance(value, bool)
                                               or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
@@ -87,7 +93,7 @@ _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _format_value(key: str, value) -> str:
-    """The text of ``value`` as its field's type, which ``_parse_value`` reads back."""
+    """The text of ``value`` as its field's type, which ``parse_value`` reads back."""
     kind = _KEY_TYPES[key]
     if value is None:
         return _AUTO
@@ -105,13 +111,17 @@ def to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_value(key: str, text: str):
+def parse_value(key: str, text: str):
+    """The value of ``key`` written as ``text``, in a config file or as the key's flag."""
     kind = _KEY_TYPES.get(key)
     if kind is None:
         raise ValueError(f"unknown configuration key {key!r}")
-    if kind == float | None:
-        return None if text == _AUTO else float(text)
-    return kind(text)
+    try:
+        if kind == float | None:
+            return None if text == _AUTO else float(text)
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def from_text(text: str) -> ExperimentConfig:
@@ -127,7 +137,7 @@ def from_text(text: str) -> ExperimentConfig:
         val = val.strip()
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, val)
+        values[key] = parse_value(key, val)
     return ExperimentConfig(**values)
 
 

@@ -31,6 +31,8 @@ from .errors import DegenerateFieldError, FileFormatError
 from .wavefield import TransverseWavefunction
 
 _PSI_TILDE_MIN = 1e-12
+#: Slack on theta = pi/2, the strong coupling, for an angle that went through text.
+THETA_TOL = 1e-12
 
 
 #: The six pointer projectors read out per cell, named by their records CSV
@@ -49,7 +51,7 @@ class CouplingConfig:
     theta: float = math.pi / 2
 
     def __post_init__(self):
-        if not (0.0 < self.theta <= math.pi / 2 + 1e-12):
+        if not (0.0 < self.theta <= math.pi / 2 + THETA_TOL):
             raise ValueError(f"theta must be in (0, pi/2], got {self.theta}")
 
 

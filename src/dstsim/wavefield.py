@@ -22,8 +22,6 @@ from scipy.special import eval_genlaguerre
 
 from .errors import DegenerateFieldError, FileFormatError
 
-_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
 import json
+import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -18,10 +21,16 @@ def run(*argv):
     return main(list(argv))
 
 
-def subparser(name: str) -> argparse.ArgumentParser:
-    commands = next(a for a in cli.build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    return commands.choices[name]
+def subparser(*names: str) -> argparse.ArgumentParser:
+    parser = cli.build_parser()
+    for name in names:
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = commands.choices[name]
+    return parser
+
+
+def flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 #: Every field away from its default, so a field that to_text or from_text
@@ -234,6 +243,26 @@ class TestMeasureReconstruct:
         assert report["mode"] == "DWT"
         assert 0.9 < report["fidelity"] < 1.0
 
+    def test_dst_refuses_records_of_another_theta(self, tmp_path, capsys):
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--theta", "0.3",
+                   "--out", str(out)) == 0
+        dest = tmp_path / "recon"
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--nx", "12",
+                   "--ny", "12", "--theta", "0.3", "--out", str(dest)) == 2
+        assert "--estimator dwt" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_dst_takes_half_pi_written_as_text(self, tmp_path):
+        out = self._prepare(tmp_path)
+        field = str(out / "field.wfgrid")
+        theta = "%.14g" % (math.pi / 2)      # 3e-15 away from pi/2
+        assert run("measure", "--field", field, "--theta", theta, "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--nx", "12",
+                   "--ny", "12", "--theta", theta, "--ideal", field, "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mode"] == "DST" and report["rmse_re"] < 1e-9
+
     def test_invalid_records_are_format_error(self, tmp_path):
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "100",
@@ -262,6 +291,16 @@ class TestOutputFiles:
         with pytest.raises(RuntimeError):
             cli._atomic_write(str(target), writer)
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_outputs_follow_the_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            assert run("prepare", "--nx", "8", "--ny", "8", "--out", str(tmp_path)) == 0
+        finally:
+            os.umask(umask)
+        assert sorted(os.listdir(tmp_path)) == ["config.resolved", "field.wfgrid"]
+        for name in ("config.resolved", "field.wfgrid"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640, name
 
     def test_plot_map_golden_bytes(self, tmp_path):
         # a 3x2 grid whose coordinates need all 9 digits of x_um and y_um
@@ -405,8 +444,10 @@ class TestExitCodes:
                    "--out", str(out))
         assert code == 3
 
-    def test_bad_flag_is_validation_error(self, tmp_path):
+    def test_bad_flag_is_validation_error(self, tmp_path, capsys):
         assert run("prepare", "--photons", "-5", "--out", str(tmp_path)) == 2
+        assert run("prepare", "--nx", "8.0", "--out", str(tmp_path)) == 2
+        assert "nx: " in capsys.readouterr().err
 
     def test_unrepresentable_out_is_validation_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -441,5 +482,20 @@ class TestParser:
 
     def test_config_flags_are_config_fields(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        dests = {a.dest for a in subparser("prepare")._actions} - {"help", "config"}
-        assert dests <= names
+        expected = sorted((name, [flag(name)]) for name in names)
+        for command in (["prepare"], ["measure"], ["reconstruct"], ["score"],
+                        ["holo", "forward"], ["holo", "inverse"], ["holo", "object"]):
+            actions = subparser(*command)._actions
+            assert sorted((a.dest, a.option_strings) for a in actions
+                          if a.dest in names) == expected, command
+
+    def test_every_key_as_its_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        flags = [text for key, value in EVERY_FIELD_SET.items() for text in (flag(key), str(value))]
+        assert run("prepare", *flags) == 0
+        resolved = tmp_path / EVERY_FIELD_SET["out"] / "config.resolved"
+        assert resolved.read_text() == to_text(ExperimentConfig(**EVERY_FIELD_SET))
+        # 'auto' reads as it does in a file, and a flag overrides the file's value
+        assert run("prepare", "--config", str(resolved), "--theta", "auto", "--out", "b") == 0
+        assert from_text((tmp_path / "b" / "config.resolved").read_text()) == ExperimentConfig(
+            **{**EVERY_FIELD_SET, "theta": None, "out": "b"})
