@@ -13,23 +13,31 @@ The paraxial kernel has a closed-form inverse, its complex conjugate
     L(dx, dy) = exp(-i k D) / (-i lambda D) * exp(-i k (dx^2+dy^2) / (2 D)),
 
 used for back-propagation from the detection plane to the object plane.
-It is taken as the conjugate of the sampled forward kernel, which is bit
-for bit what evaluating L directly gives.
 Convolutions are evaluated on a zero-padded grid (at least 2x per axis) so
 they are linear, not circular, over all offsets that connect input cells to
 output cells; the result is cropped back to the input grid and scaled by
 pitch^2 to discretize the propagation integral.  The padding happens inside
-``fft2`` (each axis is zero-extended just before its pass), and the kernel
-is evaluated once per ``(|dx|, |dy|)`` and mirrored into the other three
+``fft2`` (each axis is zero-extended just before its pass).
+
+The paraxial kernel factorizes into two 1-D chirps (Goodman, *Introduction
+to Fourier Optics*, ch. 4),
+
+    K(dx, dy) = [exp(i k D) / (i lambda D) * exp(i k dx^2 / (2 D))]
+                * exp(i k dy^2 / (2 D)),
+
+so its padded array is one outer product of two chirps; the inverse kernel
+conjugates each chirp.  The spherical kernel does not factorize: it is
+evaluated once per ``(|dx|, |dy|)`` and mirrored into the other three
 quadrants of the padded grid, since it depends on the offsets only through
 their squares.
 
-A propagation holds at most three padded arrays at once.  The field
-spectrum is taken first; the kernel is then built and transformed in its
-own buffer (``fft2(..., out=kern)``), multiplied into the spectrum and
-released before the inverse transform.  The inverse transform cannot be
-done in place: numpy's ``ifft2`` accepts ``out=`` but does not pass it on,
-so its two passes allocate their outputs next to the spectrum.
+A propagation holds at most two padded arrays at once, plus the spherical
+kernel's quadrant block while it is mirrored.  The field spectrum is taken
+first; the kernel is then built and transformed in its own buffer
+(``fft2(..., out=kern)``), multiplied into the spectrum and released.  The
+inverse transform runs in the spectrum's buffer too: numpy's ``ifft2``
+ignores ``out=``, but ``fft2`` honours it, so the inverse is taken as
+``conj(fft2(conj(spectrum), norm="forward"))`` (see :func:`_ifft2_in_place`).
 
 Both kernels are quadratic-phase-like at the grid scale, so sampling them
 on too coarse a grid aliases silently.  Propagation therefore refuses to
@@ -117,34 +125,65 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec, pad_factor: int,
                   inverse: bool) -> np.ndarray:
     """The kernel sampled at every offset of the padded grid, in FFT order.
 
-    The kernel depends on the offsets only through dx^2 and dy^2, and the
-    negative ``fftfreq`` bins are exact negatives of the positive ones, so it
-    is evaluated on the non-negative quadrant and mirrored bit for bit.
+    The paraxial kernel is the outer product of its y chirp and its x chirp,
+    the x chirp carrying the constant ``exp(i k D) / (i lambda D)``: one
+    complex exponential per row and per column instead of one per cell.  For
+    the inverse kernel each chirp is conjugated, which equals the conjugate
+    of the product bit for bit.  It differs from evaluating the 2-D formula
+    directly only by the rounding of the two phases.
+
+    The spherical kernel depends on the offsets only through dx^2 and dy^2,
+    and the negative ``fftfreq`` bins are exact negatives of the positive
+    ones, so it is evaluated on the non-negative quadrant and mirrored bit
+    for bit.
     """
     py = grid.ny * pad_factor
     px = grid.nx * pad_factor
+    k = spec.wavenumber
+    d = spec.distance
+    lam = spec.wavelength
+    if spec.kernel is PropagationKernel.FRESNEL_PARAXIAL:
+        dx = np.fft.fftfreq(px, 1.0 / px) * grid.pitch
+        dy = np.fft.fftfreq(py, 1.0 / py) * grid.pitch
+        ex = np.exp(1j * k * d) / (1j * lam * d) * np.exp(1j * k * dx**2 / (2.0 * d))
+        ey = np.exp(1j * k * dy**2 / (2.0 * d))
+        if inverse:
+            np.conj(ex, out=ex)
+            np.conj(ey, out=ey)
+        return np.multiply(ey[:, None], ex[None, :])
     my = py // 2 + 1
     mx = px // 2 + 1
     # |fftfreq| rather than arange * pitch: fftfreq's scale 1 / (n * (1 / n))
     # is not exactly 1 for every n, and the mirror must match it bit for bit
     dx = np.abs(np.fft.fftfreq(px, 1.0 / px)[:mx] * grid.pitch)
     dy = np.abs(np.fft.fftfreq(py, 1.0 / py)[:my] * grid.pitch)
-    k = spec.wavenumber
-    d = spec.distance
-    lam = spec.wavelength
-    rho2 = dx[None, :]**2 + dy[:, None]**2
-    if spec.kernel is PropagationKernel.FEYNMAN_EXACT:
-        r = np.sqrt(rho2 + d * d)
-        quad = np.exp(1j * k * r) / (1j * lam * r)
-    else:
-        quad = np.exp(1j * k * d) / (1j * lam * d) * np.exp(1j * k * rho2 / (2.0 * d))
-        if inverse:
-            np.conj(quad, out=quad)
+    r = np.sqrt(dx[None, :]**2 + dy[:, None]**2 + d * d)
+    quad = np.exp(1j * k * r) / (1j * lam * r)
     full = np.empty((py, px), dtype=np.complex128)
     full[:my, :mx] = quad
     full[:my, mx:] = quad[:, px - mx:0:-1]
     full[my:] = full[py - my:0:-1]
     return full
+
+
+def _ifft2_in_place(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``np.fft.ifft2(spectrum)[:ny, :nx]`` for ``shape == (ny, nx)``, in place.
+
+    Uses ``ifft2(a) == conj(fft2(conj(a), norm="forward"))``: the spectrum is
+    conjugated and transformed in its own buffer, and only the leading
+    ``shape`` block is conjugated back.  The result is that block, a view of
+    ``spectrum``, whose other entries are left conjugated.  It equals
+    ``ifft2`` bit for bit whenever pocketfft transforms each axis with its
+    direct passes, as for every padded size whose prime factors are small;
+    an axis length with a large prime factor (89, 101, 202, ...) goes
+    through Bluestein's algorithm, whose result differs from ``ifft2`` by
+    rounding.
+    """
+    np.conj(spectrum, out=spectrum)
+    np.fft.fft2(spectrum, out=spectrum, norm="forward")
+    block = spectrum[: shape[0], : shape[1]]
+    np.conj(block, out=block)
+    return block
 
 
 def _convolve(f: TransverseWavefunction, spec: PropagationSpec, pad_factor: int,
@@ -158,8 +197,7 @@ def _convolve(f: TransverseWavefunction, spec: PropagationSpec, pad_factor: int,
     kern = _kernel_array(grid, spec, pad_factor, inverse)
     spectrum *= np.fft.fft2(kern, out=kern)
     del kern
-    # numpy's ifft2 ignores out= (it passes out=None on), so its passes allocate
-    out = np.fft.ifft2(spectrum)[: grid.ny, : grid.nx] * grid.pitch**2
+    out = _ifft2_in_place(spectrum, (grid.ny, grid.nx)) * grid.pitch**2
     return TransverseWavefunction(grid, out)
 
 

@@ -228,12 +228,11 @@ def phase_winding(phase: np.ndarray, radius: int,
 
 _WFGRID_MAGIC = b"WFG1"
 _WFGRID_HEADER = struct.Struct("<4sIId")
+_WFGRID_DTYPE = np.dtype("<c16")  # one (re, im) f64 pair
 
 
 def write_wfgrid(path, f: TransverseWavefunction) -> None:
-    payload = np.empty((f.grid.ny, f.grid.nx, 2), dtype="<f8")
-    payload[..., 0] = f.amps.real
-    payload[..., 1] = f.amps.imag
+    payload = np.asarray(f.amps, dtype=_WFGRID_DTYPE)
     with open(path, "wb") as fh:
         fh.write(_WFGRID_HEADER.pack(_WFGRID_MAGIC, f.grid.nx, f.grid.ny, f.grid.pitch))
         fh.write(payload.tobytes())
@@ -256,6 +255,7 @@ def read_wfgrid(path) -> TransverseWavefunction:
         grid = GridSpec(int(nx), int(ny), float(pitch))
     except ValueError as exc:
         raise FileFormatError(f"{path}: invalid grid header: {exc}") from exc
-    flat = np.frombuffer(raw, dtype="<f8", offset=_WFGRID_HEADER.size)
-    amps = flat[0::2] + 1j * flat[1::2]
+    # read as complex, not as re + 1j * im, which turns a -0.0 part into +0.0;
+    # astype copies the payload out of the unaligned buffer into an aligned array
+    amps = np.frombuffer(raw, dtype=_WFGRID_DTYPE, offset=_WFGRID_HEADER.size).astype(np.complex128)
     return TransverseWavefunction(grid, amps.reshape(ny, nx))

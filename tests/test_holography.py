@@ -22,7 +22,7 @@ from dstsim import (
     read_pgm,
     reconstruct_object,
 )
-from dstsim.holography import PARAXIAL_MIN_EXTENTS, _kernel_array
+from dstsim.holography import PARAXIAL_MIN_EXTENTS, _ifft2_in_place, _kernel_array
 from oracles import convolve_zero_padded, gaussian_beam_at_distance, kernel_on_padded_grid
 
 LAM = 808e-9
@@ -93,10 +93,29 @@ class TestKernelSampling:
 KERNEL_KINDS = [(FEYNMAN64, False, "feynman"), (FRESNEL64, False, "fresnel"),
                 (FRESNEL64, True, "fresnel-inverse")]
 
+# Rounding budget, in units of eps (1 + phase) |C|, between the paraxial kernel
+# built from two 1-D chirps and the direct 2-D formula (|C| = 1 / lambda D).
+# Both round the phase k (dx^2 + dy^2) / 2D to a few ulps of itself, and exp and
+# the products add a few ulps of |C|; the constant exp(i k D) / (i lambda D) is
+# evaluated the same way by both and cancels.  Measured: at most 1.7 up to
+# 256x256 at pad 4.
+FRESNEL_ROUNDING = 4.0
+
+
+def fresnel_kernel_bound(nx, ny, pitch, pad, distance):
+    """Largest rounding difference from the direct formula, per padded offset."""
+    px, py = nx * pad, ny * pad
+    dx = np.fft.fftfreq(px, 1.0 / px) * pitch
+    dy = np.fft.fftfreq(py, 1.0 / py) * pitch
+    phase = 2.0 * np.pi / LAM * (dx[None, :]**2 + dy[:, None]**2) / (2.0 * distance)
+    return FRESNEL_ROUNDING * np.finfo(np.float64).eps * (1.0 + phase) / (LAM * distance)
+
 
 class TestKernelMirror:
     # odd, even and mixed padded sizes; 7x14 pad 7 pads to 49 x 98, where
-    # fftfreq's scale 1 / (n * (1 / n)) is not exactly 1
+    # fftfreq's scale 1 / (n * (1 / n)) is not exactly 1.  The spherical
+    # kernel is mirrored bit for bit; the paraxial kernel is an outer product
+    # of two chirps and matches to its rounding bound.
     @pytest.mark.parametrize("nx,ny,pad", [(5, 3, 3), (7, 4, 2), (16, 9, 5), (8, 8, 4),
                                            (7, 14, 7)])
     @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
@@ -104,7 +123,12 @@ class TestKernelMirror:
     def test_matches_direct_formula(self, nx, ny, pad, spec, inverse, kind):
         grid = GridSpec(nx, ny, 3e-6)
         expected = kernel_on_padded_grid(nx, ny, grid.pitch, pad, LAM, spec.distance, kind)
-        assert np.array_equal(_kernel_array(grid, spec, pad, inverse), expected)
+        kern = _kernel_array(grid, spec, pad, inverse)
+        if kind == "feynman":
+            assert np.array_equal(kern, expected)
+        else:
+            bound = fresnel_kernel_bound(nx, ny, grid.pitch, pad, spec.distance)
+            assert np.all(np.abs(kern - expected) <= bound)
 
     @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
                              ids=[kind for _, _, kind in KERNEL_KINDS])
@@ -115,7 +139,42 @@ class TestKernelMirror:
         kern = kernel_on_padded_grid(7, 5, grid.pitch, 3, LAM, spec.distance, kind)
         propagate = propagate_inverse if inverse else propagate_forward
         out = propagate(f, spec, pad_factor=3)
-        assert np.array_equal(out.amps, convolve_zero_padded(f.amps, kern, grid.pitch))
+        expected = convolve_zero_padded(f.amps, kern, grid.pitch)
+        if kind == "feynman":
+            assert np.array_equal(out.amps, expected)
+        else:
+            # every output cell sums pitch^2 f K over the input cells, so each
+            # kernel entry's bound carries over weighted by sum |f|
+            bound = fresnel_kernel_bound(7, 5, grid.pitch, 3, spec.distance).max()
+            bound *= grid.pitch**2 * np.abs(f.amps).sum()
+            assert np.max(np.abs(out.amps - expected)) <= bound
+
+
+class TestInverseTransformInPlace:
+    # 21x15 and 49x98 are padded test grids, 1024x1024 is 256x256 at pad 4
+    @pytest.mark.parametrize("shape", [(21, 15), (49, 98), (35, 27), (64, 64), (1024, 1024)])
+    def test_equals_ifft2_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = np.fft.ifft2(a)
+        assert _ifft2_in_place(a, shape).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(21, 15), (7, 5)], ids=["whole", "crop"])
+    def test_returns_a_view_of_its_input_buffer(self, shape):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(21, 15)) + 1j * rng.normal(size=(21, 15))
+        expected = np.fft.ifft2(a)[: shape[0], : shape[1]]
+        block = _ifft2_in_place(a, shape)
+        assert block.base is a
+        assert block.tobytes() == expected.tobytes()
+
+    def test_bluestein_size_equals_ifft2_to_rounding(self):
+        # 101 is prime: pocketfft uses Bluestein's algorithm, not bit-identical
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(97, 101)) + 1j * rng.normal(size=(97, 101))
+        expected = np.fft.ifft2(a)
+        out = _ifft2_in_place(a, a.shape)
+        assert np.max(np.abs(out - expected)) < 1e-14 * np.max(np.abs(expected))
 
 
 def random_field(grid, seed):
@@ -127,9 +186,9 @@ def random_field(grid, seed):
 @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
                          ids=[kind for _, _, kind in KERNEL_KINDS])
 class TestPropagationBuffers:
-    def test_peak_below_three_and_a_half_padded_arrays(self, spec, inverse, kind):
-        # spectrum, kernel (transformed in place) and the inverse transform's
-        # two pass outputs: three padded arrays at a time, not four
+    def test_peak_below_two_and_a_half_padded_arrays(self, spec, inverse, kind):
+        # the spectrum and the kernel, each transformed in its own buffer: two
+        # padded arrays at a time, plus the spherical kernel's quadrant block
         f = random_field(GRID64, 3)
         propagate = propagate_inverse if inverse else propagate_forward
         padded_bytes = (64 * 4) ** 2 * np.dtype(np.complex128).itemsize
@@ -139,7 +198,7 @@ class TestPropagationBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * padded_bytes
+        assert peak < 2.5 * padded_bytes
 
     def test_input_unchanged(self, spec, inverse, kind):
         f = random_field(GRID64, 4)

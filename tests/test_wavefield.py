@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dstsim import (
     DegenerateFieldError,
@@ -210,3 +212,20 @@ class TestWfgrid:
         assert np.frombuffer(raw, "<f8", offset=12)[0] == 0.5  # pitch
         assert len(raw) == 20 + 4 * 16
         assert np.frombuffer(raw, "<f8", offset=20)[0:4].tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+# every finite float, with both signed zeros drawn often
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(nx=st.integers(2, 9), ny=st.integers(2, 7), pitch=st.floats(1e-9, 1.0), data=st.data())
+def test_wfgrid_round_trip_is_exact(tmp_path_factory, nx, ny, pitch, data):
+    assume(nx != ny)
+    parts = data.draw(arrays(np.float64, (ny, nx, 2), elements=_PARTS))
+    f = TransverseWavefunction(GridSpec(nx, ny, pitch), parts.view(np.complex128)[..., 0])
+    path = tmp_path_factory.mktemp("wfgrid") / "f.wfgrid"
+    write_wfgrid(path, f)
+    back = read_wfgrid(path)
+    assert back.grid == f.grid
+    assert back.amps.tobytes() == f.amps.tobytes()
