@@ -12,7 +12,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
@@ -105,28 +104,22 @@ def cmd_prepare(args, cfg: cfgmod.ExperimentConfig) -> str:
 
 def cmd_measure(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.field)
-    coupling = engine.CouplingConfig(cfg.resolved_theta())
+    coupling = engine.CouplingConfig(cfg.theta)
     records = engine.scan(field, coupling, cfg.photons, cfg.seed)
     return _atomic_write(_out_path(cfg, "records.csv"),
                          lambda p: engine.write_records_csv(records, p))
 
 
 def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
-    theta = cfg.resolved_theta()
-    if cfg.estimator == "dst" and abs(theta - math.pi / 2) > engine.THETA_TOL:
-        raise ValueError(f"estimator 'dst' inverts records taken at theta = pi/2 only, got "
-                         f"theta = {theta!r}; use --estimator dwt for any other angle")
     records = engine.read_records_csv(args.records)
-    grid = _grid(cfg)
-    if cfg.estimator == "dwt":
-        res = reconstruct.reconstruct_dwt(records, grid, theta)
-    else:
-        res = reconstruct.reconstruct_dst(records, grid)
+    invert = reconstruct.reconstruct_dwt if cfg.estimator == "dwt" else reconstruct.reconstruct_dst
+    res = invert(records, _grid(cfg), cfg.theta)
+    field = res.field()
     report = None
     if args.ideal:
-        report = reconstruct.score(res, wavefield.read_wfgrid(args.ideal))
+        report = reconstruct.score(field, wavefield.read_wfgrid(args.ideal))
     _atomic_write(_out_path(cfg, "reconstruction.wfgrid"),
-                  lambda p: wavefield.write_wfgrid(p, res.field()))
+                  lambda p: wavefield.write_wfgrid(p, field))
     sidecar = json.dumps(reconstruct.sidecar_dict(res, report), indent=2, sort_keys=True)
     path = _atomic_write(_out_path(cfg, "report.json"), sidecar + "\n")
     _write_plot_maps(res, cfg)
@@ -134,9 +127,7 @@ def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
 
 
 def cmd_score(args, cfg: cfgmod.ExperimentConfig) -> str:
-    rec_field = wavefield.read_wfgrid(args.rec)
-    ideal = wavefield.read_wfgrid(args.ideal)
-    report = reconstruct.score(reconstruct.ReconstructionResult.from_field(rec_field), ideal)
+    report = reconstruct.score(wavefield.read_wfgrid(args.rec), wavefield.read_wfgrid(args.ideal))
     text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
     _atomic_write(_out_path(cfg, "score.json"), text + "\n")
     return text

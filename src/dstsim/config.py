@@ -14,6 +14,7 @@ import numbers
 import typing
 from dataclasses import dataclass, field, fields
 
+from .engine import CouplingConfig
 from .holography import PropagationKernel
 from .reconstruct import ESTIMATORS
 from .wavefield import ModeKind
@@ -42,8 +43,8 @@ class ExperimentConfig:
     vortex_l: int = _key(0, "charge of a vortex phase plate applied about the grid center "
                             "after mode generation (0: none)")
     # coupling / estimator
-    theta: float | None = _key(None, "coupling angle (rad); auto: pi/2 for dst, which inverts "
-                                     "no other angle; dwt requires a value")
+    theta: float = _key(math.pi / 2, "coupling angle (rad) that measure applies and reconstruct "
+                                     "inverts; records do not store it")
     estimator: str = _key("dst", "strong (dst) or weak-value (dwt) inversion", ESTIMATORS)
     photons: int = _key(0, "photons per basis setting per cell (0 = noiseless)")
     seed: int = _key(0, "photon sampling seed")
@@ -78,14 +79,7 @@ class ExperimentConfig:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.pad_factor < 2:
             raise ValueError("pad_factor must be >= 2")
-
-    def resolved_theta(self) -> float:
-        """Coupling angle, defaulting to pi/2 for the strong estimator only."""
-        if self.theta is not None:
-            return self.theta
-        if self.estimator == "dwt":
-            raise ValueError("estimator 'dwt' requires an explicit theta")
-        return math.pi / 2
+        CouplingConfig(self.theta)  # raises ValueError unless theta is in (0, pi/2]
 
 
 #: The type of every key: int, float, str or float | None.

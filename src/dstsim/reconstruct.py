@@ -1,28 +1,27 @@
 """Turn readout records into Re/Im/density/phase maps and score them.
 
-Strong-coupling (exact) inversion, valid for records taken at theta = pi/2:
+Strong (exact) inversion of records taken at any coupling theta in (0, pi/2]:
 
-    Re psi = (N / 2 ptilde) * (P_plus + 2 P_1 - P_minus)
-    Im psi = (N / 2 ptilde) * (P_L - P_R)
+    Re psi = (N / 2 sin(theta) ptilde) * (P_plus - P_minus + 2 tan(theta/2) P_1)
+    Im psi = (N / 2 sin(theta) ptilde) * (P_L - P_R)
 
-Weak-value (first order in theta) inversion, applied to records taken at
-any coupling theta:
-
-    Re psi ~ (N / 2 ptilde) * (P_plus - P_minus) / theta
-    Im psi ~ (N / 2 ptilde) * (P_L - P_R) / theta
+At theta = pi/2 the weights are 1/2 and 2, which gives (P_plus + 2 P_1 - P_minus)
+and (P_L - P_R) over 2 ptilde / N.  The weak-value inversion is its first-order
+truncation in theta: drop the P_1 term and take sin(theta) ~ theta.
 
 Both assume the ptilde-real-positive gauge the engine enforces.  The strong
 form is an identity, so noiseless records invert exactly; the weak form
 carries an O(theta) relative bias that vanishes only in the weak limit.
 
-When ptilde is not supplied it is estimated self-consistently from the raw
-quadrature maps by requiring the reconstructed density to sum to one,
-which is the physical normalization of the field:  with r = u + i v the
-raw maps, ptilde_est = N * sqrt(sum |r|^2).
+ptilde is estimated self-consistently from the raw quadrature maps by
+requiring the reconstructed density to sum to one, which is the physical
+normalization of the field:  with r = u + i v the raw maps,
+ptilde_est = N * sqrt(sum |r|^2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -67,12 +66,6 @@ class ReconstructionResult:
     def field(self) -> TransverseWavefunction:
         return TransverseWavefunction(self.grid, self.re_map + 1j * self.im_map)
 
-    @classmethod
-    def from_field(cls, f: TransverseWavefunction) -> "ReconstructionResult":
-        """Wrap an existing field (e.g. loaded from disk) as a result."""
-        return cls(f.grid, np.ascontiguousarray(f.amps.real), np.ascontiguousarray(f.amps.imag),
-                   float(abs(f.amp_sum())), _DST)
-
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -104,54 +97,48 @@ def _effective_prob_maps(
     return counts / records.photons_per_setting, zero_mask
 
 
-def _assemble(
+def _invert(
+    records: ScanRecords,
     grid: GridSpec,
-    raw: np.ndarray,
-    psi_tilde: float | None,
+    p1_weight: float,
+    scale: float,
     mode: str,
-    zero_mask: np.ndarray | None,
 ) -> ReconstructionResult:
-    """Scale raw quadrature maps (r = ptilde * psi / N, noiseless) to a field."""
-    n = grid.ncells
-    if psi_tilde is None:
-        s = float(np.sqrt(np.sum(np.abs(raw) ** 2)))
-        if s <= 0.0:
-            raise DegenerateFieldError("raw quadrature maps vanish; cannot fix the scale")
-        psi_tilde = n * s
-        scaled = raw / s
-    else:
-        if not np.isfinite(psi_tilde) or psi_tilde <= 0.0:
-            raise ValueError(f"psi_tilde must be positive, got {psi_tilde}")
-        scaled = raw * (n / psi_tilde)
-    return ReconstructionResult(grid, np.ascontiguousarray(scaled.real),
-                                np.ascontiguousarray(scaled.imag), float(psi_tilde), mode,
+    """Invert the raw quadrature maps ``(P+ - P- + p1_weight P1 + i (PL - PR)) / scale``.
+
+    The raw maps equal ``ptilde * psi / N`` on exact records, so requiring
+    the field to be normalized fixes the gauge constant.
+    """
+    maps, zero_mask = _effective_prob_maps(records, grid)
+    plus, minus, _, p1, left, right = maps
+    raw = (plus - minus + p1_weight * p1 + 1j * (left - right)) / scale
+    s = float(np.sqrt(np.sum(np.abs(raw) ** 2)))
+    if s <= 0.0:
+        raise DegenerateFieldError("raw quadrature maps vanish; cannot fix the scale")
+    raw /= s
+    return ReconstructionResult(grid, np.ascontiguousarray(raw.real),
+                                np.ascontiguousarray(raw.imag), grid.ncells * s, mode,
                                 zero_mask)
 
 
 def reconstruct_dst(
     records: ScanRecords,
     grid: GridSpec,
-    psi_tilde: float | None = None,
+    theta: float = math.pi / 2,
 ) -> ReconstructionResult:
-    """Exact strong-coupling inversion of a full scan.
+    """Exact strong inversion of a full scan taken at coupling ``theta``.
 
-    ``psi_tilde`` supplies the gauge constant when known (oracle mode);
-    otherwise it is estimated self-consistently from normalization.
-    Noiseless records at theta = pi/2 invert to the gauge-fixed input field
-    up to floating-point rounding.
+    Noiseless records invert to the gauge-fixed input field up to
+    floating-point rounding at every theta in (0, pi/2].
     """
-    maps, zero_mask = _effective_prob_maps(records, grid)
-    plus, minus, _, p1, left, right = maps
-    u = (plus + 2.0 * p1 - minus) / 2.0
-    v = (left - right) / 2.0
-    return _assemble(grid, u + 1j * v, psi_tilde, _DST, zero_mask)
+    CouplingConfig(theta)  # raises ValueError unless theta is in (0, pi/2]
+    return _invert(records, grid, 2.0 * math.tan(theta / 2), 2.0 * math.sin(theta), _DST)
 
 
 def reconstruct_dwt(
     records: ScanRecords,
     grid: GridSpec,
     theta: float,
-    psi_tilde: float | None = None,
 ) -> ReconstructionResult:
     """First-order weak-value inversion of records taken at coupling ``theta``.
 
@@ -161,11 +148,7 @@ def reconstruct_dwt(
     visibly distorted at theta = pi/2.
     """
     CouplingConfig(theta)  # raises ValueError unless theta is in (0, pi/2]
-    maps, zero_mask = _effective_prob_maps(records, grid)
-    plus, minus, _, _, left, right = maps
-    u = (plus - minus) / (2.0 * theta)
-    v = (left - right) / (2.0 * theta)
-    return _assemble(grid, u + 1j * v, psi_tilde, _DWT, zero_mask)
+    return _invert(records, grid, 0.0, 2.0 * theta, _DWT)
 
 
 def fidelity(a: TransverseWavefunction, b: TransverseWavefunction) -> float:
@@ -179,15 +162,15 @@ def fidelity(a: TransverseWavefunction, b: TransverseWavefunction) -> float:
     return float(abs(np.vdot(va, vb)) ** 2 / (na**2 * nb**2))
 
 
-def score(rec: ReconstructionResult, ideal: TransverseWavefunction) -> QualityReport:
-    """Quality of a reconstruction against a known ideal field.
+def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> QualityReport:
+    """Quality of a reconstructed field against a known ideal field.
 
     r_square is the coefficient of determination between the reconstructed
-    density map (the data) and the ideal probability density (the model):
+    density (the data) and the ideal probability density (the model):
     ``1 - SS_res / SS_tot`` with SS_tot about the data mean.  RMS errors of
     the Re/Im maps are taken against the gauge-fixed, normalized ideal.
     """
-    if rec.grid != ideal.grid:
+    if field.grid != ideal.grid:
         raise ValueError("reconstruction and ideal grids differ")
     power = ideal.power()
     if power <= 0.0:
@@ -198,14 +181,15 @@ def score(rec: ReconstructionResult, ideal: TransverseWavefunction) -> QualityRe
         amps = amps * (abs(s) / s)
 
     ideal_density = np.abs(amps) ** 2
-    data = rec.density_map
+    rec = field.amps
+    data = rec.real**2 + rec.imag**2
     ss_res = float(np.sum((data - ideal_density) ** 2))
     ss_tot = float(np.sum((data - data.mean()) ** 2))
     r_square = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res == 0.0 else -np.inf)
 
-    fid = fidelity(TransverseWavefunction(ideal.grid, amps), rec.field())
-    rmse_re = float(np.sqrt(np.mean((rec.re_map - amps.real) ** 2)))
-    rmse_im = float(np.sqrt(np.mean((rec.im_map - amps.imag) ** 2)))
+    fid = fidelity(TransverseWavefunction(ideal.grid, amps), field)
+    rmse_re = float(np.sqrt(np.mean((rec.real - amps.real) ** 2)))
+    rmse_im = float(np.sqrt(np.mean((rec.imag - amps.imag) ** 2)))
     return QualityReport(r_square, fid, rmse_re, rmse_im)
 
 

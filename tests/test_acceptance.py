@@ -78,7 +78,7 @@ def lg64(oam):
 def sampled_r_square(field, budget, seed):
     records = scan(field, STRONG, photons_per_setting=budget, seed=seed)
     res = reconstruct_dst(records, field.grid)
-    return score(res, field).r_square
+    return score(res.field(), field).r_square
 
 
 # ---------------------------------------------------------------------------

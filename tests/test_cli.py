@@ -90,8 +90,7 @@ class TestConfig:
         assert cfg.nx == 16 and cfg.ny == 16
 
     def test_auto_fields(self):
-        cfg = from_text("waist_um = auto\ntheta = auto\n")
-        assert cfg.waist_um is None and cfg.theta is None
+        assert from_text("waist_um = auto\n").waist_um is None
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):
@@ -101,13 +100,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             from_text("nx = 8\nnx = 9\n")
 
-    def test_dwt_requires_theta(self):
-        cfg = ExperimentConfig(estimator="dwt")
-        with pytest.raises(ValueError):
-            cfg.resolved_theta()
+    @pytest.mark.parametrize("theta", [0.0, -0.1, 5.0, math.nan])
+    def test_theta_out_of_range_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be in"):
+            ExperimentConfig(theta=theta)
 
     def test_dst_theta_default(self):
-        assert ExperimentConfig().resolved_theta() == pytest.approx(np.pi / 2)
+        assert ExperimentConfig().theta == math.pi / 2
+        assert ExperimentConfig(estimator="dwt").theta == math.pi / 2
 
 
 class TestPrepare:
@@ -223,14 +223,15 @@ class TestMeasureReconstruct:
         assert report["r_square"] is None and report["fidelity"] is None
         assert report["rmse_re"] is None and report["rmse_im"] is None
 
-    def test_dwt_without_theta_fails_fast(self, tmp_path):
+    def test_dwt_without_theta_takes_the_default(self, tmp_path):
+        # measure uses no estimator, and both commands read the same pi/2
         out = self._prepare(tmp_path)
-        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
-        dest = tmp_path / "recon"
-        code = run("reconstruct", "--records", str(out / "records.csv"),
-                   "--nx", "12", "--ny", "12", "--estimator", "dwt", "--out", str(dest))
-        assert code == 2
-        assert not dest.exists()
+        field = str(out / "field.wfgrid")
+        assert run("measure", "--field", field, "--estimator", "dwt", "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--nx", "12",
+                   "--ny", "12", "--estimator", "dwt", "--ideal", field, "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mode"] == "DWT" and report["fidelity"] < 1.0
 
     def test_dwt_with_theta(self, tmp_path):
         out = self._prepare(tmp_path)
@@ -243,15 +244,15 @@ class TestMeasureReconstruct:
         assert report["mode"] == "DWT"
         assert 0.9 < report["fidelity"] < 1.0
 
-    def test_dst_refuses_records_of_another_theta(self, tmp_path, capsys):
+    def test_dst_inverts_records_of_another_theta(self, tmp_path):
         out = self._prepare(tmp_path)
-        assert run("measure", "--field", str(out / "field.wfgrid"), "--theta", "0.3",
-                   "--out", str(out)) == 0
-        dest = tmp_path / "recon"
+        field = str(out / "field.wfgrid")
+        assert run("measure", "--field", field, "--theta", "0.3", "--out", str(out)) == 0
         assert run("reconstruct", "--records", str(out / "records.csv"), "--nx", "12",
-                   "--ny", "12", "--theta", "0.3", "--out", str(dest)) == 2
-        assert "--estimator dwt" in capsys.readouterr().err
-        assert not dest.exists()
+                   "--ny", "12", "--theta", "0.3", "--ideal", field, "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mode"] == "DST"
+        assert report["rmse_re"] < 1e-9 and report["rmse_im"] < 1e-9
 
     def test_dst_takes_half_pi_written_as_text(self, tmp_path):
         out = self._prepare(tmp_path)
@@ -306,7 +307,7 @@ class TestOutputFiles:
         # a 3x2 grid whose coordinates need all 9 digits of x_um and y_um
         grid = GridSpec(3, 2, 1e-4 / 3)
         amps = np.array([[0.1, 0.2j, 0.3], [1 / 3, -0.5, 0.25 + 0.25j]])
-        res = ReconstructionResult.from_field(TransverseWavefunction(grid, amps))
+        res = ReconstructionResult(grid, amps.real, amps.imag, 1.0, "DST")
         cli._write_plot_maps(res, ExperimentConfig(out=str(tmp_path)))
         xy = [b"-33.3333333 -16.6666667", b"0 -16.6666667", b"33.3333333 -16.6666667",
               b"-33.3333333 16.6666667", b"0 16.6666667", b"33.3333333 16.6666667"]
@@ -459,6 +460,13 @@ class TestExitCodes:
         cfg_path.write_text("mode = custom\n")
         assert run("prepare", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 2
 
+    def test_theta_auto_in_config_is_validation_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("theta = auto\n")
+        assert run("prepare", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 2
+        assert "theta: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_custom_mode_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("prepare", "--mode", "custom", "--out", str(tmp_path))
@@ -496,6 +504,6 @@ class TestParser:
         resolved = tmp_path / EVERY_FIELD_SET["out"] / "config.resolved"
         assert resolved.read_text() == to_text(ExperimentConfig(**EVERY_FIELD_SET))
         # 'auto' reads as it does in a file, and a flag overrides the file's value
-        assert run("prepare", "--config", str(resolved), "--theta", "auto", "--out", "b") == 0
+        assert run("prepare", "--config", str(resolved), "--waist-um", "auto", "--out", "b") == 0
         assert from_text((tmp_path / "b" / "config.resolved").read_text()) == ExperimentConfig(
-            **{**EVERY_FIELD_SET, "theta": None, "out": "b"})
+            **{**EVERY_FIELD_SET, "waist_um": None, "out": "b"})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dstsim import (
     CouplingConfig,
@@ -45,13 +46,14 @@ def lg_mode(grid, oam=1):
 
 class TestDstInversion:
     def test_uniform_2x2_by_hand(self):
-        # probs frozen from the pointer (3/4, 1/4); with ptilde = 2 supplied,
+        # probs frozen from the pointer (3/4, 1/4); with ptilde = 2,
         # Re = (4 / (2*2)) * (1/2 + 2/16 - 1/8) = 1/2 = 1/sqrt(N)
         grid = GridSpec(2, 2, 1e-4)
         # plus, minus, 0, 1, L, R at every cell
         probs = np.array([0.5, 0.125, 0.5625, 0.0625, 0.3125, 0.3125])
         records = ScanRecords(np.broadcast_to(probs[:, None, None], (6, 2, 2)))
-        res = reconstruct_dst(records, grid, psi_tilde=2.0)
+        res = reconstruct_dst(records, grid)
+        assert res.psi_tilde == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(res.re_map, 0.5, atol=1e-12)
         assert np.allclose(res.im_map, 0.0, atol=1e-12)
 
@@ -72,10 +74,11 @@ class TestDstInversion:
         grid = GridSpec(24, 24, 125e-6)
         f = maker(grid)
         gauged, _ = gauge_fix(f)
-        res = reconstruct_dst(scan(f, STRONG), grid)
-        rec = res.re_map + 1j * res.im_map
-        assert np.max(np.abs(rec - gauged.amps)) < 1e-9
-        assert fidelity(gauged, res.field()) >= 1 - 1e-10
+        for theta in (0.05, 0.3, 1.0, math.pi / 2):
+            res = reconstruct_dst(scan(f, CouplingConfig(theta)), grid, theta)
+            rec = res.re_map + 1j * res.im_map
+            assert np.max(np.abs(rec - gauged.amps)) < 1e-9, theta
+            assert fidelity(gauged, res.field()) >= 1 - 1e-10, theta
 
     def test_zero_cell_reconstructs_to_zero(self):
         grid = GridSpec(8, 8, 1e-4)
@@ -121,10 +124,11 @@ class TestDstInversion:
         with pytest.raises(ValueError):
             reconstruct_dst(scan(gaussian_8, STRONG), GridSpec(8, 4, gaussian_8.grid.pitch))
 
-    def test_bad_psi_tilde_rejected(self, gaussian_8):
+    def test_bad_theta_rejected(self, gaussian_8):
         records = scan(gaussian_8, STRONG)
-        with pytest.raises(ValueError):
-            reconstruct_dst(records, gaussian_8.grid, psi_tilde=-1.0)
+        for theta in (0.0, -0.1, math.pi):
+            with pytest.raises(ValueError, match="theta"):
+                reconstruct_dst(records, gaussian_8.grid, theta)
 
     def test_all_zero_records_degenerate(self, grid_8):
         records = ScanRecords(np.zeros((6, 8, 8)))
@@ -143,6 +147,24 @@ class TestDstInversion:
     def test_noiseless_has_no_zero_count_mask(self, gaussian_8):
         res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
         assert res.zero_count_mask is None
+
+
+#: The O(theta) quadrature signal sits on O(1) projector probabilities, so
+#: rounding leaves an error of about eps * sqrt(N) / theta, which reaches the
+#: 1e-9 bound of the identity near theta = 3e-6 on these grids.
+MIN_EXACT_THETA = 1e-4
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(nx=st.integers(3, 24), ny=st.integers(3, 24), seed=st.integers(0, 2**16),
+       theta=st.floats(MIN_EXACT_THETA, math.pi / 2))
+def test_dst_inverts_noiseless_records_at_any_theta(nx, ny, seed, theta):
+    assume(nx != ny)
+    f = random_smooth_field(GridSpec(nx, ny, 125e-6), seed, corr_cells=min(nx, ny) / 4)
+    gauged, ptilde = gauge_fix(f)
+    res = reconstruct_dst(scan(f, CouplingConfig(theta)), f.grid, theta)
+    assert np.max(np.abs(res.field().amps - gauged.amps)) < 1e-9
+    assert res.psi_tilde == pytest.approx(ptilde, rel=1e-9)
 
 
 class TestDwtInversion:
@@ -185,7 +207,7 @@ class TestScore:
         grid = GridSpec(16, 16, 1e-4)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=3 * grid.pitch), grid)
         res = reconstruct_dst(scan(f, STRONG), grid)
-        report = score(res, f)
+        report = score(res.field(), f)
         assert report.r_square == pytest.approx(1.0, abs=1e-12)
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
         assert report.rmse_re < 1e-12
@@ -203,14 +225,14 @@ class TestScore:
             perm = rng.permutation(grid.ncells)
             amps = (res.re_map + 1j * res.im_map).ravel()[perm].reshape(grid.ny, grid.nx)
             shuffled = reconstruct_dst(scan(normalize(TransverseWavefunction(grid, amps)), STRONG), grid)
-            r2s.append(score(shuffled, f).r_square)
+            r2s.append(score(shuffled.field(), f).r_square)
         assert max(r2s) < 0.2
 
     def test_grid_mismatch(self, gaussian_8):
         res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
         other = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4e-4), GridSpec(9, 9, 1e-4))
         with pytest.raises(ValueError):
-            score(res, other)
+            score(res.field(), other)
 
     def test_fidelity_phase_invariant(self, gaussian_8):
         rotated = gaussian_8.with_amps(gaussian_8.amps * np.exp(0.7j))
