@@ -24,7 +24,6 @@ from .wavefield import (
     write_wfgrid,
 )
 from .engine import (
-    CouplingConfig,
     PROJECTORS,
     ScanRecords,
     gauge_fix,
@@ -58,7 +57,6 @@ from .holography import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingConfig",
     "DegenerateFieldError",
     "FileFormatError",
     "GridSpec",

@@ -70,19 +70,20 @@ def _mode_spec(cfg: cfgmod.ExperimentConfig, grid: wavefield.GridSpec) -> wavefi
     )
 
 
-def _prop_spec(cfg: cfgmod.ExperimentConfig) -> holography.PropagationSpec:
-    return holography.PropagationSpec(cfg.lambda_nm * 1e-9, cfg.distance_mm * 1e-3,
-                                      holography.PropagationKernel(cfg.kernel))
-
-
 def _out_path(cfg: cfgmod.ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
 
+def _write_field(cfg: cfgmod.ExperimentConfig, name: str, field) -> str:
+    """Write ``field`` as the WFGRID file ``name`` in the output directory; return its path."""
+    return _atomic_write(_out_path(cfg, name), lambda p: wavefield.write_wfgrid(p, field))
+
+
 def _write_plot_maps(res: reconstruct.ReconstructionResult, cfg) -> None:
     """Emit gnuplot-ready density/phase maps: 'x_um y_um value' triplets, a blank line per row."""
-    xs = ["%.9g" % x for x in res.grid.x_coords() * 1e6]
-    rows = (" %.9g %%.17g\n" % y for y in res.grid.y_coords() * 1e6)
+    grid = res.field.grid
+    xs = ["%.9g" % x for x in grid.x_coords() * 1e6]
+    rows = (" %.9g %%.17g\n" % y for y in grid.y_coords() * 1e6)
     fmt = "".join("".join(x + row for x in xs) + "\n" for row in rows)  # coordinates baked in
     for name, data in (("density.dat", res.density_map), ("phase.dat", res.phase_map)):
         _atomic_write(_out_path(cfg, name), fmt % tuple(data.ravel().tolist()))
@@ -97,15 +98,14 @@ def cmd_prepare(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.make_mode(_mode_spec(cfg, grid), grid)
     if cfg.vortex_l:
         field = wavefield.apply_vortex_plate(field, cfg.vortex_l)
-    path = _atomic_write(_out_path(cfg, "field.wfgrid"), lambda p: wavefield.write_wfgrid(p, field))
+    path = _write_field(cfg, "field.wfgrid", field)
     _atomic_write(_out_path(cfg, "config.resolved"), cfgmod.to_text(cfg))
     return path
 
 
 def cmd_measure(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.field)
-    coupling = engine.CouplingConfig(cfg.theta)
-    records = engine.scan(field, coupling, cfg.photons, cfg.seed)
+    records = engine.scan(field, cfg.theta, cfg.photons, cfg.seed)
     return _atomic_write(_out_path(cfg, "records.csv"),
                          lambda p: engine.write_records_csv(records, p))
 
@@ -114,12 +114,10 @@ def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
     records = engine.read_records_csv(args.records)
     invert = reconstruct.reconstruct_dwt if cfg.estimator == "dwt" else reconstruct.reconstruct_dst
     res = invert(records, _grid(cfg), cfg.theta)
-    field = res.field()
     report = None
     if args.ideal:
-        report = reconstruct.score(field, wavefield.read_wfgrid(args.ideal))
-    _atomic_write(_out_path(cfg, "reconstruction.wfgrid"),
-                  lambda p: wavefield.write_wfgrid(p, field))
+        report = reconstruct.score(res.field, wavefield.read_wfgrid(args.ideal))
+    _write_field(cfg, "reconstruction.wfgrid", res.field)
     sidecar = json.dumps(reconstruct.sidecar_dict(res, report), indent=2, sort_keys=True)
     path = _atomic_write(_out_path(cfg, "report.json"), sidecar + "\n")
     _write_plot_maps(res, cfg)
@@ -138,28 +136,24 @@ def cmd_holo_forward(args, cfg: cfgmod.ExperimentConfig) -> str:
     if args.object:
         img = holography.read_pgm(args.object)
         field = holography.apply_object(field, holography.object_from_pgm(img, args.object_map))
-    out = holography.propagate_forward(field, _prop_spec(cfg), cfg.pad_factor)
-    return _atomic_write(_out_path(cfg, "propagated.wfgrid"),
-                         lambda p: wavefield.write_wfgrid(p, out))
+    out = holography.propagate_forward(field, cfg.propagation_spec(), cfg.pad_factor)
+    return _write_field(cfg, "propagated.wfgrid", out)
 
 
 def cmd_holo_inverse(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.infile)
-    out = holography.propagate_inverse(field, _prop_spec(cfg), cfg.pad_factor)
-    return _atomic_write(_out_path(cfg, "backpropagated.wfgrid"),
-                         lambda p: wavefield.write_wfgrid(p, out))
+    out = holography.propagate_inverse(field, cfg.propagation_spec(), cfg.pad_factor)
+    return _write_field(cfg, "backpropagated.wfgrid", out)
 
 
 def cmd_holo_object(args, cfg: cfgmod.ExperimentConfig) -> str:
     measured = wavefield.read_wfgrid(args.measured)
     known = wavefield.read_wfgrid(args.input)
     obj = holography.reconstruct_object(
-        measured, known, _prop_spec(cfg), threshold=args.threshold,
+        measured, known, cfg.propagation_spec(), threshold=args.threshold,
         pad_factor=cfg.pad_factor,
     )
-    t_field = wavefield.TransverseWavefunction(measured.grid, obj.transmission_map)
-    path = _atomic_write(_out_path(cfg, "transmission.wfgrid"),
-                         lambda p: wavefield.write_wfgrid(p, t_field))
+    path = _write_field(cfg, "transmission.wfgrid", obj.transmission)
     summary = {
         "threshold": args.threshold,
         "valid_cells": int(obj.validity_mask.sum()),

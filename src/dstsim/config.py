@@ -1,21 +1,22 @@
 """Flat key-value experiment configuration with canonical serialization.
 
-A run is reproducible bit for bit from (config, seed): every knob the CLI
-commands consume lives here, each key ``k`` is also the flag ``--k`` (``_``
-written as ``-``) whose value overrides the file's, and the canonical
-text form is a serialization fixed point (serialize -> parse -> serialize
-returns identical text), which keeps experiment provenance diff-friendly.
+Every shared knob of the CLI commands lives here: each key ``k`` is also the
+flag ``--k`` (``_`` written as ``-``) whose value overrides the file's, and
+the canonical text form is a serialization fixed point (serialize -> parse
+-> serialize returns identical text), which keeps experiment provenance
+diff-friendly.  A run is reproducible bit for bit from (config, seed) and its
+input files, except for two per-command flags that ``config.resolved`` does
+not record: ``holo forward --object-map`` and ``holo object --threshold``.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import typing
 from dataclasses import dataclass, field, fields
 
-from .engine import CouplingConfig
-from .holography import PropagationKernel
+from .engine import STRONG_THETA, check_theta
+from .holography import PropagationKernel, PropagationSpec
 from .reconstruct import ESTIMATORS
 from .wavefield import ModeKind
 
@@ -43,7 +44,7 @@ class ExperimentConfig:
     vortex_l: int = _key(0, "charge of a vortex phase plate applied about the grid center "
                             "after mode generation (0: none)")
     # coupling / estimator
-    theta: float = _key(math.pi / 2, "coupling angle (rad) that measure applies and reconstruct "
+    theta: float = _key(STRONG_THETA, "coupling angle (rad) that measure applies and reconstruct "
                                      "inverts; records do not store it")
     estimator: str = _key("dst", "strong (dst) or weak-value (dwt) inversion", ESTIMATORS)
     photons: int = _key(0, "photons per basis setting per cell (0 = noiseless)")
@@ -79,7 +80,17 @@ class ExperimentConfig:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.pad_factor < 2:
             raise ValueError("pad_factor must be >= 2")
-        CouplingConfig(self.theta)  # raises ValueError unless theta is in (0, pi/2]
+        check_theta(self.theta)
+        try:
+            self.propagation_spec()
+        except ValueError as exc:  # name the key and the value as written, not in metres
+            key = {"wavelength": "lambda_nm", "distance": "distance_mm"}[str(exc).split()[0]]
+            raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}") from None
+
+    def propagation_spec(self) -> PropagationSpec:
+        """The wavelength, distance and kernel of the holo commands, in SI units."""
+        return PropagationSpec(self.lambda_nm * 1e-9, self.distance_mm * 1e-3,
+                               PropagationKernel(self.kernel))
 
 
 #: The type of every key: int, float, str or float | None.

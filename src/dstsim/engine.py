@@ -31,6 +31,8 @@ from .errors import DegenerateFieldError, FileFormatError
 from .wavefield import TransverseWavefunction
 
 _PSI_TILDE_MIN = 1e-12
+#: The strong coupling angle, the default of every call that takes theta.
+STRONG_THETA = math.pi / 2
 #: Slack on theta = pi/2, the strong coupling, for an angle that went through text.
 THETA_TOL = 1e-12
 
@@ -42,17 +44,6 @@ THETA_TOL = 1e-12
 #: projectors of each measurement basis are adjacent, so ``[0::2]`` and
 #: ``[1::2]`` pair them up.
 PROJECTORS = ("plus", "minus", "0", "1", "L", "R")
-
-
-@dataclass(frozen=True)
-class CouplingConfig:
-    """Coupling angle of the pointer unitary; the physics is exact for any theta."""
-
-    theta: float = math.pi / 2
-
-    def __post_init__(self):
-        if not (0.0 < self.theta <= math.pi / 2 + THETA_TOL):
-            raise ValueError(f"theta must be in (0, pi/2], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -109,26 +100,23 @@ def gauge_fix(f: TransverseWavefunction) -> tuple[TransverseWavefunction, float]
     return f.with_amps(f.amps * (mag / s)), mag
 
 
-def _require_normalized(f: TransverseWavefunction) -> None:
-    if abs(f.power() - 1.0) > 1e-9:
-        raise ValueError("input field must be normalized (power within 1e-9 of 1)")
-
-
 def pointer_amplitudes(
-    f: TransverseWavefunction, cfg: CouplingConfig
+    f: TransverseWavefunction, theta: float = STRONG_THETA
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized post-selected pointer amplitudes ``(a0, a1)`` of every cell.
 
     Both are ``(ny, nx)`` complex arrays; element ``[iy, ix]`` is the pointer
-    after coupling at cell ``(ix, iy)`` and post-selection.  Applies the
-    ptilde-real-positive gauge to the field internally, so the result is
-    invariant under any global phase on the input.
+    after coupling at angle ``theta`` at cell ``(ix, iy)`` and post-selection.
+    Applies the ptilde-real-positive gauge to the field internally, so the
+    result is invariant under any global phase on the input.
     """
-    _require_normalized(f)
+    check_theta(theta)
+    if abs(f.power() - 1.0) > 1e-9:
+        raise ValueError("input field must be normalized (power within 1e-9 of 1)")
     g, ptilde = gauge_fix(f)
     root_n = math.sqrt(g.grid.ncells)
-    a0 = (ptilde - (1.0 - math.cos(cfg.theta)) * g.amps) / root_n
-    a1 = math.sin(cfg.theta) * g.amps / root_n
+    a0 = (ptilde - (1.0 - math.cos(theta)) * g.amps) / root_n
+    a1 = math.sin(theta) * g.amps / root_n
     return a0, a1
 
 
@@ -194,6 +182,12 @@ def _check_budget(photons_per_setting: int) -> None:
         raise ValueError("photons_per_setting must be >= 0")
 
 
+def check_theta(theta: float) -> None:
+    """Raise ValueError unless the coupling angle ``theta`` is in (0, pi/2]."""
+    if not 0.0 < theta <= STRONG_THETA + THETA_TOL:
+        raise ValueError(f"theta must be in (0, pi/2], got {theta}")
+
+
 def _check_seed(seed: int) -> None:
     """:func:`cell_rng` keys a stream by 64 seed bits; reject seeds that would alias."""
     if not 0 <= _integer("seed", seed) < 2**64:
@@ -246,22 +240,22 @@ def sample_counts(
                     dtype=np.int64)
 
 
-def scan_probability_maps(f: TransverseWavefunction, cfg: CouplingConfig) -> np.ndarray:
+def scan_probability_maps(f: TransverseWavefunction, theta: float = STRONG_THETA) -> np.ndarray:
     """Exact probabilities of every projector at every cell.
 
     Returns a ``(6, ny, nx)`` array indexed ``[projector, iy, ix]`` in
     :data:`PROJECTORS` order: the ``probs`` of a :func:`scan`.
     """
-    return _projector_probs(*pointer_amplitudes(f, cfg))
+    return _projector_probs(*pointer_amplitudes(f, theta))
 
 
 def scan(
     f: TransverseWavefunction,
-    cfg: CouplingConfig,
+    theta: float = STRONG_THETA,
     photons_per_setting: int = 0,
     seed: int = 0,
 ) -> ScanRecords:
-    """Measure every grid cell.
+    """Measure every grid cell at coupling angle ``theta``.
 
     Each cell is measured on a fresh photon ensemble drawn from its own
     :func:`cell_rng` stream, so cells are statistically independent.  With
@@ -269,7 +263,7 @@ def scan(
     """
     _check_budget(photons_per_setting)
     _check_seed(seed)
-    probs = scan_probability_maps(f, cfg)
+    probs = scan_probability_maps(f, theta)
     if photons_per_setting == 0:
         return ScanRecords(probs)
     nx = f.grid.nx

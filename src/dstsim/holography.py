@@ -225,14 +225,14 @@ def propagate_inverse(
 class ObjectReconstruction:
     """Complex transmission estimate and where it is trustworthy.
 
-    ``transmission_map`` holds measured-over-illumination ratios on cells
-    where ``validity_mask`` is True and zeros elsewhere (the division is
-    numerically meaningless below the illumination threshold).
+    ``transmission`` holds measured-over-illumination ratios on the measured
+    grid, on cells where ``validity_mask`` is True, and zeros elsewhere (the
+    division is numerically meaningless below the illumination threshold).
     ``nyquist_fraction`` and ``distance_over_extent`` are the margins of the
     back-propagation's sampling and paraxial guards.
     """
 
-    transmission_map: np.ndarray
+    transmission: TransverseWavefunction
     validity_mask: np.ndarray
     nyquist_fraction: float
     distance_over_extent: float
@@ -265,7 +265,8 @@ def reconstruct_object(
         raise DegenerateFieldError("validity mask is empty; illumination too weak")
     t = np.zeros_like(back.amps)
     t[mask] = back.amps[mask] / known_input.amps[mask]
-    return ObjectReconstruction(t, mask, nyquist_fraction, distance_over_extent)
+    return ObjectReconstruction(measured_d.with_amps(t), mask, nyquist_fraction,
+                                distance_over_extent)
 
 
 # ---------------------------------------------------------------------------

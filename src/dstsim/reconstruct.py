@@ -1,4 +1,4 @@
-"""Turn readout records into Re/Im/density/phase maps and score them.
+"""Turn readout records into a reconstructed field and score it.
 
 Strong (exact) inversion of records taken at any coupling theta in (0, pi/2]:
 
@@ -28,43 +28,38 @@ import numpy as np
 
 from .errors import DegenerateFieldError
 from .wavefield import GridSpec, TransverseWavefunction
-from .engine import CouplingConfig, ScanRecords
+from .engine import STRONG_THETA, ScanRecords, check_theta
 
 #: The ``estimator`` values of the configuration: strong and weak-value inversion.
 ESTIMATORS = ("dst", "dwt")
-_DST = "DST"
-_DWT = "DWT"
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Reconstructed field maps plus the gauge constant that scaled them.
+    """Reconstructed field plus the gauge constant that scaled it.
 
-    ``density_map`` is exactly ``re_map**2 + im_map**2`` and ``phase_map``
-    is ``atan2(im_map, re_map)`` folded into (-pi, pi].  ``zero_count_mask``
-    marks cells where some measurement basis registered no photons at all
-    (their frequencies enter as zero rather than being dropped); it is None
-    for noiseless reconstructions.
+    ``density_map`` is exactly ``Re**2 + Im**2`` of ``field.amps`` and
+    ``phase_map`` is their ``atan2`` folded into (-pi, pi].
+    ``zero_count_mask`` marks cells where some measurement basis registered
+    no photons at all (their frequencies enter as zero rather than being
+    dropped); it is None for noiseless reconstructions.
     """
 
-    grid: GridSpec
-    re_map: np.ndarray
-    im_map: np.ndarray
+    field: TransverseWavefunction
     psi_tilde: float
     mode: str
     zero_count_mask: np.ndarray | None = None
 
     @property
     def density_map(self) -> np.ndarray:
-        return self.re_map**2 + self.im_map**2
+        a = self.field.amps
+        return a.real**2 + a.imag**2
 
     @property
     def phase_map(self) -> np.ndarray:
-        phase = np.arctan2(self.im_map, self.re_map)
+        a = self.field.amps
+        phase = np.arctan2(a.imag, a.real)
         return np.where(phase <= -np.pi, np.pi, phase)
-
-    def field(self) -> TransverseWavefunction:
-        return TransverseWavefunction(self.grid, self.re_map + 1j * self.im_map)
 
 
 @dataclass(frozen=True)
@@ -116,23 +111,22 @@ def _invert(
     if s <= 0.0:
         raise DegenerateFieldError("raw quadrature maps vanish; cannot fix the scale")
     raw /= s
-    return ReconstructionResult(grid, np.ascontiguousarray(raw.real),
-                                np.ascontiguousarray(raw.imag), grid.ncells * s, mode,
+    return ReconstructionResult(TransverseWavefunction(grid, raw), grid.ncells * s, mode,
                                 zero_mask)
 
 
 def reconstruct_dst(
     records: ScanRecords,
     grid: GridSpec,
-    theta: float = math.pi / 2,
+    theta: float = STRONG_THETA,
 ) -> ReconstructionResult:
     """Exact strong inversion of a full scan taken at coupling ``theta``.
 
     Noiseless records invert to the gauge-fixed input field up to
     floating-point rounding at every theta in (0, pi/2].
     """
-    CouplingConfig(theta)  # raises ValueError unless theta is in (0, pi/2]
-    return _invert(records, grid, 2.0 * math.tan(theta / 2), 2.0 * math.sin(theta), _DST)
+    check_theta(theta)
+    return _invert(records, grid, 2.0 * math.tan(theta / 2), 2.0 * math.sin(theta), "DST")
 
 
 def reconstruct_dwt(
@@ -147,8 +141,8 @@ def reconstruct_dwt(
     overall scale, so the bias grows with theta and the density map is
     visibly distorted at theta = pi/2.
     """
-    CouplingConfig(theta)  # raises ValueError unless theta is in (0, pi/2]
-    return _invert(records, grid, 0.0, 2.0 * theta, _DWT)
+    check_theta(theta)
+    return _invert(records, grid, 0.0, 2.0 * theta, "DWT")
 
 
 def fidelity(a: TransverseWavefunction, b: TransverseWavefunction) -> float:
@@ -194,8 +188,14 @@ def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> Quali
 
 
 def sidecar_dict(res: ReconstructionResult, report: QualityReport | None = None) -> dict:
-    """The ``report.json`` fields: every ``QualityReport`` metric, or null without one."""
+    """The ``report.json`` fields: every ``QualityReport`` metric, or null without one.
+
+    ``zero_count_cells`` counts the cells of ``zero_count_mask``; it is null
+    for noiseless records.
+    """
     metrics = (asdict(report) if report is not None
                else dict.fromkeys(f.name for f in fields(QualityReport)))
-    return {"psi_tilde": res.psi_tilde, "mode": res.mode, **metrics}
+    mask = res.zero_count_mask
+    return {"psi_tilde": res.psi_tilde, "mode": res.mode,
+            "zero_count_cells": None if mask is None else int(mask.sum()), **metrics}
 

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from dstsim import (
-    CouplingConfig,
     GridSpec,
     ModeKind,
     ModeSpec,
@@ -48,7 +47,7 @@ from dstsim import (
 from conftest import random_field, random_smooth_field
 from oracles import pearson, pointer_via_matrix_exponential
 
-STRONG = CouplingConfig()
+STRONG = math.pi / 2
 LAM = 808e-9
 
 GRID64 = GridSpec(64, 64, 125e-6)
@@ -78,7 +77,7 @@ def lg64(oam):
 def sampled_r_square(field, budget, seed):
     records = scan(field, STRONG, photons_per_setting=budget, seed=seed)
     res = reconstruct_dst(records, field.grid)
-    return score(res.field(), field).r_square
+    return score(res.field, field).r_square
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +94,8 @@ class TestCriterion1:
             res = reconstruct_dst(scan(f, STRONG), f.grid)
             dt = time.perf_counter() - t0
             gauged, _ = gauge_fix(f)
-            err = float(np.max(np.abs((res.re_map + 1j * res.im_map) - gauged.amps)))
-            fid = fidelity(gauged, res.field())
+            err = float(np.max(np.abs(res.field.amps - gauged.amps)))
+            fid = fidelity(gauged, res.field)
             worst_err = max(worst_err, err)
             worst_fid = min(worst_fid, fid)
             worst_time = max(worst_time, dt)
@@ -122,7 +121,7 @@ class TestCriterion2:
                 a0, a1 = pointer_amplitudes(f, STRONG)
                 for iy in range(n):
                     for ix in range(n):
-                        o0, o1 = pointer_via_matrix_exponential(f.amps, (ix, iy), STRONG.theta)
+                        o0, o1 = pointer_via_matrix_exponential(f.amps, (ix, iy), STRONG)
                         worst = max(worst, abs(a0[iy, ix] - o0), abs(a1[iy, ix] - o1))
         ok = worst < 1e-10
         report("criterion 2 (matrix-exponential oracle, 20 instances)", ok,
@@ -187,12 +186,12 @@ class TestCriterion4:
         f = gaussian64()
         gauged, _ = gauge_fix(f)
         records_strong = scan(f, STRONG)
-        fid_dst = fidelity(gauged, reconstruct_dst(records_strong, GRID64).field())
+        fid_dst = fidelity(gauged, reconstruct_dst(records_strong, GRID64).field)
         fid_dwt_strong = fidelity(
-            gauged, reconstruct_dwt(records_strong, GRID64, math.pi / 2).field())
-        records_weak = scan(f, CouplingConfig(0.05))
+            gauged, reconstruct_dwt(records_strong, GRID64, math.pi / 2).field)
+        records_weak = scan(f, 0.05)
         fid_dwt_weak = fidelity(
-            gauged, reconstruct_dwt(records_weak, GRID64, 0.05).field())
+            gauged, reconstruct_dwt(records_weak, GRID64, 0.05).field)
         ok = fid_dwt_strong < fid_dwt_weak < fid_dst and fid_dst >= 1 - 1e-10
         report("criterion 4 (DWT bias ordering vs exact DST)", ok,
                f"DWT@pi/2 1-{1 - fid_dwt_strong:.2e} < DWT@0.05 1-{1 - fid_dwt_weak:.2e} "
@@ -294,10 +293,10 @@ def holography_pipeline(budget, seed, threshold):
     detected = normalize(propagate_forward(apply_object(illum, mask.astype(complex)),
                                            HOLO_SPEC, pad_factor=4))
     records = scan(detected, STRONG, photons_per_setting=budget, seed=seed)
-    measured = reconstruct_dst(records, HOLO_GRID).field()
+    measured = reconstruct_dst(records, HOLO_GRID).field
     obj = reconstruct_object(measured, illum, HOLO_SPEC, threshold=threshold, pad_factor=4)
     v = obj.validity_mask
-    return pearson(np.abs(obj.transmission_map[v]), mask[v])
+    return pearson(np.abs(obj.transmission.amps[v]), mask[v])
 
 
 class TestCriterion8:

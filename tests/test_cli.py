@@ -8,7 +8,8 @@ import stat
 import numpy as np
 import pytest
 
-from dstsim import read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction, normalize
+from dstsim import read_records_csv, read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction
+from dstsim import normalize
 from dstsim import ModeKind, PropagationKernel, cli
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_text, to_text
@@ -222,6 +223,18 @@ class TestMeasureReconstruct:
         report = json.loads((out / "report.json").read_text())
         assert report["r_square"] is None and report["fidelity"] is None
         assert report["rmse_re"] is None and report["rmse_im"] is None
+        assert report["zero_count_cells"] is None  # noiseless records
+
+    def test_sampled_report_counts_zero_count_cells(self, tmp_path):
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "20",
+                   "--seed", "3", "--nx", "12", "--ny", "12", "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"),
+                   "--nx", "12", "--ny", "12", "--out", str(out)) == 0
+        counts = read_records_csv(out / "records.csv").counts
+        expected = int((counts[0::2] + counts[1::2] == 0).any(axis=0).sum())
+        assert 0 < expected < 144  # the budget leaves some cells, not all, without a photon
+        assert json.loads((out / "report.json").read_text())["zero_count_cells"] == expected
 
     def test_dwt_without_theta_takes_the_default(self, tmp_path):
         # measure uses no estimator, and both commands read the same pi/2
@@ -307,7 +320,7 @@ class TestOutputFiles:
         # a 3x2 grid whose coordinates need all 9 digits of x_um and y_um
         grid = GridSpec(3, 2, 1e-4 / 3)
         amps = np.array([[0.1, 0.2j, 0.3], [1 / 3, -0.5, 0.25 + 0.25j]])
-        res = ReconstructionResult(grid, amps.real, amps.imag, 1.0, "DST")
+        res = ReconstructionResult(TransverseWavefunction(grid, amps), 1.0, "DST")
         cli._write_plot_maps(res, ExperimentConfig(out=str(tmp_path)))
         xy = [b"-33.3333333 -16.6666667", b"0 -16.6666667", b"33.3333333 -16.6666667",
               b"-33.3333333 16.6666667", b"0 16.6666667", b"33.3333333 16.6666667"]
@@ -449,6 +462,17 @@ class TestExitCodes:
         assert run("prepare", "--photons", "-5", "--out", str(tmp_path)) == 2
         assert run("prepare", "--nx", "8.0", "--out", str(tmp_path)) == 2
         assert "nx: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--lambda-nm", "-5"), "lambda_nm must be positive, got -5.0"),
+        (("--distance-mm", "0"), "distance_mm must be positive, got 0.0"),
+        (("--lambda-nm", "nan"), "lambda_nm must be positive, got nan"),
+    ])
+    def test_bad_propagation_key_is_validation_error(self, tmp_path, capsys, flags, message):
+        # refused where the config enters, not by every later holo command
+        assert run("prepare", *flags, "--nx", "8", "--ny", "8", "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "config.resolved").exists()
 
     def test_unrepresentable_out_is_validation_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

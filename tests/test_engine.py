@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstsim import (
-    CouplingConfig,
     DegenerateFieldError,
     FileFormatError,
     GridSpec,
@@ -27,7 +26,7 @@ from dstsim import (
 from dstsim.engine import cell_rng
 from conftest import edit_csv, random_field
 
-STRONG = CouplingConfig()
+STRONG = math.pi / 2
 
 
 def uniform_field(n=2, pitch=1e-4):
@@ -49,14 +48,16 @@ UNIFORM_2X2_SAMPLED_SEED0 = UNIFORM_2X2_HEADER + b"".join(
 )
 
 
-class TestCouplingConfig:
-    @pytest.mark.parametrize("theta", [0.0, -0.1, math.pi])
-    def test_theta_range(self, theta):
-        with pytest.raises(ValueError):
-            CouplingConfig(theta)
+class TestCouplingAngle:
+    @pytest.mark.parametrize("theta", [0.0, -0.1, math.pi, math.nan])
+    def test_theta_range(self, gaussian_8, theta):
+        for measure in (pointer_amplitudes, scan_probability_maps, scan):
+            with pytest.raises(ValueError, match="theta"):
+                measure(gaussian_8, theta)
 
-    def test_default_is_strong(self):
-        assert STRONG.theta == pytest.approx(math.pi / 2)
+    def test_default_is_strong(self, gaussian_8):
+        assert np.array_equal(scan_probability_maps(gaussian_8),
+                              scan_probability_maps(gaussian_8, math.pi / 2))
 
 
 def zero_cell_field(grid):
@@ -112,13 +113,13 @@ class TestCoupleAndPostselect:
     def test_general_theta_reduces_to_strong(self, gaussian_8):
         # at theta = pi/2: a0 = (ptilde - psi)/sqrt(N), a1 = psi/sqrt(N)
         g, ptilde = gauge_fix(gaussian_8)
-        a0, a1 = pointer_amplitudes(gaussian_8, CouplingConfig(math.pi / 2))
+        a0, a1 = pointer_amplitudes(gaussian_8, math.pi / 2)
         assert a0 == pytest.approx((ptilde - g.amps) / 8, abs=1e-15)
         assert a1 == pytest.approx(g.amps / 8, abs=1e-15)
 
     def test_weak_limit_no_information(self, gaussian_8):
         g, ptilde = gauge_fix(gaussian_8)
-        a0, a1 = pointer_amplitudes(gaussian_8, CouplingConfig(1e-9))
+        a0, a1 = pointer_amplitudes(gaussian_8, 1e-9)
         assert np.abs(a1).max() < 1e-9
         assert a0 == pytest.approx(np.full((8, 8), ptilde / math.sqrt(64)), rel=1e-9)
 
@@ -331,9 +332,8 @@ class TestScan:
         # resampling any one cell from the maps reproduces the full scan there exactly
         f = random_field(grid_8, seed=2)
         for theta in (math.pi / 2, 0.3):
-            cfg = CouplingConfig(theta)
-            records = scan(f, cfg, photons_per_setting=500, seed=99)
-            maps = scan_probability_maps(f, cfg)
+            records = scan(f, theta, photons_per_setting=500, seed=99)
+            maps = scan_probability_maps(f, theta)
             for iy in range(8):
                 for ix in range(8):
                     probs = maps[:, iy, ix]

@@ -297,7 +297,7 @@ class TestObjectReconstruction:
         f = gaussian_on(GRID64)
         d = propagate_forward(f, FRESNEL64, pad_factor=4)
         obj = reconstruct_object(d, f, FRESNEL64, threshold=3e-3, pad_factor=4)
-        t_valid = obj.transmission_map[obj.validity_mask]
+        t_valid = obj.transmission.amps[obj.validity_mask]
         assert t_valid.size > 1000
         assert np.max(np.abs(t_valid - 1.0)) < 0.05
 
@@ -308,7 +308,7 @@ class TestObjectReconstruction:
         transmitted = apply_object(f, step)
         d = propagate_forward(transmitted, FRESNEL64, pad_factor=4)
         obj = reconstruct_object(d, f, FRESNEL64, threshold=0.05, pad_factor=4)
-        t = obj.transmission_map
+        t = obj.transmission.amps
         m = obj.validity_mask
         # interior cells away from the step edge
         left = np.angle(t[28:36, 20:28][m[28:36, 20:28]])

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dstsim import CouplingConfig, GridSpec, pointer_amplitudes
+from dstsim import GridSpec, pointer_amplitudes
 from conftest import random_field
 from oracles import pointer_via_matrix_exponential
 
 
 def assert_matches_oracle(f, theta):
     """Closed-form pointer of every cell against the oracle at that cell."""
-    a0, a1 = pointer_amplitudes(f, CouplingConfig(theta))
+    a0, a1 = pointer_amplitudes(f, theta)
     for iy in range(f.grid.ny):
         for ix in range(f.grid.nx):
             o0, o1 = pointer_via_matrix_exponential(f.amps, (ix, iy), theta)

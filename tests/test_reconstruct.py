@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dstsim import (
-    CouplingConfig,
     DegenerateFieldError,
     FileFormatError,
     GridSpec,
@@ -26,7 +25,7 @@ from dstsim import (
 )
 from conftest import edit_csv, random_smooth_field
 
-STRONG = CouplingConfig()
+STRONG = math.pi / 2
 
 
 def uniform_field(n=2, pitch=1e-4):
@@ -54,15 +53,15 @@ class TestDstInversion:
         records = ScanRecords(np.broadcast_to(probs[:, None, None], (6, 2, 2)))
         res = reconstruct_dst(records, grid)
         assert res.psi_tilde == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(res.re_map, 0.5, atol=1e-12)
-        assert np.allclose(res.im_map, 0.0, atol=1e-12)
+        assert np.allclose(res.field.amps.real, 0.5, atol=1e-12)
+        assert np.allclose(res.field.amps.imag, 0.0, atol=1e-12)
 
     def test_self_consistent_psi_tilde_matches_oracle(self):
         f = uniform_field(2)
         records = scan(f, STRONG)
         res = reconstruct_dst(records, f.grid)
         assert res.psi_tilde == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(res.re_map, 0.5, atol=1e-12)
+        assert np.allclose(res.field.amps.real, 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("maker", [
         lambda g: make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=g.nx * g.pitch / 8), g),
@@ -75,10 +74,10 @@ class TestDstInversion:
         f = maker(grid)
         gauged, _ = gauge_fix(f)
         for theta in (0.05, 0.3, 1.0, math.pi / 2):
-            res = reconstruct_dst(scan(f, CouplingConfig(theta)), grid, theta)
-            rec = res.re_map + 1j * res.im_map
+            res = reconstruct_dst(scan(f, theta), grid, theta)
+            rec = res.field.amps
             assert np.max(np.abs(rec - gauged.amps)) < 1e-9, theta
-            assert fidelity(gauged, res.field()) >= 1 - 1e-10, theta
+            assert fidelity(gauged, res.field) >= 1 - 1e-10, theta
 
     def test_zero_cell_reconstructs_to_zero(self):
         grid = GridSpec(8, 8, 1e-4)
@@ -87,12 +86,12 @@ class TestDstInversion:
         amps[5, 6] = 0.0
         f = normalize(TransverseWavefunction(grid, amps))
         res = reconstruct_dst(scan(f, STRONG), grid)
-        assert res.re_map[5, 6] == pytest.approx(0.0, abs=1e-15)
-        assert res.im_map[5, 6] == pytest.approx(0.0, abs=1e-15)
+        assert abs(res.field.amps[5, 6]) == pytest.approx(0.0, abs=1e-15)
 
     def test_density_is_re2_plus_im2_bitwise(self, gaussian_8):
         res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
-        assert np.array_equal(res.density_map, res.re_map**2 + res.im_map**2)
+        amps = res.field.amps
+        assert np.array_equal(res.density_map, amps.real**2 + amps.imag**2)
 
     def test_phase_convention(self, gaussian_8):
         res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
@@ -101,7 +100,7 @@ class TestDstInversion:
         dens = res.density_map
         sig = dens > 1e-15
         cand = np.sqrt(dens[sig]) * np.exp(1j * res.phase_map[sig])
-        target = res.re_map[sig] + 1j * res.im_map[sig]
+        target = res.field.amps[sig]
         assert np.max(np.abs(cand - target)) < 1e-12
 
     def test_missing_cell_rejected(self, gaussian_8, tmp_path):
@@ -142,7 +141,7 @@ class TestDstInversion:
         records = scan(f, STRONG, photons_per_setting=10**7, seed=12)
         res = reconstruct_dst(records, grid)
         assert res.zero_count_mask is not None
-        assert fidelity(gauged, res.field()) > 0.99
+        assert fidelity(gauged, res.field) > 0.99
 
     def test_noiseless_has_no_zero_count_mask(self, gaussian_8):
         res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
@@ -162,8 +161,8 @@ def test_dst_inverts_noiseless_records_at_any_theta(nx, ny, seed, theta):
     assume(nx != ny)
     f = random_smooth_field(GridSpec(nx, ny, 125e-6), seed, corr_cells=min(nx, ny) / 4)
     gauged, ptilde = gauge_fix(f)
-    res = reconstruct_dst(scan(f, CouplingConfig(theta)), f.grid, theta)
-    assert np.max(np.abs(res.field().amps - gauged.amps)) < 1e-9
+    res = reconstruct_dst(scan(f, theta), f.grid, theta)
+    assert np.max(np.abs(res.field.amps - gauged.amps)) < 1e-9
     assert res.psi_tilde == pytest.approx(ptilde, rel=1e-9)
 
 
@@ -175,21 +174,21 @@ class TestDwtInversion:
 
         fids = {}
         for theta in (0.05, 0.5, math.pi / 2):
-            records = scan(f, CouplingConfig(theta))
+            records = scan(f, theta)
             res = reconstruct_dwt(records, grid, theta)
-            fids[theta] = fidelity(gauged, res.field())
+            fids[theta] = fidelity(gauged, res.field)
         assert fids[0.05] > fids[0.5] > fids[math.pi / 2]
         assert fids[0.05] >= 0.99
 
         dst = reconstruct_dst(scan(f, STRONG), grid)
-        assert fidelity(gauged, dst.field()) > fids[0.05]
+        assert fidelity(gauged, dst.field) > fids[0.05]
 
     def test_real_field_keeps_im_zero(self):
         grid = GridSpec(12, 12, 1e-4)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=3 * grid.pitch), grid)
-        records = scan(f, CouplingConfig(0.05))
+        records = scan(f, 0.05)
         res = reconstruct_dwt(records, grid, theta=0.05)
-        assert np.max(np.abs(res.im_map)) < 1e-12
+        assert np.max(np.abs(res.field.amps.imag)) < 1e-12
 
     def test_theta_validation(self, gaussian_8):
         records = scan(gaussian_8, STRONG)
@@ -197,7 +196,7 @@ class TestDwtInversion:
             reconstruct_dwt(records, gaussian_8.grid, theta=0.0)
 
     def test_mode_label(self, gaussian_8):
-        records = scan(gaussian_8, CouplingConfig(0.3))
+        records = scan(gaussian_8, 0.3)
         assert reconstruct_dwt(records, gaussian_8.grid, 0.3).mode == "DWT"
         assert reconstruct_dst(records, gaussian_8.grid).mode == "DST"
 
@@ -207,7 +206,7 @@ class TestScore:
         grid = GridSpec(16, 16, 1e-4)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=3 * grid.pitch), grid)
         res = reconstruct_dst(scan(f, STRONG), grid)
-        report = score(res.field(), f)
+        report = score(res.field, f)
         assert report.r_square == pytest.approx(1.0, abs=1e-12)
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
         assert report.rmse_re < 1e-12
@@ -223,16 +222,16 @@ class TestScore:
         r2s = []
         for _ in range(5):
             perm = rng.permutation(grid.ncells)
-            amps = (res.re_map + 1j * res.im_map).ravel()[perm].reshape(grid.ny, grid.nx)
+            amps = res.field.amps.ravel()[perm].reshape(grid.ny, grid.nx)
             shuffled = reconstruct_dst(scan(normalize(TransverseWavefunction(grid, amps)), STRONG), grid)
-            r2s.append(score(shuffled.field(), f).r_square)
+            r2s.append(score(shuffled.field, f).r_square)
         assert max(r2s) < 0.2
 
     def test_grid_mismatch(self, gaussian_8):
         res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
         other = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4e-4), GridSpec(9, 9, 1e-4))
         with pytest.raises(ValueError):
-            score(res.field(), other)
+            score(res.field, other)
 
     def test_fidelity_phase_invariant(self, gaussian_8):
         rotated = gaussian_8.with_amps(gaussian_8.amps * np.exp(0.7j))
