@@ -58,18 +58,6 @@ def _load_config(args) -> cfgmod.ExperimentConfig:
     return dataclasses.replace(cfg, **flags)
 
 
-def _grid(cfg: cfgmod.ExperimentConfig) -> wavefield.GridSpec:
-    return wavefield.GridSpec(cfg.nx, cfg.ny, cfg.pitch_um * 1e-6)
-
-
-def _mode_spec(cfg: cfgmod.ExperimentConfig, grid: wavefield.GridSpec) -> wavefield.ModeSpec:
-    waist = cfg.waist_um * 1e-6 if cfg.waist_um is not None else wavefield.default_waist(grid)
-    return wavefield.ModeSpec(
-        kind=wavefield.ModeKind(cfg.mode), waist=waist, oam=cfg.l, radial=cfg.radial,
-        center=(cfg.cx_um * 1e-6, cfg.cy_um * 1e-6),
-    )
-
-
 def _out_path(cfg: cfgmod.ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
@@ -94,8 +82,7 @@ def _write_plot_maps(res: reconstruct.ReconstructionResult, cfg) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_prepare(args, cfg: cfgmod.ExperimentConfig) -> str:
-    grid = _grid(cfg)
-    field = wavefield.make_mode(_mode_spec(cfg, grid), grid)
+    field = wavefield.make_mode(cfg.mode_spec(), cfg.grid())
     if cfg.vortex_l:
         field = wavefield.apply_vortex_plate(field, cfg.vortex_l)
     path = _write_field(cfg, "field.wfgrid", field)
@@ -113,7 +100,7 @@ def cmd_measure(args, cfg: cfgmod.ExperimentConfig) -> str:
 def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
     records = engine.read_records_csv(args.records)
     invert = reconstruct.reconstruct_dwt if cfg.estimator == "dwt" else reconstruct.reconstruct_dst
-    res = invert(records, _grid(cfg), cfg.theta)
+    res = invert(records, cfg.grid(), cfg.theta)
     report = None
     if args.ideal:
         report = reconstruct.score(res.field, wavefield.read_wfgrid(args.ideal))
@@ -135,27 +122,24 @@ def cmd_holo_forward(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.infile)
     if args.object:
         img = holography.read_pgm(args.object)
-        field = holography.apply_object(field, holography.object_from_pgm(img, args.object_map))
-    out = holography.propagate_forward(field, cfg.propagation_spec(), cfg.pad_factor)
+        field = holography.apply_object(field, holography.object_from_pgm(img, cfg.object_map))
+    out = holography.propagate_forward(field, cfg.propagation_spec())
     return _write_field(cfg, "propagated.wfgrid", out)
 
 
 def cmd_holo_inverse(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.infile)
-    out = holography.propagate_inverse(field, cfg.propagation_spec(), cfg.pad_factor)
+    out = holography.propagate_inverse(field, cfg.propagation_spec())
     return _write_field(cfg, "backpropagated.wfgrid", out)
 
 
 def cmd_holo_object(args, cfg: cfgmod.ExperimentConfig) -> str:
     measured = wavefield.read_wfgrid(args.measured)
     known = wavefield.read_wfgrid(args.input)
-    obj = holography.reconstruct_object(
-        measured, known, cfg.propagation_spec(), threshold=args.threshold,
-        pad_factor=cfg.pad_factor,
-    )
+    obj = holography.reconstruct_object(measured, known, cfg.propagation_spec(), cfg.threshold)
     path = _write_field(cfg, "transmission.wfgrid", obj.transmission)
     summary = {
-        "threshold": args.threshold,
+        "threshold": cfg.threshold,
         "valid_cells": int(obj.validity_mask.sum()),
         "total_cells": int(obj.validity_mask.size),
         "nyquist_fraction": obj.nyquist_fraction,
@@ -211,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = hsub.add_parser("forward", parents=[shared], help="propagate forward")
     p.add_argument("--in", dest="infile", required=True, help="input WFGRID")
     p.add_argument("--object", help="PGM (P5) object mask applied before propagation")
-    p.add_argument("--object-map", dest="object_map", choices=["amplitude", "phase"],
-                   default="amplitude")
     p.set_defaults(func=cmd_holo_forward)
 
     p = hsub.add_parser("inverse", parents=[shared], help="back-propagate (paraxial)")
@@ -222,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = hsub.add_parser("object", parents=[shared], help="reconstruct object transmission")
     p.add_argument("--measured", required=True, help="measured detection-plane WFGRID")
     p.add_argument("--input", required=True, help="known illumination WFGRID")
-    p.add_argument("--threshold", type=float, default=1e-3,
-                   help="validity threshold relative to peak illumination")
     p.set_defaults(func=cmd_holo_object)
 
     return parser

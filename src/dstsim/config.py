@@ -5,8 +5,8 @@ flag ``--k`` (``_`` written as ``-``) whose value overrides the file's, and
 the canonical text form is a serialization fixed point (serialize -> parse
 -> serialize returns identical text), which keeps experiment provenance
 diff-friendly.  A run is reproducible bit for bit from (config, seed) and its
-input files, except for two per-command flags that ``config.resolved`` does
-not record: ``holo forward --object-map`` and ``holo object --threshold``.
+input files.  Each value is checked once, where the config is built, by the
+library code that uses it.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import numbers
 import typing
 from dataclasses import dataclass, field, fields
 
-from .engine import STRONG_THETA, check_theta
-from .holography import PropagationKernel, PropagationSpec
+from .engine import STRONG_THETA, check_budget, check_seed, check_theta
+from .holography import OBJECT_MAPS, PropagationKernel, PropagationSpec, check_threshold
 from .reconstruct import ESTIMATORS
-from .wavefield import ModeKind
+from .wavefield import GridSpec, ModeKind, ModeSpec, default_waist
 
 _AUTO = "auto"
 
@@ -54,6 +54,9 @@ class ExperimentConfig:
     distance_mm: float = _key(10.0, "propagation distance (mm)")
     kernel: str = _key("fresnel", "propagation kernel", [k.value for k in PropagationKernel])
     pad_factor: int = _key(2, "zero-padding factor of the propagation grid (>= 2)")
+    # holography
+    object_map: str = _key("amplitude", "transmission map of the --object PGM", list(OBJECT_MAPS))
+    threshold: float = _key(1e-3, "holo object validity threshold relative to peak illumination")
     # output
     out: str = _key("out", "output directory")
 
@@ -74,23 +77,34 @@ class ExperimentConfig:
                                            or len(value.splitlines()) > 1):
                 raise ValueError(f"{f.name} must not contain '#' or a line break, or start "
                                  f"or end with whitespace, got {value!r}")
-        if self.photons < 0:
-            raise ValueError("photons must be >= 0")
-        if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
-        if self.pad_factor < 2:
-            raise ValueError("pad_factor must be >= 2")
+        self.grid()
+        self.mode_spec()
+        check_budget(self.photons)
+        check_seed(self.seed)
         check_theta(self.theta)
+        check_threshold(self.threshold)
         try:
             self.propagation_spec()
         except ValueError as exc:  # name the key and the value as written, not in metres
-            key = {"wavelength": "lambda_nm", "distance": "distance_mm"}[str(exc).split()[0]]
+            key = {"wavelength": "lambda_nm", "distance": "distance_mm"}.get(str(exc).split()[0])
+            if key is None:
+                raise
             raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}") from None
 
+    def grid(self) -> GridSpec:
+        """The scan grid, in SI units."""
+        return GridSpec(self.nx, self.ny, self.pitch_um * 1e-6)
+
+    def mode_spec(self) -> ModeSpec:
+        """The input mode that prepare generates, in SI units; waist auto is resolved."""
+        waist = self.waist_um * 1e-6 if self.waist_um is not None else default_waist(self.grid())
+        return ModeSpec(kind=ModeKind(self.mode), waist=waist, oam=self.l, radial=self.radial,
+                        center=(self.cx_um * 1e-6, self.cy_um * 1e-6))
+
     def propagation_spec(self) -> PropagationSpec:
-        """The wavelength, distance and kernel of the holo commands, in SI units."""
+        """The wavelength, distance, kernel and padding of the holo commands, in SI units."""
         return PropagationSpec(self.lambda_nm * 1e-9, self.distance_mm * 1e-3,
-                               PropagationKernel(self.kernel))
+                               PropagationKernel(self.kernel), self.pad_factor)
 
 
 #: The type of every key: int, float, str or float | None.

@@ -69,7 +69,7 @@ class ScanRecords:
             raise ValueError("non-finite probability")
         if (probs < 0).any():
             raise ValueError("negative probability")
-        _check_budget(self.photons_per_setting)
+        check_budget(self.photons_per_setting)
         if counts is None:
             if self.photons_per_setting > 0:
                 raise ValueError(f"budget {self.photons_per_setting} but no counts")
@@ -177,7 +177,8 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_budget(photons_per_setting: int) -> None:
+def check_budget(photons_per_setting: int) -> None:
+    """Raise ValueError unless ``photons_per_setting`` is an integer >= 0 (0: noiseless)."""
     if _integer("photons_per_setting", photons_per_setting) < 0:
         raise ValueError("photons_per_setting must be >= 0")
 
@@ -188,7 +189,7 @@ def check_theta(theta: float) -> None:
         raise ValueError(f"theta must be in (0, pi/2], got {theta}")
 
 
-def _check_seed(seed: int) -> None:
+def check_seed(seed: int) -> None:
     """:func:`cell_rng` keys a stream by 64 seed bits; reject seeds that would alias."""
     if not 0 <= _integer("seed", seed) < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
@@ -224,16 +225,16 @@ def sample_counts(
     binomially between the two projectors of the basis.  Deterministic given
     (seed, cell), and equal to what :func:`scan` draws at that cell.  A seed
     outside ``[0, 2**64)`` or a cell index outside ``[0, 2**32)`` raises
-    ValueError: :func:`cell_rng` would alias it onto another stream.  So does
-    a budget, seed or cell index that is not an integer, such as ``1.5``.
+    ValueError: :func:`cell_rng` would alias it onto another stream.  So do a
+    cell that is not an ``(ix, iy)`` pair and a non-integer budget, seed or index.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (len(PROJECTORS),):
         raise ValueError(f"probs must have shape (6,), got {probs.shape}")
-    _check_budget(photons_per_setting)
-    _check_seed(seed)
-    if not all(0 <= _integer("cell index", i) < 2**32 for i in cell):
-        raise ValueError(f"cell indices must be in [0, 2**32), got {cell}")
+    check_budget(photons_per_setting)
+    check_seed(seed)
+    if len(cell) != 2 or not all(0 <= _integer("cell index", i) < 2**32 for i in cell):
+        raise ValueError(f"cell must be an (ix, iy) pair of indices in [0, 2**32), got {cell}")
     if photons_per_setting == 0:
         return np.zeros(len(PROJECTORS), dtype=np.int64)
     return np.array(_sample_cell(probs.tolist(), photons_per_setting, cell_rng(seed, *cell)),
@@ -261,8 +262,8 @@ def scan(
     :func:`cell_rng` stream, so cells are statistically independent.  With
     ``photons_per_setting == 0`` the records carry exact probabilities only.
     """
-    _check_budget(photons_per_setting)
-    _check_seed(seed)
+    check_budget(photons_per_setting)
+    check_seed(seed)
     probs = scan_probability_maps(f, theta)
     if photons_per_setting == 0:
         return ScanRecords(probs)

@@ -70,17 +70,20 @@ class PropagationKernel(enum.Enum):
 
 @dataclass(frozen=True)
 class PropagationSpec:
-    """Wavelength, propagation distance and kernel choice."""
+    """Wavelength, distance, kernel choice and zero-padding factor (>= 2) per axis."""
 
     wavelength: float
     distance: float
     kernel: PropagationKernel = PropagationKernel.FRESNEL_PARAXIAL
+    pad_factor: int = 2
 
     def __post_init__(self):
         if not np.isfinite(self.wavelength) or self.wavelength <= 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if not np.isfinite(self.distance) or self.distance <= 0:
             raise ValueError(f"distance must be positive, got {self.distance}")
+        if not isinstance(self.pad_factor, (int, np.integer)) or self.pad_factor < 2:
+            raise ValueError(f"pad_factor must be an integer >= 2, got {self.pad_factor}")
 
     @property
     def wavenumber(self) -> float:
@@ -121,8 +124,7 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float |
     return nyquist_fraction, d / grid.extent
 
 
-def _kernel_array(grid: GridSpec, spec: PropagationSpec, pad_factor: int,
-                  inverse: bool) -> np.ndarray:
+def _kernel_array(grid: GridSpec, spec: PropagationSpec, inverse: bool) -> np.ndarray:
     """The kernel sampled at every offset of the padded grid, in FFT order.
 
     The paraxial kernel is the outer product of its y chirp and its x chirp,
@@ -137,8 +139,8 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec, pad_factor: int,
     ones, so it is evaluated on the non-negative quadrant and mirrored bit
     for bit.
     """
-    py = grid.ny * pad_factor
-    px = grid.nx * pad_factor
+    py = grid.ny * spec.pad_factor
+    px = grid.nx * spec.pad_factor
     k = spec.wavenumber
     d = spec.distance
     lam = spec.wavelength
@@ -186,31 +188,25 @@ def _ifft2_in_place(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return block
 
 
-def _convolve(f: TransverseWavefunction, spec: PropagationSpec, pad_factor: int,
+def _convolve(f: TransverseWavefunction, spec: PropagationSpec,
               inverse: bool) -> TransverseWavefunction:
-    if not isinstance(pad_factor, (int, np.integer)) or pad_factor < 2:
-        raise ValueError(f"pad_factor must be an integer >= 2, got {pad_factor}")
     _check_guards(f.grid, spec)
     grid = f.grid
-    shape = (grid.ny * pad_factor, grid.nx * pad_factor)
+    shape = (grid.ny * spec.pad_factor, grid.nx * spec.pad_factor)
     spectrum = np.fft.fft2(f.amps, s=shape)  # zero-pads each axis before its pass
-    kern = _kernel_array(grid, spec, pad_factor, inverse)
+    kern = _kernel_array(grid, spec, inverse)
     spectrum *= np.fft.fft2(kern, out=kern)
     del kern
     out = _ifft2_in_place(spectrum, (grid.ny, grid.nx)) * grid.pitch**2
     return TransverseWavefunction(grid, out)
 
 
-def propagate_forward(
-    f: TransverseWavefunction, spec: PropagationSpec, pad_factor: int = 2
-) -> TransverseWavefunction:
+def propagate_forward(f: TransverseWavefunction, spec: PropagationSpec) -> TransverseWavefunction:
     """Propagate from the source plane a distance ``spec.distance`` forward."""
-    return _convolve(f, spec, pad_factor, inverse=False)
+    return _convolve(f, spec, inverse=False)
 
 
-def propagate_inverse(
-    f_d: TransverseWavefunction, spec: PropagationSpec, pad_factor: int = 2
-) -> TransverseWavefunction:
+def propagate_inverse(f_d: TransverseWavefunction, spec: PropagationSpec) -> TransverseWavefunction:
     """Back-propagate a detection-plane field to the source plane.
 
     Only the paraxial kernel has a closed-form inverse; the spherical
@@ -218,7 +214,13 @@ def propagate_inverse(
     """
     if spec.kernel is not PropagationKernel.FRESNEL_PARAXIAL:
         raise ValueError("inverse propagation is defined for the paraxial kernel only")
-    return _convolve(f_d, spec, pad_factor, inverse=True)
+    return _convolve(f_d, spec, inverse=True)
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless the validity ``threshold`` is positive and finite."""
+    if not math.isfinite(threshold) or threshold <= 0:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,6 @@ def reconstruct_object(
     known_input: TransverseWavefunction,
     spec: PropagationSpec,
     threshold: float = 1e-3,
-    pad_factor: int = 2,
 ) -> ObjectReconstruction:
     """Estimate the object's complex transmission from a measured far field.
 
@@ -251,13 +252,12 @@ def reconstruct_object(
     and divides by the known illumination, on cells where the illumination
     amplitude is at least ``threshold`` times its maximum.  The object and
     illumination planes coincide (thin object), so the true transmitted
-    field is ``t * known_input``.  ``threshold`` must be positive and finite.
+    field is ``t * known_input``.  ``threshold`` must pass :func:`check_threshold`.
     """
     if measured_d.grid != known_input.grid:
         raise ValueError("measured and known-input grids differ")
-    if not math.isfinite(threshold) or threshold <= 0:
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    back = propagate_inverse(measured_d, spec, pad_factor)
+    check_threshold(threshold)
+    back = propagate_inverse(measured_d, spec)
     nyquist_fraction, distance_over_extent = _check_guards(measured_d.grid, spec)
     mag = np.abs(known_input.amps)
     mask = mag >= threshold * mag.max()
@@ -309,18 +309,19 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width)
 
 
-def object_from_pgm(img: np.ndarray, mapping: str = "amplitude") -> np.ndarray:
-    """Map 8-bit grayscale to a complex transmission array.
+#: Maps of 8-bit grey levels to complex transmission, by name.  ``amplitude``:
+#: linear to [0, 1].  ``phase``: linear to [0, 2 pi) with unit modulus.
+OBJECT_MAPS = {
+    "amplitude": lambda levels: (levels / 255.0).astype(np.complex128),
+    "phase": lambda levels: np.exp(1j * levels * (2.0 * np.pi / 256.0)),
+}
 
-    ``amplitude``: linear to [0, 1].  ``phase``: linear to [0, 2 pi) with
-    unit modulus.
-    """
-    levels = np.asarray(img, dtype=np.float64)
-    if mapping == "amplitude":
-        return (levels / 255.0).astype(np.complex128)
-    if mapping == "phase":
-        return np.exp(1j * levels * (2.0 * np.pi / 256.0))
-    raise ValueError(f"mapping must be 'amplitude' or 'phase', got {mapping!r}")
+
+def object_from_pgm(img: np.ndarray, mapping: str = "amplitude") -> np.ndarray:
+    """Map 8-bit grayscale to a complex transmission array by ``OBJECT_MAPS[mapping]``."""
+    if mapping not in OBJECT_MAPS:
+        raise ValueError(f"mapping must be one of {', '.join(OBJECT_MAPS)}, got {mapping!r}")
+    return OBJECT_MAPS[mapping](np.asarray(img, dtype=np.float64))
 
 
 def apply_object(f: TransverseWavefunction, transmission: np.ndarray) -> TransverseWavefunction:

@@ -119,7 +119,9 @@ class ModeSpec:
         if not np.isfinite(self.waist) or self.waist <= 0:
             raise ValueError(f"waist must be positive and finite, got {self.waist}")
         if self.radial < 0:
-            raise ValueError("radial index must be non-negative")
+            raise ValueError(f"radial index must be non-negative, got {self.radial}")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
 
 
 def default_waist(grid: GridSpec) -> float:

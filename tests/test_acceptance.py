@@ -236,12 +236,12 @@ class TestCriterion6:
     def test_round_trip(self):
         grid = GridSpec(128, 128, 3e-6)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=grid.nx * grid.pitch / 8), grid)
-        spec = PropagationSpec(LAM, 5e-3, PropagationKernel.FRESNEL_PARAXIAL)
         t0 = time.perf_counter()
         errs = {}
         for pad in (2, 4):
-            d = propagate_forward(f, spec, pad_factor=pad)
-            back = propagate_inverse(d, spec, pad_factor=pad)
+            spec = PropagationSpec(LAM, 5e-3, PropagationKernel.FRESNEL_PARAXIAL, pad_factor=pad)
+            d = propagate_forward(f, spec)
+            back = propagate_inverse(d, spec)
             errs[pad] = float(np.linalg.norm(back.amps - f.amps) / np.linalg.norm(f.amps))
         dt = time.perf_counter() - t0
         ok = errs[2] < 1e-2 and errs[4] < 1e-3 and dt < 5.0
@@ -275,7 +275,7 @@ class TestCriterion7:
 # ---------------------------------------------------------------------------
 
 HOLO_GRID = GridSpec(64, 64, 3e-6)
-HOLO_SPEC = PropagationSpec(LAM, 2e-3, PropagationKernel.FRESNEL_PARAXIAL)
+HOLO_SPEC = PropagationSpec(LAM, 2e-3, PropagationKernel.FRESNEL_PARAXIAL, pad_factor=4)
 
 
 def letter_mask():
@@ -290,11 +290,10 @@ def holography_pipeline(budget, seed, threshold):
     """Simulate -> measure -> back-propagate -> divide; return corr(|t|, mask)."""
     mask = letter_mask()
     illum = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=20 * HOLO_GRID.pitch), HOLO_GRID)
-    detected = normalize(propagate_forward(apply_object(illum, mask.astype(complex)),
-                                           HOLO_SPEC, pad_factor=4))
+    detected = normalize(propagate_forward(apply_object(illum, mask.astype(complex)), HOLO_SPEC))
     records = scan(detected, STRONG, photons_per_setting=budget, seed=seed)
     measured = reconstruct_dst(records, HOLO_GRID).field
-    obj = reconstruct_object(measured, illum, HOLO_SPEC, threshold=threshold, pad_factor=4)
+    obj = reconstruct_object(measured, illum, HOLO_SPEC, threshold=threshold)
     v = obj.validity_mask
     return pearson(np.abs(obj.transmission.amps[v]), mask[v])
 

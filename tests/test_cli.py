@@ -39,7 +39,8 @@ def flag(key: str) -> str:
 EVERY_FIELD_SET = dict(
     nx=32, ny=24, pitch_um=100.5, mode="lg", l=2, radial=1, waist_um=500.0, cx_um=-12.5,
     cy_um=7.25, vortex_l=-1, theta=0.4, estimator="dwt", photons=100, seed=2**64 - 1,
-    lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, out="runs/a b=c",
+    lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, object_map="phase",
+    threshold=0.02, out="runs/a b=c",
 )
 
 
@@ -423,6 +424,27 @@ class TestHoloCommands:
         assert code == 2
         assert not (out / "object_report.json").exists()
 
+    def test_config_resolved_reproduces_the_holo_run(self, tmp_path):
+        # prepare records the holography keys once; the holo commands then run from
+        # config.resolved alone and match a run given every key as a flag
+        keys = ["--lambda-nm", "808", "--distance-mm", "2.0", "--kernel", "fresnel",
+                "--pad-factor", "4", "--object-map", "phase", "--threshold", "0.02"]
+        out = tmp_path / "run"
+        assert run("prepare", "--nx", "64", "--ny", "64", "--pitch-um", "3.0",
+                   "--waist-um", "60.0", *keys, "--out", str(out)) == 0
+        field = str(out / "field.wfgrid")
+        pgm = tmp_path / "steps.pgm"
+        pgm.write_bytes(b"P5\n64 64\n255\n" + np.arange(64 * 64, dtype=np.uint8).tobytes())
+        flags = tmp_path / "flags"
+        for directory, settings in ((flags, [*keys, "--out", str(flags)]),
+                                    (out, ["--config", str(out / "config.resolved")])):
+            assert run("holo", "forward", "--in", field, "--object", str(pgm), *settings) == 0
+            assert run("holo", "object", "--measured", str(directory / "propagated.wfgrid"),
+                       "--input", field, *settings) == 0
+        for name in ("transmission.wfgrid", "object_report.json"):
+            assert (out / name).read_bytes() == (flags / name).read_bytes(), name
+        assert json.loads((out / "object_report.json").read_text())["threshold"] == 0.02
+
     def test_feynman_inverse_rejected(self, tmp_path):
         out = self._field(tmp_path)
         code = run("holo", "inverse", "--in", str(out / "field.wfgrid"),
@@ -474,6 +496,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "config.resolved").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("measure", "--field", "in/field.wfgrid", "--nx", "1"), "grid must be at least 2x2"),
+        (("measure", "--field", "in/field.wfgrid", "--pitch-um", "nan"), "pitch must be positive"),
+        (("reconstruct", "--records", "in/records.csv", "--radial", "-1"),
+         "radial index must be non-negative"),
+        (("holo", "inverse", "--in", "in/field.wfgrid", "--threshold", "0"),
+         "threshold must be positive"),
+        (("prepare", "--cx-um", "inf"), "center must be finite"),
+        (("prepare", "--cy-um", "nan"), "center must be finite"),
+        (("prepare", "--pad-factor", "1"), "pad_factor must be an integer >= 2, got 1"),
+    ])
+    def test_bad_key_is_validation_error_on_every_command(self, tmp_path, monkeypatch, capsys,
+                                                          argv, message):
+        # each key is checked where the config enters, whether or not the command uses it
+        monkeypatch.chdir(tmp_path)
+        assert run("prepare", "--nx", "12", "--ny", "12", "--out", "in") == 0
+        assert run("measure", "--field", "in/field.wfgrid", "--out", "in") == 0
+        capsys.readouterr()
+        assert run(*argv, "--out", "run") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unrepresentable_out_is_validation_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run("prepare", "--nx", "8", "--ny", "8", "--out", "run#1") == 2
@@ -520,6 +564,18 @@ class TestParser:
             actions = subparser(*command)._actions
             assert sorted((a.dest, a.option_strings) for a in actions
                           if a.dest in names) == expected, command
+
+    def test_per_command_flags_are_input_files(self):
+        # every knob is a config key; a command adds only the files it reads
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"help", "config"}
+        input_files = {
+            ("prepare",): [], ("measure",): ["--field"], ("reconstruct",): ["--records", "--ideal"],
+            ("score",): ["--rec", "--ideal"], ("holo", "forward"): ["--in", "--object"],
+            ("holo", "inverse"): ["--in"], ("holo", "object"): ["--measured", "--input"],
+        }
+        for command, files in input_files.items():
+            own = [a.option_strings for a in subparser(*command)._actions if a.dest not in names]
+            assert own == [[f] for f in files], command
 
     def test_every_key_as_its_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

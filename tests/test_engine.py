@@ -232,6 +232,11 @@ class TestSampleCounts:
         top = sample_counts(UNIFORM_2X2_CELL, 1000, seed=3, cell=(2**32 - 1, 2**32 - 1))
         assert top.sum() > 0
 
+    @pytest.mark.parametrize("cell", [(1,), (1, 2, 3), ()])
+    def test_rejects_cell_that_is_not_a_pair(self, cell):
+        with pytest.raises(ValueError, match=r"\(ix, iy\) pair"):
+            sample_counts(UNIFORM_2X2_CELL, 1000, seed=3, cell=cell)
+
     def test_rejects_non_integer_seed(self):
         # int() would truncate seed 1.5 onto seed 1's streams
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestKernelSampling:
         amps = np.zeros((64, 64), complex)
         amps[20, 30] = 1.0
         f = TransverseWavefunction(GRID64, amps)
-        out = propagate_forward(f, FEYNMAN64, pad_factor=2)
+        out = propagate_forward(f, FEYNMAN64)
         k = FEYNMAN64.wavenumber
         for iy, ix in [(20, 30), (10, 50), (63, 0)]:
             dx = (ix - 30) * GRID64.pitch
@@ -80,9 +81,10 @@ class TestKernelSampling:
             propagate_forward(f, spec)
 
     def test_pad_factor_validation(self):
-        f = gaussian_on(GRID64)
-        with pytest.raises(ValueError):
-            propagate_forward(f, FRESNEL64, pad_factor=1)
+        for pad in (1, 0, 2.0):
+            with pytest.raises(ValueError, match="pad_factor must be an integer >= 2"):
+                PropagationSpec(LAM, D64, pad_factor=pad)
+        assert PropagationSpec(LAM, D64).pad_factor == 2
 
     def test_inverse_requires_paraxial_kernel(self):
         f = gaussian_on(GRID64)
@@ -123,7 +125,7 @@ class TestKernelMirror:
     def test_matches_direct_formula(self, nx, ny, pad, spec, inverse, kind):
         grid = GridSpec(nx, ny, 3e-6)
         expected = kernel_on_padded_grid(nx, ny, grid.pitch, pad, LAM, spec.distance, kind)
-        kern = _kernel_array(grid, spec, pad, inverse)
+        kern = _kernel_array(grid, replace(spec, pad_factor=pad), inverse)
         if kind == "feynman":
             assert np.array_equal(kern, expected)
         else:
@@ -138,7 +140,7 @@ class TestKernelMirror:
         f = TransverseWavefunction(grid, rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7)))
         kern = kernel_on_padded_grid(7, 5, grid.pitch, 3, LAM, spec.distance, kind)
         propagate = propagate_inverse if inverse else propagate_forward
-        out = propagate(f, spec, pad_factor=3)
+        out = propagate(f, replace(spec, pad_factor=3))
         expected = convolve_zero_padded(f.amps, kern, grid.pitch)
         if kind == "feynman":
             assert np.array_equal(out.amps, expected)
@@ -194,7 +196,7 @@ class TestPropagationBuffers:
         padded_bytes = (64 * 4) ** 2 * np.dtype(np.complex128).itemsize
         tracemalloc.start()
         try:
-            propagate(f, spec, pad_factor=4)
+            propagate(f, replace(spec, pad_factor=4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,21 +206,21 @@ class TestPropagationBuffers:
         f = random_field(GRID64, 4)
         propagate = propagate_inverse if inverse else propagate_forward
         before = f.amps.copy()
-        propagate(f, spec, pad_factor=4)
+        propagate(f, replace(spec, pad_factor=4))
         assert np.array_equal(f.amps, before)
 
     def test_repeat_call_identical(self, spec, inverse, kind):
         f = random_field(GRID64, 5)
         propagate = propagate_inverse if inverse else propagate_forward
-        first = propagate(f, spec, pad_factor=4)
-        assert np.array_equal(propagate(f, spec, pad_factor=4).amps, first.amps)
+        first = propagate(f, replace(spec, pad_factor=4))
+        assert np.array_equal(propagate(f, replace(spec, pad_factor=4)).amps, first.amps)
 
 
 class TestAgainstBeamOptics:
     @pytest.mark.parametrize("spec", [FRESNEL64, FEYNMAN64], ids=["fresnel", "feynman"])
     def test_gaussian_matches_analytic_beam(self, spec):
         f = gaussian_on(GRID64)
-        out = propagate_forward(f, spec, pad_factor=2)
+        out = propagate_forward(f, spec)
         x, y = GRID64.mesh()
         ref = gaussian_beam_at_distance(x, y, 8.0 * GRID64.pitch, spec.distance, LAM)
         out_n = out.amps / np.linalg.norm(out.amps)
@@ -226,7 +228,7 @@ class TestAgainstBeamOptics:
 
     def test_power_conserved(self):
         f = gaussian_on(GRID64)
-        out = propagate_forward(f, FRESNEL64, pad_factor=2)
+        out = propagate_forward(f, FRESNEL64)
         assert out.power() == pytest.approx(1.0, abs=1e-3)
 
 
@@ -262,7 +264,7 @@ class TestOperatorProperties:
         # pins both the amplitude and the phase of the kernel prefactor.
         grid = GridSpec(64, 64, 3e-6)
         f = normalize(TransverseWavefunction(grid, np.ones((64, 64), complex)))
-        out = propagate_inverse(f, FRESNEL64, pad_factor=2)
+        out = propagate_inverse(f, FRESNEL64)
         expected = f.amps[0, 0] * np.exp(-1j * FRESNEL64.wavenumber * D64)
         ratio = np.mean(out.amps[24:40, 24:40]) / expected
         assert abs(ratio - 1.0) < 0.05
@@ -271,8 +273,8 @@ class TestOperatorProperties:
     @pytest.mark.parametrize("pad,tol", [(2, 1e-2), (4, 1e-3)])
     def test_fresnel_round_trip(self, pad, tol):
         f = gaussian_on(GRID64)
-        d = propagate_forward(f, FRESNEL64, pad_factor=pad)
-        back = propagate_inverse(d, FRESNEL64, pad_factor=pad)
+        d = propagate_forward(f, replace(FRESNEL64, pad_factor=pad))
+        back = propagate_inverse(d, replace(FRESNEL64, pad_factor=pad))
         rel = np.linalg.norm(back.amps - f.amps) / np.linalg.norm(f.amps)
         assert rel < tol
 
@@ -295,8 +297,8 @@ class TestObjectReconstruction:
         # threshold set a notch above the floor default: at 1e-3 of peak the
         # division amplifies round-trip residue on the far Gaussian tail
         f = gaussian_on(GRID64)
-        d = propagate_forward(f, FRESNEL64, pad_factor=4)
-        obj = reconstruct_object(d, f, FRESNEL64, threshold=3e-3, pad_factor=4)
+        spec = replace(FRESNEL64, pad_factor=4)
+        obj = reconstruct_object(propagate_forward(f, spec), f, spec, threshold=3e-3)
         t_valid = obj.transmission.amps[obj.validity_mask]
         assert t_valid.size > 1000
         assert np.max(np.abs(t_valid - 1.0)) < 0.05
@@ -306,8 +308,8 @@ class TestObjectReconstruction:
         step = np.ones((64, 64), complex)
         step[:, 32:] = np.exp(1j * np.pi / 2)
         transmitted = apply_object(f, step)
-        d = propagate_forward(transmitted, FRESNEL64, pad_factor=4)
-        obj = reconstruct_object(d, f, FRESNEL64, threshold=0.05, pad_factor=4)
+        spec = replace(FRESNEL64, pad_factor=4)
+        obj = reconstruct_object(propagate_forward(transmitted, spec), f, spec, threshold=0.05)
         t = obj.transmission.amps
         m = obj.validity_mask
         # interior cells away from the step edge

@@ -106,6 +106,12 @@ class TestMakeMode:
         with pytest.raises(ValueError):
             ModeSpec(ModeKind.GAUSSIAN, waist=waist)
 
+    @pytest.mark.parametrize("center", [(float("inf"), 0.0), (0.0, float("nan"))])
+    def test_non_finite_center(self, center):
+        # make_mode would fail later with a message about the field, not the center
+        with pytest.raises(ValueError, match="center must be finite"):
+            ModeSpec(ModeKind.GAUSSIAN, waist=1e-4, center=center)
+
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             GridSpec(1, 8, 1e-4)
