@@ -100,13 +100,14 @@ def cmd_measure(args, cfg: cfgmod.ExperimentConfig) -> str:
 def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
     records = engine.read_records_csv(args.records)
     invert = reconstruct.reconstruct_dwt if cfg.estimator == "dwt" else reconstruct.reconstruct_dst
-    res = invert(records, cfg.grid(), cfg.theta)
+    res = invert(records)
     report = None
     if args.ideal:
         report = reconstruct.score(res.field, wavefield.read_wfgrid(args.ideal))
     _write_field(cfg, "reconstruction.wfgrid", res.field)
-    sidecar = json.dumps(reconstruct.sidecar_dict(res, report), indent=2, sort_keys=True)
-    path = _atomic_write(_out_path(cfg, "report.json"), sidecar + "\n")
+    sidecar = reconstruct.sidecar_dict(res, records.theta, report)
+    path = _atomic_write(_out_path(cfg, "report.json"),
+                         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     _write_plot_maps(res, cfg)
     return path
 

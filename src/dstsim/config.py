@@ -44,8 +44,8 @@ class ExperimentConfig:
     vortex_l: int = _key(0, "charge of a vortex phase plate applied about the grid center "
                             "after mode generation (0: none)")
     # coupling / estimator
-    theta: float = _key(STRONG_THETA, "coupling angle (rad) that measure applies and reconstruct "
-                                     "inverts; records do not store it")
+    theta: float = _key(STRONG_THETA, "coupling angle (rad): measure applies it; the records "
+                                     "carry it")
     estimator: str = _key("dst", "strong (dst) or weak-value (dwt) inversion", ESTIMATORS)
     photons: int = _key(0, "photons per basis setting per cell (0 = noiseless)")
     seed: int = _key(0, "photon sampling seed")
@@ -77,19 +77,21 @@ class ExperimentConfig:
                                            or len(value.splitlines()) > 1):
                 raise ValueError(f"{f.name} must not contain '#' or a line break, or start "
                                  f"or end with whitespace, got {value!r}")
-        self.grid()
-        self.mode_spec()
-        check_budget(self.photons)
-        check_seed(self.seed)
-        check_theta(self.theta)
-        check_threshold(self.threshold)
         try:
+            self.grid()
+            self.mode_spec()
+            check_budget(self.photons)
+            check_seed(self.seed)
+            check_theta(self.theta)
+            check_threshold(self.threshold)
             self.propagation_spec()
-        except ValueError as exc:  # name the key and the value as written, not in metres
-            key = {"wavelength": "lambda_nm", "distance": "distance_mm"}.get(str(exc).split()[0])
-            if key is None:
+        except ValueError as exc:  # name the keys and their values as written, not in SI
+            reason = str(exc).split(", got ")[0]
+            keys = next((k for p, k in _KEYS_OF.items() if reason.startswith(p + " ")), None)
+            if keys is None:
                 raise
-            raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}") from None
+            values = ", ".join(_format_value(k, getattr(self, k)) for k in keys)
+            raise ValueError(f"{', '.join(keys)}: {reason}, got {values}") from None
 
     def grid(self) -> GridSpec:
         """The scan grid, in SI units."""
@@ -109,6 +111,13 @@ class ExperimentConfig:
 
 #: The type of every key: int, float, str or float | None.
 _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
+#: The keys behind each parameter that a library check in ``validate`` names first in
+#: its error.
+_KEYS_OF = {"grid": ("nx", "ny"), "pitch": ("pitch_um",), "waist": ("waist_um",),
+            "radial index": ("radial",), "center": ("cx_um", "cy_um"),
+            "photons_per_setting": ("photons",), "seed": ("seed",), "theta": ("theta",),
+            "threshold": ("threshold",), "wavelength": ("lambda_nm",),
+            "distance": ("distance_mm",), "pad_factor": ("pad_factor",)}
 
 
 def _format_value(key: str, value) -> str:

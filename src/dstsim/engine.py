@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateFieldError, FileFormatError
-from .wavefield import TransverseWavefunction
+from .wavefield import GridSpec, TransverseWavefunction
 
 _PSI_TILDE_MIN = 1e-12
 #: The strong coupling angle, the default of every call that takes theta.
@@ -48,23 +48,29 @@ PROJECTORS = ("plus", "minus", "0", "1", "L", "R")
 
 @dataclass(frozen=True)
 class ScanRecords:
-    """Readout of a full scan as arrays indexed ``[projector, iy, ix]``.
+    """Readout of a full scan of ``grid`` at coupling ``theta``, as arrays ``[projector, iy, ix]``.
 
     ``probs[k]`` is the map of projector ``PROJECTORS[k]`` (the records CSV
     column order).  Probabilities are unnormalized by post-selection: each
     basis pair sums to the post-selection weight of the cell, not to one.
     ``counts`` has the same layout and is None exactly when the scan is
-    noiseless (``photons_per_setting == 0``).
+    noiseless (``photons_per_setting == 0``).  The records carry the grid and
+    the angle they were taken at, so their inversion needs nothing else.
     """
 
     probs: np.ndarray
+    grid: GridSpec
+    theta: float
     counts: np.ndarray | None = None
     photons_per_setting: int = 0
 
     def __post_init__(self):
-        probs, counts = self.probs, self.counts
-        if probs.ndim != 3 or probs.shape[0] != len(PROJECTORS) or probs.size == 0:
-            raise ValueError(f"probs must have shape (6, ny, nx), got {probs.shape}")
+        probs, counts, grid = self.probs, self.counts, self.grid
+        shape = (len(PROJECTORS), grid.ny, grid.nx)
+        if probs.shape != shape:
+            raise ValueError(f"probs must have shape {shape} of the {grid.nx}x{grid.ny} grid, "
+                             f"got {probs.shape}")
+        check_theta(self.theta)
         if not np.isfinite(probs).all():
             raise ValueError("non-finite probability")
         if (probs < 0).any():
@@ -76,8 +82,8 @@ class ScanRecords:
             return
         if self.photons_per_setting == 0:
             raise ValueError("counts need a budget > 0")
-        if counts.shape != probs.shape or not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError(f"counts must be integers of shape {probs.shape}")
+        if counts.shape != shape or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"counts must be integers of shape {shape}")
         if (counts < 0).any():
             raise ValueError("negative count")
 
@@ -266,106 +272,94 @@ def scan(
     check_seed(seed)
     probs = scan_probability_maps(f, theta)
     if photons_per_setting == 0:
-        return ScanRecords(probs)
+        return ScanRecords(probs, f.grid, theta)
     nx = f.grid.nx
     cells = probs.reshape(len(PROJECTORS), -1).T.tolist()
     counts = np.array(
         [_sample_cell(p, photons_per_setting, cell_rng(seed, i % nx, i // nx))
          for i, p in enumerate(cells)], dtype=np.int64)
-    return ScanRecords(probs, counts.T.reshape(probs.shape), photons_per_setting)
+    return ScanRecords(probs, f.grid, theta, counts.T.reshape(probs.shape),
+                       photons_per_setting)
 
 
 # ---------------------------------------------------------------------------
-# Records CSV: one row per cell, row-major, CRLF line ends
+# Records CSV: the scan header, the column names, one row per cell; CRLF line ends
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = ["ix", "iy", *("w_" + p for p in PROJECTORS), *("n_" + p for p in PROJECTORS),
-               "budget"]
-#: Six empty count fields, between w_R and the budget of a noiseless row.
-_EMPTY_COUNTS = b"," * 7
+#: The keys of the header line, which states the scan once: ``nx=64,ny=64,...``.
+_HEADER_KEYS = ("nx", "ny", "pitch", "theta", "budget")
+#: The columns of a sampled scan; a noiseless scan has the first six only.
+_COLUMNS = [*("w_" + p for p in PROJECTORS), *("n_" + p for p in PROJECTORS)]
 #: Rows formatted per write, which bounds the writer's memory.
 _ROW_BLOCK = 4096
-_ROW_DTYPE = np.dtype([("ix", np.int64), ("iy", np.int64), ("w", np.float64, 6),
-                       ("n", np.int64, 6), ("budget", np.int64)])
-_NOISELESS_DTYPE = np.dtype([("ix", np.int64), ("iy", np.int64), ("w", np.float64, 6),
-                             ("budget", np.int64)])
-_NOISELESS_COLS = (0, 1, 2, 3, 4, 5, 6, 7, 14)
 
 
 def write_records_csv(records: ScanRecords, path) -> None:
-    """Write one row per cell, row-major; probabilities with 17 significant digits."""
-    nk, ny, nx = records.probs.shape
-    columns = [records.probs.reshape(nk, -1).T]
-    counts_fmt = _EMPTY_COUNTS.decode()
-    if records.counts is not None:
-        columns.append(records.counts.reshape(nk, -1).T)
-        counts_fmt = ",%d" * nk + ","
-    fmt = "%d,%d" + ",%.17g" * nk + counts_fmt + f"{records.photons_per_setting}\r\n"
+    """Write the header, the column names, then one row per cell in row-major order.
+
+    The header states ``nx``, ``ny``, the pitch (m), theta and the budget,
+    floats as ``repr``.  A row holds the cell's six probabilities with 17
+    significant digits and, when the scan is sampled, its six counts.
+    """
+    grid, nk = records.grid, len(PROJECTORS)
+    values = (grid.nx, grid.ny, repr(float(grid.pitch)), repr(float(records.theta)),
+              records.photons_per_setting)
+    header = ",".join(f"{k}={v}" for k, v in zip(_HEADER_KEYS, values))
+    maps = [records.probs] if records.counts is None else [records.probs, records.counts]
+    columns = [column for m in maps for column in m.reshape(nk, -1)]   # cells in row-major order
+    width = len(columns)
+    fmt = ",".join(["%.17g"] * nk + ["%d"] * (width - nk)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\r\n")
-        for start in range(0, ny * nx, _ROW_BLOCK):
-            cells = np.arange(start, min(start + _ROW_BLOCK, ny * nx))
-            block = np.empty((len(cells), 2 + nk * len(columns)), dtype=object)
-            block[:, 1], block[:, 0] = np.divmod(cells, nx)
+        fh.write(f"{header}\r\n{','.join(_COLUMNS[:width])}\r\n")
+        for start in range(0, grid.ncells, _ROW_BLOCK):
+            rows = min(_ROW_BLOCK, grid.ncells - start)
+            fields = [None] * (width * rows)   # each cell's fields side by side
             for k, column in enumerate(columns):
-                block[:, 2 + nk * k:2 + nk * (k + 1)] = column[cells]
-            fh.write((fmt * len(cells)) % tuple(block.ravel()))
+                fields[k::width] = column[start:start + rows].tolist()
+            fh.write((fmt * rows) % tuple(fields))
+
+
+def _maps(body: bytes, first: int, dtype, grid: GridSpec) -> np.ndarray:
+    """Columns ``first`` to ``first + 5`` of the rows as ``(6, ny, nx)`` maps of ``dtype``."""
+    nk = len(PROJECTORS)
+    table = np.loadtxt(io.BytesIO(body), dtype, delimiter=",", comments=None, ndmin=2,
+                       usecols=range(first, first + nk))
+    return table.T.reshape(nk, grid.ny, grid.nx)
 
 
 def read_records_csv(path) -> ScanRecords:
-    """Read a records CSV, placing each row at its (ix, iy) cell.
+    """Read a records CSV that :func:`write_records_csv` wrote.
 
-    Raises :class:`FileFormatError` unless the rows cover an ``nx x ny``
-    grid exactly once, every row has all fields with integer ix, iy, counts
-    and budget, and the rows share one budget: 0 with empty count columns,
-    or > 0 with counts on every row.  Negative or non-finite probabilities
-    and negative counts are rejected too.
+    Raises :class:`FileFormatError` on a missing or malformed header, columns
+    other than the six probabilities with or without the six counts, other
+    than ``nx * ny`` rows (each ending in a line break) of that many fields,
+    a non-integer count, and anything :class:`ScanRecords` refuses: a grid
+    or theta out of range, a negative or non-finite probability, a negative
+    count, counts with budget 0 or a budget > 0 without counts.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    end = raw.find(b"\n")
-    if end < 0:
-        raise FileFormatError(f"{path}: empty records file")
-    header = raw[:end].rstrip(b"\r").decode("latin-1")
-    if header.split(",") != _CSV_HEADER:
-        raise FileFormatError(f"{path}: unexpected header {header!r}")
-    if raw.find(b",", end) < 0:
-        raise FileFormatError(f"{path}: no records")
-    noiseless = _EMPTY_COUNTS in raw
+        lines = fh.read().split(b"\n", 2)
+    if len(lines) < 3:
+        raise FileFormatError(f"{path}: missing header")
+    header, names, body = lines
+    header = header.rstrip(b"\r").decode("latin-1")
+    pairs = [item.partition("=") for item in header.split(",")]
+    if [(key, sep) for key, sep, _ in pairs] != [(key, "=") for key in _HEADER_KEYS]:
+        raise FileFormatError(f"{path}: expected the header "
+                              f"{','.join(k + '=' for k in _HEADER_KEYS)}, got {header!r}")
+    nx, ny, pitch, theta, budget = (value for _, _, value in pairs)
+    names = names.rstrip(b"\r").decode("latin-1").split(",")
+    nk = len(PROJECTORS)
+    if names not in (_COLUMNS[:nk], _COLUMNS):
+        raise FileFormatError(f"{path}: unexpected columns {','.join(names)!r}")
     try:
-        rows = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=1,
-                          encoding="latin-1",
-                          dtype=_NOISELESS_DTYPE if noiseless else _ROW_DTYPE,
-                          usecols=_NOISELESS_COLS if noiseless else None)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
-    n = len(rows)
-    fields = len(_CSV_HEADER)
-    if b"\n\n" in raw or b"\n\r\n" in raw or raw.count(b",") != (fields - 1) * (n + 1):
-        raise FileFormatError(f"{path}: expected {fields} fields on every row")
-    if noiseless and raw.count(_EMPTY_COUNTS) != n:
-        raise FileFormatError(f"{path}: count columns are empty on some rows only")
-
-    ix, iy, budget = rows["ix"], rows["iy"], rows["budget"]
-    if ix.min() < 0 or iy.min() < 0:
-        raise FileFormatError(f"{path}: negative cell index")
-    nx, ny = int(ix.max()) + 1, int(iy.max()) + 1
-    if nx * ny != n:
-        raise FileFormatError(f"{path}: {n} records do not cover the {nx}x{ny} grid once")
-    seen = np.bincount(iy * nx + ix, minlength=n)
-    if (seen > 1).any():
-        dup = int(np.argmax(seen > 1))
-        raise FileFormatError(f"{path}: duplicate record for cell {(dup % nx, dup // nx)}")
-    if (budget != budget[0]).any():
-        raise FileFormatError(f"{path}: budgets differ between rows")
-
-    probs = np.empty((len(PROJECTORS), ny, nx))
-    probs[:, iy, ix] = rows["w"].T
-    counts = None
-    if not noiseless:
-        counts = np.empty(probs.shape, dtype=np.int64)
-        counts[:, iy, ix] = rows["n"].T
-    try:
-        return ScanRecords(probs, counts, int(budget[0]))
+        grid = GridSpec(int(nx), int(ny), float(pitch))
+        n = grid.ncells
+        if body.count(b"\n") != n or body.count(b",") != (len(names) - 1) * n:
+            raise FileFormatError(f"{path}: expected {n} rows of {len(names)} fields, "
+                                  f"one per cell of the {grid.nx}x{grid.ny} grid")
+        counts = _maps(body, nk, np.int64, grid) if len(names) > nk else None
+        return ScanRecords(_maps(body, 0, np.float64, grid), grid, float(theta), counts,
+                           int(budget))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None

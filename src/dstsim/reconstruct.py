@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import DegenerateFieldError
-from .wavefield import GridSpec, TransverseWavefunction
-from .engine import STRONG_THETA, ScanRecords, check_theta
+from .wavefield import TransverseWavefunction
+from .engine import ScanRecords
 
 #: The ``estimator`` values of the configuration: strong and weak-value inversion.
 ESTIMATORS = ("dst", "dwt")
@@ -70,9 +70,7 @@ class QualityReport:
     rmse_im: float
 
 
-def _effective_prob_maps(
-    records: ScanRecords, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _effective_prob_maps(records: ScanRecords) -> tuple[np.ndarray, np.ndarray | None]:
     """Projector maps ``[projector, iy, ix]`` of probabilities or empirical frequencies.
 
     Sampled records contribute count/budget, which estimates the
@@ -81,10 +79,6 @@ def _effective_prob_maps(
     their exact probabilities, so both paths share the inversion code.  The
     mask marks cells where some basis registered no photons at all.
     """
-    ny, nx = records.probs.shape[1:]
-    if (ny, nx) != (grid.ny, grid.nx):
-        raise ValueError(f"configured grid {grid.nx}x{grid.ny} does not match "
-                         f"records of {nx}x{ny} cells")
     counts = records.counts
     if counts is None:
         return records.probs, None
@@ -92,57 +86,44 @@ def _effective_prob_maps(
     return counts / records.photons_per_setting, zero_mask
 
 
-def _invert(
-    records: ScanRecords,
-    grid: GridSpec,
-    p1_weight: float,
-    scale: float,
-    mode: str,
-) -> ReconstructionResult:
+def _invert(records: ScanRecords, p1_weight: float, scale: float,
+            mode: str) -> ReconstructionResult:
     """Invert the raw quadrature maps ``(P+ - P- + p1_weight P1 + i (PL - PR)) / scale``.
 
     The raw maps equal ``ptilde * psi / N`` on exact records, so requiring
     the field to be normalized fixes the gauge constant.
     """
-    maps, zero_mask = _effective_prob_maps(records, grid)
+    maps, zero_mask = _effective_prob_maps(records)
     plus, minus, _, p1, left, right = maps
     raw = (plus - minus + p1_weight * p1 + 1j * (left - right)) / scale
     s = float(np.sqrt(np.sum(np.abs(raw) ** 2)))
     if s <= 0.0:
         raise DegenerateFieldError("raw quadrature maps vanish; cannot fix the scale")
     raw /= s
+    grid = records.grid
     return ReconstructionResult(TransverseWavefunction(grid, raw), grid.ncells * s, mode,
                                 zero_mask)
 
 
-def reconstruct_dst(
-    records: ScanRecords,
-    grid: GridSpec,
-    theta: float = STRONG_THETA,
-) -> ReconstructionResult:
-    """Exact strong inversion of a full scan taken at coupling ``theta``.
+def reconstruct_dst(records: ScanRecords) -> ReconstructionResult:
+    """Exact strong inversion of a full scan, on its grid and at its coupling ``theta``.
 
     Noiseless records invert to the gauge-fixed input field up to
     floating-point rounding at every theta in (0, pi/2].
     """
-    check_theta(theta)
-    return _invert(records, grid, 2.0 * math.tan(theta / 2), 2.0 * math.sin(theta), "DST")
+    theta = records.theta
+    return _invert(records, 2.0 * math.tan(theta / 2), 2.0 * math.sin(theta), "DST")
 
 
-def reconstruct_dwt(
-    records: ScanRecords,
-    grid: GridSpec,
-    theta: float,
-) -> ReconstructionResult:
-    """First-order weak-value inversion of records taken at coupling ``theta``.
+def reconstruct_dwt(records: ScanRecords) -> ReconstructionResult:
+    """First-order weak-value inversion of a full scan, at its coupling ``theta``.
 
     The estimate carries the weak-measurement bias: exact records at finite
     theta reconstruct to ``psi - (1 - cos theta) |psi|^2 / ptilde`` up to an
     overall scale, so the bias grows with theta and the density map is
     visibly distorted at theta = pi/2.
     """
-    check_theta(theta)
-    return _invert(records, grid, 0.0, 2.0 * theta, "DWT")
+    return _invert(records, 0.0, 2.0 * records.theta, "DWT")
 
 
 def fidelity(a: TransverseWavefunction, b: TransverseWavefunction) -> float:
@@ -187,15 +168,17 @@ def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> Quali
     return QualityReport(r_square, fid, rmse_re, rmse_im)
 
 
-def sidecar_dict(res: ReconstructionResult, report: QualityReport | None = None) -> dict:
+def sidecar_dict(res: ReconstructionResult, theta: float,
+                 report: QualityReport | None = None) -> dict:
     """The ``report.json`` fields: every ``QualityReport`` metric, or null without one.
 
+    ``theta`` is the coupling angle the inversion used, the records' own.
     ``zero_count_cells`` counts the cells of ``zero_count_mask``; it is null
     for noiseless records.
     """
     metrics = (asdict(report) if report is not None
                else dict.fromkeys(f.name for f in fields(QualityReport)))
     mask = res.zero_count_mask
-    return {"psi_tilde": res.psi_tilde, "mode": res.mode,
+    return {"psi_tilde": res.psi_tilde, "mode": res.mode, "theta": theta,
             "zero_count_cells": None if mask is None else int(mask.sum()), **metrics}
 

@@ -43,10 +43,13 @@ def random_smooth_field(grid: GridSpec, seed: int, corr_cells: float = 3.0) -> T
 
 
 def edit_csv(path, rows, column, value):
-    """Set one field of the given data rows (0 = first row after the header)."""
+    """Set one field of the given rows of a records CSV.
+
+    Row 0 is the first cell's; -2 is the scan header and -1 the column names.
+    """
     lines = path.read_text().splitlines()
     for row in rows:
-        cells = lines[1 + row].split(",")
+        cells = lines[2 + row].split(",")
         cells[column] = value
-        lines[1 + row] = ",".join(cells)
+        lines[2 + row] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")

@@ -76,7 +76,7 @@ def lg64(oam):
 
 def sampled_r_square(field, budget, seed):
     records = scan(field, STRONG, photons_per_setting=budget, seed=seed)
-    res = reconstruct_dst(records, field.grid)
+    res = reconstruct_dst(records)
     return score(res.field, field).r_square
 
 
@@ -91,7 +91,7 @@ class TestCriterion1:
         worst_err, worst_fid, worst_time = 0.0, 1.0, 0.0
         for name, f in fields:
             t0 = time.perf_counter()
-            res = reconstruct_dst(scan(f, STRONG), f.grid)
+            res = reconstruct_dst(scan(f, STRONG))
             dt = time.perf_counter() - t0
             gauged, _ = gauge_fix(f)
             err = float(np.max(np.abs(res.field.amps - gauged.amps)))
@@ -186,12 +186,12 @@ class TestCriterion4:
         f = gaussian64()
         gauged, _ = gauge_fix(f)
         records_strong = scan(f, STRONG)
-        fid_dst = fidelity(gauged, reconstruct_dst(records_strong, GRID64).field)
+        fid_dst = fidelity(gauged, reconstruct_dst(records_strong).field)
         fid_dwt_strong = fidelity(
-            gauged, reconstruct_dwt(records_strong, GRID64, math.pi / 2).field)
+            gauged, reconstruct_dwt(records_strong).field)
         records_weak = scan(f, 0.05)
         fid_dwt_weak = fidelity(
-            gauged, reconstruct_dwt(records_weak, GRID64, 0.05).field)
+            gauged, reconstruct_dwt(records_weak).field)
         ok = fid_dwt_strong < fid_dwt_weak < fid_dst and fid_dst >= 1 - 1e-10
         report("criterion 4 (DWT bias ordering vs exact DST)", ok,
                f"DWT@pi/2 1-{1 - fid_dwt_strong:.2e} < DWT@0.05 1-{1 - fid_dwt_weak:.2e} "
@@ -207,7 +207,7 @@ LOOP_RADII = range(3, 9)
 
 class TestCriterion5:
     def test_noiseless_winding(self):
-        res = reconstruct_dst(scan(lg64(1), STRONG), GRID64)
+        res = reconstruct_dst(scan(lg64(1), STRONG))
         windings = [phase_winding(res.phase_map, r) for r in LOOP_RADII]
         ok = all(abs(w - 1.0) < 1e-6 for w in windings)
         report("criterion 5a (noiseless LG l=1 winding on loops 3-8)", ok,
@@ -218,7 +218,7 @@ class TestCriterion5:
         hits = total = 0
         for seed in range(N_SEEDS):
             records = scan(f, STRONG, photons_per_setting=10**6, seed=seed)
-            res = reconstruct_dst(records, GRID64)
+            res = reconstruct_dst(records)
             for r in LOOP_RADII:
                 total += 1
                 hits += int(round(phase_winding(res.phase_map, r)) == 1)
@@ -292,7 +292,7 @@ def holography_pipeline(budget, seed, threshold):
     illum = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=20 * HOLO_GRID.pitch), HOLO_GRID)
     detected = normalize(propagate_forward(apply_object(illum, mask.astype(complex)), HOLO_SPEC))
     records = scan(detected, STRONG, photons_per_setting=budget, seed=seed)
-    measured = reconstruct_dst(records, HOLO_GRID).field
+    measured = reconstruct_dst(records).field
     obj = reconstruct_object(measured, illum, HOLO_SPEC, threshold=threshold)
     v = obj.validity_mask
     return pearson(np.abs(obj.transmission.amps[v]), mask[v])
@@ -375,7 +375,7 @@ class TestSupplementary:
         hits = total = 0
         for seed in range(10):
             records = scan(f, STRONG, photons_per_setting=10**8, seed=seed)
-            res = reconstruct_dst(records, GRID64)
+            res = reconstruct_dst(records)
             for r in LOOP_RADII:
                 total += 1
                 hits += int(round(phase_winding(res.phase_map, r)) == 1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dstsim import read_records_csv, read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction
-from dstsim import normalize
+from dstsim import gauge_fix, normalize
 from dstsim import ModeKind, PropagationKernel, cli
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_text, to_text
@@ -178,8 +178,9 @@ class TestMeasureReconstruct:
         assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "0",
                    "--nx", "12", "--ny", "12", "--out", str(out)) == 0
         lines = (out / "records.csv").read_text().splitlines()
-        assert len(lines) == 1 + 144
-        assert lines[1].split(",")[8:14] == [""] * 6
+        assert len(lines) == 2 + 144
+        assert lines[1] == "w_plus,w_minus,w_0,w_1,w_L,w_R"
+        assert all(len(line.split(",")) == 6 for line in lines[2:])
 
     def test_full_grid_row_count(self, tmp_path):
         out = tmp_path / "run"
@@ -188,7 +189,7 @@ class TestMeasureReconstruct:
         assert run("measure", "--field", str(out / "field.wfgrid"),
                    "--nx", "64", "--ny", "64", "--out", str(out)) == 0
         lines = (out / "records.csv").read_text().splitlines()
-        assert len(lines) == 1 + 64 * 64
+        assert len(lines) == 2 + 64 * 64
 
     def test_measure_deterministic(self, tmp_path):
         out = self._prepare(tmp_path)
@@ -204,9 +205,9 @@ class TestMeasureReconstruct:
         field = str(out / "field.wfgrid")
         assert run("measure", "--field", field, "--out", str(out)) == 0
         assert run("reconstruct", "--records", str(out / "records.csv"),
-                   "--nx", "12", "--ny", "12", "--ideal", field, "--out", str(out)) == 0
+                   "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["mode"] == "DST"
+        assert report["mode"] == "DST" and report["theta"] == math.pi / 2
         assert report["fidelity"] >= 1 - 1e-10
         assert report["r_square"] == pytest.approx(1.0, abs=1e-9)
         assert report["rmse_re"] < 1e-9 and report["rmse_im"] < 1e-9
@@ -219,8 +220,7 @@ class TestMeasureReconstruct:
     def test_reconstruct_without_ideal_has_null_metrics(self, tmp_path):
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
-        assert run("reconstruct", "--records", str(out / "records.csv"),
-                   "--nx", "12", "--ny", "12", "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["r_square"] is None and report["fidelity"] is None
         assert report["rmse_re"] is None and report["rmse_im"] is None
@@ -229,9 +229,8 @@ class TestMeasureReconstruct:
     def test_sampled_report_counts_zero_count_cells(self, tmp_path):
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "20",
-                   "--seed", "3", "--nx", "12", "--ny", "12", "--out", str(out)) == 0
-        assert run("reconstruct", "--records", str(out / "records.csv"),
-                   "--nx", "12", "--ny", "12", "--out", str(out)) == 0
+                   "--seed", "3", "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--out", str(out)) == 0
         counts = read_records_csv(out / "records.csv").counts
         expected = int((counts[0::2] + counts[1::2] == 0).any(axis=0).sum())
         assert 0 < expected < 144  # the budget leaves some cells, not all, without a photon
@@ -242,8 +241,8 @@ class TestMeasureReconstruct:
         out = self._prepare(tmp_path)
         field = str(out / "field.wfgrid")
         assert run("measure", "--field", field, "--estimator", "dwt", "--out", str(out)) == 0
-        assert run("reconstruct", "--records", str(out / "records.csv"), "--nx", "12",
-                   "--ny", "12", "--estimator", "dwt", "--ideal", field, "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--estimator", "dwt",
+                   "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["mode"] == "DWT" and report["fidelity"] < 1.0
 
@@ -251,47 +250,89 @@ class TestMeasureReconstruct:
         out = self._prepare(tmp_path)
         field = str(out / "field.wfgrid")
         assert run("measure", "--field", field, "--theta", "0.1", "--out", str(out)) == 0
-        assert run("reconstruct", "--records", str(out / "records.csv"),
-                   "--nx", "12", "--ny", "12", "--estimator", "dwt", "--theta", "0.1",
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--estimator", "dwt",
                    "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["mode"] == "DWT"
+        assert report["mode"] == "DWT" and report["theta"] == 0.1
         assert 0.9 < report["fidelity"] < 1.0
 
     def test_dst_inverts_records_of_another_theta(self, tmp_path):
+        # reconstruct is given no theta: it inverts at the 0.3 the records carry
         out = self._prepare(tmp_path)
         field = str(out / "field.wfgrid")
         assert run("measure", "--field", field, "--theta", "0.3", "--out", str(out)) == 0
-        assert run("reconstruct", "--records", str(out / "records.csv"), "--nx", "12",
-                   "--ny", "12", "--theta", "0.3", "--ideal", field, "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"),
+                   "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["mode"] == "DST"
+        assert report["mode"] == "DST" and report["theta"] == 0.3
         assert report["rmse_re"] < 1e-9 and report["rmse_im"] < 1e-9
+
+    def test_dwt_inverts_at_the_records_theta(self, tmp_path):
+        # noiseless dwt at theta gives psi - (1 - cos theta) |psi|^2 / ptilde, normalized
+        out = self._prepare(tmp_path)
+        field = str(out / "field.wfgrid")
+        assert run("measure", "--field", field, "--theta", "0.3", "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--estimator", "dwt",
+                   "--ideal", field, "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mode"] == "DWT" and report["theta"] == 0.3
+        gauged, ptilde = gauge_fix(read_wfgrid(field))
+        expected = gauged.amps - (1 - math.cos(0.3)) * np.abs(gauged.amps) ** 2 / ptilde
+        expected /= np.linalg.norm(expected)
+        rec = read_wfgrid(out / "reconstruction.wfgrid").amps
+        assert np.max(np.abs(rec - expected)) < 1e-9
+        assert report["rmse_re"] > 1e-4   # the weak-value bias, which dst does not have
 
     def test_dst_takes_half_pi_written_as_text(self, tmp_path):
         out = self._prepare(tmp_path)
         field = str(out / "field.wfgrid")
         theta = "%.14g" % (math.pi / 2)      # 3e-15 away from pi/2
         assert run("measure", "--field", field, "--theta", theta, "--out", str(out)) == 0
-        assert run("reconstruct", "--records", str(out / "records.csv"), "--nx", "12",
-                   "--ny", "12", "--theta", theta, "--ideal", field, "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"),
+                   "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["mode"] == "DST" and report["rmse_re"] < 1e-9
+        assert report["theta"] == float(theta)
 
     def test_invalid_records_are_format_error(self, tmp_path):
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "100",
                    "--out", str(out)) == 0
         path = out / "records.csv"
-        edit_csv(path, [4], 8, "-3")   # a negative n_plus
-        assert run("reconstruct", "--records", str(path), "--nx", "12", "--ny", "12",
-                   "--out", str(out)) == 4
+        edit_csv(path, [4], 6, "-3")   # a negative n_plus
+        assert run("reconstruct", "--records", str(path), "--out", str(out)) == 4
 
-    def test_grid_mismatch_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("rows, column, value", [
+        ([-2], 0, "ix=12"),            # a malformed header
+        ([-2], 1, "ny=11"),            # 144 rows for a grid of 132 cells
+        ([-2], 3, "theta=0.0"),
+        ([-2], 2, "pitch=-0.000125"),
+    ], ids=["malformed-header", "row-count", "theta", "pitch"])
+    def test_invalid_records_header_is_format_error(self, tmp_path, capsys, rows, column, value):
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
-        assert run("reconstruct", "--records", str(out / "records.csv"),
-                   "--nx", "9", "--ny", "9", "--out", str(out)) == 2
+        path = out / "records.csv"
+        edit_csv(path, rows, column, value)
+        capsys.readouterr()
+        assert run("reconstruct", "--records", str(path), "--out", str(out / "rec")) == 4
+        assert str(path) in capsys.readouterr().err
+        assert not (out / "rec").exists()
+
+    def test_records_without_header_are_format_error(self, tmp_path):
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
+        path = out / "records.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
+        assert run("reconstruct", "--records", str(path), "--out", str(out)) == 4
+
+    def test_reconstruct_takes_the_grid_from_the_records(self, tmp_path):
+        # the configured grid is not read: records of 12x12 cells at 125 um stay so
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--pitch-um", "999",
+                   "--nx", "9", "--out", str(out)) == 0
+        rec = read_wfgrid(out / "reconstruction.wfgrid")
+        assert rec.grid == GridSpec(12, 12, 125e-6)
 
 
 class TestOutputFiles:
@@ -486,12 +527,16 @@ class TestExitCodes:
         assert "nx: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
-        (("--lambda-nm", "-5"), "lambda_nm must be positive, got -5.0"),
-        (("--distance-mm", "0"), "distance_mm must be positive, got 0.0"),
-        (("--lambda-nm", "nan"), "lambda_nm must be positive, got nan"),
-    ])
-    def test_bad_propagation_key_is_validation_error(self, tmp_path, capsys, flags, message):
-        # refused where the config enters, not by every later holo command
+        (("--pitch-um", "-5"), "pitch_um: pitch must be positive and finite, got -5.0"),
+        (("--waist-um", "-3"), "waist_um: waist must be positive and finite, got -3.0"),
+        (("--photons", "-2"), "photons: photons_per_setting must be >= 0, got -2"),
+        (("--lambda-nm", "-5"), "lambda_nm: wavelength must be positive, got -5.0"),
+        (("--distance-mm", "0"), "distance_mm: distance must be positive, got 0.0"),
+        (("--lambda-nm", "nan"), "lambda_nm: wavelength must be positive, got nan"),
+    ], ids=["pitch_um", "waist_um", "photons", "lambda_nm", "distance_mm", "lambda_nm-nan"])
+    def test_config_error_names_key_and_value(self, tmp_path, capsys, flags, message):
+        # the key and its value as written, not the library's parameter in SI units;
+        # refused where the config enters, not by a later command
         assert run("prepare", *flags, "--nx", "8", "--ny", "8", "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "config.resolved").exists()

@@ -34,18 +34,17 @@ def uniform_field(n=2, pitch=1e-4):
     return normalize(TransverseWavefunction(grid, np.ones((n, n), complex)))
 
 
-# records.csv of the uniform 2x2 field, as written since the format was fixed
-UNIFORM_2X2_HEADER = (b"ix,iy,w_plus,w_minus,w_0,w_1,w_L,w_R,"
-                      b"n_plus,n_minus,n_0,n_1,n_L,n_R,budget\r\n")
+# records.csv of the uniform 2x2 field: the scan header, the column names, then
+# the cells (0, 0), (1, 0), (0, 1), (1, 1)
+UNIFORM_2X2_HEADER = b"nx=2,ny=2,pitch=0.0001,theta=1.5707963267948966,budget=%d\r\n"
 UNIFORM_2X2_PROBS = b"0.5,0.125,0.5625,0.0625,0.31250000000000006,0.31250000000000006"
-UNIFORM_2X2_NOISELESS = UNIFORM_2X2_HEADER + b"".join(
-    b"%s,%s,,,,,,,0\r\n" % (cell, UNIFORM_2X2_PROBS)
-    for cell in (b"0,0", b"1,0", b"0,1", b"1,1"))
-UNIFORM_2X2_SAMPLED_SEED0 = UNIFORM_2X2_HEADER + b"".join(
-    b"%s,%s,%s,10\r\n" % (cell, UNIFORM_2X2_PROBS, counts)
-    for cell, counts in ((b"0,0", b"2,0,6,1,1,6"), (b"1,0", b"1,2,4,0,4,7"),
-                         (b"0,1", b"3,4,5,0,1,1"), (b"1,1", b"7,2,8,2,3,0"))
-)
+UNIFORM_2X2_NOISELESS = (UNIFORM_2X2_HEADER % 0 + b"w_plus,w_minus,w_0,w_1,w_L,w_R\r\n"
+                         + b"%s\r\n" % UNIFORM_2X2_PROBS * 4)
+UNIFORM_2X2_SAMPLED_SEED0 = (
+    UNIFORM_2X2_HEADER % 10
+    + b"w_plus,w_minus,w_0,w_1,w_L,w_R,n_plus,n_minus,n_0,n_1,n_L,n_R\r\n"
+    + b"".join(b"%s,%s\r\n" % (UNIFORM_2X2_PROBS, counts)
+               for counts in (b"2,0,6,1,1,6", b"1,2,4,0,4,7", b"3,4,5,0,1,1", b"7,2,8,2,3,0")))
 
 
 class TestCouplingAngle:
@@ -364,6 +363,7 @@ class TestRecordsCsv:
         write_records_csv(records, path)
         back = read_records_csv(path)
         assert back.probs.shape == records.probs.shape
+        assert back.grid == gaussian_8.grid and back.theta == STRONG
         assert back.counts is None
         assert back.photons_per_setting == 0
         assert np.array_equal(back.probs, records.probs)  # 17 significant digits round-trip
@@ -378,10 +378,12 @@ class TestRecordsCsv:
 
     def test_header_schema(self, tmp_path, gaussian_8):
         path = tmp_path / "records.csv"
-        write_records_csv(scan(gaussian_8, STRONG), path)
-        header = path.read_text().splitlines()[0]
-        assert header == ("ix,iy,w_plus,w_minus,w_0,w_1,w_L,w_R,"
-                          "n_plus,n_minus,n_0,n_1,n_L,n_R,budget")
+        write_records_csv(scan(gaussian_8, 0.3, photons_per_setting=7), path)
+        header, columns = path.read_text().splitlines()[:2]
+        assert header == "nx=8,ny=8,pitch=0.000125,theta=0.3,budget=7"
+        assert columns == ("w_plus,w_minus,w_0,w_1,w_L,w_R,"
+                           "n_plus,n_minus,n_0,n_1,n_L,n_R")
+        assert columns.split(",") == [f"{kind}_{p}" for kind in "wn" for p in PROJECTORS]
 
     def test_deterministic_bytes(self, tmp_path, gaussian_8):
         records = scan(gaussian_8, STRONG, photons_per_setting=100, seed=3)
@@ -399,13 +401,18 @@ class TestRecordsCsv:
     def test_rejects_partial_counts(self, tmp_path, gaussian_8):
         path = tmp_path / "records.csv"
         write_records_csv(scan(gaussian_8, STRONG, photons_per_setting=10, seed=0), path)
-        lines = path.read_text().splitlines()
-        cells = lines[1].split(",")
-        cells[9] = ""
-        lines[1] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        edit_csv(path, [0], 9, "")   # an empty n_1 on the first row
         with pytest.raises(FileFormatError):
             read_records_csv(path)
+
+    def test_rejects_missing_header(self, tmp_path, gaussian_8):
+        path = tmp_path / "records.csv"
+        write_records_csv(scan(gaussian_8, STRONG), path)
+        lines = path.read_bytes().split(b"\r\n")
+        for kept in (lines[1:], lines[2:], lines[:1], []):
+            path.write_bytes(b"\r\n".join(kept))
+            with pytest.raises(FileFormatError):
+                read_records_csv(path)
 
     def test_golden_bytes_noiseless(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -417,28 +424,32 @@ class TestRecordsCsv:
         write_records_csv(scan(uniform_field(2), STRONG, photons_per_setting=10, seed=0), path)
         assert path.read_bytes() == UNIFORM_2X2_SAMPLED_SEED0
 
-    def test_reads_rows_in_any_order(self, tmp_path, gaussian_8):
-        records = scan(gaussian_8, STRONG, photons_per_setting=10, seed=0)
-        path = tmp_path / "records.csv"
-        write_records_csv(records, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
-        back = read_records_csv(path)
-        assert np.array_equal(back.probs, records.probs)
-        assert np.array_equal(back.counts, records.counts)
-
     @pytest.mark.parametrize("budget, rows, column, value", [
-        (10, [3], 9, "-1"),              # a negative count
-        (0, [3], 2, "-0.5"),             # a negative probability
-        (10, [3], 14, "11"),             # budgets that differ between rows
-        (10, range(64), 14, "0"),        # counts with a zero budget
-        (0, range(64), 14, "10"),        # a budget with empty count columns
-        (0, [3], 4, "nan"),              # a non-finite probability
-        (10, [3], 0, "-1"),              # a cell index out of range
-        (10, [3], 13, "2.0"),            # a non-integer count
-        (0, [3], 14, "0,0"),             # an extra field
-    ], ids=["negative-count", "negative-prob", "budgets-differ", "counts-zero-budget",
-            "budget-no-counts", "nan-prob", "negative-index", "float-count", "extra-field"])
+        (10, [3], 7, "-1"),              # a negative count
+        (0, [3], 0, "-0.5"),             # a negative probability
+        (10, [-2], 4, "budget=0"),       # counts with a zero budget
+        (0, [-2], 4, "budget=10"),       # a budget without count columns
+        (0, [3], 2, "nan"),              # a non-finite probability
+        (10, [3], 11, "2.0"),            # a non-integer count
+        (0, [3], 5, "0,0"),              # an extra field
+        (0, [-2], 1, "ny=7"),            # 64 rows for a grid of 56 cells
+        (0, [-2], 1, "ny=16"),           # 64 rows for a grid of 128 cells
+        (0, [-2], 3, "theta=0.0"),       # theta out of (0, pi/2]
+        (0, [-2], 3, "theta=1.6"),
+        (0, [-2], 3, "theta=nan"),
+        (0, [-2], 2, "pitch=0.0"),       # a pitch that is not positive
+        (0, [-2], 2, "pitch=-0.000125"),
+        (0, [-2], 0, "nx=8.0"),          # a malformed header
+        (0, [-2], 1, "ny"),
+        (0, [-2], 4, "photons=0"),
+        (0, [-2], 4, "budget=0,seed=1"),
+        (0, [-1], 1, "w_minus "),        # unexpected column names
+        (10, [-1], 11, ""),
+    ], ids=["negative-count", "negative-prob", "counts-zero-budget", "budget-no-counts",
+            "nan-prob", "float-count", "extra-field", "rows-exceed-grid",
+            "rows-short-of-grid", "theta-zero", "theta-above-half-pi", "theta-nan",
+            "pitch-zero", "pitch-negative", "float-nx", "key-without-value", "unknown-key",
+            "extra-key", "column-name", "column-missing"])
     def test_rejects_invalid_rows(self, tmp_path, gaussian_8, budget, rows, column, value):
         path = tmp_path / "records.csv"
         write_records_csv(scan(gaussian_8, STRONG, photons_per_setting=budget, seed=0), path)
@@ -448,24 +459,57 @@ class TestRecordsCsv:
             read_records_csv(path)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(nx=st.integers(2, 9), ny=st.integers(2, 9), pitch=st.floats(1e-9, 1.0),
+       theta=st.floats(0.0, STRONG, exclude_min=True), field_seed=st.integers(0, 2**16),
+       budget=st.sampled_from([0, 1, 10**3, 10**8]), seed=st.integers(0, 2**64 - 1))
+def test_records_csv_round_trip(tmp_path_factory, nx, ny, pitch, theta, field_seed, budget,
+                                seed):
+    records = scan(random_field(GridSpec(nx, ny, pitch), field_seed), theta, budget, seed)
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    write_records_csv(records, path)
+    back = read_records_csv(path)
+    assert back.grid == records.grid and back.theta == theta
+    assert back.photons_per_setting == budget
+    assert back.probs.tobytes() == records.probs.tobytes()
+    if budget:
+        assert back.counts.dtype == records.counts.dtype
+        assert back.counts.tobytes() == records.counts.tobytes()
+    else:
+        assert back.counts is None
+
+
+GRID_2X2 = GridSpec(2, 2, 1e-4)
+
+
 class TestScanRecords:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            ScanRecords(np.zeros((4, 2, 2)))
+            ScanRecords(np.zeros((4, 2, 2)), GRID_2X2, STRONG)
         with pytest.raises(ValueError):
-            ScanRecords(np.zeros((6, 2, 2)), np.zeros((6, 2, 3), dtype=np.int64), 10)
+            ScanRecords(np.zeros((6, 2, 3)), GRID_2X2, STRONG)   # maps off the grid
+        with pytest.raises(ValueError):
+            ScanRecords(np.zeros((6, 2, 2)), GRID_2X2, STRONG,
+                        np.zeros((6, 2, 3), dtype=np.int64), 10)
 
     def test_counts_and_budget_go_together(self):
         with pytest.raises(ValueError):
-            ScanRecords(np.zeros((6, 2, 2)), None, 10)
+            ScanRecords(np.zeros((6, 2, 2)), GRID_2X2, STRONG, None, 10)
         with pytest.raises(ValueError):
-            ScanRecords(np.zeros((6, 2, 2)), np.zeros((6, 2, 2), dtype=np.int64), 0)
+            ScanRecords(np.zeros((6, 2, 2)), GRID_2X2, STRONG,
+                        np.zeros((6, 2, 2), dtype=np.int64), 0)
 
     def test_rejects_non_finite_probability(self):
         probs = np.zeros((6, 2, 2))
         probs[1, 1, 0] = np.inf
         with pytest.raises(ValueError):
-            ScanRecords(probs)
+            ScanRecords(probs, GRID_2X2, STRONG)
+
+    def test_scan_records_its_grid_and_theta(self, gaussian_8):
+        for theta in (0.3, STRONG):
+            for budget in (0, 10):
+                records = scan(gaussian_8, theta, budget)
+                assert records.grid == gaussian_8.grid and records.theta == theta
 
     def test_rejects_non_integer_budget(self, tmp_path, gaussian_8):
         with pytest.raises(ValueError):

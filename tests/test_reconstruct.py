@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from dstsim import (
     score,
     write_records_csv,
 )
-from conftest import edit_csv, random_smooth_field
+from conftest import random_smooth_field
 
 STRONG = math.pi / 2
 
@@ -50,8 +51,8 @@ class TestDstInversion:
         grid = GridSpec(2, 2, 1e-4)
         # plus, minus, 0, 1, L, R at every cell
         probs = np.array([0.5, 0.125, 0.5625, 0.0625, 0.3125, 0.3125])
-        records = ScanRecords(np.broadcast_to(probs[:, None, None], (6, 2, 2)))
-        res = reconstruct_dst(records, grid)
+        records = ScanRecords(np.broadcast_to(probs[:, None, None], (6, 2, 2)), grid, STRONG)
+        res = reconstruct_dst(records)
         assert res.psi_tilde == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(res.field.amps.real, 0.5, atol=1e-12)
         assert np.allclose(res.field.amps.imag, 0.0, atol=1e-12)
@@ -59,7 +60,7 @@ class TestDstInversion:
     def test_self_consistent_psi_tilde_matches_oracle(self):
         f = uniform_field(2)
         records = scan(f, STRONG)
-        res = reconstruct_dst(records, f.grid)
+        res = reconstruct_dst(records)
         assert res.psi_tilde == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(res.field.amps.real, 0.5, atol=1e-12)
 
@@ -74,7 +75,7 @@ class TestDstInversion:
         f = maker(grid)
         gauged, _ = gauge_fix(f)
         for theta in (0.05, 0.3, 1.0, math.pi / 2):
-            res = reconstruct_dst(scan(f, theta), grid, theta)
+            res = reconstruct_dst(scan(f, theta))
             rec = res.field.amps
             assert np.max(np.abs(rec - gauged.amps)) < 1e-9, theta
             assert fidelity(gauged, res.field) >= 1 - 1e-10, theta
@@ -85,16 +86,16 @@ class TestDstInversion:
         amps = np.array(f.amps)
         amps[5, 6] = 0.0
         f = normalize(TransverseWavefunction(grid, amps))
-        res = reconstruct_dst(scan(f, STRONG), grid)
+        res = reconstruct_dst(scan(f, STRONG))
         assert abs(res.field.amps[5, 6]) == pytest.approx(0.0, abs=1e-15)
 
     def test_density_is_re2_plus_im2_bitwise(self, gaussian_8):
-        res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
+        res = reconstruct_dst(scan(gaussian_8, STRONG))
         amps = res.field.amps
         assert np.array_equal(res.density_map, amps.real**2 + amps.imag**2)
 
     def test_phase_convention(self, gaussian_8):
-        res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
+        res = reconstruct_dst(scan(gaussian_8, STRONG))
         assert np.all(res.phase_map > -np.pi)
         assert np.all(res.phase_map <= np.pi)
         dens = res.density_map
@@ -109,42 +110,46 @@ class TestDstInversion:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(FileFormatError):
-            reconstruct_dst(read_records_csv(path), gaussian_8.grid)
+            reconstruct_dst(read_records_csv(path))
 
     def test_duplicate_cell_rejected(self, gaussian_8, tmp_path):
+        # rows carry no cell index: a repeated row is one row too many for the grid
         path = tmp_path / "records.csv"
         write_records_csv(scan(gaussian_8, STRONG), path)
-        edit_csv(path, [63], 0, "0")   # the last row repeats cell (0, 0)
-        edit_csv(path, [63], 1, "0")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + lines[-1:]) + "\n")
         with pytest.raises(FileFormatError):
-            reconstruct_dst(read_records_csv(path), gaussian_8.grid)
+            reconstruct_dst(read_records_csv(path))
 
     def test_grid_mismatch_rejected(self, gaussian_8):
-        with pytest.raises(ValueError):
-            reconstruct_dst(scan(gaussian_8, STRONG), GridSpec(8, 4, gaussian_8.grid.pitch))
+        # the records carry their grid, and refuse one their maps do not fit
+        records = scan(gaussian_8, STRONG)
+        with pytest.raises(ValueError, match="grid"):
+            dataclasses.replace(records, grid=GridSpec(8, 4, gaussian_8.grid.pitch))
 
     def test_bad_theta_rejected(self, gaussian_8):
+        # the records carry their theta, and refuse one out of range
         records = scan(gaussian_8, STRONG)
-        for theta in (0.0, -0.1, math.pi):
+        for theta in (0.0, -0.1, math.pi, math.nan):
             with pytest.raises(ValueError, match="theta"):
-                reconstruct_dst(records, gaussian_8.grid, theta)
+                dataclasses.replace(records, theta=theta)
 
     def test_all_zero_records_degenerate(self, grid_8):
-        records = ScanRecords(np.zeros((6, 8, 8)))
+        records = ScanRecords(np.zeros((6, 8, 8)), grid_8, STRONG)
         with pytest.raises(DegenerateFieldError):
-            reconstruct_dst(records, grid_8)
+            reconstruct_dst(records)
 
     def test_counts_path_converges(self):
         grid = GridSpec(16, 16, 125e-6)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=2 * grid.pitch), grid)
         gauged, _ = gauge_fix(f)
         records = scan(f, STRONG, photons_per_setting=10**7, seed=12)
-        res = reconstruct_dst(records, grid)
+        res = reconstruct_dst(records)
         assert res.zero_count_mask is not None
         assert fidelity(gauged, res.field) > 0.99
 
     def test_noiseless_has_no_zero_count_mask(self, gaussian_8):
-        res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
+        res = reconstruct_dst(scan(gaussian_8, STRONG))
         assert res.zero_count_mask is None
 
 
@@ -161,7 +166,7 @@ def test_dst_inverts_noiseless_records_at_any_theta(nx, ny, seed, theta):
     assume(nx != ny)
     f = random_smooth_field(GridSpec(nx, ny, 125e-6), seed, corr_cells=min(nx, ny) / 4)
     gauged, ptilde = gauge_fix(f)
-    res = reconstruct_dst(scan(f, theta), f.grid, theta)
+    res = reconstruct_dst(scan(f, theta))
     assert np.max(np.abs(res.field.amps - gauged.amps)) < 1e-9
     assert res.psi_tilde == pytest.approx(ptilde, rel=1e-9)
 
@@ -175,37 +180,38 @@ class TestDwtInversion:
         fids = {}
         for theta in (0.05, 0.5, math.pi / 2):
             records = scan(f, theta)
-            res = reconstruct_dwt(records, grid, theta)
+            res = reconstruct_dwt(records)
             fids[theta] = fidelity(gauged, res.field)
         assert fids[0.05] > fids[0.5] > fids[math.pi / 2]
         assert fids[0.05] >= 0.99
 
-        dst = reconstruct_dst(scan(f, STRONG), grid)
+        dst = reconstruct_dst(scan(f, STRONG))
         assert fidelity(gauged, dst.field) > fids[0.05]
 
     def test_real_field_keeps_im_zero(self):
         grid = GridSpec(12, 12, 1e-4)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=3 * grid.pitch), grid)
         records = scan(f, 0.05)
-        res = reconstruct_dwt(records, grid, theta=0.05)
+        res = reconstruct_dwt(records)
         assert np.max(np.abs(res.field.amps.imag)) < 1e-12
 
     def test_theta_validation(self, gaussian_8):
         records = scan(gaussian_8, STRONG)
         with pytest.raises(ValueError):
-            reconstruct_dwt(records, gaussian_8.grid, theta=0.0)
+            dataclasses.replace(records, theta=0.0)
 
     def test_mode_label(self, gaussian_8):
         records = scan(gaussian_8, 0.3)
-        assert reconstruct_dwt(records, gaussian_8.grid, 0.3).mode == "DWT"
-        assert reconstruct_dst(records, gaussian_8.grid).mode == "DST"
+        assert records.theta == 0.3
+        assert reconstruct_dwt(records).mode == "DWT"
+        assert reconstruct_dst(records).mode == "DST"
 
 
 class TestScore:
     def test_identity(self):
         grid = GridSpec(16, 16, 1e-4)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=3 * grid.pitch), grid)
-        res = reconstruct_dst(scan(f, STRONG), grid)
+        res = reconstruct_dst(scan(f, STRONG))
         report = score(res.field, f)
         assert report.r_square == pytest.approx(1.0, abs=1e-12)
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -217,18 +223,18 @@ class TestScore:
         # collapses far below 1 (typically negative for a peaked density)
         grid = GridSpec(16, 16, 1e-4)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=2 * grid.pitch), grid)
-        res = reconstruct_dst(scan(f, STRONG), grid)
+        res = reconstruct_dst(scan(f, STRONG))
         rng = np.random.default_rng(0)
         r2s = []
         for _ in range(5):
             perm = rng.permutation(grid.ncells)
             amps = res.field.amps.ravel()[perm].reshape(grid.ny, grid.nx)
-            shuffled = reconstruct_dst(scan(normalize(TransverseWavefunction(grid, amps)), STRONG), grid)
+            shuffled = reconstruct_dst(scan(normalize(TransverseWavefunction(grid, amps)), STRONG))
             r2s.append(score(shuffled.field, f).r_square)
         assert max(r2s) < 0.2
 
     def test_grid_mismatch(self, gaussian_8):
-        res = reconstruct_dst(scan(gaussian_8, STRONG), gaussian_8.grid)
+        res = reconstruct_dst(scan(gaussian_8, STRONG))
         other = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4e-4), GridSpec(9, 9, 1e-4))
         with pytest.raises(ValueError):
             score(res.field, other)
