@@ -67,6 +67,16 @@ def _write_field(cfg: cfgmod.ExperimentConfig, name: str, field) -> str:
     return _atomic_write(_out_path(cfg, name), lambda p: wavefield.write_wfgrid(p, field))
 
 
+def _write_json(cfg: cfgmod.ExperimentConfig, name: str, data: dict) -> str:
+    """Write ``data`` as the indented, key-sorted JSON file ``name`` in the output directory.
+
+    Returns the JSON text, which the file holds with a final line break.
+    """
+    text = json.dumps(data, indent=2, sort_keys=True)
+    _atomic_write(_out_path(cfg, name), text + "\n")
+    return text
+
+
 def _write_plot_maps(res: reconstruct.ReconstructionResult, cfg) -> None:
     """Emit gnuplot-ready density/phase maps: 'x_um y_um value' triplets, a blank line per row."""
     grid = res.field.grid
@@ -99,24 +109,19 @@ def cmd_measure(args, cfg: cfgmod.ExperimentConfig) -> str:
 
 def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
     records = engine.read_records_csv(args.records)
-    invert = reconstruct.reconstruct_dwt if cfg.estimator == "dwt" else reconstruct.reconstruct_dst
-    res = invert(records)
+    res = reconstruct.ESTIMATORS[cfg.estimator](records)
     report = None
     if args.ideal:
         report = reconstruct.score(res.field, wavefield.read_wfgrid(args.ideal))
     _write_field(cfg, "reconstruction.wfgrid", res.field)
-    sidecar = reconstruct.sidecar_dict(res, records.theta, report)
-    path = _atomic_write(_out_path(cfg, "report.json"),
-                         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_json(cfg, "report.json", reconstruct.sidecar_dict(res, records.theta, report))
     _write_plot_maps(res, cfg)
-    return path
+    return _out_path(cfg, "report.json")
 
 
 def cmd_score(args, cfg: cfgmod.ExperimentConfig) -> str:
     report = reconstruct.score(wavefield.read_wfgrid(args.rec), wavefield.read_wfgrid(args.ideal))
-    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
-    _atomic_write(_out_path(cfg, "score.json"), text + "\n")
-    return text
+    return _write_json(cfg, "score.json", dataclasses.asdict(report))
 
 
 def cmd_holo_forward(args, cfg: cfgmod.ExperimentConfig) -> str:
@@ -146,8 +151,7 @@ def cmd_holo_object(args, cfg: cfgmod.ExperimentConfig) -> str:
         "nyquist_fraction": obj.nyquist_fraction,
         "distance_over_extent": obj.distance_over_extent,
     }
-    _atomic_write(_out_path(cfg, "object_report.json"),
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(cfg, "object_report.json", summary)
     return path
 
 

@@ -11,14 +11,13 @@ library code that uses it.
 
 from __future__ import annotations
 
-import numbers
 import typing
 from dataclasses import dataclass, field, fields
 
 from .engine import STRONG_THETA, check_budget, check_seed, check_theta
 from .holography import OBJECT_MAPS, PropagationKernel, PropagationSpec, check_threshold
 from .reconstruct import ESTIMATORS
-from .wavefield import GridSpec, ModeKind, ModeSpec, default_waist
+from .wavefield import GridSpec, ModeKind, ModeSpec, default_waist, is_integer
 
 _AUTO = "auto"
 
@@ -46,7 +45,8 @@ class ExperimentConfig:
     # coupling / estimator
     theta: float = _key(STRONG_THETA, "coupling angle (rad): measure applies it; the records "
                                      "carry it")
-    estimator: str = _key("dst", "strong (dst) or weak-value (dwt) inversion", ESTIMATORS)
+    estimator: str = _key("dst", "strong (dst) or weak-value (dwt) inversion",
+                          list(ESTIMATORS))
     photons: int = _key(0, "photons per basis setting per cell (0 = noiseless)")
     seed: int = _key(0, "photon sampling seed")
     # propagation
@@ -69,8 +69,7 @@ class ExperimentConfig:
             choices = f.metadata.get("choices")
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {', '.join(choices)}; got {value!r}")
-            if _KEY_TYPES[f.name] is int and (isinstance(value, bool)
-                                              or not isinstance(value, numbers.Integral)):
+            if _KEY_TYPES[f.name] is int and not is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             # from_text ends a value at '#' or a line break and strips surrounding spaces
             if isinstance(value, str) and ("#" in value or value != value.strip()

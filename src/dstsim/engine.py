@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateFieldError, FileFormatError
-from .wavefield import GridSpec, TransverseWavefunction
+from .wavefield import GridSpec, TransverseWavefunction, is_integer
 
 _PSI_TILDE_MIN = 1e-12
 #: The strong coupling angle, the default of every call that takes theta.
@@ -48,44 +47,46 @@ PROJECTORS = ("plus", "minus", "0", "1", "L", "R")
 
 @dataclass(frozen=True)
 class ScanRecords:
-    """Readout of a full scan of ``grid`` at coupling ``theta``, as arrays ``[projector, iy, ix]``.
+    """Readout of a full scan of ``grid`` at coupling ``theta``: one array ``[projector, iy, ix]``.
 
-    ``probs[k]`` is the map of projector ``PROJECTORS[k]`` (the records CSV
-    column order).  Probabilities are unnormalized by post-selection: each
-    basis pair sums to the post-selection weight of the cell, not to one.
-    ``counts`` has the same layout and is None exactly when the scan is
-    noiseless (``photons_per_setting == 0``).  The records carry the grid and
-    the angle they were taken at, so their inversion needs nothing else.
+    The records hold what the scan measured, and nothing else.  A noiseless
+    scan (``photons_per_setting == 0``) measured the exact probabilities:
+    ``probs[k]`` is the map of projector ``PROJECTORS[k]``, unnormalized by
+    post-selection (each basis pair sums to the post-selection weight of the
+    cell, not to one), and ``counts`` is None.  A sampled scan measured photon
+    counts in the same layout, and ``probs`` is None.  The records keep their
+    own read-only copy of the array, and they carry the grid and the angle
+    they were taken at, so their inversion needs nothing else.
     """
 
-    probs: np.ndarray
+    probs: np.ndarray | None
     grid: GridSpec
     theta: float
     counts: np.ndarray | None = None
     photons_per_setting: int = 0
 
     def __post_init__(self):
-        probs, counts, grid = self.probs, self.counts, self.grid
-        shape = (len(PROJECTORS), grid.ny, grid.nx)
-        if probs.shape != shape:
-            raise ValueError(f"probs must have shape {shape} of the {grid.nx}x{grid.ny} grid, "
-                             f"got {probs.shape}")
         check_theta(self.theta)
-        if not np.isfinite(probs).all():
-            raise ValueError("non-finite probability")
-        if (probs < 0).any():
-            raise ValueError("negative probability")
         check_budget(self.photons_per_setting)
-        if counts is None:
-            if self.photons_per_setting > 0:
-                raise ValueError(f"budget {self.photons_per_setting} but no counts")
-            return
-        if self.photons_per_setting == 0:
-            raise ValueError("counts need a budget > 0")
-        if counts.shape != shape or not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError(f"counts must be integers of shape {shape}")
-        if (counts < 0).any():
-            raise ValueError("negative count")
+        sampled = self.photons_per_setting > 0
+        if (self.probs is None) != sampled or (self.counts is None) == sampled:
+            raise ValueError(f"records of budget {self.photons_per_setting} hold "
+                             f"{'counts' if sampled else 'probs'} and nothing else")
+        name = "counts" if sampled else "probs"
+        data = np.array(getattr(self, name), order="C")
+        shape = (len(PROJECTORS), self.grid.ny, self.grid.nx)
+        if data.shape != shape:
+            raise ValueError(f"{name} must have shape {shape} of the {self.grid.nx}x"
+                             f"{self.grid.ny} grid, got {data.shape}")
+        if sampled:
+            if not np.issubdtype(data.dtype, np.integer):
+                raise ValueError(f"counts must be integers, got {data.dtype}")
+        elif not np.isfinite(data).all():
+            raise ValueError("non-finite probability")
+        if (data < 0).any():
+            raise ValueError(f"negative {'count' if sampled else 'probability'}")
+        data.flags.writeable = False
+        object.__setattr__(self, name, data)
 
 
 def gauge_fix(f: TransverseWavefunction) -> tuple[TransverseWavefunction, float]:
@@ -175,17 +176,11 @@ def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_CellKey(words)))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a float or other non-integer raises ValueError, never truncates."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def check_budget(photons_per_setting: int) -> None:
     """Raise ValueError unless ``photons_per_setting`` is an integer >= 0 (0: noiseless)."""
-    if _integer("photons_per_setting", photons_per_setting) < 0:
+    if not is_integer(photons_per_setting):
+        raise ValueError(f"photons_per_setting must be an integer, got {photons_per_setting!r}")
+    if photons_per_setting < 0:
         raise ValueError("photons_per_setting must be >= 0")
 
 
@@ -197,8 +192,8 @@ def check_theta(theta: float) -> None:
 
 def check_seed(seed: int) -> None:
     """:func:`cell_rng` keys a stream by 64 seed bits; reject seeds that would alias."""
-    if not 0 <= _integer("seed", seed) < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if not (is_integer(seed) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _sample_cell(
@@ -224,22 +219,24 @@ def sample_counts(
     """Photon counts for the three basis settings at one cell ``(ix, iy)``.
 
     ``probs`` holds the cell's six probabilities in :data:`PROJECTORS` order,
-    e.g. ``records.probs[:, iy, ix]``, and the counts come back in the same
-    order.  Each basis receives an independent ensemble of
-    ``photons_per_setting`` photons; the number that survives post-selection
-    is Poisson with mean ``photons_per_setting * (pair weight)`` and is split
-    binomially between the two projectors of the basis.  Deterministic given
-    (seed, cell), and equal to what :func:`scan` draws at that cell.  A seed
-    outside ``[0, 2**64)`` or a cell index outside ``[0, 2**32)`` raises
-    ValueError: :func:`cell_rng` would alias it onto another stream.  So do a
-    cell that is not an ``(ix, iy)`` pair and a non-integer budget, seed or index.
+    ``scan_probability_maps(field, theta)[:, iy, ix]`` for the cell a
+    :func:`scan` sampled, and the counts come back in the same order.  Each
+    basis receives an independent ensemble of ``photons_per_setting``
+    photons; the number that survives post-selection is Poisson with mean
+    ``photons_per_setting * (pair weight)`` and is split binomially between
+    the two projectors of the basis.  Deterministic given (seed, cell), and
+    equal to what :func:`scan` draws at that cell.  A seed outside
+    ``[0, 2**64)`` or a cell index outside ``[0, 2**32)`` raises ValueError:
+    :func:`cell_rng` would alias it onto another stream.  So do a cell that
+    is not an ``(ix, iy)`` pair and a budget, seed or index that is not an
+    integer (a bool included).
     """
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (len(PROJECTORS),):
         raise ValueError(f"probs must have shape (6,), got {probs.shape}")
     check_budget(photons_per_setting)
     check_seed(seed)
-    if len(cell) != 2 or not all(0 <= _integer("cell index", i) < 2**32 for i in cell):
+    if len(cell) != 2 or not all(is_integer(i) and 0 <= i < 2**32 for i in cell):
         raise ValueError(f"cell must be an (ix, iy) pair of indices in [0, 2**32), got {cell}")
     if photons_per_setting == 0:
         return np.zeros(len(PROJECTORS), dtype=np.int64)
@@ -266,7 +263,9 @@ def scan(
 
     Each cell is measured on a fresh photon ensemble drawn from its own
     :func:`cell_rng` stream, so cells are statistically independent.  With
-    ``photons_per_setting == 0`` the records carry exact probabilities only.
+    ``photons_per_setting == 0`` the records hold the exact probabilities;
+    otherwise they hold the counts, sampled from the probabilities that
+    :func:`scan_probability_maps` returns.
     """
     check_budget(photons_per_setting)
     check_seed(seed)
@@ -278,8 +277,7 @@ def scan(
     counts = np.array(
         [_sample_cell(p, photons_per_setting, cell_rng(seed, i % nx, i // nx))
          for i, p in enumerate(cells)], dtype=np.int64)
-    return ScanRecords(probs, f.grid, theta, counts.T.reshape(probs.shape),
-                       photons_per_setting)
+    return ScanRecords(None, f.grid, theta, counts.T.reshape(probs.shape), photons_per_setting)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +286,10 @@ def scan(
 
 #: The keys of the header line, which states the scan once: ``nx=64,ny=64,...``.
 _HEADER_KEYS = ("nx", "ny", "pitch", "theta", "budget")
-#: The columns of a sampled scan; a noiseless scan has the first six only.
-_COLUMNS = [*("w_" + p for p in PROJECTORS), *("n_" + p for p in PROJECTORS)]
+#: The column names, value format and dtype of the probabilities of a noiseless
+#: scan (``False``) and of the counts of a sampled one (``True``).
+_COLUMNS = {False: (["w_" + p for p in PROJECTORS], "%.17g", np.float64),
+            True: (["n_" + p for p in PROJECTORS], "%d", np.int64)}
 #: Rows formatted per write, which bounds the writer's memory.
 _ROW_BLOCK = 4096
 
@@ -299,43 +299,32 @@ def write_records_csv(records: ScanRecords, path) -> None:
 
     The header states ``nx``, ``ny``, the pitch (m), theta and the budget,
     floats as ``repr``.  A row holds the cell's six probabilities with 17
-    significant digits and, when the scan is sampled, its six counts.
+    significant digits when the scan is noiseless, or its six counts when it
+    is sampled.
     """
-    grid, nk = records.grid, len(PROJECTORS)
+    grid, sampled = records.grid, records.counts is not None
     values = (grid.nx, grid.ny, repr(float(grid.pitch)), repr(float(records.theta)),
               records.photons_per_setting)
     header = ",".join(f"{k}={v}" for k, v in zip(_HEADER_KEYS, values))
-    maps = [records.probs] if records.counts is None else [records.probs, records.counts]
-    columns = [column for m in maps for column in m.reshape(nk, -1)]   # cells in row-major order
-    width = len(columns)
-    fmt = ",".join(["%.17g"] * nk + ["%d"] * (width - nk)) + "\r\n"
+    names, fmt, _ = _COLUMNS[sampled]
+    cells = (records.counts if sampled else records.probs).reshape(len(PROJECTORS), -1).T
+    row = ",".join([fmt] * len(names)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(f"{header}\r\n{','.join(_COLUMNS[:width])}\r\n")
+        fh.write(f"{header}\r\n{','.join(names)}\r\n")
         for start in range(0, grid.ncells, _ROW_BLOCK):
-            rows = min(_ROW_BLOCK, grid.ncells - start)
-            fields = [None] * (width * rows)   # each cell's fields side by side
-            for k, column in enumerate(columns):
-                fields[k::width] = column[start:start + rows].tolist()
-            fh.write((fmt * rows) % tuple(fields))
-
-
-def _maps(body: bytes, first: int, dtype, grid: GridSpec) -> np.ndarray:
-    """Columns ``first`` to ``first + 5`` of the rows as ``(6, ny, nx)`` maps of ``dtype``."""
-    nk = len(PROJECTORS)
-    table = np.loadtxt(io.BytesIO(body), dtype, delimiter=",", comments=None, ndmin=2,
-                       usecols=range(first, first + nk))
-    return table.T.reshape(nk, grid.ny, grid.nx)
+            block = cells[start:start + _ROW_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_records_csv(path) -> ScanRecords:
     """Read a records CSV that :func:`write_records_csv` wrote.
 
-    Raises :class:`FileFormatError` on a missing or malformed header, columns
-    other than the six probabilities with or without the six counts, other
-    than ``nx * ny`` rows (each ending in a line break) of that many fields,
-    a non-integer count, and anything :class:`ScanRecords` refuses: a grid
-    or theta out of range, a negative or non-finite probability, a negative
-    count, counts with budget 0 or a budget > 0 without counts.
+    Raises :class:`FileFormatError` on a missing or malformed header, column
+    names other than the probabilities' for budget 0 or the counts' for a
+    budget > 0, other than ``nx * ny`` rows (each ending in a line break) of
+    six fields, a non-integer count, and anything :class:`ScanRecords`
+    refuses: a grid or theta out of range, a negative or non-finite
+    probability or a negative count.
     """
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n", 2)
@@ -349,17 +338,20 @@ def read_records_csv(path) -> ScanRecords:
                               f"{','.join(k + '=' for k in _HEADER_KEYS)}, got {header!r}")
     nx, ny, pitch, theta, budget = (value for _, _, value in pairs)
     names = names.rstrip(b"\r").decode("latin-1").split(",")
-    nk = len(PROJECTORS)
-    if names not in (_COLUMNS[:nk], _COLUMNS):
-        raise FileFormatError(f"{path}: unexpected columns {','.join(names)!r}")
     try:
-        grid = GridSpec(int(nx), int(ny), float(pitch))
+        grid, budget = GridSpec(int(nx), int(ny), float(pitch)), int(budget)
+        expected, _, dtype = _COLUMNS[budget > 0]
+        if names != expected:
+            raise FileFormatError(f"{path}: columns {','.join(names)!r}, but budget {budget} "
+                                  f"records {','.join(expected)}")
         n = grid.ncells
         if body.count(b"\n") != n or body.count(b",") != (len(names) - 1) * n:
             raise FileFormatError(f"{path}: expected {n} rows of {len(names)} fields, "
                                   f"one per cell of the {grid.nx}x{grid.ny} grid")
-        counts = _maps(body, nk, np.int64, grid) if len(names) > nk else None
-        return ScanRecords(_maps(body, 0, np.float64, grid), grid, float(theta), counts,
-                           int(budget))
+        table = np.loadtxt(io.BytesIO(body), dtype, delimiter=",", comments=None, ndmin=2)
+        data = table.T.reshape(len(PROJECTORS), grid.ny, grid.nx)
+        if budget > 0:
+            return ScanRecords(None, grid, float(theta), data, budget)
+        return ScanRecords(data, grid, float(theta), None, budget)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFieldError, FileFormatError, SamplingGuardError
-from .wavefield import GridSpec, TransverseWavefunction
+from .wavefield import GridSpec, TransverseWavefunction, is_integer
 
 #: Paraxial validity heuristic: distance at least this many grid extents.
 PARAXIAL_MIN_EXTENTS = 10.0
@@ -82,7 +82,7 @@ class PropagationSpec:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if not np.isfinite(self.distance) or self.distance <= 0:
             raise ValueError(f"distance must be positive, got {self.distance}")
-        if not isinstance(self.pad_factor, (int, np.integer)) or self.pad_factor < 2:
+        if not is_integer(self.pad_factor) or self.pad_factor < 2:
             raise ValueError(f"pad_factor must be an integer >= 2, got {self.pad_factor}")
 
     @property

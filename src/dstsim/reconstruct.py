@@ -30,10 +30,6 @@ from .errors import DegenerateFieldError
 from .wavefield import TransverseWavefunction
 from .engine import ScanRecords
 
-#: The ``estimator`` values of the configuration: strong and weak-value inversion.
-ESTIMATORS = ("dst", "dwt")
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Reconstructed field plus the gauge constant that scaled it.
@@ -124,6 +120,10 @@ def reconstruct_dwt(records: ScanRecords) -> ReconstructionResult:
     visibly distorted at theta = pi/2.
     """
     return _invert(records, 0.0, 2.0 * records.theta, "DWT")
+
+
+#: The inversion of each ``estimator`` value of the configuration: strong and weak-value.
+ESTIMATORS = {"dst": reconstruct_dst, "dwt": reconstruct_dwt}
 
 
 def fidelity(a: TransverseWavefunction, b: TransverseWavefunction) -> float:

@@ -23,6 +23,15 @@ from scipy.special import eval_genlaguerre
 from .errors import DegenerateFieldError, FileFormatError
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool, a float or anything else is not.
+
+    The one integer test of every integer parameter, so that 1.5 is refused
+    rather than truncated and True is not taken for 1.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform scan grid: ``nx`` by ``ny`` cells of physical width ``pitch`` (m)."""
@@ -32,8 +41,9 @@ class GridSpec:
     pitch: float
 
     def __post_init__(self):
-        if not (isinstance(self.nx, (int, np.integer)) and isinstance(self.ny, (int, np.integer))):
-            raise ValueError("nx and ny must be integers")
+        for name in ("nx", "ny"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
         if not np.isfinite(self.pitch) or self.pitch <= 0:
@@ -63,15 +73,15 @@ class GridSpec:
 class TransverseWavefunction:
     """Complex amplitudes ``amps[iy, ix]`` on a :class:`GridSpec`.
 
-    Instances are immutable: the amplitude buffer is marked read-only, and
-    every operation returns a new instance.
+    Instances are immutable: the field holds its own copy of the amplitudes,
+    marked read-only, and every operation returns a new instance.
     """
 
     grid: GridSpec
     amps: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.amps, dtype=np.complex128)
+        arr = np.array(self.amps, dtype=np.complex128, order="C")
         if arr.shape != (self.grid.ny, self.grid.nx):
             raise ValueError(
                 f"amps shape {arr.shape} does not match grid "
@@ -118,6 +128,9 @@ class ModeSpec:
     def __post_init__(self):
         if not np.isfinite(self.waist) or self.waist <= 0:
             raise ValueError(f"waist must be positive and finite, got {self.waist}")
+        for name in ("oam", "radial"):   # a half charge would put a branch cut in the phase
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.radial < 0:
             raise ValueError(f"radial index must be non-negative, got {self.radial}")
         if not np.all(np.isfinite(self.center)):
@@ -165,8 +178,12 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
 def apply_vortex_plate(f: TransverseWavefunction, l: int) -> TransverseWavefunction:
     """Multiply by ``exp(i l phi)`` with phi the azimuthal angle about the grid center.
 
-    The multiplier has unit modulus, so the total power is unchanged.
+    The multiplier has unit modulus, so the total power is unchanged.  A
+    charge ``l`` that is not an integer raises ValueError: its phase would jump
+    along a branch cut.
     """
+    if not is_integer(l):
+        raise ValueError(f"l must be an integer, got {l!r}")
     if l == 0:
         return f
     x, y = f.grid.mesh()

@@ -299,8 +299,27 @@ class TestMeasureReconstruct:
         assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "100",
                    "--out", str(out)) == 0
         path = out / "records.csv"
-        edit_csv(path, [4], 6, "-3")   # a negative n_plus
+        edit_csv(path, [4], 0, "-3")   # a negative n_plus
         assert run("reconstruct", "--records", str(path), "--out", str(out)) == 4
+
+    def test_sampled_records_hold_counts_alone(self, tmp_path, capsys):
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "100",
+                   "--seed", "2", "--out", str(out)) == 0
+        path = out / "records.csv"
+        lines = path.read_text().splitlines()
+        assert lines[1] == "n_plus,n_minus,n_0,n_1,n_L,n_R"
+        assert len(lines) == 2 + 144
+        assert all(len(row) == 6 and all(v.isdigit() for v in row)
+                   for row in (line.split(",") for line in lines[2:]))
+        # the same counts with the probabilities beside them, as an earlier layout wrote
+        probs = ["0.25"] * 6
+        lines[1] = ",".join(["w_plus", "w_minus", "w_0", "w_1", "w_L", "w_R", lines[1]])
+        lines[2:] = [",".join(probs + [line]) for line in lines[2:]]
+        path.write_text("\r\n".join(lines) + "\r\n")
+        capsys.readouterr()
+        assert run("reconstruct", "--records", str(path), "--out", str(out / "rec")) == 4
+        assert "columns" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows, column, value", [
         ([-2], 0, "ix=12"),            # a malformed header
@@ -389,6 +408,16 @@ class TestScoreCommand:
         report = json.loads((out / "score.json").read_text())
         assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
         assert report["r_square"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_score_prints_the_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("prepare", "--nx", "10", "--ny", "10", "--out", str(out)) == 0
+        field = str(out / "field.wfgrid")
+        capsys.readouterr()
+        assert run("score", "--rec", field, "--ideal", field, "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert (out / "score.json").read_text() == printed   # print adds the line break
+        assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
 
 
 class TestHoloCommands:

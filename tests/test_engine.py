@@ -40,11 +40,9 @@ UNIFORM_2X2_HEADER = b"nx=2,ny=2,pitch=0.0001,theta=1.5707963267948966,budget=%d
 UNIFORM_2X2_PROBS = b"0.5,0.125,0.5625,0.0625,0.31250000000000006,0.31250000000000006"
 UNIFORM_2X2_NOISELESS = (UNIFORM_2X2_HEADER % 0 + b"w_plus,w_minus,w_0,w_1,w_L,w_R\r\n"
                          + b"%s\r\n" % UNIFORM_2X2_PROBS * 4)
-UNIFORM_2X2_SAMPLED_SEED0 = (
-    UNIFORM_2X2_HEADER % 10
-    + b"w_plus,w_minus,w_0,w_1,w_L,w_R,n_plus,n_minus,n_0,n_1,n_L,n_R\r\n"
-    + b"".join(b"%s,%s\r\n" % (UNIFORM_2X2_PROBS, counts)
-               for counts in (b"2,0,6,1,1,6", b"1,2,4,0,4,7", b"3,4,5,0,1,1", b"7,2,8,2,3,0")))
+UNIFORM_2X2_COUNTS_SEED0 = (b"2,0,6,1,1,6", b"1,2,4,0,4,7", b"3,4,5,0,1,1", b"7,2,8,2,3,0")
+UNIFORM_2X2_SAMPLED_SEED0 = (UNIFORM_2X2_HEADER % 10 + b"n_plus,n_minus,n_0,n_1,n_L,n_R\r\n"
+                             + b"".join(b"%s\r\n" % c for c in UNIFORM_2X2_COUNTS_SEED0))
 
 
 class TestCouplingAngle:
@@ -303,13 +301,14 @@ class TestCellStream:
 @given(nx=st.integers(2, 9), ny=st.integers(2, 7), field_seed=st.integers(0, 2**16),
        seed=st.integers(0, 2**64 - 1), budget=st.sampled_from([0, 1, 10**3, 10**8]))
 def test_single_cell_resample_equals_scan(nx, ny, field_seed, seed, budget):
-    records = scan(random_field(GridSpec(nx, ny, 1e-4), field_seed), STRONG, budget, seed)
-    counts = (records.counts if budget else np.zeros(records.probs.shape, dtype=np.int64))
+    field = random_field(GridSpec(nx, ny, 1e-4), field_seed)
+    records = scan(field, STRONG, budget, seed)
+    probs = scan_probability_maps(field, STRONG)   # what the scan sampled from
+    counts = (records.counts if budget else np.zeros(probs.shape, dtype=np.int64))
     for iy in range(ny):
         for ix in range(nx):
-            assert np.array_equal(
-                sample_counts(records.probs[:, iy, ix], budget, seed, (ix, iy)),
-                counts[:, iy, ix])
+            assert np.array_equal(sample_counts(probs[:, iy, ix], budget, seed, (ix, iy)),
+                                  counts[:, iy, ix])
 
 
 class TestScan:
@@ -337,11 +336,11 @@ class TestScan:
         f = random_field(grid_8, seed=2)
         for theta in (math.pi / 2, 0.3):
             records = scan(f, theta, photons_per_setting=500, seed=99)
+            assert records.probs is None   # sampled records hold the counts alone
             maps = scan_probability_maps(f, theta)
             for iy in range(8):
                 for ix in range(8):
                     probs = maps[:, iy, ix]
-                    assert np.array_equal(records.probs[:, iy, ix], probs)
                     assert np.array_equal(records.counts[:, iy, ix],
                                           sample_counts(probs, 500, seed=99, cell=(ix, iy)))
 
@@ -353,7 +352,33 @@ class TestScan:
     def test_sampled_records_carry_budget(self, gaussian_8):
         records = scan(gaussian_8, STRONG, photons_per_setting=100, seed=1)
         assert records.photons_per_setting == 100
-        assert records.counts is not None
+        assert records.counts is not None and records.probs is None
+
+    def test_records_are_read_only(self, gaussian_8):
+        for records, name in ((scan(gaussian_8), "probs"),
+                              (scan(gaussian_8, photons_per_setting=100, seed=1), "counts")):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(records, name)[0, 0, 0] = -1
+
+    def test_records_keep_their_own_array(self):
+        probs = np.zeros((6, 2, 2))
+        records = ScanRecords(probs, GRID_2X2, STRONG)
+        probs[0, 0, 0] = -1.0   # the caller's array stays writable, the records do not see it
+        assert records.probs[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("budget", [True, False, np.True_])
+    def test_rejects_bool_budget(self, gaussian_8, budget):
+        # True would pass as budget 1 and write a records file that reads back refused
+        with pytest.raises(ValueError, match="photons_per_setting must be an integer"):
+            scan(gaussian_8, STRONG, photons_per_setting=budget)
+        with pytest.raises(ValueError, match="photons_per_setting must be an integer"):
+            sample_counts(UNIFORM_2X2_CELL, budget, seed=1)
+
+    def test_rejects_bool_seed_and_cell_index(self, gaussian_8):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            scan(gaussian_8, STRONG, photons_per_setting=10, seed=True)
+        with pytest.raises(ValueError, match=r"\(ix, iy\) pair"):
+            sample_counts(UNIFORM_2X2_CELL, 10, seed=1, cell=(True, 0))
 
 
 class TestRecordsCsv:
@@ -381,9 +406,12 @@ class TestRecordsCsv:
         write_records_csv(scan(gaussian_8, 0.3, photons_per_setting=7), path)
         header, columns = path.read_text().splitlines()[:2]
         assert header == "nx=8,ny=8,pitch=0.000125,theta=0.3,budget=7"
-        assert columns == ("w_plus,w_minus,w_0,w_1,w_L,w_R,"
-                           "n_plus,n_minus,n_0,n_1,n_L,n_R")
-        assert columns.split(",") == [f"{kind}_{p}" for kind in "wn" for p in PROJECTORS]
+        assert columns == "n_plus,n_minus,n_0,n_1,n_L,n_R"   # the counts, no probabilities
+        assert columns.split(",") == ["n_" + p for p in PROJECTORS]
+        write_records_csv(scan(gaussian_8, 0.3), path)
+        header, columns = path.read_text().splitlines()[:2]
+        assert header == "nx=8,ny=8,pitch=0.000125,theta=0.3,budget=0"
+        assert columns.split(",") == ["w_" + p for p in PROJECTORS]
 
     def test_deterministic_bytes(self, tmp_path, gaussian_8):
         records = scan(gaussian_8, STRONG, photons_per_setting=100, seed=3)
@@ -401,7 +429,7 @@ class TestRecordsCsv:
     def test_rejects_partial_counts(self, tmp_path, gaussian_8):
         path = tmp_path / "records.csv"
         write_records_csv(scan(gaussian_8, STRONG, photons_per_setting=10, seed=0), path)
-        edit_csv(path, [0], 9, "")   # an empty n_1 on the first row
+        edit_csv(path, [0], 3, "")   # an empty n_1 on the first row
         with pytest.raises(FileFormatError):
             read_records_csv(path)
 
@@ -424,13 +452,23 @@ class TestRecordsCsv:
         write_records_csv(scan(uniform_field(2), STRONG, photons_per_setting=10, seed=0), path)
         assert path.read_bytes() == UNIFORM_2X2_SAMPLED_SEED0
 
+    def test_rejects_probabilities_beside_counts(self, tmp_path):
+        # the earlier layout wrote a sampled scan's probabilities beside its counts
+        path = tmp_path / "records.csv"
+        path.write_bytes(
+            UNIFORM_2X2_HEADER % 10
+            + b"w_plus,w_minus,w_0,w_1,w_L,w_R,n_plus,n_minus,n_0,n_1,n_L,n_R\r\n"
+            + b"".join(b"%s,%s\r\n" % (UNIFORM_2X2_PROBS, c) for c in UNIFORM_2X2_COUNTS_SEED0))
+        with pytest.raises(FileFormatError, match="columns"):
+            read_records_csv(path)
+
     @pytest.mark.parametrize("budget, rows, column, value", [
-        (10, [3], 7, "-1"),              # a negative count
+        (10, [3], 1, "-1"),              # a negative count
         (0, [3], 0, "-0.5"),             # a negative probability
         (10, [-2], 4, "budget=0"),       # counts with a zero budget
         (0, [-2], 4, "budget=10"),       # a budget without count columns
         (0, [3], 2, "nan"),              # a non-finite probability
-        (10, [3], 11, "2.0"),            # a non-integer count
+        (10, [3], 5, "2.0"),             # a non-integer count
         (0, [3], 5, "0,0"),              # an extra field
         (0, [-2], 1, "ny=7"),            # 64 rows for a grid of 56 cells
         (0, [-2], 1, "ny=16"),           # 64 rows for a grid of 128 cells
@@ -444,7 +482,7 @@ class TestRecordsCsv:
         (0, [-2], 4, "photons=0"),
         (0, [-2], 4, "budget=0,seed=1"),
         (0, [-1], 1, "w_minus "),        # unexpected column names
-        (10, [-1], 11, ""),
+        (10, [-1], 5, ""),
     ], ids=["negative-count", "negative-prob", "counts-zero-budget", "budget-no-counts",
             "nan-prob", "float-count", "extra-field", "rows-exceed-grid",
             "rows-short-of-grid", "theta-zero", "theta-above-half-pi", "theta-nan",
@@ -471,12 +509,13 @@ def test_records_csv_round_trip(tmp_path_factory, nx, ny, pitch, theta, field_se
     back = read_records_csv(path)
     assert back.grid == records.grid and back.theta == theta
     assert back.photons_per_setting == budget
-    assert back.probs.tobytes() == records.probs.tobytes()
     if budget:
+        assert back.probs is None
         assert back.counts.dtype == records.counts.dtype
         assert back.counts.tobytes() == records.counts.tobytes()
     else:
         assert back.counts is None
+        assert back.probs.tobytes() == records.probs.tobytes()
 
 
 GRID_2X2 = GridSpec(2, 2, 1e-4)
@@ -488,16 +527,20 @@ class TestScanRecords:
             ScanRecords(np.zeros((4, 2, 2)), GRID_2X2, STRONG)
         with pytest.raises(ValueError):
             ScanRecords(np.zeros((6, 2, 3)), GRID_2X2, STRONG)   # maps off the grid
-        with pytest.raises(ValueError):
-            ScanRecords(np.zeros((6, 2, 2)), GRID_2X2, STRONG,
-                        np.zeros((6, 2, 3), dtype=np.int64), 10)
+        with pytest.raises(ValueError, match="shape"):
+            ScanRecords(None, GRID_2X2, STRONG, np.zeros((6, 2, 3), dtype=np.int64), 10)
 
     def test_counts_and_budget_go_together(self):
+        counts = np.zeros((6, 2, 2), dtype=np.int64)
         with pytest.raises(ValueError):
-            ScanRecords(np.zeros((6, 2, 2)), GRID_2X2, STRONG, None, 10)
+            ScanRecords(np.zeros((6, 2, 2)), GRID_2X2, STRONG, None, 10)   # probs, budget
         with pytest.raises(ValueError):
-            ScanRecords(np.zeros((6, 2, 2)), GRID_2X2, STRONG,
-                        np.zeros((6, 2, 2), dtype=np.int64), 0)
+            ScanRecords(None, GRID_2X2, STRONG, counts, 0)   # counts without a budget
+        for probs, counts_ in ((np.zeros((6, 2, 2)), counts), (None, None)):  # both, neither
+            for budget in (0, 10):
+                with pytest.raises(ValueError):
+                    ScanRecords(probs, GRID_2X2, STRONG, counts_, budget)
+        assert ScanRecords(None, GRID_2X2, STRONG, counts, 10).probs is None
 
     def test_rejects_non_finite_probability(self):
         probs = np.zeros((6, 2, 2))

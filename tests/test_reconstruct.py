@@ -207,6 +207,12 @@ class TestDwtInversion:
         assert reconstruct_dst(records).mode == "DST"
 
 
+def test_estimators_name_their_inversions():
+    # the configuration's estimator values index this table, and nothing else inverts
+    from dstsim.reconstruct import ESTIMATORS
+    assert ESTIMATORS == {"dst": reconstruct_dst, "dwt": reconstruct_dwt}
+
+
 class TestScore:
     def test_identity(self):
         grid = GridSpec(16, 16, 1e-4)

@@ -28,6 +28,7 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("nx,ny,pitch", [
         (1, 4, 1e-4), (4, 1, 1e-4), (4, 4, 0.0), (4, 4, -1e-6), (4, 4, float("nan")),
+        (4.0, 4, 1e-4), (4, True, 1e-4),   # sizes that are not integers
     ])
     def test_invalid(self, nx, ny, pitch):
         with pytest.raises(ValueError):
@@ -55,6 +56,12 @@ class TestWavefunction:
     def test_immutable(self, gaussian_8):
         with pytest.raises(ValueError):
             gaussian_8.amps[0, 0] = 1.0
+
+    def test_keeps_its_own_copy(self):
+        base = np.ones(4, complex)
+        f = TransverseWavefunction(GridSpec(2, 2, 1.0), base.reshape(2, 2))
+        base[0] = 5   # the caller's buffer stays writable, and the field does not see it
+        assert f.amps[0, 0] == 1
 
 
 class TestMakeMode:
@@ -112,6 +119,12 @@ class TestMakeMode:
         with pytest.raises(ValueError, match="center must be finite"):
             ModeSpec(ModeKind.GAUSSIAN, waist=1e-4, center=center)
 
+    @pytest.mark.parametrize("oam, radial", [(0.5, 0), (1.0, 0), (1, 1.5), (True, 0)])
+    def test_non_integer_index(self, oam, radial):
+        # a half charge would build a phase with a branch cut
+        with pytest.raises(ValueError, match="must be an integer"):
+            ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=1e-4, oam=oam, radial=radial)
+
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             GridSpec(1, 8, 1e-4)
@@ -145,6 +158,11 @@ class TestVortexPlate:
     def test_inverse_plate_cancels(self, gaussian_8):
         back = apply_vortex_plate(apply_vortex_plate(gaussian_8, 1), -1)
         assert np.max(np.abs(back.amps - gaussian_8.amps)) < 1e-12
+
+    @pytest.mark.parametrize("l", [0.5, 1.0, True])
+    def test_non_integer_charge(self, gaussian_8, l):
+        with pytest.raises(ValueError, match="l must be an integer"):
+            apply_vortex_plate(gaussian_8, l)
 
     def test_power_preserved(self, gaussian_8):
         v = apply_vortex_plate(gaussian_8, 3)
