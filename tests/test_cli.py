@@ -404,20 +404,14 @@ class TestScoreCommand:
         assert run("prepare", "--mode", "gaussian", "--nx", "10", "--ny", "10",
                    "--out", str(out)) == 0
         field = str(out / "field.wfgrid")
+        capsys.readouterr()
         assert run("score", "--rec", field, "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "score.json").read_text())
         assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
         assert report["r_square"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_score_prints_the_file(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert run("prepare", "--nx", "10", "--ny", "10", "--out", str(out)) == 0
-        field = str(out / "field.wfgrid")
-        capsys.readouterr()
-        assert run("score", "--rec", field, "--ideal", field, "--out", str(out)) == 0
-        printed = capsys.readouterr().out
-        assert (out / "score.json").read_text() == printed   # print adds the line break
-        assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
+        printed = capsys.readouterr().out   # print adds the file's final line break
+        assert (out / "score.json").read_text() == printed
+        assert printed == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 class TestHoloCommands:
