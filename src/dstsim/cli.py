@@ -115,7 +115,8 @@ def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
         report = reconstruct.score(res.field, wavefield.read_wfgrid(args.ideal))
     _write_field(cfg, "reconstruction.wfgrid", res.field)
     _write_json(cfg, "report.json", reconstruct.sidecar_dict(res, records.theta, report))
-    _write_plot_maps(res, cfg)
+    if cfg.maps == "gnuplot":
+        _write_plot_maps(res, cfg)
     return _out_path(cfg, "report.json")
 
 

@@ -58,6 +58,8 @@ class ExperimentConfig:
     object_map: str = _key("amplitude", "transmission map of the --object PGM", list(OBJECT_MAPS))
     threshold: float = _key(1e-3, "holo object validity threshold relative to peak illumination")
     # output
+    maps: str = _key("none", "maps reconstruct also writes: none, or the gnuplot text files "
+                             "density.dat and phase.dat", ["none", "gnuplot"])
     out: str = _key("out", "output directory")
 
     def __post_init__(self):

@@ -228,12 +228,15 @@ def sample_counts(
     equal to what :func:`scan` draws at that cell.  A seed outside
     ``[0, 2**64)`` or a cell index outside ``[0, 2**32)`` raises ValueError:
     :func:`cell_rng` would alias it onto another stream.  So do a cell that
-    is not an ``(ix, iy)`` pair and a budget, seed or index that is not an
-    integer (a bool included).
+    is not an ``(ix, iy)`` pair, a budget, seed or index that is not an
+    integer (a bool included), and a non-finite or negative probability,
+    which :class:`ScanRecords` refuses too.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (len(PROJECTORS),):
         raise ValueError(f"probs must have shape (6,), got {probs.shape}")
+    if not (np.isfinite(probs) & (probs >= 0)).all():
+        raise ValueError(f"probs must be finite and non-negative, got {probs.tolist()}")
     check_budget(photons_per_setting)
     check_seed(seed)
     if len(cell) != 2 or not all(is_integer(i) and 0 <= i < 2**32 for i in cell):

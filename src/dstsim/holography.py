@@ -253,6 +253,8 @@ def reconstruct_object(
     amplitude is at least ``threshold`` times its maximum.  The object and
     illumination planes coincide (thin object), so the true transmitted
     field is ``t * known_input``.  ``threshold`` must pass :func:`check_threshold`.
+    An empty validity mask, as that of an illumination that is zero
+    everywhere, raises :class:`DegenerateFieldError`.
     """
     if measured_d.grid != known_input.grid:
         raise ValueError("measured and known-input grids differ")
@@ -260,7 +262,7 @@ def reconstruct_object(
     back = propagate_inverse(measured_d, spec)
     nyquist_fraction, distance_over_extent = _check_guards(measured_d.grid, spec)
     mag = np.abs(known_input.amps)
-    mask = mag >= threshold * mag.max()
+    mask = (mag >= threshold * mag.max()) & (mag > 0)   # a zero illumination is never valid
     if not mask.any():
         raise DegenerateFieldError("validity mask is empty; illumination too weak")
     t = np.zeros_like(back.amps)

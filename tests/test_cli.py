@@ -40,7 +40,7 @@ EVERY_FIELD_SET = dict(
     nx=32, ny=24, pitch_um=100.5, mode="lg", l=2, radial=1, waist_um=500.0, cx_um=-12.5,
     cy_um=7.25, vortex_l=-1, theta=0.4, estimator="dwt", photons=100, seed=2**64 - 1,
     lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, object_map="phase",
-    threshold=0.02, out="runs/a b=c",
+    threshold=0.02, maps="gnuplot", out="runs/a b=c",
 )
 
 
@@ -205,7 +205,7 @@ class TestMeasureReconstruct:
         field = str(out / "field.wfgrid")
         assert run("measure", "--field", field, "--out", str(out)) == 0
         assert run("reconstruct", "--records", str(out / "records.csv"),
-                   "--ideal", field, "--out", str(out)) == 0
+                   "--ideal", field, "--maps", "gnuplot", "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["mode"] == "DST" and report["theta"] == math.pi / 2
         assert report["fidelity"] >= 1 - 1e-10
@@ -216,6 +216,68 @@ class TestMeasureReconstruct:
         assert np.max(np.abs(rec.amps - ideal.amps)) < 1e-9
         density = (out / "density.dat").read_text().splitlines()
         assert len([ln for ln in density if ln.strip()]) == 144
+
+    def test_reconstruct_writes_no_maps_by_default(self, tmp_path):
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
+        rec = tmp_path / "rec"
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--out", str(rec)) == 0
+        assert sorted(os.listdir(rec)) == ["reconstruction.wfgrid", "report.json"]
+        # maps = none leaves a map an earlier run wrote as it is
+        (rec / "density.dat").write_text("earlier\n")
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--out", str(rec)) == 0
+        assert (rec / "density.dat").read_text() == "earlier\n"
+        assert not (rec / "phase.dat").exists()
+
+    def test_gnuplot_maps_are_the_writers_bytes(self, tmp_path):
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "100",
+                   "--out", str(out)) == 0
+        rec = tmp_path / "rec"
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--maps", "gnuplot",
+                   "--out", str(rec)) == 0
+        res = ESTIMATORS["dst"](read_records_csv(out / "records.csv"))
+        cli._write_plot_maps(res, ExperimentConfig(out=str(tmp_path / "direct")))
+        for name in ("density.dat", "phase.dat"):
+            assert (rec / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
+
+    def test_gnuplot_maps_from_a_config_file(self, tmp_path):
+        # the key reads from a file as from its flag and round-trips through config.resolved
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
+        records = str(out / "records.csv")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("maps = gnuplot\n")
+        first = tmp_path / "first"
+        assert run("prepare", "--config", str(cfg_path), "--out", str(first)) == 0
+        resolved = first / "config.resolved"
+        assert "\nmaps = gnuplot\n" in resolved.read_text()
+        assert from_text(resolved.read_text()).maps == "gnuplot"
+        flagged = tmp_path / "flagged"
+        assert run("reconstruct", "--records", records, "--maps", "gnuplot",
+                   "--out", str(flagged)) == 0
+        for directory, settings in ((tmp_path / "file", ["--config", str(cfg_path)]),
+                                    (first, ["--config", str(resolved)])):
+            assert run("reconstruct", "--records", records, *settings,
+                       "--out", str(directory)) == 0
+            for name in ("density.dat", "phase.dat", "reconstruction.wfgrid", "report.json"):
+                assert (directory / name).read_bytes() == (flagged / name).read_bytes(), name
+
+    def test_unknown_maps_value_is_validation_error(self, tmp_path, capsys):
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("reconstruct", "--records", str(out / "records.csv"), "--maps", "png",
+                "--out", str(tmp_path / "rec"))
+        assert exc.value.code == 2
+        assert "--maps" in capsys.readouterr().err
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("maps = png\n")
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--config",
+                   str(cfg_path), "--out", str(tmp_path / "rec")) == 2
+        assert "maps must be one of none, gnuplot" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
 
     def test_reconstruct_without_ideal_has_null_metrics(self, tmp_path):
         out = self._prepare(tmp_path)
@@ -534,6 +596,17 @@ class TestExitCodes:
         path = tmp_path / "odd.wfgrid"
         write_wfgrid(path, f)
         assert run("measure", "--field", str(path), "--out", str(tmp_path)) == 3
+
+    def test_zero_illumination_is_numerical_error(self, tmp_path, capsys):
+        zero = tmp_path / "zero.wfgrid"
+        write_wfgrid(zero, TransverseWavefunction(GridSpec(16, 16, 3e-6), np.zeros((16, 16))))
+        capsys.readouterr()
+        code = run("holo", "object", "--measured", str(zero), "--input", str(zero),
+                   "--pad-factor", "2", "--distance-mm", "2", "--threshold", "0.02",
+                   "--out", str(tmp_path / "run"))
+        assert code == 3
+        assert "illumination too weak" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_nyquist_violation_is_numerical_error(self, tmp_path):
         out = tmp_path / "run"

@@ -221,6 +221,17 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             sample_counts(UNIFORM_2X2_CELL[:5], 10, seed=0)
 
+    @pytest.mark.parametrize("probs", [
+        [math.nan] * 6,
+        [0.25, 0.25, math.inf, 0.25, 0.25, 0.25],
+        [-0.1, -0.1, 0.3, 0.3, 0.3, 0.3],
+        [0.3, -0.01, 0.3, 0.3, 0.3, 0.3],
+    ], ids=["nan", "inf", "negative-pair", "negative-entry"])
+    def test_rejects_bad_probabilities(self, probs):
+        # ScanRecords refuses these too; drawing from them would return silent zeros
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sample_counts(probs, 1000, seed=0)
+
     @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (2**32, 0), (0, 2**32)])
     def test_rejects_aliasing_cell(self, cell):
         # cell_rng keeps 32 bits per index: (-1, 0) would draw cell (2**32 - 1, 0)'s stream

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,16 @@ class TestObjectReconstruction:
         d = propagate_forward(f, FRESNEL64)
         with pytest.raises(DegenerateFieldError):
             reconstruct_object(d, f, FRESNEL64, threshold=2.0)
+
+    def test_zero_illumination_rejected(self):
+        # every cell would pass a threshold of 0.02 * 0 and be divided by zero
+        f = gaussian_on(GRID64)
+        zero = TransverseWavefunction(GRID64, np.zeros((64, 64), complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFieldError, match="illumination too weak"):
+                reconstruct_object(propagate_forward(f, FRESNEL64), zero, FRESNEL64,
+                                   threshold=0.02)
 
     def test_grid_mismatch(self):
         f = gaussian_on(GRID64)
