@@ -70,9 +70,10 @@ def _write_field(cfg: cfgmod.ExperimentConfig, name: str, field) -> str:
 def _write_json(cfg: cfgmod.ExperimentConfig, name: str, data: dict) -> str:
     """Write ``data`` as the indented, key-sorted JSON file ``name`` in the output directory.
 
-    Returns the JSON text, which the file holds with a final line break.
+    Returns the JSON text, which the file holds with a final line break.  A
+    non-finite value raises ValueError: JSON has no NaN or infinity.
     """
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     _atomic_write(_out_path(cfg, name), text + "\n")
     return text
 

@@ -60,7 +60,13 @@ class ReconstructionResult:
 
 @dataclass(frozen=True)
 class QualityReport:
-    r_square: float
+    """Scores of a reconstruction against its ideal field; see :func:`score`.
+
+    ``r_square`` is None when it is undefined: the reconstructed density is
+    flat (zero total sum of squares) but differs from the ideal one.
+    """
+
+    r_square: float | None
     fidelity: float
     rmse_re: float
     rmse_im: float
@@ -142,8 +148,10 @@ def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> Quali
 
     r_square is the coefficient of determination between the reconstructed
     density (the data) and the ideal probability density (the model):
-    ``1 - SS_res / SS_tot`` with SS_tot about the data mean.  RMS errors of
-    the Re/Im maps are taken against the gauge-fixed, normalized ideal.
+    ``1 - SS_res / SS_tot`` with SS_tot about the data mean.  A flat density
+    has SS_tot = 0: r_square is 1 if it matches the ideal one, else None.
+    RMS errors of the Re/Im maps are taken against the gauge-fixed,
+    normalized ideal.
     """
     if field.grid != ideal.grid:
         raise ValueError("reconstruction and ideal grids differ")
@@ -160,7 +168,7 @@ def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> Quali
     data = rec.real**2 + rec.imag**2
     ss_res = float(np.sum((data - ideal_density) ** 2))
     ss_tot = float(np.sum((data - data.mean()) ** 2))
-    r_square = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res == 0.0 else -np.inf)
+    r_square = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res == 0.0 else None)
 
     fid = fidelity(TransverseWavefunction(ideal.grid, amps), field)
     rmse_re = float(np.sqrt(np.mean((rec.real - amps.real) ** 2)))

@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .errors import DegenerateFieldError, FileFormatError
 
@@ -142,6 +141,36 @@ def default_waist(grid: GridSpec) -> float:
     return grid.nx * grid.pitch / 8.0
 
 
+def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Generalized Laguerre polynomial ``L_n^alpha(x)`` for integers ``n, alpha >= 0``.
+
+    scipy's ``eval_genlaguerre`` recurrence and binomial operation for
+    operation, so the values equal scipy's bit for bit while
+    ``min(n, alpha) < 20``; beyond, scipy takes the binomial from a beta
+    function and the two differ in the last bits.  Indices too large for a
+    double give a non-finite coefficient, as scipy's do.
+    """
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return -x + alpha + 1.0
+    d = -x / (alpha + 1.0)
+    p = d + 1.0
+    for k in range(1, n):
+        d = -x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
+        p = d + p
+    # C(n + alpha, n) as a product over the smaller index, rescaled before it overflows
+    top, kx = float(n + alpha), min(n, alpha)
+    num = den = 1.0
+    for i in range(1, kx + 1):
+        num *= i + top - kx
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den * p
+
+
 def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
     """Generate a normalized mode on ``grid``.
 
@@ -165,7 +194,7 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
         rho = 2.0 * r2 / spec.waist**2
         amps = (
             (np.sqrt(2.0) * r / spec.waist) ** la
-            * eval_genlaguerre(spec.radial, la, rho)
+            * _genlaguerre(spec.radial, la, rho)
             * np.exp(-r2 / spec.waist**2)
             * np.exp(1j * spec.oam * phi)
         )

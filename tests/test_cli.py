@@ -475,6 +475,28 @@ class TestScoreCommand:
         assert (out / "score.json").read_text() == printed
         assert printed == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
+    def test_undefined_r_square_is_null(self, tmp_path):
+        # a flat density has no variance to explain: R^2 is undefined, and JSON
+        # has no -Infinity to write for it
+        uniform, gauss = tmp_path / "u", tmp_path / "g"
+        assert run("prepare", "--nx", "8", "--ny", "8", "--waist-um", "1e30",
+                   "--out", str(uniform)) == 0
+        assert run("prepare", "--nx", "8", "--ny", "8", "--out", str(gauss)) == 0
+        assert run("score", "--rec", str(uniform / "field.wfgrid"),
+                   "--ideal", str(gauss / "field.wfgrid"), "--out", str(tmp_path)) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        report = json.loads((tmp_path / "score.json").read_text(), parse_constant=refuse)
+        assert report["r_square"] is None
+        assert 0.0 < report["fidelity"] < 1.0
+
+    def test_non_finite_json_value_refused(self, tmp_path):
+        cfg = ExperimentConfig(out=str(tmp_path / "run"))
+        with pytest.raises(ValueError):
+            cli._write_json(cfg, "x.json", {"r_square": -math.inf})
+        assert not (tmp_path / "run" / "x.json").exists()
+
 
 class TestHoloCommands:
     def _field(self, tmp_path, n=64, pitch_um=3.0):
@@ -657,6 +679,16 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(*argv, "--out", "run") == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_overflowing_lg_indices_are_validation_error(self, tmp_path, capsys):
+        # the Laguerre coefficient C(4000, 2000) exceeds a double
+        assert run("prepare", "--mode", "lg", "--radial", "2000", "--l", "2000",
+                   "--nx", "8", "--ny", "8", "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: field amplitudes must be finite"]
+        assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     def test_unrepresentable_out_is_validation_error(self, tmp_path, monkeypatch):

@@ -239,6 +239,13 @@ class TestScore:
             r2s.append(score(shuffled.field, f).r_square)
         assert max(r2s) < 0.2
 
+    def test_flat_density_r_square_undefined(self, gaussian_8):
+        flat = uniform_field(8, gaussian_8.grid.pitch)
+        assert score(flat, flat).r_square == 1.0
+        report = score(flat, gaussian_8)
+        assert report.r_square is None
+        assert 0.0 < report.fidelity < 1.0
+
     def test_grid_mismatch(self, gaussian_8):
         res = reconstruct_dst(scan(gaussian_8, STRONG))
         other = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4e-4), GridSpec(9, 9, 1e-4))

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import eval_genlaguerre
 
+from dstsim import wavefield
 from dstsim import (
     DegenerateFieldError,
     FileFormatError,
@@ -143,6 +149,55 @@ class TestMakeMode:
         iy, ix = np.unravel_index(np.argmax(np.abs(f.amps)), f.amps.shape)
         assert grid.x_coords()[ix] == pytest.approx(5e-4, abs=grid.pitch)
         assert grid.y_coords()[iy] == pytest.approx(-3e-4, abs=grid.pitch)
+
+
+class TestGenLaguerre:
+    # 0, then a dense grid up to 1e3 and a log-spaced one down to 1e-9
+    X = np.concatenate([np.linspace(0.0, 1e3, 20001), np.geomspace(1e-9, 1e3, 2001)])
+
+    def test_equals_scipy_bit_for_bit(self):
+        # scipy's recurrence and binomial, operation for operation
+        for n in range(20):
+            for alpha in range(20):
+                assert np.array_equal(wavefield._genlaguerre(n, alpha, self.X),
+                                      eval_genlaguerre(n, alpha, self.X)), (n, alpha)
+
+    def test_close_to_scipy_where_its_binomial_differs(self):
+        # from min(n, alpha) = 20 scipy takes the binomial from a beta function
+        x = self.X[::10]
+        for n in range(40):
+            for alpha in range(40):
+                np.testing.assert_allclose(wavefield._genlaguerre(n, alpha, x),
+                                           eval_genlaguerre(n, alpha, x),
+                                           rtol=1e-14, atol=0, err_msg=f"{(n, alpha)}")
+
+    @pytest.mark.parametrize("alpha", [0, 1, 3, 12])
+    def test_closed_forms(self, alpha):
+        x = np.linspace(0.0, 50.0, 501)
+        assert np.array_equal(wavefield._genlaguerre(0, alpha, x), np.ones_like(x))
+        assert np.array_equal(wavefield._genlaguerre(1, alpha, x), alpha + 1 - x)
+        l2 = x**2 / 2 - (alpha + 2) * x + (alpha + 2) * (alpha + 1) / 2
+        np.testing.assert_allclose(wavefield._genlaguerre(2, alpha, x), l2,
+                                   rtol=1e-13, atol=1e-12 * np.max(np.abs(l2)))
+
+    @pytest.mark.parametrize("oam, radial", [(1, 0), (-1, 0), (2, 1), (0, 3), (-3, 2), (5, 7)])
+    def test_lg_field_equals_scipy_formula(self, monkeypatch, oam, radial):
+        grid = GridSpec(24, 20, 1e-4)
+        spec = ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=5e-4, oam=oam, radial=radial,
+                        center=(1.3e-4, -0.7e-4))
+        field = make_mode(spec, grid)
+        monkeypatch.setattr(wavefield, "_genlaguerre", eval_genlaguerre)
+        assert np.array_equal(field.amps, make_mode(spec, grid).amps)
+
+    def test_package_imports_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(wavefield.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, dstsim, dstsim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestVortexPlate:
