@@ -177,7 +177,8 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
     Gaussian: ``exp(-r^2 / w0^2)``.  Laguerre-Gaussian LG_{p,l}:
     ``(sqrt(2) r / w0)^|l| L_p^|l|(2 r^2 / w0^2) exp(-r^2 / w0^2) exp(i l phi)``.
     Both are normalized to unit cell-sum power afterwards, so analytic
-    prefactors are irrelevant.
+    prefactors are irrelevant.  LG indices whose amplitudes overflow a double
+    on ``grid`` raise ValueError.
     """
     x, y = grid.mesh()
     cx, cy = spec.center
@@ -192,16 +193,26 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
         phi = np.arctan2(yr, xr)
         la = abs(spec.oam)
         rho = 2.0 * r2 / spec.waist**2
-        amps = (
-            (np.sqrt(2.0) * r / spec.waist) ** la
-            * _genlaguerre(spec.radial, la, rho)
-            * np.exp(-r2 / spec.waist**2)
-            * np.exp(1j * spec.oam * phi)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):   # refused by name below
+            amps = (
+                (np.sqrt(2.0) * r / spec.waist) ** la
+                * _genlaguerre(spec.radial, la, rho)
+                * np.exp(-r2 / spec.waist**2)
+                * np.exp(1j * spec.oam * phi)
+            )
     else:  # pragma: no cover
         raise ValueError(f"unknown mode kind {spec.kind}")
 
-    return normalize(TransverseWavefunction(grid, amps))
+    # normalize's power and scaling, taken here so that an amplitude or a power
+    # that overflows is refused by name (only LG indices can overflow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = float(np.sum(np.abs(amps) ** 2))
+    if not np.isfinite(p):
+        raise ValueError(f"l = {spec.oam} and radial = {spec.radial}: "
+                         "LG mode amplitudes overflow a double on this grid")
+    if p <= 0.0:
+        raise DegenerateFieldError("cannot normalize a zero field")
+    return TransverseWavefunction(grid, amps / np.sqrt(p))
 
 
 def apply_vortex_plate(f: TransverseWavefunction, l: int) -> TransverseWavefunction:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dstsim import (
     DegenerateFieldError,
@@ -114,6 +115,35 @@ def fresnel_kernel_bound(nx, ny, pitch, pad, distance):
     return FRESNEL_ROUNDING * np.finfo(np.float64).eps * (1.0 + phase) / (LAM * distance)
 
 
+# Rounding budget, in units of eps pitch^2 sum|f| max|K|, between a propagation
+# and the zero-buffer convolution with the same kernel.  Every output cell sums
+# pitch^2 f K over the input cells; the two differ in the order of the
+# transform passes (the field is transformed columns first, the oracle rows
+# first), which moves each sum by a few ulps of its largest terms.  Measured
+# with every kernel: 0.26 for the spherical kernel at 7x5 pad 3, at most 0.82
+# over 7x5, 16x9, 64x64 and 256x256, and at most 2.4 over 20000 random grids
+# up to 8x8 at pads 2-5 (1.9 for the spherical kernel alone).
+FFT_ROUNDING = 4.0
+
+
+def assert_matches_zero_buffer_convolution(f, spec, inverse, kind):
+    """Propagate ``f`` and compare with the zero-buffer convolution within its rounding bound."""
+    g = f.grid
+    kern = kernel_on_padded_grid(g.nx, g.ny, g.pitch, spec.pad_factor, LAM, spec.distance, kind)
+    out = (propagate_inverse if inverse else propagate_forward)(f, spec)
+    expected = convolve_zero_padded(f.amps, kern, g.pitch)
+    # the spherical kernel is mirrored bit for bit; the paraxial one adds its own
+    # rounding from the direct formula, which each output cell carries weighted by sum |f|
+    kernel_bound = 0.0
+    if kind != "feynman":
+        kernel_bound = fresnel_kernel_bound(g.nx, g.ny, g.pitch, spec.pad_factor,
+                                            spec.distance).max()
+    eps = np.finfo(np.float64).eps
+    bound = g.pitch**2 * np.abs(f.amps).sum() * (FFT_ROUNDING * eps * np.abs(kern).max()
+                                                 + kernel_bound)
+    assert np.max(np.abs(out.amps - expected)) <= bound
+
+
 class TestKernelMirror:
     # odd, even and mixed padded sizes; 7x14 pad 7 pads to 49 x 98, where
     # fftfreq's scale 1 / (n * (1 / n)) is not exactly 1.  The spherical
@@ -139,18 +169,26 @@ class TestKernelMirror:
         grid = GridSpec(7, 5, 3e-6)
         rng = np.random.default_rng(9)
         f = TransverseWavefunction(grid, rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7)))
-        kern = kernel_on_padded_grid(7, 5, grid.pitch, 3, LAM, spec.distance, kind)
-        propagate = propagate_inverse if inverse else propagate_forward
-        out = propagate(f, replace(spec, pad_factor=3))
-        expected = convolve_zero_padded(f.amps, kern, grid.pitch)
-        if kind == "feynman":
-            assert np.array_equal(out.amps, expected)
-        else:
-            # every output cell sums pitch^2 f K over the input cells, so each
-            # kernel entry's bound carries over weighted by sum |f|
-            bound = fresnel_kernel_bound(7, 5, grid.pitch, 3, spec.distance).max()
-            bound *= grid.pitch**2 * np.abs(f.amps).sum()
-            assert np.max(np.abs(out.amps - expected)) <= bound
+        assert_matches_zero_buffer_convolution(f, replace(spec, pad_factor=3), inverse, kind)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(nx=st.integers(2, 24), ny=st.integers(2, 24), pad=st.integers(2, 5),
+       extents=st.floats(12.0, 40.0), field_seed=st.integers(0, 2**16),
+       kind=st.sampled_from([kind for _, _, kind in KERNEL_KINDS]))
+# 101 x 2 at pad 2: an axis of 202 = 2 x 101, which pocketfft transforms by
+# Bluestein's algorithm
+@example(nx=101, ny=2, pad=2, extents=12.0, field_seed=1, kind="feynman")
+@example(nx=101, ny=2, pad=2, extents=12.0, field_seed=1, kind="fresnel-inverse")
+def test_propagation_matches_zero_buffer_convolution_on_any_grid(nx, ny, pad, extents,
+                                                                 field_seed, kind):
+    # non-square grids: a transform shape that is not reversed along with its
+    # axes only shows when nx != ny
+    assume(nx != ny)
+    grid = GridSpec(nx, ny, 3e-6)
+    spec, inverse, _ = next(k for k in KERNEL_KINDS if k[2] == kind)
+    spec = replace(spec, distance=extents * grid.extent, pad_factor=pad)
+    assert_matches_zero_buffer_convolution(random_field(grid, field_seed), spec, inverse, kind)
 
 
 class TestInverseTransformInPlace:
@@ -317,6 +355,18 @@ class TestObjectReconstruction:
         left = np.angle(t[28:36, 20:28][m[28:36, 20:28]])
         right = np.angle(t[28:36, 36:44][m[28:36, 36:44]])
         assert abs((np.median(right) - np.median(left)) - np.pi / 2) < 0.1
+
+    def test_transmission_is_the_masked_quotient(self):
+        # back-propagation over illumination on valid cells, bit for bit, and
+        # exactly zero elsewhere
+        f = gaussian_on(GRID64)
+        d = propagate_forward(f, FRESNEL64)
+        obj = reconstruct_object(d, f, FRESNEL64, threshold=0.05)
+        back = propagate_inverse(d, FRESNEL64).amps
+        m = obj.validity_mask
+        assert 0 < m.sum() < m.size
+        assert obj.transmission.amps[m].tobytes() == (back[m] / f.amps[m]).tobytes()
+        assert not obj.transmission.amps[~m].any()
 
     def test_empty_mask_rejected(self):
         f = gaussian_on(GRID64)

@@ -114,6 +114,18 @@ class TestMakeMode:
         profile = f.amps[16, 17:].real
         assert np.min(profile) < 0 < np.max(profile)
 
+    # (2000, 2000): the Laguerre coefficient C(4000, 2000) overflows; (200, 0):
+    # every amplitude is finite but their power overflows, which normalized
+    # them to zeros
+    @pytest.mark.parametrize("oam, radial", [(2000, 2000), (200, 0), (-200, 0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_lg_indices_are_refused_by_name(self, oam, radial):
+        grid = GridSpec(8, 8, 125e-6)
+        spec = ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=grid.nx * grid.pitch / 8,
+                        oam=oam, radial=radial)
+        with pytest.raises(ValueError, match=f"^l = {oam} and radial = {radial}: "):
+            make_mode(spec, grid)
+
     @pytest.mark.parametrize("waist", [0.0, -1e-4, float("inf")])
     def test_bad_waist(self, waist):
         with pytest.raises(ValueError):
