@@ -41,10 +41,23 @@ their squares.
 A propagation holds at most two padded arrays at once, plus the spherical
 kernel's quadrant block while it is mirrored.  The field spectrum is taken
 first; the kernel is then built and transformed in its own buffer
-(``fft2(..., out=kern)``), multiplied into the spectrum and released.  The
-inverse transform runs in the spectrum's buffer too: numpy's ``ifft2``
-ignores ``out=``, but ``fft2`` honours it, so the inverse is taken as
-``conj(fft2(conj(spectrum), norm="forward"))`` (see :func:`_ifft2_in_place`).
+(``fft2(..., out=kern)``), the spectrum is multiplied into that buffer and
+released, and the product is inverted in the kernel's buffer too: numpy's
+``ifft2`` ignores ``out=``, but ``fft2`` honours it, so the inverse is taken
+as ``conj(fft2(conj(product), norm="forward"))`` (see :func:`_ifft2_in_place`).
+
+The kernel's buffer spaces its rows an odd number of 64-byte cache lines
+apart, 1028 complex values for a 1024-point row (:func:`_padded_empty`), so
+it is a little wider than the spectrum.  A row of ``2^k`` values spans a
+power of two bytes, so the column pass of a transform over contiguous rows
+reads addresses that map to the same few cache sets and evicts each line
+before the next columns use it; an odd number of lines spreads a column over
+all sets.  The kernel's transform and the inverse both run in that buffer,
+in about two thirds of the time per 1024^2 transform, and give the same
+values: the transform copies each line into its own scratch.  The spectrum
+stays contiguous, since ``fft2`` cannot zero-extend into ``out=``.
+Elementwise passes over the buffer run one row per inner loop
+(:func:`_by_rows`), so numpy does not copy them through its ufunc buffer.
 
 Both kernels are quadratic-phase-like at the grid scale, so sampling them
 on too coarse a grid aliases silently.  Propagation therefore refuses to
@@ -68,6 +81,9 @@ from .wavefield import GridSpec, TransverseWavefunction, is_integer
 
 #: Paraxial validity heuristic: distance at least this many grid extents.
 PARAXIAL_MIN_EXTENTS = 10.0
+
+#: Bytes per cache line; a padded buffer's rows are an odd number of lines apart.
+_CACHE_LINE = 64
 
 
 class PropagationKernel(enum.Enum):
@@ -131,6 +147,34 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float |
     return nyquist_fraction, d / grid.extent
 
 
+def _padded_empty(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised complex ``shape`` array, rows an odd number of cache lines apart.
+
+    The result is the leading ``shape[1]`` columns of a C-ordered buffer
+    whose rows are rounded up to an odd number of :data:`_CACHE_LINE`
+    bytes: 1024 columns become 1028, 252 stay 252.
+    """
+    per_line = _CACHE_LINE // np.dtype(np.complex128).itemsize
+    lines = -(-shape[1] // per_line)
+    lines += 1 - lines % 2
+    return np.empty((shape[0], lines * per_line), dtype=np.complex128)[:, : shape[1]]
+
+
+def _by_rows(ufunc: np.ufunc, *operands: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ufunc(*operands, out=out)`` for a 2-D ``out``, one row per inner loop.
+
+    When the rows are not contiguous with each other, as in a padded buffer
+    or with a broadcast operand, and a row is shorter than the ufunc buffer
+    (``np.getbufsize()``, 8192 elements by default), numpy 2.4 copies every
+    operand through that buffer: a third of a 1024^2 product's time.  A
+    buffer no longer than a row (its size must be a multiple of 16) lets
+    every row run in place; the values are the same.
+    """
+    with np.errstate():   # restores the buffer size on exit
+        np.setbufsize(max(16, out.shape[1] // 16 * 16))
+        return ufunc(*operands, out=out)
+
+
 def _kernel_array(grid: GridSpec, spec: PropagationSpec, inverse: bool) -> np.ndarray:
     """The kernel sampled at every offset of the padded grid, in FFT order.
 
@@ -159,7 +203,7 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec, inverse: bool) -> np.nd
         if inverse:
             np.conj(ex, out=ex)
             np.conj(ey, out=ey)
-        return np.multiply(ey[:, None], ex[None, :])
+        return _by_rows(np.multiply, ey[:, None], ex[None, :], out=_padded_empty((py, px)))
     my = py // 2 + 1
     mx = px // 2 + 1
     # |fftfreq| rather than arange * pitch: fftfreq's scale 1 / (n * (1 / n))
@@ -167,8 +211,10 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec, inverse: bool) -> np.nd
     dx = np.abs(np.fft.fftfreq(px, 1.0 / px)[:mx] * grid.pitch)
     dy = np.abs(np.fft.fftfreq(py, 1.0 / py)[:my] * grid.pitch)
     r = np.sqrt(dx[None, :]**2 + dy[:, None]**2 + d * d)
-    quad = np.exp(1j * k * r) / (1j * lam * r)
-    full = np.empty((py, px), dtype=np.complex128)
+    quad = np.exp(1j * k * r)
+    quad /= 1j * lam * r
+    del r   # the padded buffer is taken once only the quadrant block is left
+    full = _padded_empty((py, px))
     full[:my, :mx] = quad
     full[:my, mx:] = quad[:, px - mx:0:-1]
     full[my:] = full[py - my:0:-1]
@@ -188,7 +234,7 @@ def _ifft2_in_place(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     through Bluestein's algorithm, whose result differs from ``ifft2`` by
     rounding.
     """
-    np.conj(spectrum, out=spectrum)
+    _by_rows(np.conj, spectrum, out=spectrum)
     np.fft.fft2(spectrum, out=spectrum, norm="forward")
     block = spectrum[: shape[0], : shape[1]]
     np.conj(block, out=block)
@@ -203,9 +249,10 @@ def _convolve(f: TransverseWavefunction, spec: PropagationSpec,
     # columns first, so the strided pass runs over the input columns only
     spectrum = np.fft.fft2(f.amps, s=shape[::-1], axes=(1, 0))
     kern = _kernel_array(grid, spec, inverse)
-    spectrum *= np.fft.fft2(kern, out=kern)
-    del kern
-    out = _ifft2_in_place(spectrum, (grid.ny, grid.nx)) * grid.pitch**2
+    np.fft.fft2(kern, out=kern)
+    _by_rows(np.multiply, spectrum, kern, out=kern)
+    del spectrum
+    out = _ifft2_in_place(kern, (grid.ny, grid.nx)) * grid.pitch**2
     return TransverseWavefunction(grid, out)
 
 
@@ -267,12 +314,13 @@ def reconstruct_object(
     if measured_d.grid != known_input.grid:
         raise ValueError("measured and known-input grids differ")
     check_threshold(threshold)
-    back = propagate_inverse(measured_d, spec)
+    # every refusal that needs no transform comes before the back-propagation
     nyquist_fraction, distance_over_extent = _check_guards(measured_d.grid, spec)
     mag = np.abs(known_input.amps)
     mask = (mag >= threshold * mag.max()) & (mag > 0)   # a zero illumination is never valid
     if not mask.any():
         raise DegenerateFieldError("validity mask is empty; illumination too weak")
+    back = propagate_inverse(measured_d, spec)
     t = np.divide(back.amps, known_input.amps, out=np.zeros_like(back.amps), where=mask)
     return ObjectReconstruction(measured_d.with_amps(t), mask, nyquist_fraction,
                                 distance_over_extent)

@@ -203,16 +203,11 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
     else:  # pragma: no cover
         raise ValueError(f"unknown mode kind {spec.kind}")
 
-    # normalize's power and scaling, taken here so that an amplitude or a power
-    # that overflows is refused by name (only LG indices can overflow)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = float(np.sum(np.abs(amps) ** 2))
-    if not np.isfinite(p):
-        raise ValueError(f"l = {spec.oam} and radial = {spec.radial}: "
-                         "LG mode amplitudes overflow a double on this grid")
-    if p <= 0.0:
-        raise DegenerateFieldError("cannot normalize a zero field")
-    return TransverseWavefunction(grid, amps / np.sqrt(p))
+    # an amplitude or a power that overflows is refused by name (only LG
+    # indices can overflow)
+    return TransverseWavefunction(grid, _unit_power(
+        amps, f"l = {spec.oam} and radial = {spec.radial}: "
+        "LG mode amplitudes overflow a double on this grid"))
 
 
 def apply_vortex_plate(f: TransverseWavefunction, l: int) -> TransverseWavefunction:
@@ -230,12 +225,28 @@ def apply_vortex_plate(f: TransverseWavefunction, l: int) -> TransverseWavefunct
     return f.with_amps(f.amps * np.exp(1j * l * np.arctan2(y, x)))
 
 
-def normalize(f: TransverseWavefunction) -> TransverseWavefunction:
-    """Rescale to ``sum(|psi|^2) == 1``; phases are untouched."""
-    p = f.power()
+def _unit_power(amps: np.ndarray, overflow: str) -> np.ndarray:
+    """``amps`` scaled to ``sum(|amps|^2) == 1``.
+
+    A power that is not finite raises ValueError with the message
+    ``overflow``, and a zero power DegenerateFieldError; neither warns.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = float(np.sum(np.abs(amps) ** 2))
+    if not np.isfinite(p):
+        raise ValueError(overflow)
     if p <= 0.0:
         raise DegenerateFieldError("cannot normalize a zero field")
-    return f.with_amps(f.amps / np.sqrt(p))
+    return amps / np.sqrt(p)
+
+
+def normalize(f: TransverseWavefunction) -> TransverseWavefunction:
+    """Rescale to ``sum(|psi|^2) == 1``; phases are untouched.
+
+    A field whose power overflows a double raises ValueError.
+    """
+    return f.with_amps(_unit_power(
+        f.amps, "field power overflows a double; scale the amplitudes down first"))
 
 
 def phase_winding(phase: np.ndarray, radius: int,

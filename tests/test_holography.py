@@ -25,6 +25,7 @@ from dstsim import (
     read_pgm,
     reconstruct_object,
 )
+from dstsim import holography
 from dstsim.holography import PARAXIAL_MIN_EXTENTS, _ifft2_in_place, _kernel_array
 from oracles import convolve_zero_padded, gaussian_beam_at_distance, kernel_on_padded_grid
 
@@ -96,6 +97,7 @@ class TestKernelSampling:
 
 KERNEL_KINDS = [(FEYNMAN64, False, "feynman"), (FRESNEL64, False, "fresnel"),
                 (FRESNEL64, True, "fresnel-inverse")]
+KINDS = [kind for _, _, kind in KERNEL_KINDS]
 
 # Rounding budget, in units of eps (1 + phase) |C|, between the paraxial kernel
 # built from two 1-D chirps and the direct 2-D formula (|C| = 1 / lambda D).
@@ -228,8 +230,9 @@ def random_field(grid, seed):
                          ids=[kind for _, _, kind in KERNEL_KINDS])
 class TestPropagationBuffers:
     def test_peak_below_two_and_a_half_padded_arrays(self, spec, inverse, kind):
-        # the spectrum and the kernel, each transformed in its own buffer: two
-        # padded arrays at a time, plus the spherical kernel's quadrant block
+        # the spectrum and the kernel's slightly wider buffer, each transformed
+        # in place: two padded arrays at a time, plus the spherical kernel's
+        # quadrant block
         f = random_field(GRID64, 3)
         propagate = propagate_inverse if inverse else propagate_forward
         padded_bytes = (64 * 4) ** 2 * np.dtype(np.complex128).itemsize
@@ -253,6 +256,55 @@ class TestPropagationBuffers:
         propagate = propagate_inverse if inverse else propagate_forward
         first = propagate(f, replace(spec, pad_factor=4))
         assert np.array_equal(propagate(f, replace(spec, pad_factor=4)).amps, first.amps)
+
+
+def propagation_case(nx, ny, pad, kind):
+    """A random field on an nx x ny grid and a spec at pad ``pad`` for ``kind``."""
+    grid = GridSpec(nx, ny, 3e-6)
+    spec, inverse, _ = next(k for k in KERNEL_KINDS if k[2] == kind)
+    spec = replace(spec, distance=40.0 * grid.extent, pad_factor=pad)
+    propagate = propagate_inverse if inverse else propagate_forward
+    return random_field(grid, nx * 1000 + ny), spec, propagate
+
+
+
+class TestPaddedRowLayout:
+    # A padded row of 2^k complex values spans a power of two bytes, so a
+    # column pass over contiguous rows keeps hitting the same cache sets; the
+    # padded buffers space their rows an odd number of 64-byte lines apart.
+    @pytest.mark.parametrize("nx,ny,pad", [(256, 256, 4), (48, 40, 3), (63, 63, 4),
+                                           (101, 64, 2)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inverse_runs_in_rows_an_odd_number_of_cache_lines_apart(self, nx, ny, pad,
+                                                                      kind, monkeypatch):
+        strides = []
+
+        def recording(spectrum, shape):
+            strides.append(spectrum.strides)
+            return _ifft2_in_place(spectrum, shape)
+
+        monkeypatch.setattr(holography, "_ifft2_in_place", recording)
+        f, spec, propagate = propagation_case(nx, ny, pad, kind)
+        propagate(f, spec)
+        [(row, item)] = strides
+        itemsize = np.dtype(np.complex128).itemsize
+        assert item == itemsize
+        assert row % 64 == 0 and (row // 64) % 2 == 1
+        # the padding is less than one cache line pair wider than the row
+        assert nx * pad * itemsize <= row < nx * pad * itemsize + 128
+
+    @pytest.mark.parametrize("nx,ny,pad", [(256, 256, 4), (64, 48, 2), (7, 5, 3),
+                                           (16, 9, 5), (101, 64, 2), (128, 128, 2)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_the_contiguous_computation(self, nx, ny, pad, kind, monkeypatch):
+        # 101 x 64 at pad 2 pads x to 202 = 2 x 101, which pocketfft
+        # transforms by Bluestein's algorithm
+        f, spec, propagate = propagation_case(nx, ny, pad, kind)
+        padded = propagate(f, spec).amps
+        monkeypatch.setattr(holography, "_padded_empty",
+                            lambda shape: np.empty(shape, dtype=np.complex128))
+        contiguous = propagate(f, spec).amps
+        assert padded.tobytes() == contiguous.tobytes()
 
 
 class TestAgainstBeamOptics:
@@ -373,6 +425,24 @@ class TestObjectReconstruction:
         d = propagate_forward(f, FRESNEL64)
         with pytest.raises(DegenerateFieldError):
             reconstruct_object(d, f, FRESNEL64, threshold=2.0)
+
+    def test_empty_mask_rejected_before_any_transform(self, monkeypatch):
+        f = gaussian_on(GRID64)
+        d = propagate_forward(f, FRESNEL64)
+        calls = []
+        fft2 = np.fft.fft2
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft2", counting)
+        with pytest.raises(DegenerateFieldError):
+            reconstruct_object(d, f, FRESNEL64, threshold=2.0)
+        assert calls == []
+        # the counter sees the back-propagation's three transforms
+        reconstruct_object(d, f, FRESNEL64, threshold=0.05)
+        assert len(calls) == 3
 
     def test_zero_illumination_rejected(self):
         # every cell would pass a threshold of 0.02 * 0 and be divided by zero

@@ -250,6 +250,18 @@ class TestNormalize:
         with pytest.raises(DegenerateFieldError):
             normalize(TransverseWavefunction(grid_8, np.zeros((8, 8), complex)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_overflow_refused(self):
+        # every amplitude is finite but their power is not; dividing by its
+        # square root would return zeros
+        f = TransverseWavefunction(GridSpec(4, 4, 1e-6), np.full((4, 4), 1e160 + 0j))
+        with pytest.raises(ValueError, match="power overflows a double"):
+            normalize(f)
+
+    def test_scales_by_the_root_of_the_power(self, gaussian_8):
+        f = gaussian_8.with_amps(7.0 * gaussian_8.amps)
+        assert normalize(f).amps.tobytes() == (f.amps / np.sqrt(f.power())).tobytes()
+
 
 class TestPhaseWinding:
     def test_flat_phase(self):
