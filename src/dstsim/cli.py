@@ -145,6 +145,7 @@ def cmd_holo_object(args, cfg: cfgmod.ExperimentConfig) -> str:
     measured = wavefield.read_wfgrid(args.measured)
     known = wavefield.read_wfgrid(args.input)
     obj = holography.reconstruct_object(measured, known, cfg.propagation_spec(), cfg.threshold)
+    _write_field(cfg, "backpropagated.wfgrid", obj.backpropagated)
     path = _write_field(cfg, "transmission.wfgrid", obj.transmission)
     summary = {
         "threshold": cfg.threshold,
@@ -208,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input WFGRID")
     p.set_defaults(func=cmd_holo_inverse)
 
-    p = hsub.add_parser("object", parents=[shared], help="reconstruct object transmission")
+    p = hsub.add_parser("object", parents=[shared],
+                        help="back-propagate, then reconstruct object transmission")
     p.add_argument("--measured", required=True, help="measured detection-plane WFGRID")
     p.add_argument("--input", required=True, help="known illumination WFGRID")
     p.set_defaults(func=cmd_holo_object)

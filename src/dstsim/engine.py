@@ -161,6 +161,13 @@ class _CellKey(ISeedSequence):
         return self._words
 
 
+#: The starting counter of every :func:`cell_rng` stream, shared and read-only.
+#: Philox copies a counter array as it is; its default, the integer 0, would be
+#: converted into a new array on every call.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+
+
 def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
     """Counter-based stream for one scan cell, independent of execution order.
 
@@ -173,7 +180,7 @@ def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
     """
     words = np.array([((int(iy) & 0xFFFFFFFF) << 32) | (int(ix) & 0xFFFFFFFF),
                       int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_CellKey(words)))
+    return np.random.Generator(np.random.Philox(_CellKey(words), counter=_ZERO_COUNTER))
 
 
 def check_budget(photons_per_setting: int) -> None:
@@ -201,11 +208,13 @@ def _sample_cell(
 ) -> list[int]:
     """Counts for one cell's six probabilities, both in :data:`PROJECTORS` order."""
     poisson, binomial = rng.poisson, rng.binomial
+    p0, p1, p2, p3, p4, p5 = probs
     counts: list[int] = []
-    for pa, pb in zip(probs[0::2], probs[1::2]):
+    for pa, pb in ((p0, p1), (p2, p3), (p4, p5)):
         weight = pa + pb
-        detected = int(poisson(photons_per_setting * weight)) if weight > 0 else 0
-        na = int(binomial(detected, pa / weight)) if detected > 0 else 0
+        # scalar draws come back as Python ints
+        detected = poisson(photons_per_setting * weight) if weight > 0 else 0
+        na = binomial(detected, pa / weight) if detected > 0 else 0
         counts += (na, detected - na)
     return counts
 

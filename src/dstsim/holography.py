@@ -285,11 +285,14 @@ class ObjectReconstruction:
     ``transmission`` holds measured-over-illumination ratios on the measured
     grid, on cells where ``validity_mask`` is True, and zeros elsewhere (the
     division is numerically meaningless below the illumination threshold).
+    ``backpropagated`` is :func:`propagate_inverse` of the measured field,
+    the numerator of those ratios.
     ``nyquist_fraction`` and ``distance_over_extent`` are the margins of the
     back-propagation's sampling and paraxial guards.
     """
 
     transmission: TransverseWavefunction
+    backpropagated: TransverseWavefunction
     validity_mask: np.ndarray
     nyquist_fraction: float
     distance_over_extent: float
@@ -322,7 +325,7 @@ def reconstruct_object(
         raise DegenerateFieldError("validity mask is empty; illumination too weak")
     back = propagate_inverse(measured_d, spec)
     t = np.divide(back.amps, known_input.amps, out=np.zeros_like(back.amps), where=mask)
-    return ObjectReconstruction(measured_d.with_amps(t), mask, nyquist_fraction,
+    return ObjectReconstruction(measured_d.with_amps(t), back, mask, nyquist_fraction,
                                 distance_over_extent)
 
 

@@ -529,6 +529,22 @@ class TestHoloCommands:
         assert report["valid_cells"] == int(valid.sum())
         assert np.max(np.abs(t.amps[valid] - 1.0)) < 0.05
 
+    def test_object_writes_what_inverse_writes(self, tmp_path):
+        # holo object writes the back-propagation it divides, byte for byte the
+        # file that holo inverse writes from the same measured field
+        out = self._field(tmp_path)
+        common = ["--lambda-nm", "808", "--distance-mm", "2.5", "--kernel", "fresnel",
+                  "--pad-factor", "4"]
+        inverse, obj = tmp_path / "inverse", tmp_path / "object"
+        assert run("holo", "forward", "--in", str(out / "field.wfgrid"), *common,
+                   "--out", str(out)) == 0
+        assert run("holo", "inverse", "--in", str(out / "propagated.wfgrid"), *common,
+                   "--out", str(inverse)) == 0
+        assert run("holo", "object", "--measured", str(out / "propagated.wfgrid"),
+                   "--input", str(out / "field.wfgrid"), *common, "--out", str(obj)) == 0
+        assert ((obj / "backpropagated.wfgrid").read_bytes()
+                == (inverse / "backpropagated.wfgrid").read_bytes())
+
     def test_pgm_object_end_to_end(self, tmp_path):
         # wide illumination so the bar sits on a bright region, and the
         # shortest distance the guards allow, to limit edge diffraction

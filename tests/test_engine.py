@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from dstsim import (
     PROJECTORS,
     ScanRecords,
     TransverseWavefunction,
+    apply_vortex_plate,
     gauge_fix,
     make_mode,
     ModeKind,
@@ -23,6 +25,7 @@ from dstsim import (
     scan_probability_maps,
     write_records_csv,
 )
+from dstsim import engine
 from dstsim.engine import cell_rng
 from conftest import edit_csv, random_field
 
@@ -307,6 +310,28 @@ class TestCellStream:
         with pytest.raises(ValueError):
             np.random.MT19937(rng.bit_generator.seed_seq)
 
+    def test_generators_of_one_key_draw_alike_however_interleaved(self):
+        # every cell_rng starts from the one shared zero counter array
+        alone = cell_rng(9, 2, 5).integers(0, 2**64, size=12, dtype=np.uint64).tolist()
+        rngs = {"a": cell_rng(9, 2, 5), "b": cell_rng(9, 2, 5)}
+        draws = {"a": [], "b": []}
+        for name, n in (("a", 5), ("b", 1), ("b", 8), ("a", 7), ("b", 3)):
+            draws[name] += rngs[name].integers(0, 2**64, size=n, dtype=np.uint64).tolist()
+        assert draws["a"] == draws["b"] == alone
+
+    def test_drawing_leaves_other_generators_unchanged(self):
+        a, b, c = cell_rng(9, 2, 5), cell_rng(9, 2, 5), cell_rng(9, 3, 5)
+        before_b, before_c = b.bit_generator.state, c.bit_generator.state
+        a.poisson(1e7, size=100)
+        assert a.bit_generator.state["state"]["counter"].any()
+        np.testing.assert_equal(b.bit_generator.state, before_b)
+        np.testing.assert_equal(c.bit_generator.state, before_c)
+
+    def test_scan_leaves_the_shared_counter_zero_and_read_only(self, gaussian_8):
+        scan(gaussian_8, STRONG, photons_per_setting=10**6, seed=4)
+        assert not engine._ZERO_COUNTER.any()
+        assert not engine._ZERO_COUNTER.flags.writeable
+
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(nx=st.integers(2, 9), ny=st.integers(2, 7), field_seed=st.integers(0, 2**16),
@@ -322,7 +347,35 @@ def test_single_cell_resample_equals_scan(nx, ny, field_seed, seed, budget):
                                   counts[:, iy, ix])
 
 
+GRID_64 = GridSpec(64, 64, 125e-6)
+WAIST_64 = GRID_64.nx * GRID_64.pitch / 8
+# SHA-256 of scan(field, budget=1e8, seed=7).counts.tobytes() (int64, little-endian)
+# on the 64x64 grid of the benchmark: a centred Gaussian, and the off-axis l=1
+# vortex of the README
+GOLDEN_1E8_SHA256 = {
+    "gaussian": "15e84ee20af098795bd2c05d657803d89442a53c57745a34bbad2467d651b611",
+    "vortex": "11636470d4e452cad20a565ddab6e28bbfa97e566beb338bc7a74b5d2cc31a84",
+}
+
+
+def golden_64_field(name):
+    if name == "gaussian":
+        return make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=WAIST_64), GRID_64)
+    off_axis = ModeSpec(ModeKind.GAUSSIAN, waist=WAIST_64,
+                        center=(2 * GRID_64.pitch, 1 * GRID_64.pitch))
+    return apply_vortex_plate(make_mode(off_axis, GRID_64), 1)
+
+
 class TestScan:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_1E8_SHA256))
+    def test_golden_counts_64x64_large_budget(self, name):
+        # pins stream v1 at the benchmark's scale: the large-mean Poisson (PTRS)
+        # and binomial (BTPE) samplers in every cell, in _sample_cell's draw order
+        counts = scan(golden_64_field(name), STRONG, photons_per_setting=10**8, seed=7).counts
+        assert counts.dtype == np.int64
+        digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+        assert digest == GOLDEN_1E8_SHA256[name]
+
     def test_enumerates_cells_row_major(self):
         f = uniform_field(2)
         records = scan(f, STRONG)

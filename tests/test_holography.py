@@ -409,12 +409,14 @@ class TestObjectReconstruction:
         assert abs((np.median(right) - np.median(left)) - np.pi / 2) < 0.1
 
     def test_transmission_is_the_masked_quotient(self):
-        # back-propagation over illumination on valid cells, bit for bit, and
-        # exactly zero elsewhere
+        # back-propagation (which the result carries) over illumination on valid
+        # cells, bit for bit, and exactly zero elsewhere
         f = gaussian_on(GRID64)
         d = propagate_forward(f, FRESNEL64)
         obj = reconstruct_object(d, f, FRESNEL64, threshold=0.05)
         back = propagate_inverse(d, FRESNEL64).amps
+        assert obj.backpropagated.grid == d.grid
+        assert obj.backpropagated.amps.tobytes() == back.tobytes()
         m = obj.validity_mask
         assert 0 < m.sum() < m.size
         assert obj.transmission.amps[m].tobytes() == (back[m] / f.amps[m]).tobytes()
