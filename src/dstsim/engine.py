@@ -49,35 +49,30 @@ PROJECTORS = ("plus", "minus", "0", "1", "L", "R")
 class ScanRecords:
     """Readout of a full scan of ``grid`` at coupling ``theta``: one array ``[projector, iy, ix]``.
 
-    The records hold what the scan measured, and nothing else.  A noiseless
-    scan (``photons_per_setting == 0``) measured the exact probabilities:
-    ``probs[k]`` is the map of projector ``PROJECTORS[k]``, unnormalized by
-    post-selection (each basis pair sums to the post-selection weight of the
-    cell, not to one), and ``counts`` is None.  A sampled scan measured photon
-    counts in the same layout, and ``probs`` is None.  The records keep their
-    own read-only copy of the array, and they carry the grid and the angle
-    they were taken at, so their inversion needs nothing else.
+    The records hold what the scan measured, and nothing else: ``readout[k]``
+    is the map of projector ``PROJECTORS[k]``, and the budget says what it
+    holds.  A noiseless scan (``photons_per_setting == 0``) measured the exact
+    probabilities, unnormalized by post-selection (each basis pair sums to the
+    post-selection weight of the cell, not to one).  A sampled scan measured
+    integer photon counts.  The records keep their own read-only copy of the
+    array, and they carry the grid and the angle they were taken at, so their
+    inversion needs nothing else.
     """
 
-    probs: np.ndarray | None
+    readout: np.ndarray
     grid: GridSpec
     theta: float
-    counts: np.ndarray | None = None
     photons_per_setting: int = 0
 
     def __post_init__(self):
         check_theta(self.theta)
         check_budget(self.photons_per_setting)
-        sampled = self.photons_per_setting > 0
-        if (self.probs is None) != sampled or (self.counts is None) == sampled:
-            raise ValueError(f"records of budget {self.photons_per_setting} hold "
-                             f"{'counts' if sampled else 'probs'} and nothing else")
-        name = "counts" if sampled else "probs"
-        data = np.array(getattr(self, name), order="C")
+        data = np.array(self.readout, order="C")
         shape = (len(PROJECTORS), self.grid.ny, self.grid.nx)
         if data.shape != shape:
-            raise ValueError(f"{name} must have shape {shape} of the {self.grid.nx}x"
+            raise ValueError(f"readout must have shape {shape} of the {self.grid.nx}x"
                              f"{self.grid.ny} grid, got {data.shape}")
+        sampled = self.photons_per_setting > 0
         if sampled:
             if not np.issubdtype(data.dtype, np.integer):
                 raise ValueError(f"counts must be integers, got {data.dtype}")
@@ -86,7 +81,7 @@ class ScanRecords:
         if (data < 0).any():
             raise ValueError(f"negative {'count' if sampled else 'probability'}")
         data.flags.writeable = False
-        object.__setattr__(self, name, data)
+        object.__setattr__(self, "readout", data)
 
 
 def gauge_fix(f: TransverseWavefunction) -> tuple[TransverseWavefunction, float]:
@@ -260,7 +255,7 @@ def scan_probability_maps(f: TransverseWavefunction, theta: float = STRONG_THETA
     """Exact probabilities of every projector at every cell.
 
     Returns a ``(6, ny, nx)`` array indexed ``[projector, iy, ix]`` in
-    :data:`PROJECTORS` order: the ``probs`` of a :func:`scan`.
+    :data:`PROJECTORS` order: the ``readout`` of a noiseless :func:`scan`.
     """
     return _projector_probs(*pointer_amplitudes(f, theta))
 
@@ -281,15 +276,14 @@ def scan(
     """
     check_budget(photons_per_setting)
     check_seed(seed)
-    probs = scan_probability_maps(f, theta)
-    if photons_per_setting == 0:
-        return ScanRecords(probs, f.grid, theta)
-    nx = f.grid.nx
-    cells = probs.reshape(len(PROJECTORS), -1).T.tolist()
-    counts = np.array(
-        [_sample_cell(p, photons_per_setting, cell_rng(seed, i % nx, i // nx))
-         for i, p in enumerate(cells)], dtype=np.int64)
-    return ScanRecords(None, f.grid, theta, counts.T.reshape(probs.shape), photons_per_setting)
+    readout = scan_probability_maps(f, theta)
+    if photons_per_setting > 0:
+        nx = f.grid.nx
+        cells = readout.reshape(len(PROJECTORS), -1).T.tolist()
+        readout = np.array(
+            [_sample_cell(p, photons_per_setting, cell_rng(seed, i % nx, i // nx))
+             for i, p in enumerate(cells)], dtype=np.int64).T.reshape(readout.shape)
+    return ScanRecords(readout, f.grid, theta, photons_per_setting)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +308,12 @@ def write_records_csv(records: ScanRecords, path) -> None:
     significant digits when the scan is noiseless, or its six counts when it
     is sampled.
     """
-    grid, sampled = records.grid, records.counts is not None
+    grid = records.grid
     values = (grid.nx, grid.ny, repr(float(grid.pitch)), repr(float(records.theta)),
               records.photons_per_setting)
     header = ",".join(f"{k}={v}" for k, v in zip(_HEADER_KEYS, values))
-    names, fmt, _ = _COLUMNS[sampled]
-    cells = (records.counts if sampled else records.probs).reshape(len(PROJECTORS), -1).T
+    names, fmt, _ = _COLUMNS[records.photons_per_setting > 0]
+    cells = records.readout.reshape(len(PROJECTORS), -1).T
     row = ",".join([fmt] * len(names)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"{header}\r\n{','.join(names)}\r\n")
@@ -361,9 +355,7 @@ def read_records_csv(path) -> ScanRecords:
             raise FileFormatError(f"{path}: expected {n} rows of {len(names)} fields, "
                                   f"one per cell of the {grid.nx}x{grid.ny} grid")
         table = np.loadtxt(io.BytesIO(body), dtype, delimiter=",", comments=None, ndmin=2)
-        data = table.T.reshape(len(PROJECTORS), grid.ny, grid.nx)
-        if budget > 0:
-            return ScanRecords(None, grid, float(theta), data, budget)
-        return ScanRecords(data, grid, float(theta), None, budget)
+        return ScanRecords(table.T.reshape(len(PROJECTORS), grid.ny, grid.nx), grid,
+                           float(theta), budget)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,37 +334,24 @@ def reconstruct_object(
 # PGM (P5) object masks
 # ---------------------------------------------------------------------------
 
+#: An 8-bit binary PGM header: the magic, then the width, height and maxval as
+#: unsigned decimals, each after whitespace or ``#`` comments that run to the end
+#: of their line, then the one whitespace byte before the pixels.  ``re`` compiles
+#: it on the first read and caches it, so importing the module does not.
+_PGM_HEADER = rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s"
+
+
 def read_pgm(path) -> np.ndarray:
     """Read an 8-bit binary PGM (P5) file into a (rows, cols) uint8 array."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(b"P5"):
-        raise FileFormatError(f"{path}: not a P5 PGM file")
-    # header tokens: magic, width, height, maxval; '#' comments run to EOL
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3 and pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol < 0 else eol + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    if len(tokens) < 3 or pos >= len(data):
-        raise FileFormatError(f"{path}: truncated PGM header")
-    pos += 1  # single whitespace byte after maxval
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: malformed PGM header") from exc
+    header = re.match(_PGM_HEADER, data)
+    if header is None:
+        raise FileFormatError(f"{path}: not a P5 PGM file, or a malformed or truncated header")
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise FileFormatError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    pos = header.end()
     if len(data) - pos != width * height:
         raise FileFormatError(f"{path}: expected {width * height} pixels, got {len(data) - pos}")
     return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width)

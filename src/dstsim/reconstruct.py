@@ -72,30 +72,21 @@ class QualityReport:
     rmse_im: float
 
 
-def _effective_prob_maps(records: ScanRecords) -> tuple[np.ndarray, np.ndarray | None]:
-    """Projector maps ``[projector, iy, ix]`` of probabilities or empirical frequencies.
-
-    Sampled records contribute count/budget, which estimates the
-    unnormalized projector probability directly (the per-basis frequency
-    times the sampled post-selection weight).  Noiseless records contribute
-    their exact probabilities, so both paths share the inversion code.  The
-    mask marks cells where some basis registered no photons at all.
-    """
-    counts = records.counts
-    if counts is None:
-        return records.probs, None
-    zero_mask = (counts[0::2] + counts[1::2] == 0).any(axis=0)
-    return counts / records.photons_per_setting, zero_mask
-
-
 def _invert(records: ScanRecords, p1_weight: float, scale: float,
             mode: str) -> ReconstructionResult:
     """Invert the raw quadrature maps ``(P+ - P- + p1_weight P1 + i (PL - PR)) / scale``.
 
     The raw maps equal ``ptilde * psi / N`` on exact records, so requiring
-    the field to be normalized fixes the gauge constant.
+    the field to be normalized fixes the gauge constant.  Sampled records
+    enter as count/budget, which estimates the unnormalized projector
+    probability directly (the per-basis frequency times the sampled
+    post-selection weight); their mask marks cells where some basis
+    registered no photons at all.
     """
-    maps, zero_mask = _effective_prob_maps(records)
+    maps, zero_mask = records.readout, None
+    if records.photons_per_setting > 0:
+        zero_mask = (maps[0::2] + maps[1::2] == 0).any(axis=0)
+        maps = maps / records.photons_per_setting
     plus, minus, _, p1, left, right = maps
     raw = (plus - minus + p1_weight * p1 + 1j * (left - right)) / scale
     s = float(np.sqrt(np.sum(np.abs(raw) ** 2)))
@@ -128,7 +119,8 @@ def reconstruct_dwt(records: ScanRecords) -> ReconstructionResult:
     return _invert(records, 0.0, 2.0 * records.theta, "DWT")
 
 
-#: The inversion of each ``estimator`` value of the configuration: strong and weak-value.
+#: The inversion of each ``estimator`` value of the configuration, strong and
+#: weak-value; the command line calls ``reconstruct_<value>`` by name.
 ESTIMATORS = {"dst": reconstruct_dst, "dwt": reconstruct_dwt}
 
 

@@ -273,19 +273,10 @@ def phase_winding(phase: np.ndarray, radius: int,
     if r0 < 0 or c0 < 0 or r1 >= ny or c1 >= nx:
         raise ValueError(f"loop of radius {radius} does not fit inside the grid")
 
-    rows, cols = [], []
     # bottom edge left->right, right edge bottom->top, top edge right->left,
     # left edge top->bottom (counterclockwise with y increasing upward)
-    for c in range(c0, c1 + 1):
-        rows.append(r0); cols.append(c)
-    for r in range(r0 + 1, r1 + 1):
-        rows.append(r); cols.append(c1)
-    for c in range(c1 - 1, c0 - 1, -1):
-        rows.append(r1); cols.append(c)
-    for r in range(r1 - 1, r0, -1):
-        rows.append(r); cols.append(c0)
-
-    vals = phase[rows, cols]
+    vals = np.concatenate([phase[r0, c0:c1], phase[r0:r1, c1],
+                           phase[r1, c1:c0:-1], phase[r1:r0:-1, c0]])
     diffs = np.diff(np.concatenate([vals, vals[:1]]))
     wrapped = (diffs + np.pi) % (2.0 * np.pi) - np.pi
     return float(np.sum(wrapped) / (2.0 * np.pi))

@@ -10,7 +10,7 @@ import pytest
 
 from dstsim import read_records_csv, read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction
 from dstsim import gauge_fix, normalize
-from dstsim import ModeKind, PropagationKernel, cli
+from dstsim import ModeKind, PropagationKernel, cli, reconstruct
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_text, to_text
 from dstsim.holography import PARAXIAL_MIN_EXTENTS
@@ -241,6 +241,25 @@ class TestMeasureReconstruct:
         for name in ("density.dat", "phase.dat"):
             assert (rec / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
 
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_reconstruct_calls_the_module_inversion(self, tmp_path, monkeypatch, estimator):
+        # the inversion is looked up when the command runs, so a wrapper set on
+        # the module afterwards (a tracer's, or this test's) sees the call
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
+        name = "reconstruct_" + estimator
+        inversion, calls = getattr(reconstruct, name), []
+
+        def traced(records):
+            calls.append(records)
+            return inversion(records)
+
+        monkeypatch.setattr(reconstruct, name, traced)
+        assert run("reconstruct", "--records", str(out / "records.csv"), "--estimator",
+                   estimator, "--out", str(out)) == 0
+        assert len(calls) == 1 and calls[0].theta == math.pi / 2
+        assert json.loads((out / "report.json").read_text())["mode"] == estimator.upper()
+
     def test_gnuplot_maps_from_a_config_file(self, tmp_path):
         # the key reads from a file as from its flag and round-trips through config.resolved
         out = self._prepare(tmp_path)
@@ -293,7 +312,7 @@ class TestMeasureReconstruct:
         assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "20",
                    "--seed", "3", "--out", str(out)) == 0
         assert run("reconstruct", "--records", str(out / "records.csv"), "--out", str(out)) == 0
-        counts = read_records_csv(out / "records.csv").counts
+        counts = read_records_csv(out / "records.csv").readout
         expected = int((counts[0::2] + counts[1::2] == 0).any(axis=0).sum())
         assert 0 < expected < 144  # the budget leaves some cells, not all, without a photon
         assert json.loads((out / "report.json").read_text())["zero_count_cells"] == expected
@@ -544,6 +563,15 @@ class TestHoloCommands:
                    "--input", str(out / "field.wfgrid"), *common, "--out", str(obj)) == 0
         assert ((obj / "backpropagated.wfgrid").read_bytes()
                 == (inverse / "backpropagated.wfgrid").read_bytes())
+
+    def test_signed_pgm_size_is_a_format_error(self, tmp_path, capsys):
+        out = self._field(tmp_path, n=8)
+        pgm = tmp_path / "signed.pgm"
+        pgm.write_bytes(b"P5 -2 -2 255\n" + bytes(4))
+        assert run("holo", "forward", "--in", str(out / "field.wfgrid"), "--object", str(pgm),
+                   "--out", str(out)) == 4
+        assert "PGM" in capsys.readouterr().err
+        assert not (out / "propagated.wfgrid").exists()
 
     def test_pgm_object_end_to_end(self, tmp_path):
         # wide illumination so the bar sits on a bright region, and the

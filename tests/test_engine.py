@@ -340,7 +340,7 @@ def test_single_cell_resample_equals_scan(nx, ny, field_seed, seed, budget):
     field = random_field(GridSpec(nx, ny, 1e-4), field_seed)
     records = scan(field, STRONG, budget, seed)
     probs = scan_probability_maps(field, STRONG)   # what the scan sampled from
-    counts = (records.counts if budget else np.zeros(probs.shape, dtype=np.int64))
+    counts = (records.readout if budget else np.zeros(probs.shape, dtype=np.int64))
     for iy in range(ny):
         for ix in range(nx):
             assert np.array_equal(sample_counts(probs[:, iy, ix], budget, seed, (ix, iy)),
@@ -349,7 +349,7 @@ def test_single_cell_resample_equals_scan(nx, ny, field_seed, seed, budget):
 
 GRID_64 = GridSpec(64, 64, 125e-6)
 WAIST_64 = GRID_64.nx * GRID_64.pitch / 8
-# SHA-256 of scan(field, budget=1e8, seed=7).counts.tobytes() (int64, little-endian)
+# SHA-256 of scan(field, budget=1e8, seed=7).readout.tobytes() (int64, little-endian)
 # on the 64x64 grid of the benchmark: a centred Gaussian, and the off-axis l=1
 # vortex of the README
 GOLDEN_1E8_SHA256 = {
@@ -371,7 +371,7 @@ class TestScan:
     def test_golden_counts_64x64_large_budget(self, name):
         # pins stream v1 at the benchmark's scale: the large-mean Poisson (PTRS)
         # and binomial (BTPE) samplers in every cell, in _sample_cell's draw order
-        counts = scan(golden_64_field(name), STRONG, photons_per_setting=10**8, seed=7).counts
+        counts = scan(golden_64_field(name), STRONG, photons_per_setting=10**8, seed=7).readout
         assert counts.dtype == np.int64
         digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
         assert digest == GOLDEN_1E8_SHA256[name]
@@ -379,20 +379,20 @@ class TestScan:
     def test_enumerates_cells_row_major(self):
         f = uniform_field(2)
         records = scan(f, STRONG)
-        assert records.probs.shape == (6, 2, 2)
-        assert records.counts is None
+        assert records.readout.shape == (6, 2, 2)
+        assert records.readout.dtype == np.float64   # a noiseless scan holds probabilities
 
     def test_uniform_field_identical_probs(self):
         records = scan(uniform_field(4), STRONG)
-        first = records.probs[:, :1, :1]
-        assert records.probs == pytest.approx(np.broadcast_to(first, records.probs.shape),
-                                              abs=1e-14)
+        first = records.readout[:, :1, :1]
+        assert records.readout == pytest.approx(np.broadcast_to(first, records.readout.shape),
+                                                abs=1e-14)
 
     def test_gaussian_p1_peaks_at_center(self):
         grid = GridSpec(33, 33, 1e-4)
         f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4 * grid.pitch), grid)
         records = scan(f, STRONG)
-        p1 = records.probs[PROJECTORS.index("1")]
+        p1 = records.readout[PROJECTORS.index("1")]
         assert np.unravel_index(np.argmax(p1), p1.shape) == (16, 16)
 
     def test_matches_single_cell_api(self, grid_8):
@@ -400,35 +400,34 @@ class TestScan:
         f = random_field(grid_8, seed=2)
         for theta in (math.pi / 2, 0.3):
             records = scan(f, theta, photons_per_setting=500, seed=99)
-            assert records.probs is None   # sampled records hold the counts alone
+            assert records.readout.dtype == np.int64   # sampled records hold the counts alone
             maps = scan_probability_maps(f, theta)
             for iy in range(8):
                 for ix in range(8):
                     probs = maps[:, iy, ix]
-                    assert np.array_equal(records.counts[:, iy, ix],
+                    assert np.array_equal(records.readout[:, iy, ix],
                                           sample_counts(probs, 500, seed=99, cell=(ix, iy)))
 
     def test_probability_maps_match_records(self, gaussian_8):
         maps = scan_probability_maps(gaussian_8, STRONG)
         assert maps.shape == (6, 8, 8)
-        assert np.array_equal(scan(gaussian_8, STRONG).probs, maps)
+        assert np.array_equal(scan(gaussian_8, STRONG).readout, maps)
 
     def test_sampled_records_carry_budget(self, gaussian_8):
         records = scan(gaussian_8, STRONG, photons_per_setting=100, seed=1)
         assert records.photons_per_setting == 100
-        assert records.counts is not None and records.probs is None
+        assert records.readout.dtype == np.int64
 
     def test_records_are_read_only(self, gaussian_8):
-        for records, name in ((scan(gaussian_8), "probs"),
-                              (scan(gaussian_8, photons_per_setting=100, seed=1), "counts")):
+        for records in (scan(gaussian_8), scan(gaussian_8, photons_per_setting=100, seed=1)):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(records, name)[0, 0, 0] = -1
+                records.readout[0, 0, 0] = -1
 
     def test_records_keep_their_own_array(self):
         probs = np.zeros((6, 2, 2))
         records = ScanRecords(probs, GRID_2X2, STRONG)
         probs[0, 0, 0] = -1.0   # the caller's array stays writable, the records do not see it
-        assert records.probs[0, 0, 0] == 0.0
+        assert records.readout[0, 0, 0] == 0.0
 
     @pytest.mark.parametrize("budget", [True, False, np.True_])
     def test_rejects_bool_budget(self, gaussian_8, budget):
@@ -451,18 +450,18 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
         back = read_records_csv(path)
-        assert back.probs.shape == records.probs.shape
+        assert back.readout.shape == records.readout.shape
         assert back.grid == gaussian_8.grid and back.theta == STRONG
-        assert back.counts is None
+        assert back.readout.dtype == np.float64
         assert back.photons_per_setting == 0
-        assert np.array_equal(back.probs, records.probs)  # 17 significant digits round-trip
+        assert np.array_equal(back.readout, records.readout)  # 17 significant digits round-trip
 
     def test_round_trip_sampled(self, tmp_path, gaussian_8):
         records = scan(gaussian_8, STRONG, photons_per_setting=1000, seed=5)
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
         back = read_records_csv(path)
-        assert np.array_equal(back.counts, records.counts)
+        assert np.array_equal(back.readout, records.readout)
         assert back.photons_per_setting == 1000
 
     def test_header_schema(self, tmp_path, gaussian_8):
@@ -573,13 +572,8 @@ def test_records_csv_round_trip(tmp_path_factory, nx, ny, pitch, theta, field_se
     back = read_records_csv(path)
     assert back.grid == records.grid and back.theta == theta
     assert back.photons_per_setting == budget
-    if budget:
-        assert back.probs is None
-        assert back.counts.dtype == records.counts.dtype
-        assert back.counts.tobytes() == records.counts.tobytes()
-    else:
-        assert back.counts is None
-        assert back.probs.tobytes() == records.probs.tobytes()
+    assert back.readout.dtype == records.readout.dtype == (np.int64 if budget else np.float64)
+    assert back.readout.tobytes() == records.readout.tobytes()
 
 
 GRID_2X2 = GridSpec(2, 2, 1e-4)
@@ -592,19 +586,18 @@ class TestScanRecords:
         with pytest.raises(ValueError):
             ScanRecords(np.zeros((6, 2, 3)), GRID_2X2, STRONG)   # maps off the grid
         with pytest.raises(ValueError, match="shape"):
-            ScanRecords(None, GRID_2X2, STRONG, np.zeros((6, 2, 3), dtype=np.int64), 10)
+            ScanRecords(np.zeros((6, 2, 3), dtype=np.int64), GRID_2X2, STRONG, 10)
 
     def test_counts_and_budget_go_together(self):
+        # the budget alone says what the readout holds: counts when it is > 0
+        with pytest.raises(ValueError, match="counts must be integers"):
+            ScanRecords(np.zeros((6, 2, 2)), GRID_2X2, STRONG, 10)   # probabilities, budget
         counts = np.zeros((6, 2, 2), dtype=np.int64)
+        assert ScanRecords(counts, GRID_2X2, STRONG, 10).readout.dtype == np.int64
+        with pytest.raises(ValueError, match="negative count"):
+            ScanRecords(counts - 1, GRID_2X2, STRONG, 10)
         with pytest.raises(ValueError):
-            ScanRecords(np.zeros((6, 2, 2)), GRID_2X2, STRONG, None, 10)   # probs, budget
-        with pytest.raises(ValueError):
-            ScanRecords(None, GRID_2X2, STRONG, counts, 0)   # counts without a budget
-        for probs, counts_ in ((np.zeros((6, 2, 2)), counts), (None, None)):  # both, neither
-            for budget in (0, 10):
-                with pytest.raises(ValueError):
-                    ScanRecords(probs, GRID_2X2, STRONG, counts_, budget)
-        assert ScanRecords(None, GRID_2X2, STRONG, counts, 10).probs is None
+            ScanRecords(None, GRID_2X2, STRONG, 10)   # no readout at all
 
     def test_rejects_non_finite_probability(self):
         probs = np.zeros((6, 2, 2))
@@ -626,4 +619,4 @@ class TestScanRecords:
         write_records_csv(records, path)
         back = read_records_csv(path)
         assert back.photons_per_setting == 1000
-        assert np.array_equal(back.counts, records.counts)
+        assert np.array_equal(back.readout, records.readout)

@@ -193,6 +193,20 @@ def test_propagation_matches_zero_buffer_convolution_on_any_grid(nx, ny, pad, ex
     assert_matches_zero_buffer_convolution(random_field(grid, field_seed), spec, inverse, kind)
 
 
+@pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS, ids=KINDS)
+def test_pad_beyond_two_changes_only_cost(spec, inverse, kind):
+    # pad 2 already makes the convolution linear over every in-to-out offset,
+    # so pads 3 and 4 compute the same result up to rounding
+    grid = GridSpec(24, 17, 3e-6)
+    f = random_field(grid, 11)
+    spec = replace(spec, distance=20.0 * grid.extent)
+    propagate = propagate_inverse if inverse else propagate_forward
+    pad2, *others = (propagate(f, replace(spec, pad_factor=pad)).amps for pad in (2, 3, 4))
+    peak = np.abs(pad2).max()
+    for out in others:
+        assert np.max(np.abs(out - pad2)) <= 1e-13 * peak
+
+
 class TestInverseTransformInPlace:
     # 21x15 and 49x98 are padded test grids, 1024x1024 is 256x256 at pad 4
     @pytest.mark.parametrize("shape", [(21, 15), (49, 98), (35, 27), (64, 64), (1024, 1024)])
@@ -512,6 +526,14 @@ class TestPgm:
     def test_rejects_16bit(self, tmp_path):
         path = tmp_path / "mask.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+        with pytest.raises(FileFormatError):
+            read_pgm(path)
+
+    # a signed width or height, and a size run into the magic, are not a header
+    @pytest.mark.parametrize("header", [b"P5 -2 -2 255\n", b"P52 2 255\n", b"P5 +2 2 255\n"])
+    def test_rejects_header_without_unsigned_sizes(self, tmp_path, header):
+        path = tmp_path / "mask.pgm"
+        path.write_bytes(header + bytes(4))
         with pytest.raises(FileFormatError):
             read_pgm(path)
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -270,6 +271,24 @@ class TestPhaseWinding:
     def test_loop_outside_grid(self):
         with pytest.raises(ValueError):
             phase_winding(np.zeros((8, 8)), 6)
+
+    def test_equals_the_cell_by_cell_walk(self):
+        # reference: the loop visited cell by cell, bottom edge left to right,
+        # right edge up, top edge right to left, left edge down
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            ny, nx = (int(n) for n in rng.integers(3, 16, size=2))
+            radius = int(rng.integers(1, (min(nx, ny) - 1) // 2 + 1))
+            cy, cx = rng.uniform(radius, ny - 1 - radius), rng.uniform(radius, nx - 1 - radius)
+            phase = rng.uniform(-np.pi, np.pi, (ny, nx))
+            r0, r1 = math.ceil(cy - radius), math.floor(cy + radius)
+            c0, c1 = math.ceil(cx - radius), math.floor(cx + radius)
+            walk = ([(r0, c) for c in range(c0, c1 + 1)] + [(r, c1) for r in range(r0 + 1, r1 + 1)]
+                    + [(r1, c) for c in range(c1 - 1, c0 - 1, -1)]
+                    + [(r, c0) for r in range(r1 - 1, r0, -1)])
+            vals = np.array([phase[cell] for cell in walk])
+            steps = (np.diff(np.append(vals, vals[0])) + np.pi) % (2 * np.pi) - np.pi
+            assert phase_winding(phase, radius, (cy, cx)) == float(np.sum(steps) / (2 * np.pi))
 
 
 class TestWfgrid:
