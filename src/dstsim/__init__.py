@@ -29,7 +29,6 @@ from .engine import (
     gauge_fix,
     pointer_amplitudes,
     read_records_csv,
-    sample_counts,
     scan,
     scan_probability_maps,
     write_records_csv,
@@ -89,7 +88,6 @@ __all__ = [
     "reconstruct_dst",
     "reconstruct_dwt",
     "reconstruct_object",
-    "sample_counts",
     "scan",
     "scan_probability_maps",
     "score",

@@ -68,6 +68,8 @@ class ScanRecords:
         check_theta(self.theta)
         check_budget(self.photons_per_setting)
         data = np.array(self.readout, order="C")
+        if data.dtype.kind not in "fiu":
+            raise ValueError(f"readout must hold real numbers, got {data.dtype}")
         shape = (len(PROJECTORS), self.grid.ny, self.grid.nx)
         if data.shape != shape:
             raise ValueError(f"readout must have shape {shape} of the {self.grid.nx}x"
@@ -166,9 +168,10 @@ _ZERO_COUNTER.flags.writeable = False
 def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
     """Counter-based stream for one scan cell, independent of execution order.
 
-    Streams are keyed by (seed, iy, ix), so a full scan and a single-cell
-    resample agree bit for bit and the scan may be parallelized over cells
-    without changing results.  The stream is that of
+    Streams are keyed by (seed, iy, ix): the counts :func:`scan` draws at
+    cell ``(ix, iy)`` come from that cell's own stream and depend only on its
+    probabilities, so the scan may be parallelized over cells without
+    changing results.  The stream is that of
     ``Philox(key=(seed << 64) | (iy << 32) | ix)`` (stream v1), keyed
     directly.  ``spawn()`` on the generator raises TypeError: a cell key is
     not a spawnable seed sequence.
@@ -212,43 +215,6 @@ def _sample_cell(
         na = binomial(detected, pa / weight) if detected > 0 else 0
         counts += (na, detected - na)
     return counts
-
-
-def sample_counts(
-    probs: np.ndarray,
-    photons_per_setting: int,
-    seed: int,
-    cell: tuple[int, int] = (0, 0),
-) -> np.ndarray:
-    """Photon counts for the three basis settings at one cell ``(ix, iy)``.
-
-    ``probs`` holds the cell's six probabilities in :data:`PROJECTORS` order,
-    ``scan_probability_maps(field, theta)[:, iy, ix]`` for the cell a
-    :func:`scan` sampled, and the counts come back in the same order.  Each
-    basis receives an independent ensemble of ``photons_per_setting``
-    photons; the number that survives post-selection is Poisson with mean
-    ``photons_per_setting * (pair weight)`` and is split binomially between
-    the two projectors of the basis.  Deterministic given (seed, cell), and
-    equal to what :func:`scan` draws at that cell.  A seed outside
-    ``[0, 2**64)`` or a cell index outside ``[0, 2**32)`` raises ValueError:
-    :func:`cell_rng` would alias it onto another stream.  So do a cell that
-    is not an ``(ix, iy)`` pair, a budget, seed or index that is not an
-    integer (a bool included), and a non-finite or negative probability,
-    which :class:`ScanRecords` refuses too.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (len(PROJECTORS),):
-        raise ValueError(f"probs must have shape (6,), got {probs.shape}")
-    if not (np.isfinite(probs) & (probs >= 0)).all():
-        raise ValueError(f"probs must be finite and non-negative, got {probs.tolist()}")
-    check_budget(photons_per_setting)
-    check_seed(seed)
-    if len(cell) != 2 or not all(is_integer(i) and 0 <= i < 2**32 for i in cell):
-        raise ValueError(f"cell must be an (ix, iy) pair of indices in [0, 2**32), got {cell}")
-    if photons_per_setting == 0:
-        return np.zeros(len(PROJECTORS), dtype=np.int64)
-    return np.array(_sample_cell(probs.tolist(), photons_per_setting, cell_rng(seed, *cell)),
-                    dtype=np.int64)
 
 
 def scan_probability_maps(f: TransverseWavefunction, theta: float = STRONG_THETA) -> np.ndarray:

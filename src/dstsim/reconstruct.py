@@ -119,9 +119,9 @@ def reconstruct_dwt(records: ScanRecords) -> ReconstructionResult:
     return _invert(records, 0.0, 2.0 * records.theta, "DWT")
 
 
-#: The inversion of each ``estimator`` value of the configuration, strong and
-#: weak-value; the command line calls ``reconstruct_<value>`` by name.
-ESTIMATORS = {"dst": reconstruct_dst, "dwt": reconstruct_dwt}
+#: The ``estimator`` values of the configuration, strong and weak-value; the
+#: command line calls the inversion ``reconstruct_<value>`` by name.
+ESTIMATORS = ("dst", "dwt")
 
 
 def fidelity(a: TransverseWavefunction, b: TransverseWavefunction) -> float:

@@ -5,7 +5,8 @@ oracle builds the full joint system-pointer state and exponentiates the
 coupling Hamiltonian as a dense matrix, the beam oracle evaluates the
 textbook Gaussian-beam propagation formula, and the kernel oracle evaluates
 the propagation kernel at every offset of the padded grid and convolves
-through an explicitly zero-filled buffer.
+through an explicitly zero-filled buffer, and the stream oracle draws one
+cell's counts from the written definition of sampling stream v1.
 """
 
 from __future__ import annotations
@@ -113,3 +114,22 @@ def convolve_zero_padded(amps: np.ndarray, kern: np.ndarray, pitch: float) -> np
     buf[:ny, :nx] = amps
     out = np.fft.ifft2(np.fft.fft2(buf) * np.fft.fft2(kern)) * pitch**2
     return out[:ny, :nx]
+
+
+def stream_v1_counts(probs, budget: int, seed: int, ix: int, iy: int) -> list[int]:
+    """One cell's six counts under sampling stream v1, from its definition.
+
+    The cell draws from ``Generator(Philox(key=(seed << 64) | (iy << 32) | ix))``.
+    For each basis pair ``(pa, pb)`` in projector order it draws the detected
+    total, Poisson with mean ``budget * (pa + pb)``, then splits it binomially,
+    ``pa``'s share with probability ``pa / (pa + pb)``.  A pair that detects no
+    photon draws no split.
+    """
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) | (iy << 32) | ix))
+    probs = [float(p) for p in probs]
+    counts = []
+    for pa, pb in zip(probs[0::2], probs[1::2]):
+        total = int(rng.poisson(budget * (pa + pb)))
+        na = int(rng.binomial(total, pa / (pa + pb))) if total else 0
+        counts += [na, total - na]
+    return counts

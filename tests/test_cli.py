@@ -236,7 +236,7 @@ class TestMeasureReconstruct:
         rec = tmp_path / "rec"
         assert run("reconstruct", "--records", str(out / "records.csv"), "--maps", "gnuplot",
                    "--out", str(rec)) == 0
-        res = ESTIMATORS["dst"](read_records_csv(out / "records.csv"))
+        res = reconstruct.reconstruct_dst(read_records_csv(out / "records.csv"))
         cli._write_plot_maps(res, ExperimentConfig(out=str(tmp_path / "direct")))
         for name in ("density.dat", "phase.dat"):
             assert (rec / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name

@@ -20,7 +20,6 @@ from dstsim import (
     normalize,
     pointer_amplitudes,
     read_records_csv,
-    sample_counts,
     scan,
     scan_probability_maps,
     write_records_csv,
@@ -28,6 +27,7 @@ from dstsim import (
 from dstsim import engine
 from dstsim.engine import cell_rng
 from conftest import edit_csv, random_field
+from oracles import stream_v1_counts
 
 STRONG = math.pi / 2
 
@@ -179,28 +179,30 @@ CIRCULAR_CELL = scan_probability_maps(circular_field(), STRONG)[:, 0, 0]
 RIGHT = PROJECTORS.index("R")
 
 
-class TestSampleCounts:
-    def test_zero_budget(self):
-        counts = sample_counts(UNIFORM_2X2_CELL, 0, seed=1)
-        assert np.array_equal(counts, np.zeros(6, dtype=np.int64))
+class TestSampledScan:
+    """Photon sampling through :func:`scan`, read at cell (0, 0).
+
+    There ``uniform_field(2)`` has the probabilities ``UNIFORM_2X2_CELL`` and
+    ``circular_field()`` has ``CIRCULAR_CELL``.
+    """
 
     def test_impossible_outcome_never_sampled(self):
         for seed in range(20):
-            counts = sample_counts(CIRCULAR_CELL, 10_000, seed=seed)
+            counts = scan(circular_field(), STRONG, 10_000, seed).readout[:, 0, 0]
             assert counts[RIGHT] == 0
 
     def test_deterministic_per_seed_and_cell(self):
-        a = sample_counts(UNIFORM_2X2_CELL, 1000, seed=42, cell=(3, 4))
-        b = sample_counts(UNIFORM_2X2_CELL, 1000, seed=42, cell=(3, 4))
-        c = sample_counts(UNIFORM_2X2_CELL, 1000, seed=42, cell=(4, 3))
-        d = sample_counts(UNIFORM_2X2_CELL, 1000, seed=43, cell=(3, 4))
+        # every cell of the uniform 5x5 field has the same probabilities
+        a = scan(uniform_field(5), STRONG, 1000, seed=42).readout
+        b = scan(uniform_field(5), STRONG, 1000, seed=42).readout
+        c = scan(uniform_field(5), STRONG, 1000, seed=43).readout
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert not np.array_equal(a, d)
+        assert not np.array_equal(a[:, 4, 3], a[:, 3, 4])
+        assert not np.array_equal(a[:, 4, 3], c[:, 4, 3])
 
     def test_basis_ratio_uniform_field(self):
         # P(plus | +/- basis) = (1/2) / (5/8) = 0.8 for the uniform 2x2 field
-        n_plus, n_minus = sample_counts(UNIFORM_2X2_CELL, 10**6, seed=7)[:2]
+        n_plus, n_minus = scan(uniform_field(2), STRONG, 10**6, seed=7).readout[:2, 0, 0]
         total = n_plus + n_minus
         ratio = n_plus / total
         sigma = math.sqrt(0.8 * 0.2 / total)
@@ -211,78 +213,41 @@ class TestSampleCounts:
         probs = UNIFORM_2X2_CELL
         budget = 10**5
         seeds = 100
-        totals = sum(sample_counts(probs, budget, seed=seed) for seed in range(seeds))
+        totals = sum(scan(uniform_field(2), STRONG, budget, seed).readout[:, 0, 0]
+                     for seed in range(seeds))
         freq = totals / (seeds * budget)
         sigma = np.sqrt(probs * (1 - probs) / (seeds * budget))
         assert (np.abs(freq - probs) <= 5 * sigma).all()
 
     def test_negative_budget(self):
         with pytest.raises(ValueError):
-            sample_counts(UNIFORM_2X2_CELL, -1, seed=0)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            sample_counts(UNIFORM_2X2_CELL[:5], 10, seed=0)
-
-    @pytest.mark.parametrize("probs", [
-        [math.nan] * 6,
-        [0.25, 0.25, math.inf, 0.25, 0.25, 0.25],
-        [-0.1, -0.1, 0.3, 0.3, 0.3, 0.3],
-        [0.3, -0.01, 0.3, 0.3, 0.3, 0.3],
-    ], ids=["nan", "inf", "negative-pair", "negative-entry"])
-    def test_rejects_bad_probabilities(self, probs):
-        # ScanRecords refuses these too; drawing from them would return silent zeros
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            sample_counts(probs, 1000, seed=0)
-
-    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (2**32, 0), (0, 2**32)])
-    def test_rejects_aliasing_cell(self, cell):
-        # cell_rng keeps 32 bits per index: (-1, 0) would draw cell (2**32 - 1, 0)'s stream
-        with pytest.raises(ValueError):
-            sample_counts(UNIFORM_2X2_CELL, 1000, seed=3, cell=cell)
-        top = sample_counts(UNIFORM_2X2_CELL, 1000, seed=3, cell=(2**32 - 1, 2**32 - 1))
-        assert top.sum() > 0
-
-    @pytest.mark.parametrize("cell", [(1,), (1, 2, 3), ()])
-    def test_rejects_cell_that_is_not_a_pair(self, cell):
-        with pytest.raises(ValueError, match=r"\(ix, iy\) pair"):
-            sample_counts(UNIFORM_2X2_CELL, 1000, seed=3, cell=cell)
+            scan(uniform_field(2), STRONG, photons_per_setting=-1, seed=0)
 
     def test_rejects_non_integer_seed(self):
         # int() would truncate seed 1.5 onto seed 1's streams
         with pytest.raises(ValueError):
-            sample_counts(UNIFORM_2X2_CELL, 1000, seed=1.5)
-        with pytest.raises(ValueError):
             scan(uniform_field(2), STRONG, photons_per_setting=1000, seed=1.5)
 
-    def test_rejects_non_integer_cell(self):
-        # int() would truncate cell (3.7, 2) onto cell (3, 2)'s stream
-        with pytest.raises(ValueError):
-            sample_counts(UNIFORM_2X2_CELL, 1000, seed=1, cell=(3.7, 2))
-        assert sample_counts(UNIFORM_2X2_CELL, 1000, seed=1,
-                             cell=(np.int64(3), np.uint32(2))).sum() > 0
-
     def test_rejects_non_integer_budget(self):
-        # ScanRecords refuses such a budget, so a resample must not draw for it
+        # ScanRecords refuses such a budget, so a scan must not draw for it
         with pytest.raises(ValueError):
-            sample_counts(UNIFORM_2X2_CELL, 1000.5, seed=1)
+            scan(uniform_field(2), STRONG, photons_per_setting=1000.5, seed=1)
         with pytest.raises(ValueError):
-            sample_counts(UNIFORM_2X2_CELL, 1e3, seed=1)
+            scan(uniform_field(2), STRONG, photons_per_setting=1e3, seed=1)
 
     def test_golden_counts_large_budget(self):
         # pins the large-mean Poisson and binomial paths of stream v1, which the
         # 10-photon golden CSV never reaches
-        counts = sample_counts(UNIFORM_2X2_CELL, 10**8, seed=7, cell=(3, 4))
-        assert counts.tolist() == [50005344, 12502285, 56247354, 6252281, 31248610, 31243416]
+        counts = stream_v1_counts(UNIFORM_2X2_CELL, 10**8, 7, 3, 4)
+        assert counts == [50005344, 12502285, 56247354, 6252281, 31248610, 31243416]
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_aliasing_seed(self, seed):
         # cell_rng keeps 64 seed bits: -1 would draw seed 2**64 - 1's streams
         with pytest.raises(ValueError):
-            sample_counts(UNIFORM_2X2_CELL, 1000, seed=seed)
-        with pytest.raises(ValueError):
             scan(uniform_field(2), STRONG, photons_per_setting=10, seed=seed)
-        assert sample_counts(UNIFORM_2X2_CELL, 1000, seed=2**64 - 1).sum() > 0
+        assert scan(uniform_field(2), STRONG, photons_per_setting=1000,
+                    seed=2**64 - 1).readout.sum() > 0
 
 
 EDGE_CELLS = [(0, 0), (2**32 - 1, 0), (0, 2**32 - 1), (2**32 - 1, 2**32 - 1)]
@@ -335,16 +300,17 @@ class TestCellStream:
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(nx=st.integers(2, 9), ny=st.integers(2, 7), field_seed=st.integers(0, 2**16),
-       seed=st.integers(0, 2**64 - 1), budget=st.sampled_from([0, 1, 10**3, 10**8]))
-def test_single_cell_resample_equals_scan(nx, ny, field_seed, seed, budget):
+       seed=st.integers(0, 2**64 - 1), budget=st.sampled_from([1, 10**3, 10**8]),
+       theta=st.sampled_from([STRONG, 0.3]))
+def test_scan_draws_stream_v1_at_every_cell(nx, ny, field_seed, seed, budget, theta):
+    # each cell's counts are stream v1's draw from that cell's probabilities alone
     field = random_field(GridSpec(nx, ny, 1e-4), field_seed)
-    records = scan(field, STRONG, budget, seed)
-    probs = scan_probability_maps(field, STRONG)   # what the scan sampled from
-    counts = (records.readout if budget else np.zeros(probs.shape, dtype=np.int64))
+    counts = scan(field, theta, budget, seed).readout
+    probs = scan_probability_maps(field, theta)   # what the scan sampled from
     for iy in range(ny):
         for ix in range(nx):
-            assert np.array_equal(sample_counts(probs[:, iy, ix], budget, seed, (ix, iy)),
-                                  counts[:, iy, ix])
+            assert counts[:, iy, ix].tolist() == stream_v1_counts(probs[:, iy, ix], budget,
+                                                                  seed, ix, iy)
 
 
 GRID_64 = GridSpec(64, 64, 125e-6)
@@ -395,19 +361,6 @@ class TestScan:
         p1 = records.readout[PROJECTORS.index("1")]
         assert np.unravel_index(np.argmax(p1), p1.shape) == (16, 16)
 
-    def test_matches_single_cell_api(self, grid_8):
-        # resampling any one cell from the maps reproduces the full scan there exactly
-        f = random_field(grid_8, seed=2)
-        for theta in (math.pi / 2, 0.3):
-            records = scan(f, theta, photons_per_setting=500, seed=99)
-            assert records.readout.dtype == np.int64   # sampled records hold the counts alone
-            maps = scan_probability_maps(f, theta)
-            for iy in range(8):
-                for ix in range(8):
-                    probs = maps[:, iy, ix]
-                    assert np.array_equal(records.readout[:, iy, ix],
-                                          sample_counts(probs, 500, seed=99, cell=(ix, iy)))
-
     def test_probability_maps_match_records(self, gaussian_8):
         maps = scan_probability_maps(gaussian_8, STRONG)
         assert maps.shape == (6, 8, 8)
@@ -434,14 +387,10 @@ class TestScan:
         # True would pass as budget 1 and write a records file that reads back refused
         with pytest.raises(ValueError, match="photons_per_setting must be an integer"):
             scan(gaussian_8, STRONG, photons_per_setting=budget)
-        with pytest.raises(ValueError, match="photons_per_setting must be an integer"):
-            sample_counts(UNIFORM_2X2_CELL, budget, seed=1)
 
-    def test_rejects_bool_seed_and_cell_index(self, gaussian_8):
+    def test_rejects_bool_seed(self, gaussian_8):
         with pytest.raises(ValueError, match="seed must be an integer"):
             scan(gaussian_8, STRONG, photons_per_setting=10, seed=True)
-        with pytest.raises(ValueError, match=r"\(ix, iy\) pair"):
-            sample_counts(UNIFORM_2X2_CELL, 10, seed=1, cell=(True, 0))
 
 
 class TestRecordsCsv:
@@ -598,6 +547,14 @@ class TestScanRecords:
             ScanRecords(counts - 1, GRID_2X2, STRONG, 10)
         with pytest.raises(ValueError):
             ScanRecords(None, GRID_2X2, STRONG, 10)   # no readout at all
+
+    @pytest.mark.parametrize("readout", [
+        np.full((6, 2, 2), 0.25 + 1j),   # complex maps would invert to a complex field
+        np.ones((6, 2, 2), bool),
+    ], ids=["complex", "bool"])
+    def test_rejects_non_real_readout(self, readout):
+        with pytest.raises(ValueError, match=str(readout.dtype)):
+            ScanRecords(readout, GRID_2X2, 1.0)
 
     def test_rejects_non_finite_probability(self):
         probs = np.zeros((6, 2, 2))

@@ -208,9 +208,10 @@ class TestDwtInversion:
 
 
 def test_estimators_name_their_inversions():
-    # the configuration's estimator values index this table, and nothing else inverts
-    from dstsim.reconstruct import ESTIMATORS
-    assert ESTIMATORS == {"dst": reconstruct_dst, "dwt": reconstruct_dwt}
+    # the command line calls reconstruct_<value> for each estimator value of the configuration
+    from dstsim import reconstruct
+    assert [getattr(reconstruct, "reconstruct_" + name) for name in reconstruct.ESTIMATORS] \
+        == [reconstruct_dst, reconstruct_dwt]
 
 
 class TestScore:
