@@ -186,6 +186,12 @@ class TestSampledScan:
     ``circular_field()`` has ``CIRCULAR_CELL``.
     """
 
+    def test_zero_budget(self):
+        # budget 0 is the noiseless scan: the exact probabilities, not counts
+        readout = scan(uniform_field(2), STRONG, 0, seed=1).readout
+        assert readout.dtype == np.float64
+        assert np.array_equal(readout, scan_probability_maps(uniform_field(2), STRONG))
+
     def test_impossible_outcome_never_sampled(self):
         for seed in range(20):
             counts = scan(circular_field(), STRONG, 10_000, seed).readout[:, 0, 0]
@@ -241,6 +247,20 @@ class TestSampledScan:
         counts = stream_v1_counts(UNIFORM_2X2_CELL, 10**8, 7, 3, 4)
         assert counts == [50005344, 12502285, 56247354, 6252281, 31248610, 31243416]
 
+    def test_golden_counts_of_the_cell_draw(self):
+        # the program's own per-cell draw, which scan makes at every cell, gives
+        # the same large-budget golden vector as the reference
+        counts = engine._sample_cell(UNIFORM_2X2_CELL.tolist(), 10**8, cell_rng(7, 3, 4))
+        assert counts == [50005344, 12502285, 56247354, 6252281, 31248610, 31243416]
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.uint64(7),
+                                      np.uint64(2**64 - 1)], ids=repr)
+    def test_numpy_integer_seed_draws_as_the_int(self, seed):
+        # a numpy seed keys the same streams as the Python int of equal value
+        records = scan(uniform_field(2), STRONG, photons_per_setting=1000, seed=seed)
+        expected = scan(uniform_field(2), STRONG, photons_per_setting=1000, seed=int(seed))
+        assert np.array_equal(records.readout, expected.readout)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_aliasing_seed(self, seed):
         # cell_rng keeps 64 seed bits: -1 would draw seed 2**64 - 1's streams
@@ -267,6 +287,13 @@ class TestCellStream:
                               ref.integers(0, 2**64, size=8, dtype=np.uint64))
         assert rng.poisson(1e7) == ref.poisson(1e7)
         assert rng.binomial(10**8, 0.3) == ref.binomial(10**8, 0.3)
+
+    @pytest.mark.parametrize("cell", EDGE_CELLS)
+    def test_cell_draw_at_edge_cells_matches_reference(self, cell):
+        # no scan in the suite reaches the 32-bit edges of the cell indices
+        ix, iy = cell
+        counts = engine._sample_cell(UNIFORM_2X2_CELL.tolist(), 10**8, cell_rng(3, ix, iy))
+        assert counts == stream_v1_counts(UNIFORM_2X2_CELL, 10**8, 3, ix, iy)
 
     def test_cell_key_is_not_a_seed_sequence(self):
         rng = cell_rng(5, 3, 4)
@@ -555,6 +582,19 @@ class TestScanRecords:
     def test_rejects_non_real_readout(self, readout):
         with pytest.raises(ValueError, match=str(readout.dtype)):
             ScanRecords(readout, GRID_2X2, 1.0)
+
+    @pytest.mark.parametrize("probs, message", [
+        ([math.nan] * 6, "non-finite"),
+        ([0.25, 0.25, math.inf, 0.25, 0.25, 0.25], "non-finite"),
+        ([-0.1, -0.1, 0.3, 0.3, 0.3, 0.3], "negative probability"),
+        ([0.3, -0.01, 0.3, 0.3, 0.3, 0.3], "negative probability"),
+    ], ids=["nan", "inf", "negative-pair", "negative-entry"])
+    def test_rejects_bad_probabilities(self, probs, message):
+        # a noiseless readout of such a cell would invert to a meaningless field
+        readout = np.full((6, 2, 2), 0.25)
+        readout[:, 0, 1] = probs
+        with pytest.raises(ValueError, match=message):
+            ScanRecords(readout, GRID_2X2, STRONG)
 
     def test_rejects_non_finite_probability(self):
         probs = np.zeros((6, 2, 2))
