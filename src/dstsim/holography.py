@@ -62,10 +62,11 @@ Elementwise passes over the buffer run one row per inner loop
 Both kernels are quadratic-phase-like at the grid scale, so sampling them
 on too coarse a grid aliases silently.  Propagation therefore refuses to
 run unless the kernel's local spatial frequency at the largest relevant
-offset (one full grid extent per axis) stays below Nyquist:
+offset, the grid's extent (its larger side), stays below Nyquist:
 ``|d phase / dx| * pitch <= pi``.  Object reconstruction reports both guard
-margins: that frequency as a fraction of Nyquist and, for the paraxial
-kernel, distance over grid extent.
+margins: that frequency as a fraction of Nyquist, and distance over grid
+extent, which the paraxial kernel needs to be at least
+:data:`PARAXIAL_MIN_EXTENTS`.
 """
 
 from __future__ import annotations
@@ -114,38 +115,32 @@ class PropagationSpec:
         return 2.0 * math.pi / self.wavelength
 
 
-def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float | None]:
+def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
     """Refuse an aliased or non-paraxial propagation; return its guard margins.
 
-    The margins are the kernel's largest local frequency as a fraction of
-    Nyquist (accepted up to 1) and, for the paraxial kernel only, distance
-    over grid extent (accepted from :data:`PARAXIAL_MIN_EXTENTS`); None for
-    the spherical kernel.
+    The margins, returned for both kernels, are the kernel's local frequency
+    at the grid's extent (its larger side: both kernels' frequencies grow
+    with the offset) as a fraction of Nyquist, accepted up to 1, and distance
+    over that extent, accepted for the paraxial kernel from
+    :data:`PARAXIAL_MIN_EXTENTS`.
     """
     k = spec.wavenumber
     d = spec.distance
-    nyquist_fraction = 0.0
-    for n in (grid.nx, grid.ny):
-        dmax = n * grid.pitch  # largest in-cell to out-cell offset per axis
-        if spec.kernel is PropagationKernel.FRESNEL_PARAXIAL:
-            slope = k * dmax / d
-        else:
-            slope = k * dmax / math.hypot(dmax, d)
-        fraction = slope * grid.pitch / math.pi
-        if slope * grid.pitch > math.pi:
-            raise SamplingGuardError(
-                f"kernel local frequency {fraction:.2f} x Nyquist "
-                f"at offset {dmax:.3e} m; increase distance or refine the grid"
-            )
-        nyquist_fraction = max(nyquist_fraction, fraction)
-    if spec.kernel is not PropagationKernel.FRESNEL_PARAXIAL:
-        return nyquist_fraction, None
-    if d < PARAXIAL_MIN_EXTENTS * grid.extent:
+    extent = grid.extent  # largest in-cell to out-cell offset
+    paraxial = spec.kernel is PropagationKernel.FRESNEL_PARAXIAL
+    slope = k * extent / d if paraxial else k * extent / math.hypot(extent, d)
+    nyquist_fraction = slope * grid.pitch / math.pi
+    if slope * grid.pitch > math.pi:
+        raise SamplingGuardError(
+            f"kernel local frequency {nyquist_fraction:.2f} x Nyquist "
+            f"at offset {extent:.3e} m; increase distance or refine the grid"
+        )
+    if paraxial and d < PARAXIAL_MIN_EXTENTS * extent:
         raise SamplingGuardError(
             f"paraxial kernel needs distance >= {PARAXIAL_MIN_EXTENTS:g} x grid extent "
-            f"({PARAXIAL_MIN_EXTENTS * grid.extent:.3e} m), got {d:.3e} m"
+            f"({PARAXIAL_MIN_EXTENTS * extent:.3e} m), got {d:.3e} m"
         )
-    return nyquist_fraction, d / grid.extent
+    return nyquist_fraction, d / extent
 
 
 def _padded_empty(shape: tuple[int, int]) -> np.ndarray:

@@ -300,6 +300,7 @@ def write_wfgrid(path, f: TransverseWavefunction) -> None:
 
 
 def read_wfgrid(path) -> TransverseWavefunction:
+    """Read a WFGRID file; every refusal is a FileFormatError that names ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _WFGRID_HEADER.size:
@@ -313,10 +314,10 @@ def read_wfgrid(path) -> TransverseWavefunction:
             f"{path}: payload is {len(raw)} bytes, expected {expected} for {nx}x{ny}"
         )
     try:
-        grid = GridSpec(int(nx), int(ny), float(pitch))
+        grid = GridSpec(nx, ny, pitch)
+        # read as complex, not as re + 1j * im, which turns a -0.0 part into +0.0;
+        # the field copies the unaligned view into an aligned array of its own
+        amps = np.frombuffer(raw, dtype=_WFGRID_DTYPE, offset=_WFGRID_HEADER.size)
+        return TransverseWavefunction(grid, amps.reshape(ny, nx))
     except ValueError as exc:
-        raise FileFormatError(f"{path}: invalid grid header: {exc}") from exc
-    # read as complex, not as re + 1j * im, which turns a -0.0 part into +0.0;
-    # astype copies the payload out of the unaligned buffer into an aligned array
-    amps = np.frombuffer(raw, dtype=_WFGRID_DTYPE, offset=_WFGRID_HEADER.size).astype(np.complex128)
-    return TransverseWavefunction(grid, amps.reshape(ny, nx))
+        raise FileFormatError(f"{path}: {exc}") from None

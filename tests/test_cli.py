@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from dstsim import read_records_csv, read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction
 from dstsim import gauge_fix, normalize
 from dstsim import ModeKind, PropagationKernel, cli, reconstruct
+from dstsim import config as cfgmod
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_text, to_text
 from dstsim.holography import PARAXIAL_MIN_EXTENTS
@@ -42,6 +44,24 @@ EVERY_FIELD_SET = dict(
     lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, object_map="phase",
     threshold=0.02, maps="gnuplot", out="runs/a b=c",
 )
+
+
+#: One bad value per entry of ``config._KEYS_OF``, and the error ``validate`` raises
+#: for it: the entry's keys, the library's reason, then the values as written.
+KEY_NAMING = {
+    "grid": ({"nx": 1}, "nx, ny: grid must be at least 2x2, got 1, 64"),
+    "pitch": ({"pitch_um": -5.0}, "pitch_um: pitch must be positive and finite, got -5.0"),
+    "waist": ({"waist_um": -3.0}, "waist_um: waist must be positive and finite, got -3.0"),
+    "radial index": ({"radial": -1}, "radial: radial index must be non-negative, got -1"),
+    "center": ({"cx_um": math.inf}, "cx_um, cy_um: center must be finite, got inf, 0.0"),
+    "photons_per_setting": ({"photons": -1}, "photons: photons_per_setting must be >= 0, got -1"),
+    "seed": ({"seed": -1}, "seed: seed must be an integer in [0, 2**64), got -1"),
+    "theta": ({"theta": 0.0}, "theta: theta must be in (0, pi/2], got 0.0"),
+    "threshold": ({"threshold": 0.0}, "threshold: threshold must be positive and finite, got 0.0"),
+    "wavelength": ({"lambda_nm": -5.0}, "lambda_nm: wavelength must be positive, got -5.0"),
+    "distance": ({"distance_mm": 0.0}, "distance_mm: distance must be positive, got 0.0"),
+    "pad_factor": ({"pad_factor": 1}, "pad_factor: pad_factor must be an integer >= 2, got 1"),
+}
 
 
 class TestConfig:
@@ -85,6 +105,30 @@ class TestConfig:
     def test_choice_error_names_key_and_values(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be one of"):
             ExperimentConfig(**{key: value})
+
+    def test_key_naming_covers_every_entry(self):
+        assert set(KEY_NAMING) == set(cfgmod._KEYS_OF)
+
+    @pytest.mark.parametrize("entry", list(KEY_NAMING))
+    def test_error_names_the_entrys_keys(self, entry):
+        values, message = KEY_NAMING[entry]
+        assert message.startswith(f"{', '.join(cfgmod._KEYS_OF[entry])}: {entry} ")
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**values)
+        assert str(exc.value) == message
+
+    def test_reason_no_entry_names_passes_through(self, monkeypatch):
+        # a library reason that starts with no entry of _KEYS_OF is raised as written
+        def refuse(threshold):
+            raise ValueError("unforeseen refusal, got 7")
+
+        monkeypatch.setattr(cfgmod, "check_threshold", refuse)
+        with pytest.raises(ValueError, match=r"^unforeseen refusal, got 7$"):
+            ExperimentConfig()
+
+    def test_line_without_equals_sign(self):
+        with pytest.raises(ValueError, match=r"^config line 2: expected 'key = value', got 'ny 8'$"):
+            from_text("nx = 8\nny 8\n")
 
     def test_comments_and_blanks(self):
         text = "# hello\n\nnx = 16\nny = 16  # inline\n"
@@ -654,6 +698,35 @@ class TestExitCodes:
         bad = tmp_path / "bad.wfgrid"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
         assert run("measure", "--field", str(bad), "--out", str(tmp_path)) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--field", "{bad}"),
+        ("holo", "forward", "--in", "{bad}"),
+        ("holo", "object", "--measured", "{bad}", "--input", "{good}"),
+        ("holo", "object", "--measured", "{good}", "--input", "{bad}"),
+        ("score", "--rec", "{good}", "--ideal", "{bad}"),
+        ("reconstruct", "--records", "{records}", "--ideal", "{bad}"),
+    ], ids=["measure", "holo-forward", "holo-object-measured", "holo-object-input", "score",
+            "reconstruct-ideal"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_wfgrid_is_format_error(self, tmp_path, capsys, argv, value):
+        # a NaN or infinite amplitude is a bad file, named in the message, on every
+        # command that reads a WFGRID
+        good = tmp_path / "in" / "field.wfgrid"
+        assert run("prepare", "--nx", "16", "--ny", "16", "--pitch-um", "3",
+                   "--out", str(good.parent)) == 0
+        assert run("measure", "--field", str(good), "--out", str(good.parent)) == 0
+        raw = bytearray(good.read_bytes())
+        raw[-16:-8] = struct.pack("<d", value)
+        bad = tmp_path / "bad.wfgrid"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        paths = dict(bad=bad, good=good, records=good.parent / "records.csv")
+        code = run(*(arg.format(**paths) for arg in argv), "--distance-mm", "2",
+                   "--out", str(tmp_path / "run"))
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {bad}: field amplitudes must be finite\n"
+        assert not (tmp_path / "run").exists()
 
     def test_zero_sum_field_is_numerical_error(self, tmp_path):
         grid = GridSpec(2, 2, 1e-4)

@@ -1,3 +1,5 @@
+import collections
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -93,6 +95,70 @@ class TestKernelSampling:
         f = gaussian_on(GRID64)
         with pytest.raises(ValueError):
             propagate_inverse(f, FEYNMAN64)
+
+
+def per_axis_guards(grid, spec):
+    """The guards evaluated once per axis, a reference for ``_check_guards``.
+
+    Returns the guard that refuses, ``"nyquist"`` or ``"paraxial"``, or else
+    the margins ``(nyquist_fraction, distance_over_extent)``.
+    """
+    k, d = spec.wavenumber, spec.distance
+    paraxial = spec.kernel is PropagationKernel.FRESNEL_PARAXIAL
+    nyquist_fraction = 0.0
+    for n in (grid.nx, grid.ny):
+        dmax = n * grid.pitch   # the largest offset along this axis
+        slope = k * dmax / d if paraxial else k * dmax / math.hypot(dmax, d)
+        if slope * grid.pitch > math.pi:
+            return "nyquist"
+        nyquist_fraction = max(nyquist_fraction, slope * grid.pitch / math.pi)
+    if paraxial and d < PARAXIAL_MIN_EXTENTS * grid.extent:
+        return "paraxial"
+    return nyquist_fraction, d / grid.extent
+
+
+class TestGuards:
+    def test_equals_the_per_axis_loop(self):
+        # non-square grids only, where the two axes' offsets differ
+        rng = np.random.default_rng(23)
+        kernels = list(PropagationKernel)
+        seen = collections.Counter()
+        for _ in range(3000):
+            nx, ny = (int(n) for n in rng.choice(np.arange(2, 160), size=2, replace=False))
+            grid = GridSpec(nx, ny, float(10 ** rng.uniform(-6.3, -4.5)))
+            kernel = kernels[rng.integers(len(kernels))]
+            spec = PropagationSpec(float(10 ** rng.uniform(-6.6, -5.8)),
+                                   float(grid.extent * 10 ** rng.uniform(-0.5, 2.5)), kernel)
+            want = per_axis_guards(grid, spec)
+            if isinstance(want, str):
+                with pytest.raises(SamplingGuardError) as exc:
+                    holography._check_guards(grid, spec)
+                named = (f"at offset {grid.extent:.3e} m" if want == "nyquist"
+                         else f"({PARAXIAL_MIN_EXTENTS * grid.extent:.3e} m)")
+                assert named in str(exc.value)
+            else:
+                assert holography._check_guards(grid, spec) == want   # bit for bit
+            seen[kernel, nx < ny, want if isinstance(want, str) else "accepted"] += 1
+        # each kernel in both orientations, accepted and refused by each of its guards
+        outcomes = {PropagationKernel.FRESNEL_PARAXIAL: ("nyquist", "paraxial", "accepted"),
+                    PropagationKernel.FEYNMAN_EXACT: ("nyquist", "accepted")}
+        assert set(seen) == {(kernel, wide, outcome) for kernel in kernels
+                             for wide in (True, False) for outcome in outcomes[kernel]}
+
+    @pytest.mark.parametrize("nx, ny", [(32, 64), (64, 32)])
+    def test_refusal_names_the_larger_side(self, nx, ny):
+        # both sides alias; the larger one decides, and the message names it
+        grid = GridSpec(nx, ny, 125e-6)
+        spec = PropagationSpec(LAM, 0.2, PropagationKernel.FRESNEL_PARAXIAL)
+        with pytest.raises(SamplingGuardError) as exc:
+            holography._check_guards(grid, spec)
+        assert str(exc.value) == ("kernel local frequency 12.38 x Nyquist at offset 8.000e-03 m; "
+                                  "increase distance or refine the grid")
+
+    def test_spherical_kernel_reports_distance_over_extent(self):
+        grid = GridSpec(48, 40, 3e-6)
+        _, distance_over_extent = holography._check_guards(grid, replace(FEYNMAN64, distance=2e-3))
+        assert distance_over_extent == 2e-3 / grid.extent
 
 
 KERNEL_KINDS = [(FEYNMAN64, False, "feynman"), (FRESNEL64, False, "fresnel"),

@@ -256,3 +256,14 @@ class TestScore:
     def test_fidelity_phase_invariant(self, gaussian_8):
         rotated = gaussian_8.with_amps(gaussian_8.amps * np.exp(0.7j))
         assert fidelity(gaussian_8, rotated) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_power_ideal_is_degenerate(self, gaussian_8):
+        zero = gaussian_8.with_amps(np.zeros((8, 8)))
+        with pytest.raises(DegenerateFieldError, match="^ideal field has zero power$"):
+            score(gaussian_8, zero)
+
+    def test_fidelity_of_a_zero_field_is_degenerate(self, gaussian_8):
+        zero = gaussian_8.with_amps(np.zeros((8, 8)))
+        for pair in ((zero, gaussian_8), (gaussian_8, zero)):
+            with pytest.raises(DegenerateFieldError, match="^fidelity of a zero field is undefined$"):
+                fidelity(*pair)

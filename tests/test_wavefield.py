@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -272,6 +273,11 @@ class TestPhaseWinding:
         with pytest.raises(ValueError):
             phase_winding(np.zeros((8, 8)), 6)
 
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_loop_radius_below_one(self, radius):
+        with pytest.raises(ValueError, match="^loop radius must be >= 1$"):
+            phase_winding(np.zeros((8, 8)), radius)
+
     def test_equals_the_cell_by_cell_walk(self):
         # reference: the loop visited cell by cell, bottom edge left to right,
         # right edge up, top edge right to left, left edge down
@@ -320,6 +326,26 @@ class TestWfgrid:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FileFormatError):
             read_wfgrid(path)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda raw: raw[:19], "truncated WFGRID header"),
+        (lambda raw: struct.pack("<4sIId", b"WFG1", 0, 0, 1e-4),
+         "grid must be at least 2x2, got 0x0"),
+        (lambda raw: raw[:12] + struct.pack("<d", -1e-4) + raw[20:],
+         "pitch must be positive and finite, got -0.0001"),
+        (lambda raw: raw[:20 + 16 * 9] + struct.pack("<d", math.nan) + raw[28 + 16 * 9:],
+         "field amplitudes must be finite"),
+        (lambda raw: raw[:-8] + struct.pack("<d", -math.inf), "field amplitudes must be finite"),
+    ], ids=["short-header", "0x0-grid", "negative-pitch", "nan-payload", "inf-payload"])
+    def test_refusal_names_the_file(self, tmp_path, gaussian_8, edit, reason):
+        # every refusal is a FileFormatError that starts with the path, as the
+        # records reader's are
+        path = tmp_path / "f.wfgrid"
+        write_wfgrid(path, gaussian_8)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FileFormatError) as exc:
+            read_wfgrid(path)
+        assert str(exc.value) == f"{path}: {reason}"
 
     def test_header_layout(self, tmp_path):
         # 2x2 grid: magic + nx + ny + pitch followed by 4 complex pairs
