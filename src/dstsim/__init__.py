@@ -12,7 +12,6 @@ reproducible command-line experiments.
 from .errors import DegenerateFieldError, FileFormatError, SamplingGuardError
 from .wavefield import (
     GridSpec,
-    ModeKind,
     ModeSpec,
     TransverseWavefunction,
     apply_vortex_plate,
@@ -43,7 +42,6 @@ from .reconstruct import (
 )
 from .holography import (
     ObjectReconstruction,
-    PropagationKernel,
     PropagationSpec,
     apply_object,
     object_from_pgm,
@@ -59,11 +57,9 @@ __all__ = [
     "DegenerateFieldError",
     "FileFormatError",
     "GridSpec",
-    "ModeKind",
     "ModeSpec",
     "ObjectReconstruction",
     "PROJECTORS",
-    "PropagationKernel",
     "PropagationSpec",
     "QualityReport",
     "ReconstructionResult",

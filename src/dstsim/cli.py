@@ -130,8 +130,11 @@ def cmd_score(args, cfg: cfgmod.ExperimentConfig) -> str:
 def cmd_holo_forward(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.infile)
     if args.object:
-        img = holography.read_pgm(args.object)
-        field = holography.apply_object(field, holography.object_from_pgm(img, cfg.object_map))
+        transmission = holography.object_from_pgm(holography.read_pgm(args.object), cfg.object_map)
+        try:
+            field = holography.apply_object(field, transmission)
+        except ValueError as exc:   # the object's shape is not the field's
+            raise ValueError(f"{args.object}: {exc}") from None
     out = holography.propagate_forward(field, cfg.propagation_spec())
     return _write_field(cfg, "propagated.wfgrid", out)
 

@@ -4,9 +4,10 @@ Every shared knob of the CLI commands lives here: each key ``k`` is also the
 flag ``--k`` (``_`` written as ``-``) whose value overrides the file's, and
 the canonical text form is a serialization fixed point (serialize -> parse
 -> serialize returns identical text), which keeps experiment provenance
-diff-friendly.  A run is reproducible bit for bit from (config, seed) and its
-input files.  Each value is checked once, where the config is built, by the
-library code that uses it.
+diff-friendly.  A config file is read as UTF-8 whatever the locale, the
+encoding in which the CLI writes ``config.resolved``.  A run is reproducible
+bit for bit from (config, seed) and its input files.  Each value is checked
+once, where the config is built, by the library code that uses it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import typing
 from dataclasses import dataclass, field, fields
 
 from .engine import STRONG_THETA, check_budget, check_seed, check_theta
-from .holography import OBJECT_MAPS, PropagationKernel, PropagationSpec, check_threshold
+from .holography import KERNELS, OBJECT_MAPS, PropagationSpec, check_threshold
 from .reconstruct import ESTIMATORS
-from .wavefield import GridSpec, ModeKind, ModeSpec, default_waist, is_integer
+from .wavefield import MODES, GridSpec, ModeSpec, default_waist, is_integer
 
 _AUTO = "auto"
 
@@ -34,7 +35,7 @@ class ExperimentConfig:
     ny: int = _key(64, "scan cells along y")
     pitch_um: float = _key(125.0, "cell width (um)")
     # input mode
-    mode: str = _key("gaussian", "input mode", [k.value for k in ModeKind])
+    mode: str = _key("gaussian", "input mode", list(MODES))
     l: int = _key(1, "azimuthal index of an lg mode")
     radial: int = _key(0, "radial index of an lg mode")
     waist_um: float | None = _key(None, "beam waist (um); auto: nx * pitch / 8")
@@ -52,7 +53,7 @@ class ExperimentConfig:
     # propagation
     lambda_nm: float = _key(808.0, "wavelength (nm)")
     distance_mm: float = _key(10.0, "propagation distance (mm)")
-    kernel: str = _key("fresnel", "propagation kernel", [k.value for k in PropagationKernel])
+    kernel: str = _key("fresnel", "propagation kernel", list(KERNELS))
     pad_factor: int = _key(2, "zero-padding factor of the propagation grid (>= 2)")
     # holography
     object_map: str = _key("amplitude", "transmission map of the --object PGM", list(OBJECT_MAPS))
@@ -101,13 +102,13 @@ class ExperimentConfig:
     def mode_spec(self) -> ModeSpec:
         """The input mode that prepare generates, in SI units; waist auto is resolved."""
         waist = self.waist_um * 1e-6 if self.waist_um is not None else default_waist(self.grid())
-        return ModeSpec(kind=ModeKind(self.mode), waist=waist, oam=self.l, radial=self.radial,
+        return ModeSpec(kind=self.mode, waist=waist, oam=self.l, radial=self.radial,
                         center=(self.cx_um * 1e-6, self.cy_um * 1e-6))
 
     def propagation_spec(self) -> PropagationSpec:
         """The wavelength, distance, kernel and padding of the holo commands, in SI units."""
         return PropagationSpec(self.lambda_nm * 1e-9, self.distance_mm * 1e-3,
-                               PropagationKernel(self.kernel), self.pad_factor)
+                               self.kernel, self.pad_factor)
 
 
 #: The type of every key: int, float, str or float | None.
@@ -171,5 +172,5 @@ def from_text(text: str) -> ExperimentConfig:
 
 
 def from_file(path) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return from_text(fh.read())

@@ -71,7 +71,6 @@ extent, which the paraxial kernel needs to be at least
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 from dataclasses import dataclass
@@ -88,21 +87,23 @@ PARAXIAL_MIN_EXTENTS = 10.0
 _CACHE_LINE = 64
 
 
-class PropagationKernel(enum.Enum):
-    FEYNMAN_EXACT = "feynman"
-    FRESNEL_PARAXIAL = "fresnel"
+#: The ``kernel`` values of a :class:`PropagationSpec`, spherical and paraxial;
+#: the ``kernel`` key of the configuration takes the same values.
+KERNELS = ("feynman", "fresnel")
 
 
 @dataclass(frozen=True)
 class PropagationSpec:
-    """Wavelength, distance, kernel choice and zero-padding factor (>= 2) per axis."""
+    """Wavelength, distance, kernel (one of :data:`KERNELS`) and zero padding (>= 2) per axis."""
 
     wavelength: float
     distance: float
-    kernel: PropagationKernel = PropagationKernel.FRESNEL_PARAXIAL
+    kernel: str = "fresnel"
     pad_factor: int = 2
 
     def __post_init__(self):
+        if self.kernel not in KERNELS:
+            raise ValueError(f"kernel must be one of {', '.join(KERNELS)}, got {self.kernel!r}")
         if not np.isfinite(self.wavelength) or self.wavelength <= 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if not np.isfinite(self.distance) or self.distance <= 0:
@@ -127,7 +128,7 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
     k = spec.wavenumber
     d = spec.distance
     extent = grid.extent  # largest in-cell to out-cell offset
-    paraxial = spec.kernel is PropagationKernel.FRESNEL_PARAXIAL
+    paraxial = spec.kernel == "fresnel"
     slope = k * extent / d if paraxial else k * extent / math.hypot(extent, d)
     nyquist_fraction = slope * grid.pitch / math.pi
     if slope * grid.pitch > math.pi:
@@ -191,7 +192,7 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec, inverse: bool) -> np.nd
     k = spec.wavenumber
     d = spec.distance
     lam = spec.wavelength
-    if spec.kernel is PropagationKernel.FRESNEL_PARAXIAL:
+    if spec.kernel == "fresnel":
         dx = np.fft.fftfreq(px, 1.0 / px) * grid.pitch
         dy = np.fft.fftfreq(py, 1.0 / py) * grid.pitch
         ex = np.exp(1j * k * d) / (1j * lam * d) * np.exp(1j * k * dx**2 / (2.0 * d))
@@ -263,7 +264,7 @@ def propagate_inverse(f_d: TransverseWavefunction, spec: PropagationSpec) -> Tra
     Only the paraxial kernel has a closed-form inverse; the spherical
     kernel is rejected.
     """
-    if spec.kernel is not PropagationKernel.FRESNEL_PARAXIAL:
+    if spec.kernel != "fresnel":
         raise ValueError("inverse propagation is defined for the paraxial kernel only")
     return _convolve(f_d, spec, inverse=True)
 

@@ -135,34 +135,46 @@ def fidelity(a: TransverseWavefunction, b: TransverseWavefunction) -> float:
     return float(abs(np.vdot(va, vb)) ** 2 / (na**2 * nb**2))
 
 
-def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> QualityReport:
-    """Quality of a reconstructed field against a known ideal field.
+def _unit_gauge(f: TransverseWavefunction, name: str) -> np.ndarray:
+    """The amplitudes of ``f`` scaled to unit power and turned so their sum is real and positive.
 
-    r_square is the coefficient of determination between the reconstructed
-    density (the data) and the ideal probability density (the model):
-    ``1 - SS_res / SS_tot`` with SS_tot about the data mean.  A flat density
-    has SS_tot = 0: r_square is 1 if it matches the ideal one, else None.
-    RMS errors of the Re/Im maps are taken against the gauge-fixed,
-    normalized ideal.
+    Amplitudes that sum to zero keep their phase.  A zero-power field raises
+    :class:`DegenerateFieldError`, which names it ``name``.
     """
-    if field.grid != ideal.grid:
-        raise ValueError("reconstruction and ideal grids differ")
-    power = ideal.power()
+    power = f.power()
     if power <= 0.0:
-        raise DegenerateFieldError("ideal field has zero power")
-    amps = ideal.amps / np.sqrt(power)
+        raise DegenerateFieldError(f"{name} field has zero power")
+    amps = f.amps / np.sqrt(power)
     s = amps.sum()
     if abs(s) > 0.0:
         amps = amps * (abs(s) / s)
+    return amps
+
+
+def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> QualityReport:
+    """Quality of a reconstructed field against a known ideal field.
+
+    Both fields are first scaled to unit power and given the same gauge, a
+    real and positive amplitude sum, so the scores do not depend on a
+    field's overall scale or global phase.  r_square is the coefficient of
+    determination between the reconstructed density (the data) and the ideal
+    probability density (the model): ``1 - SS_res / SS_tot`` with SS_tot
+    about the data mean.  A flat density has SS_tot = 0: r_square is 1 if it
+    matches the ideal one, else None.  RMS errors are those of the Re and Im
+    maps.
+    """
+    if field.grid != ideal.grid:
+        raise ValueError("reconstruction and ideal grids differ")
+    amps = _unit_gauge(ideal, "ideal")
+    rec = _unit_gauge(field, "reconstructed")
 
     ideal_density = np.abs(amps) ** 2
-    rec = field.amps
     data = rec.real**2 + rec.imag**2
     ss_res = float(np.sum((data - ideal_density) ** 2))
     ss_tot = float(np.sum((data - data.mean()) ** 2))
     r_square = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res == 0.0 else None)
 
-    fid = fidelity(TransverseWavefunction(ideal.grid, amps), field)
+    fid = fidelity(ideal, field)
     rmse_re = float(np.sqrt(np.mean((rec.real - amps.real) ** 2)))
     rmse_im = float(np.sqrt(np.mean((rec.imag - amps.imag) ** 2)))
     return QualityReport(r_square, fid, rmse_re, rmse_im)

@@ -13,7 +13,6 @@ vortex plate and the LG modes is ``atan2(y, x)`` (y up, x right).
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 
@@ -103,28 +102,31 @@ class TransverseWavefunction:
         return TransverseWavefunction(self.grid, amps)
 
 
-class ModeKind(enum.Enum):
-    GAUSSIAN = "gaussian"
-    LAGUERRE_GAUSSIAN = "lg"
+#: The ``kind`` values of a :class:`ModeSpec`, Gaussian and Laguerre-Gaussian;
+#: the ``mode`` key of the configuration takes the same values.
+MODES = ("gaussian", "lg")
 
 
 @dataclass(frozen=True)
 class ModeSpec:
     """Parameters of a generated input mode.
 
-    ``waist`` is the 1/e amplitude radius w0 in meters.  ``oam`` (azimuthal
-    index l) and ``radial`` (index p) apply to LG modes only.  ``center`` is
-    the mode center in meters relative to the grid center.  For an arbitrary
-    field, use ``normalize(TransverseWavefunction(grid, amps))`` instead.
+    ``kind`` is one of :data:`MODES`.  ``waist`` is the 1/e amplitude radius
+    w0 in meters.  ``oam`` (azimuthal index l) and ``radial`` (index p) apply
+    to LG modes only.  ``center`` is the mode center in meters relative to
+    the grid center.  For an arbitrary field, use
+    ``normalize(TransverseWavefunction(grid, amps))`` instead.
     """
 
-    kind: ModeKind
+    kind: str
     waist: float
     oam: int = 0
     radial: int = 0
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        if self.kind not in MODES:
+            raise ValueError(f"kind must be one of {', '.join(MODES)}, got {self.kind!r}")
         if not np.isfinite(self.waist) or self.waist <= 0:
             raise ValueError(f"waist must be positive and finite, got {self.waist}")
         for name in ("oam", "radial"):   # a half charge would put a branch cut in the phase
@@ -185,9 +187,9 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
     xr = x - cx
     yr = y - cy
 
-    if spec.kind is ModeKind.GAUSSIAN:
+    if spec.kind == "gaussian":
         amps = np.exp(-(xr**2 + yr**2) / spec.waist**2).astype(np.complex128)
-    elif spec.kind is ModeKind.LAGUERRE_GAUSSIAN:
+    else:  # "lg"
         r2 = xr**2 + yr**2
         r = np.sqrt(r2)
         phi = np.arctan2(yr, xr)
@@ -200,8 +202,6 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
                 * np.exp(-r2 / spec.waist**2)
                 * np.exp(1j * spec.oam * phi)
             )
-    else:  # pragma: no cover
-        raise ValueError(f"unknown mode kind {spec.kind}")
 
     # an amplitude or a power that overflows is refused by name (only LG
     # indices can overflow)

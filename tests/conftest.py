@@ -7,7 +7,7 @@ from scipy.ndimage import gaussian_filter
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from dstsim import GridSpec, ModeKind, ModeSpec, TransverseWavefunction, make_mode, normalize
+from dstsim import GridSpec, ModeSpec, TransverseWavefunction, make_mode, normalize
 
 
 @pytest.fixture
@@ -17,7 +17,7 @@ def grid_8() -> GridSpec:
 
 @pytest.fixture
 def gaussian_8(grid_8) -> TransverseWavefunction:
-    return make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=2 * grid_8.pitch), grid_8)
+    return make_mode(ModeSpec("gaussian", waist=2 * grid_8.pitch), grid_8)
 
 
 def random_field(grid: GridSpec, seed: int) -> TransverseWavefunction:

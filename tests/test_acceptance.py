@@ -22,9 +22,7 @@ import pytest
 
 from dstsim import (
     GridSpec,
-    ModeKind,
     ModeSpec,
-    PropagationKernel,
     PropagationSpec,
     apply_object,
     apply_vortex_plate,
@@ -63,12 +61,12 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def gaussian64():
-    return make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=GRID64.nx * GRID64.pitch / 8), GRID64)
+    return make_mode(ModeSpec("gaussian", waist=GRID64.nx * GRID64.pitch / 8), GRID64)
 
 
 def lg64(oam):
     return make_mode(
-        ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=GRID64.nx * GRID64.pitch / 8,
+        ModeSpec("lg", waist=GRID64.nx * GRID64.pitch / 8,
                  oam=oam, center=LG_OFFSET),
         GRID64,
     )
@@ -235,11 +233,11 @@ class TestCriterion5:
 class TestCriterion6:
     def test_round_trip(self):
         grid = GridSpec(128, 128, 3e-6)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=grid.nx * grid.pitch / 8), grid)
+        f = make_mode(ModeSpec("gaussian", waist=grid.nx * grid.pitch / 8), grid)
         t0 = time.perf_counter()
         errs = {}
         for pad in (2, 4):
-            spec = PropagationSpec(LAM, 5e-3, PropagationKernel.FRESNEL_PARAXIAL, pad_factor=pad)
+            spec = PropagationSpec(LAM, 5e-3, "fresnel", pad_factor=pad)
             d = propagate_forward(f, spec)
             back = propagate_inverse(d, spec)
             errs[pad] = float(np.linalg.norm(back.amps - f.amps) / np.linalg.norm(f.amps))
@@ -257,12 +255,12 @@ class TestCriterion6:
 class TestCriterion7:
     def test_kernel_convergence(self):
         grid = GridSpec(128, 128, 3.5e-6)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=36 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=36 * grid.pitch), grid)
         rels = []
         for mult in (10, 20, 50, 100):
             dist = mult * grid.extent
-            a = propagate_forward(f, PropagationSpec(LAM, dist, PropagationKernel.FEYNMAN_EXACT))
-            b = propagate_forward(f, PropagationSpec(LAM, dist, PropagationKernel.FRESNEL_PARAXIAL))
+            a = propagate_forward(f, PropagationSpec(LAM, dist, "feynman"))
+            b = propagate_forward(f, PropagationSpec(LAM, dist, "fresnel"))
             rels.append(float(np.linalg.norm(a.amps - b.amps) / np.linalg.norm(b.amps)))
         ok = all(rels[i] > rels[i + 1] for i in range(len(rels) - 1))
         report("criterion 7 (kernel distance strictly decreasing over 10-100x extent)",
@@ -275,7 +273,7 @@ class TestCriterion7:
 # ---------------------------------------------------------------------------
 
 HOLO_GRID = GridSpec(64, 64, 3e-6)
-HOLO_SPEC = PropagationSpec(LAM, 2e-3, PropagationKernel.FRESNEL_PARAXIAL, pad_factor=4)
+HOLO_SPEC = PropagationSpec(LAM, 2e-3, "fresnel", pad_factor=4)
 
 
 def letter_mask():
@@ -289,7 +287,7 @@ def letter_mask():
 def holography_pipeline(budget, seed, threshold):
     """Simulate -> measure -> back-propagate -> divide; return corr(|t|, mask)."""
     mask = letter_mask()
-    illum = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=20 * HOLO_GRID.pitch), HOLO_GRID)
+    illum = make_mode(ModeSpec("gaussian", waist=20 * HOLO_GRID.pitch), HOLO_GRID)
     detected = normalize(propagate_forward(apply_object(illum, mask.astype(complex)), HOLO_SPEC))
     records = scan(detected, STRONG, photons_per_setting=budget, seed=seed)
     measured = reconstruct_dst(records).field
@@ -352,7 +350,7 @@ class TestSupplementary:
 
     def test_gaussian_floor_at_coarser_scan(self):
         grid = GridSpec(24, 24, 125e-6)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=grid.nx * grid.pitch / 8), grid)
+        f = make_mode(ModeSpec("gaussian", waist=grid.nx * grid.pitch / 8), grid)
         med = float(np.median(
             [sampled_r_square(f, 4 * 10**6, seed) for seed in range(N_SEEDS)]
         ))
@@ -363,7 +361,7 @@ class TestSupplementary:
         # the vortex-plate preparation on an off-axis beam has an O(1)
         # amplitude sum, so post-selection sees it; same l=1 phase structure
         f = apply_vortex_plate(
-            make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=GRID64.nx * GRID64.pitch / 8,
+            make_mode(ModeSpec("gaussian", waist=GRID64.nx * GRID64.pitch / 8,
                                center=(2 * GRID64.pitch, 1 * GRID64.pitch)), GRID64), 1)
         med = float(np.median(
             [sampled_r_square(f, 10**8, seed) for seed in range(N_SEEDS)]
@@ -373,7 +371,7 @@ class TestSupplementary:
 
     def test_vortex_winding_at_higher_budget(self):
         f = apply_vortex_plate(
-            make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=GRID64.nx * GRID64.pitch / 8,
+            make_mode(ModeSpec("gaussian", waist=GRID64.nx * GRID64.pitch / 8,
                                center=(2 * GRID64.pitch, 1 * GRID64.pitch)), GRID64), 1)
         hits = total = 0
         for seed in range(10):

@@ -5,17 +5,20 @@ import math
 import os
 import stat
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dstsim import read_records_csv, read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction
 from dstsim import gauge_fix, normalize
-from dstsim import ModeKind, PropagationKernel, cli, reconstruct
+from dstsim import cli, reconstruct
 from dstsim import config as cfgmod
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_text, to_text
-from dstsim.holography import PARAXIAL_MIN_EXTENTS
+from dstsim.wavefield import MODES
+from dstsim.holography import KERNELS, PARAXIAL_MIN_EXTENTS
 from dstsim.reconstruct import ESTIMATORS, ReconstructionResult
 from conftest import edit_csv
 
@@ -129,6 +132,19 @@ class TestConfig:
     def test_line_without_equals_sign(self):
         with pytest.raises(ValueError, match=r"^config line 2: expected 'key = value', got 'ny 8'$"):
             from_text("nx = 8\nny 8\n")
+
+    def test_config_file_is_utf8_in_any_locale(self, tmp_path):
+        # in the C locale without UTF-8 mode the locale's encoding is ASCII
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_bytes("# Gau\u00df beam\nnx = 16\nny = 16\n".encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "dstsim.cli", "prepare", "--config",
+                               str(cfg_path), "--out", str(tmp_path / "run")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert read_wfgrid(tmp_path / "run" / "field.wfgrid").grid.nx == 16
 
     def test_comments_and_blanks(self):
         text = "# hello\n\nnx = 16\nny = 16  # inline\n"
@@ -617,6 +633,16 @@ class TestHoloCommands:
         assert "PGM" in capsys.readouterr().err
         assert not (out / "propagated.wfgrid").exists()
 
+    def test_object_of_another_shape_names_the_pgm(self, tmp_path, capsys):
+        out = self._field(tmp_path, n=16)
+        pgm = tmp_path / "small.pgm"
+        pgm.write_bytes(b"P5 8 8 255\n" + bytes(64))
+        assert run("holo", "forward", "--in", str(out / "field.wfgrid"), "--object", str(pgm),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {pgm}: object shape (8, 8) does not match "
+                                           "field (16, 16)\n")
+        assert not (out / "propagated.wfgrid").exists()
+
     def test_pgm_object_end_to_end(self, tmp_path):
         # wide illumination so the bar sits on a bright region, and the
         # shortest distance the guards allow, to limit edge diffraction
@@ -833,10 +859,10 @@ class TestExitCodes:
 
 
 class TestParser:
-    def test_choices_come_from_the_enums(self):
+    def test_choices_come_from_the_tuples(self):
         actions = {a.dest: a for a in subparser("reconstruct")._actions}
-        assert actions["mode"].choices == [k.value for k in ModeKind]
-        assert actions["kernel"].choices == [k.value for k in PropagationKernel]
+        assert actions["mode"].choices == list(MODES)
+        assert actions["kernel"].choices == list(KERNELS)
         assert list(actions["estimator"].choices) == list(ESTIMATORS)
 
     def test_calls_share_the_parser_but_not_its_values(self, tmp_path):

@@ -15,7 +15,6 @@ from dstsim import (
     apply_vortex_plate,
     gauge_fix,
     make_mode,
-    ModeKind,
     ModeSpec,
     normalize,
     pointer_amplitudes,
@@ -353,8 +352,8 @@ GOLDEN_1E8_SHA256 = {
 
 def golden_64_field(name):
     if name == "gaussian":
-        return make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=WAIST_64), GRID_64)
-    off_axis = ModeSpec(ModeKind.GAUSSIAN, waist=WAIST_64,
+        return make_mode(ModeSpec("gaussian", waist=WAIST_64), GRID_64)
+    off_axis = ModeSpec("gaussian", waist=WAIST_64,
                         center=(2 * GRID_64.pitch, 1 * GRID_64.pitch))
     return apply_vortex_plate(make_mode(off_axis, GRID_64), 1)
 
@@ -383,7 +382,7 @@ class TestScan:
 
     def test_gaussian_p1_peaks_at_center(self):
         grid = GridSpec(33, 33, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=4 * grid.pitch), grid)
         records = scan(f, STRONG)
         p1 = records.readout[PROJECTORS.index("1")]
         assert np.unravel_index(np.argmax(p1), p1.shape) == (16, 16)

@@ -9,7 +9,6 @@ from dstsim import (
     DegenerateFieldError,
     FileFormatError,
     GridSpec,
-    ModeKind,
     ModeSpec,
     ScanRecords,
     TransverseWavefunction,
@@ -38,7 +37,7 @@ def lg_mode(grid, oam=1):
     # a hair off-center: a perfectly centered LG mode has an exactly zero
     # amplitude sum and cannot pass zero-momentum post-selection at all
     return make_mode(
-        ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=grid.nx * grid.pitch / 8, oam=oam,
+        ModeSpec("lg", waist=grid.nx * grid.pitch / 8, oam=oam,
                  center=(0.37 * grid.pitch, 0.23 * grid.pitch)),
         grid,
     )
@@ -65,7 +64,7 @@ class TestDstInversion:
         assert np.allclose(res.field.amps.real, 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("maker", [
-        lambda g: make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=g.nx * g.pitch / 8), g),
+        lambda g: make_mode(ModeSpec("gaussian", waist=g.nx * g.pitch / 8), g),
         lambda g: lg_mode(g, 1),
         lambda g: lg_mode(g, 2),
         lambda g: random_smooth_field(g, seed=8),
@@ -82,7 +81,7 @@ class TestDstInversion:
 
     def test_zero_cell_reconstructs_to_zero(self):
         grid = GridSpec(8, 8, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=2e-4), grid)
+        f = make_mode(ModeSpec("gaussian", waist=2e-4), grid)
         amps = np.array(f.amps)
         amps[5, 6] = 0.0
         f = normalize(TransverseWavefunction(grid, amps))
@@ -141,7 +140,7 @@ class TestDstInversion:
 
     def test_counts_path_converges(self):
         grid = GridSpec(16, 16, 125e-6)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=2 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=2 * grid.pitch), grid)
         gauged, _ = gauge_fix(f)
         records = scan(f, STRONG, photons_per_setting=10**7, seed=12)
         res = reconstruct_dst(records)
@@ -174,7 +173,7 @@ def test_dst_inverts_noiseless_records_at_any_theta(nx, ny, seed, theta):
 class TestDwtInversion:
     def test_bias_ordering(self):
         grid = GridSpec(24, 24, 125e-6)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=3 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=3 * grid.pitch), grid)
         gauged, _ = gauge_fix(f)
 
         fids = {}
@@ -190,7 +189,7 @@ class TestDwtInversion:
 
     def test_real_field_keeps_im_zero(self):
         grid = GridSpec(12, 12, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=3 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=3 * grid.pitch), grid)
         records = scan(f, 0.05)
         res = reconstruct_dwt(records)
         assert np.max(np.abs(res.field.amps.imag)) < 1e-12
@@ -217,7 +216,7 @@ def test_estimators_name_their_inversions():
 class TestScore:
     def test_identity(self):
         grid = GridSpec(16, 16, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=3 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=3 * grid.pitch), grid)
         res = reconstruct_dst(scan(f, STRONG))
         report = score(res.field, f)
         assert report.r_square == pytest.approx(1.0, abs=1e-12)
@@ -229,7 +228,7 @@ class TestScore:
         # shuffling decorrelates the maps; the determination coefficient
         # collapses far below 1 (typically negative for a peaked density)
         grid = GridSpec(16, 16, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=2 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=2 * grid.pitch), grid)
         res = reconstruct_dst(scan(f, STRONG))
         rng = np.random.default_rng(0)
         r2s = []
@@ -249,7 +248,7 @@ class TestScore:
 
     def test_grid_mismatch(self, gaussian_8):
         res = reconstruct_dst(scan(gaussian_8, STRONG))
-        other = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4e-4), GridSpec(9, 9, 1e-4))
+        other = make_mode(ModeSpec("gaussian", waist=4e-4), GridSpec(9, 9, 1e-4))
         with pytest.raises(ValueError):
             score(res.field, other)
 
@@ -261,6 +260,25 @@ class TestScore:
         zero = gaussian_8.with_amps(np.zeros((8, 8)))
         with pytest.raises(DegenerateFieldError, match="^ideal field has zero power$"):
             score(gaussian_8, zero)
+
+    def test_zero_power_reconstruction_is_degenerate(self, gaussian_8):
+        zero = gaussian_8.with_amps(np.zeros((8, 8)))
+        with pytest.raises(DegenerateFieldError, match="^reconstructed field has zero power$"):
+            score(zero, gaussian_8)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-3, 36.8, 1e4])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -2.0, math.pi])
+    def test_scale_and_global_phase_do_not_count(self, c, phi):
+        # both fields are normalized and gauged alike, so a field scores
+        # perfectly against any multiple of itself
+        grid = GridSpec(16, 16, 1e-4)
+        rng = np.random.default_rng(4)
+        x = TransverseWavefunction(grid, rng.normal(size=(16, 16), scale=2.0)
+                                   + 1j * rng.normal(size=(16, 16), scale=2.0))
+        report = score(x.with_amps(c * np.exp(1j * phi) * x.amps), x)
+        assert report.r_square == pytest.approx(1.0, abs=1e-12)
+        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert report.rmse_re < 1e-12 and report.rmse_im < 1e-12
 
     def test_fidelity_of_a_zero_field_is_degenerate(self, gaussian_8):
         zero = gaussian_8.with_amps(np.zeros((8, 8)))

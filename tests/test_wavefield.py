@@ -15,7 +15,6 @@ from dstsim import (
     DegenerateFieldError,
     FileFormatError,
     GridSpec,
-    ModeKind,
     ModeSpec,
     TransverseWavefunction,
     apply_vortex_plate,
@@ -75,7 +74,7 @@ class TestWavefunction:
 class TestMakeMode:
     def test_gaussian_peak_center_real_positive(self):
         grid = GridSpec(32, 32, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=4 * grid.pitch), grid)
         assert np.all(f.amps.real > 0)
         assert np.allclose(f.amps.imag, 0.0)
         peak = np.abs(f.amps).max()
@@ -85,17 +84,17 @@ class TestMakeMode:
 
     def test_gaussian_normalized(self):
         grid = GridSpec(32, 32, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=4 * grid.pitch), grid)
         assert f.power() == pytest.approx(1.0, abs=1e-12)
 
     def test_lg_zero_on_axis(self):
         grid = GridSpec(33, 33, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=4e-4, oam=1), grid)
+        f = make_mode(ModeSpec("lg", waist=4e-4, oam=1), grid)
         assert f.amps[16, 16] == 0.0
 
     def test_lg_phase_winding(self):
         grid = GridSpec(33, 33, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=4e-4, oam=1), grid)
+        f = make_mode(ModeSpec("lg", waist=4e-4, oam=1), grid)
         w = phase_winding(np.angle(f.amps), radius=5)
         assert w == pytest.approx(1.0, abs=1e-9)
 
@@ -103,7 +102,7 @@ class TestMakeMode:
     @pytest.mark.parametrize("n", [16, 24])
     def test_lg_winding_matches_oam(self, n, oam):
         grid = GridSpec(n, n, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=n * grid.pitch / 8, oam=oam), grid)
+        f = make_mode(ModeSpec("lg", waist=n * grid.pitch / 8, oam=oam), grid)
         for radius in range(3, n // 2 - 1):
             assert phase_winding(np.angle(f.amps), radius) == pytest.approx(oam, abs=1e-6)
 
@@ -111,7 +110,7 @@ class TestMakeMode:
         # p = 1 has one radial node: the Laguerre factor changes sign
         grid = GridSpec(33, 33, 1e-4)
         f = make_mode(
-            ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=6 * grid.pitch, oam=0, radial=1), grid
+            ModeSpec("lg", waist=6 * grid.pitch, oam=0, radial=1), grid
         )
         profile = f.amps[16, 17:].real
         assert np.min(profile) < 0 < np.max(profile)
@@ -123,7 +122,7 @@ class TestMakeMode:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_lg_indices_are_refused_by_name(self, oam, radial):
         grid = GridSpec(8, 8, 125e-6)
-        spec = ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=grid.nx * grid.pitch / 8,
+        spec = ModeSpec("lg", waist=grid.nx * grid.pitch / 8,
                         oam=oam, radial=radial)
         with pytest.raises(ValueError, match=f"^l = {oam} and radial = {radial}: "):
             make_mode(spec, grid)
@@ -131,19 +130,45 @@ class TestMakeMode:
     @pytest.mark.parametrize("waist", [0.0, -1e-4, float("inf")])
     def test_bad_waist(self, waist):
         with pytest.raises(ValueError):
-            ModeSpec(ModeKind.GAUSSIAN, waist=waist)
+            ModeSpec("gaussian", waist=waist)
 
     @pytest.mark.parametrize("center", [(float("inf"), 0.0), (0.0, float("nan"))])
     def test_non_finite_center(self, center):
         # make_mode would fail later with a message about the field, not the center
         with pytest.raises(ValueError, match="center must be finite"):
-            ModeSpec(ModeKind.GAUSSIAN, waist=1e-4, center=center)
+            ModeSpec("gaussian", waist=1e-4, center=center)
 
     @pytest.mark.parametrize("oam, radial", [(0.5, 0), (1.0, 0), (1, 1.5), (True, 0)])
     def test_non_integer_index(self, oam, radial):
         # a half charge would build a phase with a branch cut
         with pytest.raises(ValueError, match="must be an integer"):
-            ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=1e-4, oam=oam, radial=radial)
+            ModeSpec("lg", waist=1e-4, oam=oam, radial=radial)
+
+    @pytest.mark.parametrize("kind", ["Gaussian", "LG", "laguerre", "", None])
+    def test_unknown_kind_refused_at_construction(self, kind):
+        with pytest.raises(ValueError, match=r"^kind must be one of gaussian, lg, got "):
+            ModeSpec(kind, waist=1e-4)
+
+    @pytest.mark.parametrize("spec", [
+        ModeSpec("gaussian", waist=3e-4, center=(1.1e-4, -0.4e-4)),
+        ModeSpec("lg", waist=4e-4, oam=-2, radial=1, center=(0.3e-4, 0.2e-4)),
+    ], ids=["gaussian", "lg"])
+    def test_kind_selects_its_formula_bit_for_bit(self, spec):
+        # the formulas of make_mode's docstring, evaluated term by term, then normalized
+        grid = GridSpec(24, 20, 1e-4)
+        x, y = grid.mesh()
+        xr, yr = x - spec.center[0], y - spec.center[1]
+        r2 = xr**2 + yr**2
+        w = spec.waist
+        if spec.kind == "gaussian":
+            amps = np.exp(-r2 / w**2).astype(np.complex128)
+        else:
+            la = abs(spec.oam)
+            amps = ((np.sqrt(2.0) * np.sqrt(r2) / w) ** la
+                    * eval_genlaguerre(spec.radial, la, 2.0 * r2 / w**2)
+                    * np.exp(-r2 / w**2) * np.exp(1j * spec.oam * np.arctan2(yr, xr)))
+        expected = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
+        assert np.array_equal(make_mode(spec, grid).amps, expected)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
@@ -159,7 +184,7 @@ class TestMakeMode:
 
     def test_offcenter_mode(self):
         grid = GridSpec(32, 32, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=3e-4, center=(5e-4, -3e-4)), grid)
+        f = make_mode(ModeSpec("gaussian", waist=3e-4, center=(5e-4, -3e-4)), grid)
         iy, ix = np.unravel_index(np.argmax(np.abs(f.amps)), f.amps.shape)
         assert grid.x_coords()[ix] == pytest.approx(5e-4, abs=grid.pitch)
         assert grid.y_coords()[iy] == pytest.approx(-3e-4, abs=grid.pitch)
@@ -197,7 +222,7 @@ class TestGenLaguerre:
     @pytest.mark.parametrize("oam, radial", [(1, 0), (-1, 0), (2, 1), (0, 3), (-3, 2), (5, 7)])
     def test_lg_field_equals_scipy_formula(self, monkeypatch, oam, radial):
         grid = GridSpec(24, 20, 1e-4)
-        spec = ModeSpec(ModeKind.LAGUERRE_GAUSSIAN, waist=5e-4, oam=oam, radial=radial,
+        spec = ModeSpec("lg", waist=5e-4, oam=oam, radial=radial,
                         center=(1.3e-4, -0.7e-4))
         field = make_mode(spec, grid)
         monkeypatch.setattr(wavefield, "_genlaguerre", eval_genlaguerre)
@@ -220,7 +245,7 @@ class TestVortexPlate:
 
     def test_winding_forced(self):
         grid = GridSpec(32, 32, 1e-4)
-        f = make_mode(ModeSpec(ModeKind.GAUSSIAN, waist=4 * grid.pitch), grid)
+        f = make_mode(ModeSpec("gaussian", waist=4 * grid.pitch), grid)
         v = apply_vortex_plate(f, 1)
         assert phase_winding(np.angle(v.amps), radius=4) == pytest.approx(1.0, abs=1e-9)
 
