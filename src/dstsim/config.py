@@ -74,11 +74,19 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be one of {', '.join(choices)}; got {value!r}")
             if _KEY_TYPES[f.name] is int and not is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if not isinstance(value, str):
+                continue
             # from_text ends a value at '#' or a line break and strips surrounding spaces
-            if isinstance(value, str) and ("#" in value or value != value.strip()
-                                           or len(value.splitlines()) > 1):
+            if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
                 raise ValueError(f"{f.name} must not contain '#' or a line break, or start "
                                  f"or end with whitespace, got {value!r}")
+            # config.resolved is UTF-8, which cannot hold a lone surrogate: the form Python
+            # gives the bytes of an argument that the locale's encoding cannot decode
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{f.name} must be text that UTF-8 can encode, "
+                                 f"got {value!r}") from None
         try:
             self.grid()
             self.mode_spec()
@@ -172,5 +180,16 @@ def from_text(text: str) -> ExperimentConfig:
 
 
 def from_file(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return from_text(fh.read())
+    """The configuration in the UTF-8 file ``path``; each ValueError it raises names the file.
+
+    Text that is not UTF-8 is refused with the config line of its first bad byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return from_text(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:  # from_text's count of lines up to the bad byte's own
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"{path}: config line {lineno}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

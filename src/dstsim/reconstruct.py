@@ -35,15 +35,16 @@ class ReconstructionResult:
     """Reconstructed field plus the gauge constant that scaled it.
 
     ``density_map`` is exactly ``Re**2 + Im**2`` of ``field.amps`` and
-    ``phase_map`` is their ``atan2`` folded into (-pi, pi].
-    ``zero_count_mask`` marks cells where some measurement basis registered
-    no photons at all (their frequencies enter as zero rather than being
-    dropped); it is None for noiseless reconstructions.
+    ``phase_map`` is their ``atan2`` folded into (-pi, pi].  ``estimator``
+    is the inversion's value of :data:`ESTIMATORS`.  ``zero_count_mask``
+    marks cells where some measurement basis registered no photons at all
+    (their frequencies enter as zero rather than being dropped); it is None
+    for noiseless reconstructions.
     """
 
     field: TransverseWavefunction
     psi_tilde: float
-    mode: str
+    estimator: str
     zero_count_mask: np.ndarray | None = None
 
     @property
@@ -73,7 +74,7 @@ class QualityReport:
 
 
 def _invert(records: ScanRecords, p1_weight: float, scale: float,
-            mode: str) -> ReconstructionResult:
+            estimator: str) -> ReconstructionResult:
     """Invert the raw quadrature maps ``(P+ - P- + p1_weight P1 + i (PL - PR)) / scale``.
 
     The raw maps equal ``ptilde * psi / N`` on exact records, so requiring
@@ -94,7 +95,7 @@ def _invert(records: ScanRecords, p1_weight: float, scale: float,
         raise DegenerateFieldError("raw quadrature maps vanish; cannot fix the scale")
     raw /= s
     grid = records.grid
-    return ReconstructionResult(TransverseWavefunction(grid, raw), grid.ncells * s, mode,
+    return ReconstructionResult(TransverseWavefunction(grid, raw), grid.ncells * s, estimator,
                                 zero_mask)
 
 
@@ -105,7 +106,7 @@ def reconstruct_dst(records: ScanRecords) -> ReconstructionResult:
     floating-point rounding at every theta in (0, pi/2].
     """
     theta = records.theta
-    return _invert(records, 2.0 * math.tan(theta / 2), 2.0 * math.sin(theta), "DST")
+    return _invert(records, 2.0 * math.tan(theta / 2), 2.0 * math.sin(theta), "dst")
 
 
 def reconstruct_dwt(records: ScanRecords) -> ReconstructionResult:
@@ -116,7 +117,7 @@ def reconstruct_dwt(records: ScanRecords) -> ReconstructionResult:
     overall scale, so the bias grows with theta and the density map is
     visibly distorted at theta = pi/2.
     """
-    return _invert(records, 0.0, 2.0 * records.theta, "DWT")
+    return _invert(records, 0.0, 2.0 * records.theta, "dwt")
 
 
 #: The ``estimator`` values of the configuration, strong and weak-value; the
@@ -135,38 +136,37 @@ def fidelity(a: TransverseWavefunction, b: TransverseWavefunction) -> float:
     return float(abs(np.vdot(va, vb)) ** 2 / (na**2 * nb**2))
 
 
-def _unit_gauge(f: TransverseWavefunction, name: str) -> np.ndarray:
-    """The amplitudes of ``f`` scaled to unit power and turned so their sum is real and positive.
-
-    Amplitudes that sum to zero keep their phase.  A zero-power field raises
-    :class:`DegenerateFieldError`, which names it ``name``.
-    """
+def _unit_power(f: TransverseWavefunction, name: str) -> np.ndarray:
+    """The amplitudes of ``f`` scaled to unit power; a zero-power field is named ``name``."""
     power = f.power()
     if power <= 0.0:
         raise DegenerateFieldError(f"{name} field has zero power")
-    amps = f.amps / np.sqrt(power)
-    s = amps.sum()
-    if abs(s) > 0.0:
-        amps = amps * (abs(s) / s)
-    return amps
+    return f.amps / np.sqrt(power)
 
 
 def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> QualityReport:
     """Quality of a reconstructed field against a known ideal field.
 
-    Both fields are first scaled to unit power and given the same gauge, a
-    real and positive amplitude sum, so the scores do not depend on a
-    field's overall scale or global phase.  r_square is the coefficient of
-    determination between the reconstructed density (the data) and the ideal
-    probability density (the model): ``1 - SS_res / SS_tot`` with SS_tot
-    about the data mean.  A flat density has SS_tot = 0: r_square is 1 if it
-    matches the ideal one, else None.  RMS errors are those of the Re and Im
-    maps.
+    Both fields are first scaled to unit power.  The ideal is turned so its
+    amplitude sum is real and positive, the engine's gauge, and the
+    reconstruction by the phase of its overlap ``o`` with the ideal, which
+    brings it closest (a zero sum or overlap keeps its phase); fidelity is
+    ``|o|^2``.  r_square is the coefficient of determination between the
+    reconstructed density (the data) and the ideal probability density (the
+    model): ``1 - SS_res / SS_tot`` with SS_tot about the data mean.  A flat
+    density has SS_tot = 0: r_square is 1 if it matches the ideal one, else
+    None.  RMS errors are those of the Re and Im maps.
     """
     if field.grid != ideal.grid:
         raise ValueError("reconstruction and ideal grids differ")
-    amps = _unit_gauge(ideal, "ideal")
-    rec = _unit_gauge(field, "reconstructed")
+    amps = _unit_power(ideal, "ideal")
+    s = amps.sum()
+    if s != 0:
+        amps = amps * (abs(s) / s)
+    rec = _unit_power(field, "reconstructed")
+    o = complex(np.vdot(rec, amps))
+    if o != 0:
+        rec = rec * (o / abs(o))
 
     ideal_density = np.abs(amps) ** 2
     data = rec.real**2 + rec.imag**2
@@ -174,10 +174,9 @@ def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> Quali
     ss_tot = float(np.sum((data - data.mean()) ** 2))
     r_square = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res == 0.0 else None)
 
-    fid = fidelity(ideal, field)
     rmse_re = float(np.sqrt(np.mean((rec.real - amps.real) ** 2)))
     rmse_im = float(np.sqrt(np.mean((rec.imag - amps.imag) ** 2)))
-    return QualityReport(r_square, fid, rmse_re, rmse_im)
+    return QualityReport(r_square, abs(o) ** 2, rmse_re, rmse_im)
 
 
 def sidecar_dict(res: ReconstructionResult, theta: float,
@@ -191,6 +190,6 @@ def sidecar_dict(res: ReconstructionResult, theta: float,
     metrics = (asdict(report) if report is not None
                else dict.fromkeys(f.name for f in fields(QualityReport)))
     mask = res.zero_count_mask
-    return {"psi_tilde": res.psi_tilde, "mode": res.mode, "theta": theta,
+    return {"psi_tilde": res.psi_tilde, "estimator": res.estimator, "theta": theta,
             "zero_count_cells": None if mask is None else int(mask.sum()), **metrics}
 

@@ -39,6 +39,20 @@ def flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def run_in_c_locale(*argv, cwd=None) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process under the C locale without UTF-8 mode.
+
+    That locale's encoding is ASCII, so a non-ASCII argument decodes to lone
+    surrogates and a file read in the locale's encoding fails on any
+    non-ASCII byte.
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "dstsim.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 #: Every field away from its default, so a field that to_text or from_text
 #: drops or mistypes breaks the round trip.
 EVERY_FIELD_SET = dict(
@@ -134,17 +148,28 @@ class TestConfig:
             from_text("nx = 8\nny 8\n")
 
     def test_config_file_is_utf8_in_any_locale(self, tmp_path):
-        # in the C locale without UTF-8 mode the locale's encoding is ASCII
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_bytes("# Gau\u00df beam\nnx = 16\nny = 16\n".encode("utf-8"))
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "dstsim.cli", "prepare", "--config",
-                               str(cfg_path), "--out", str(tmp_path / "run")],
-                              env=env, capture_output=True, text=True)
+        proc = run_in_c_locale("prepare", "--config", str(cfg_path), "--out",
+                               str(tmp_path / "run"))
         assert proc.returncode == 0, proc.stderr
         assert read_wfgrid(tmp_path / "run" / "field.wfgrid").grid.nx == 16
+
+    @pytest.mark.parametrize("content, message", [
+        (b"nx = 8\nny 8\n", "config line 2: expected 'key = value', got 'ny 8'"),
+        (b"mode = custom\n", "mode must be one of gaussian, lg; got 'custom'"),
+        (b"nx = 8\n# Gau\xdf beam\n", "config line 2: 'utf-8' codec can't decode byte 0xdf "
+                                      "in position 12: invalid continuation byte"),
+        # a line break is counted as from_text counts it: CR LF once, a lone CR too
+        (b"nx = 8\r\n\r# \xff\n", "config line 3: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 11: invalid start byte"),
+    ])
+    def test_config_file_error_names_the_file(self, tmp_path, capsys, content, message):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_bytes(content)
+        assert run("prepare", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_comments_and_blanks(self):
         text = "# hello\n\nnx = 16\nny = 16  # inline\n"
@@ -267,7 +292,7 @@ class TestMeasureReconstruct:
         assert run("reconstruct", "--records", str(out / "records.csv"),
                    "--ideal", field, "--maps", "gnuplot", "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["mode"] == "DST" and report["theta"] == math.pi / 2
+        assert report["estimator"] == "dst" and report["theta"] == math.pi / 2
         assert report["fidelity"] >= 1 - 1e-10
         assert report["r_square"] == pytest.approx(1.0, abs=1e-9)
         assert report["rmse_re"] < 1e-9 and report["rmse_im"] < 1e-9
@@ -318,7 +343,7 @@ class TestMeasureReconstruct:
         assert run("reconstruct", "--records", str(out / "records.csv"), "--estimator",
                    estimator, "--out", str(out)) == 0
         assert len(calls) == 1 and calls[0].theta == math.pi / 2
-        assert json.loads((out / "report.json").read_text())["mode"] == estimator.upper()
+        assert json.loads((out / "report.json").read_text())["estimator"] == estimator
 
     def test_gnuplot_maps_from_a_config_file(self, tmp_path):
         # the key reads from a file as from its flag and round-trips through config.resolved
@@ -385,7 +410,7 @@ class TestMeasureReconstruct:
         assert run("reconstruct", "--records", str(out / "records.csv"), "--estimator", "dwt",
                    "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["mode"] == "DWT" and report["fidelity"] < 1.0
+        assert report["estimator"] == "dwt" and report["fidelity"] < 1.0
 
     def test_dwt_with_theta(self, tmp_path):
         out = self._prepare(tmp_path)
@@ -394,7 +419,7 @@ class TestMeasureReconstruct:
         assert run("reconstruct", "--records", str(out / "records.csv"), "--estimator", "dwt",
                    "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["mode"] == "DWT" and report["theta"] == 0.1
+        assert report["estimator"] == "dwt" and report["theta"] == 0.1
         assert 0.9 < report["fidelity"] < 1.0
 
     def test_dst_inverts_records_of_another_theta(self, tmp_path):
@@ -405,7 +430,7 @@ class TestMeasureReconstruct:
         assert run("reconstruct", "--records", str(out / "records.csv"),
                    "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["mode"] == "DST" and report["theta"] == 0.3
+        assert report["estimator"] == "dst" and report["theta"] == 0.3
         assert report["rmse_re"] < 1e-9 and report["rmse_im"] < 1e-9
 
     def test_dwt_inverts_at_the_records_theta(self, tmp_path):
@@ -416,13 +441,26 @@ class TestMeasureReconstruct:
         assert run("reconstruct", "--records", str(out / "records.csv"), "--estimator", "dwt",
                    "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["mode"] == "DWT" and report["theta"] == 0.3
+        assert report["estimator"] == "dwt" and report["theta"] == 0.3
         gauged, ptilde = gauge_fix(read_wfgrid(field))
         expected = gauged.amps - (1 - math.cos(0.3)) * np.abs(gauged.amps) ** 2 / ptilde
         expected /= np.linalg.norm(expected)
         rec = read_wfgrid(out / "reconstruction.wfgrid").amps
         assert np.max(np.abs(rec - expected)) < 1e-9
         assert report["rmse_re"] > 1e-4   # the weak-value bias, which dst does not have
+
+    def test_offset_lg_scores_exact(self, tmp_path):
+        # the default 64x64 grid: an l=1 state a sub-cell off the centre has an
+        # amplitude sum of 7e-7, whose phase is no gauge for a noiseless score
+        out = tmp_path
+        assert run("prepare", "--mode", "lg", "--cx-um", "40", "--cy-um", "30",
+                   "--out", str(out)) == 0
+        field = str(out / "field.wfgrid")
+        assert run("measure", "--field", field, "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"),
+                   "--ideal", field, "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["rmse_re"] < 1e-9 and report["rmse_im"] < 1e-9
 
     def test_dst_takes_half_pi_written_as_text(self, tmp_path):
         out = self._prepare(tmp_path)
@@ -432,7 +470,7 @@ class TestMeasureReconstruct:
         assert run("reconstruct", "--records", str(out / "records.csv"),
                    "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["mode"] == "DST" and report["rmse_re"] < 1e-9
+        assert report["estimator"] == "dst" and report["rmse_re"] < 1e-9
         assert report["theta"] == float(theta)
 
     def test_invalid_records_are_format_error(self, tmp_path):
@@ -522,7 +560,7 @@ class TestOutputFiles:
         # a 3x2 grid whose coordinates need all 9 digits of x_um and y_um
         grid = GridSpec(3, 2, 1e-4 / 3)
         amps = np.array([[0.1, 0.2j, 0.3], [1 / 3, -0.5, 0.25 + 0.25j]])
-        res = ReconstructionResult(TransverseWavefunction(grid, amps), 1.0, "DST")
+        res = ReconstructionResult(TransverseWavefunction(grid, amps), 1.0, "dst")
         cli._write_plot_maps(res, ExperimentConfig(out=str(tmp_path)))
         xy = [b"-33.3333333 -16.6666667", b"0 -16.6666667", b"33.3333333 -16.6666667",
               b"-33.3333333 16.6666667", b"0 16.6666667", b"33.3333333 16.6666667"]
@@ -838,6 +876,16 @@ class TestExitCodes:
     def test_unrepresentable_out_is_validation_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run("prepare", "--nx", "8", "--ny", "8", "--out", "run#1") == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_utf8_cannot_encode_is_validation_error(self, tmp_path):
+        # config.resolved is UTF-8 and cannot hold the surrogates of 'r\u00fcn' in the C
+        # locale, so the value is refused before prepare writes field.wfgrid
+        proc = run_in_c_locale("prepare", "--nx", "8", "--ny", "8", "--out",
+                               "r\u00fcn".encode("utf-8"), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("error: out must be text that UTF-8 can encode, "
+                               "got 'r\\udcc3\\udcbcn'\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_custom_mode_in_config_is_validation_error(self, tmp_path):

@@ -23,7 +23,7 @@ from dstsim import (
     score,
     write_records_csv,
 )
-from conftest import random_smooth_field
+from conftest import random_field, random_smooth_field
 
 STRONG = math.pi / 2
 
@@ -199,11 +199,11 @@ class TestDwtInversion:
         with pytest.raises(ValueError):
             dataclasses.replace(records, theta=0.0)
 
-    def test_mode_label(self, gaussian_8):
+    def test_estimator_label(self, gaussian_8):
         records = scan(gaussian_8, 0.3)
         assert records.theta == 0.3
-        assert reconstruct_dwt(records).mode == "DWT"
-        assert reconstruct_dst(records).mode == "DST"
+        assert reconstruct_dwt(records).estimator == "dwt"
+        assert reconstruct_dst(records).estimator == "dst"
 
 
 def test_estimators_name_their_inversions():
@@ -280,8 +280,46 @@ class TestScore:
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
         assert report.rmse_re < 1e-12 and report.rmse_im < 1e-12
 
+    def test_offset_lg_scores_exact(self):
+        # the 64x64 l=1 state a sub-cell off the centre sums to 7e-7: the phase of the
+        # reconstruction's own sum is no gauge, the overlap with the ideal is
+        grid = GridSpec(64, 64, 125e-6)
+        f = make_mode(ModeSpec("lg", waist=grid.nx * grid.pitch / 8, oam=1,
+                               center=(40e-6, 30e-6)), grid)
+        report = score(reconstruct_dst(scan(f, STRONG)).field, f)
+        assert report.rmse_re < 1e-9 and report.rmse_im < 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fidelity_is_the_public_fidelity(self, seed):
+        grid = GridSpec(7, 5, 1e-4)
+        rec, ideal = random_field(grid, seed), random_field(grid, seed + 100)
+        assert score(rec, ideal).fidelity == pytest.approx(fidelity(rec, ideal), abs=1e-15)
+
+    def test_orthogonal_fields_score_zero_and_keep_the_phase(self):
+        # no overlap gives no phase to turn by: the reconstruction stays imaginary,
+        # though a real, positive amplitude sum of its own would turn it real
+        grid = GridSpec(2, 2, 1e-4)
+        ideal = TransverseWavefunction(grid, np.array([[1, 0], [0, 0]], complex))
+        report = score(ideal.with_amps(np.array([[0, 1j], [0, 0]])), ideal)
+        assert report.fidelity == 0.0
+        assert report.rmse_re == 0.5 and report.rmse_im == 0.5
+
     def test_fidelity_of_a_zero_field_is_degenerate(self, gaussian_8):
         zero = gaussian_8.with_amps(np.zeros((8, 8)))
         for pair in ((zero, gaussian_8), (gaussian_8, zero)):
             with pytest.raises(DegenerateFieldError, match="^fidelity of a zero field is undefined$"):
                 fidelity(*pair)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**16), noise=st.floats(0.01, 10.0), phi=st.floats(-math.pi, math.pi))
+def test_no_global_phase_brings_the_reconstruction_closer(seed, noise, phi):
+    # score turns the reconstruction by the phase of its overlap with the ideal,
+    # which minimizes rmse_re^2 + rmse_im^2 over every global phase
+    grid = GridSpec(6, 5, 1e-4)
+    ideal = random_field(grid, seed)    # unit power, as is the noise
+    rec = ideal.with_amps(ideal.amps + noise * random_field(grid, seed + 1).amps)
+    report = score(rec, ideal)
+    turned = np.exp(1j * phi) * rec.amps / np.linalg.norm(rec.amps)
+    error = np.mean(np.abs(turned - ideal.amps) ** 2)
+    assert error >= report.rmse_re**2 + report.rmse_im**2 - 1e-15
