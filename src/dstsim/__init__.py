@@ -35,7 +35,6 @@ from .engine import (
 from .reconstruct import (
     QualityReport,
     ReconstructionResult,
-    fidelity,
     reconstruct_dst,
     reconstruct_dwt,
     score,
@@ -69,7 +68,6 @@ __all__ = [
     "apply_object",
     "apply_vortex_plate",
     "default_waist",
-    "fidelity",
     "gauge_fix",
     "make_mode",
     "normalize",

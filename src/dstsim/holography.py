@@ -312,7 +312,8 @@ def reconstruct_object(
     everywhere, raises :class:`DegenerateFieldError`.
     """
     if measured_d.grid != known_input.grid:
-        raise ValueError("measured and known-input grids differ")
+        raise ValueError(f"measured grid {measured_d.grid} differs from "
+                         f"known-input grid {known_input.grid}")
     check_threshold(threshold)
     # every refusal that needs no transform comes before the back-propagation
     nyquist_fraction, distance_over_extent = _check_guards(measured_d.grid, spec)

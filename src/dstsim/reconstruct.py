@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import DegenerateFieldError
-from .wavefield import TransverseWavefunction
+from .wavefield import TransverseWavefunction, _unit_power
 from .engine import ScanRecords
 
 @dataclass(frozen=True)
@@ -125,45 +125,29 @@ def reconstruct_dwt(records: ScanRecords) -> ReconstructionResult:
 ESTIMATORS = ("dst", "dwt")
 
 
-def fidelity(a: TransverseWavefunction, b: TransverseWavefunction) -> float:
-    """|<a|b>|^2 after normalizing both fields; invariant to global phases."""
-    va = a.amps.ravel()
-    vb = b.amps.ravel()
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateFieldError("fidelity of a zero field is undefined")
-    return float(abs(np.vdot(va, vb)) ** 2 / (na**2 * nb**2))
-
-
-def _unit_power(f: TransverseWavefunction, name: str) -> np.ndarray:
-    """The amplitudes of ``f`` scaled to unit power; a zero-power field is named ``name``."""
-    power = f.power()
-    if power <= 0.0:
-        raise DegenerateFieldError(f"{name} field has zero power")
-    return f.amps / np.sqrt(power)
-
-
 def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> QualityReport:
     """Quality of a reconstructed field against a known ideal field.
 
-    Both fields are first scaled to unit power.  The ideal is turned so its
-    amplitude sum is real and positive, the engine's gauge, and the
-    reconstruction by the phase of its overlap ``o`` with the ideal, which
-    brings it closest (a zero sum or overlap keeps its phase); fidelity is
-    ``|o|^2``.  r_square is the coefficient of determination between the
-    reconstructed density (the data) and the ideal probability density (the
-    model): ``1 - SS_res / SS_tot`` with SS_tot about the data mean.  A flat
-    density has SS_tot = 0: r_square is 1 if it matches the ideal one, else
-    None.  RMS errors are those of the Re and Im maps.
+    Both fields are first scaled to unit power, so the scale of either does
+    not count while its power fits in a double; a larger power raises
+    ValueError, as do grids that differ, and a zero power
+    DegenerateFieldError.  The ideal is turned so its amplitude sum is real
+    and positive, the engine's gauge, and the reconstruction by the phase of
+    its overlap ``o`` with the ideal, which brings it closest (a zero sum or
+    overlap keeps its phase); fidelity is ``|o|^2``, the library's one
+    overlap of two fields.  r_square is the coefficient of determination
+    between the reconstructed density (the data) and the ideal probability
+    density (the model): ``1 - SS_res / SS_tot`` with SS_tot about the data
+    mean.  A flat density has SS_tot = 0: r_square is 1 if it matches the
+    ideal one, else None.  RMS errors are those of the Re and Im maps.
     """
     if field.grid != ideal.grid:
-        raise ValueError("reconstruction and ideal grids differ")
-    amps = _unit_power(ideal, "ideal")
+        raise ValueError(f"reconstruction grid {field.grid} differs from ideal grid {ideal.grid}")
+    amps = _unit_power(ideal.amps, "ideal field")
     s = amps.sum()
     if s != 0:
         amps = amps * (abs(s) / s)
-    rec = _unit_power(field, "reconstructed")
+    rec = _unit_power(field.amps, "reconstructed field")
     o = complex(np.vdot(rec, amps))
     if o != 0:
         rec = rec * (o / abs(o))

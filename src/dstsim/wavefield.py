@@ -47,6 +47,9 @@ class GridSpec:
         if not np.isfinite(self.pitch) or self.pitch <= 0:
             raise ValueError(f"pitch must be positive and finite, got {self.pitch}")
 
+    def __str__(self) -> str:
+        return f"{self.nx}x{self.ny} at pitch {self.pitch} m"
+
     @property
     def ncells(self) -> int:
         return self.nx * self.ny
@@ -91,8 +94,8 @@ class TransverseWavefunction:
         object.__setattr__(self, "amps", arr)
 
     def power(self) -> float:
-        """Total ``sum(|psi|^2)`` over cells."""
-        return float(np.sum(np.abs(self.amps) ** 2))
+        """Total ``sum(|psi|^2)`` over cells, inf when it overflows a double; never warns."""
+        return _power(self.amps)
 
     def amp_sum(self) -> complex:
         """Sum of all amplitudes (the post-selection overlap, up to 1/sqrt(N))."""
@@ -189,6 +192,7 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
 
     if spec.kind == "gaussian":
         amps = np.exp(-(xr**2 + yr**2) / spec.waist**2).astype(np.complex128)
+        name = "Gaussian mode"
     else:  # "lg"
         r2 = xr**2 + yr**2
         r = np.sqrt(r2)
@@ -202,12 +206,11 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
                 * np.exp(-r2 / spec.waist**2)
                 * np.exp(1j * spec.oam * phi)
             )
+        name = f"l = {spec.oam} and radial = {spec.radial}: LG mode"
 
-    # an amplitude or a power that overflows is refused by name (only LG
-    # indices can overflow)
-    return TransverseWavefunction(grid, _unit_power(
-        amps, f"l = {spec.oam} and radial = {spec.radial}: "
-        "LG mode amplitudes overflow a double on this grid"))
+    # a power that overflows or vanishes is refused by the mode's name (only
+    # LG indices can overflow; a waist far below the pitch can vanish)
+    return TransverseWavefunction(grid, _unit_power(amps, name))
 
 
 def apply_vortex_plate(f: TransverseWavefunction, l: int) -> TransverseWavefunction:
@@ -225,28 +228,34 @@ def apply_vortex_plate(f: TransverseWavefunction, l: int) -> TransverseWavefunct
     return f.with_amps(f.amps * np.exp(1j * l * np.arctan2(y, x)))
 
 
-def _unit_power(amps: np.ndarray, overflow: str) -> np.ndarray:
-    """``amps`` scaled to ``sum(|amps|^2) == 1``.
-
-    A power that is not finite raises ValueError with the message
-    ``overflow``, and a zero power DegenerateFieldError; neither warns.
-    """
+def _power(amps: np.ndarray) -> float:
+    """``sum(|amps|^2)``, computed without a warning: inf when it overflows a double."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p = float(np.sum(np.abs(amps) ** 2))
+        return float(np.sum(np.abs(amps) ** 2))
+
+
+def _unit_power(amps: np.ndarray, name: str) -> np.ndarray:
+    """``amps`` scaled to ``sum(|amps|^2) == 1``; each refusal calls them ``name``.
+
+    A power that is not finite raises ValueError ``<name> power overflows a
+    double``, and a zero power DegenerateFieldError ``<name> has zero power``;
+    neither warns.
+    """
+    p = _power(amps)
     if not np.isfinite(p):
-        raise ValueError(overflow)
+        raise ValueError(f"{name} power overflows a double")
     if p <= 0.0:
-        raise DegenerateFieldError("cannot normalize a zero field")
+        raise DegenerateFieldError(f"{name} has zero power")
     return amps / np.sqrt(p)
 
 
 def normalize(f: TransverseWavefunction) -> TransverseWavefunction:
     """Rescale to ``sum(|psi|^2) == 1``; phases are untouched.
 
-    A field whose power overflows a double raises ValueError.
+    A field whose power overflows a double raises ValueError, and a zero
+    field DegenerateFieldError.
     """
-    return f.with_amps(_unit_power(
-        f.amps, "field power overflows a double; scale the amplitudes down first"))
+    return f.with_amps(_unit_power(f.amps, "field"))
 
 
 def phase_winding(phase: np.ndarray, radius: int,

@@ -5,8 +5,9 @@ oracle builds the full joint system-pointer state and exponentiates the
 coupling Hamiltonian as a dense matrix, the beam oracle evaluates the
 textbook Gaussian-beam propagation formula, and the kernel oracle evaluates
 the propagation kernel at every offset of the padded grid and convolves
-through an explicitly zero-filled buffer, and the stream oracle draws one
-cell's counts from the written definition of sampling stream v1.
+through an explicitly zero-filled buffer, the stream oracle draws one
+cell's counts from the written definition of sampling stream v1, and the
+fidelity is the overlap of two fields summed cell by cell.
 """
 
 from __future__ import annotations
@@ -74,6 +75,17 @@ def gaussian_beam_at_distance(
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(np.ravel(a), np.ravel(b))[0, 1])
+
+
+def fidelity(a, b) -> float:
+    """``|<a|b>|^2 / (<a|a> <b|b>)`` of two fields, summed cell by cell.
+
+    Invariant to the scale and global phase of either field; the library's
+    own overlap is ``score(...).fidelity``.
+    """
+    va, vb = np.ravel(a.amps), np.ravel(b.amps)
+    overlap = np.sum(np.conj(va) * vb)
+    return float(abs(overlap) ** 2 / (np.sum(np.abs(va) ** 2) * np.sum(np.abs(vb) ** 2)))
 
 
 def kernel_on_padded_grid(

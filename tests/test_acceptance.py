@@ -26,7 +26,6 @@ from dstsim import (
     PropagationSpec,
     apply_object,
     apply_vortex_plate,
-    fidelity,
     gauge_fix,
     make_mode,
     normalize,
@@ -43,7 +42,7 @@ from dstsim import (
 )
 from dstsim import engine
 from conftest import random_field, random_smooth_field
-from oracles import pearson, pointer_via_matrix_exponential
+from oracles import fidelity, pearson, pointer_via_matrix_exponential
 
 STRONG = math.pi / 2
 LAM = 808e-9

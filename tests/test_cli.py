@@ -39,6 +39,15 @@ def flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def run_in_child(*argv, cwd=None, **env) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process whose environment also holds ``env``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "dstsim.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 def run_in_c_locale(*argv, cwd=None) -> subprocess.CompletedProcess:
     """Run the CLI in a child process under the C locale without UTF-8 mode.
 
@@ -46,11 +55,7 @@ def run_in_c_locale(*argv, cwd=None) -> subprocess.CompletedProcess:
     surrogates and a file read in the locale's encoding fails on any
     non-ASCII byte.
     """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "dstsim.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True)
+    return run_in_child(*argv, cwd=cwd, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0")
 
 
 #: Every field away from its default, so a field that to_text or from_text
@@ -869,8 +874,51 @@ class TestExitCodes:
                    "--nx", "8", "--ny", "8", "--out", str(tmp_path / "run")) == 2
         # one line naming both keys, and no numpy overflow warning before it
         assert capsys.readouterr().err.splitlines() == [
-            "error: l = 2000 and radial = 2000: LG mode amplitudes overflow a double "
-            "on this grid"]
+            "error: l = 2000 and radial = 2000: LG mode power overflows a double"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("measure", "--field", "{big}"),
+         "input field must be normalized (power within 1e-9 of 1)"),
+        (("score", "--rec", "{big}", "--ideal", "{good}"),
+         "reconstructed field power overflows a double"),
+        (("score", "--rec", "{good}", "--ideal", "{big}"), "ideal field power overflows a double"),
+        (("reconstruct", "--records", "{records}", "--ideal", "{big}"),
+         "ideal field power overflows a double"),
+    ], ids=["measure", "score-rec", "score-ideal", "reconstruct-ideal"])
+    def test_power_beyond_a_double_is_validation_error(self, tmp_path, argv, message):
+        # a valid WFGRID whose power overflows: refused with one line, not a numpy
+        # overflow warning turned into a traceback, nor scored as fidelity 0
+        good = tmp_path / "in" / "field.wfgrid"
+        assert run("prepare", "--nx", "16", "--ny", "16", "--out", str(good.parent)) == 0
+        assert run("measure", "--field", str(good), "--out", str(good.parent)) == 0
+        f = read_wfgrid(good)
+        big = tmp_path / "big.wfgrid"
+        write_wfgrid(big, f.with_amps(f.amps * 1e160))
+        paths = dict(big=big, good=good, records=good.parent / "records.csv")
+        proc = run_in_child(*(arg.format(**paths) for arg in argv),
+                            "--out", str(tmp_path / "run"), PYTHONWARNINGS="error::RuntimeWarning")
+        assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("score", "--rec", "{small}", "--ideal", "{large}"),
+         "reconstruction grid 8x8 at pitch 0.000125 m differs from "
+         "ideal grid 16x16 at pitch 0.000125 m"),
+        (("holo", "object", "--measured", "{small}", "--input", "{large}"),
+         "measured grid 8x8 at pitch 0.000125 m differs from "
+         "known-input grid 16x16 at pitch 0.000125 m"),
+    ], ids=["score", "holo-object"])
+    def test_grid_mismatch_names_both_grids(self, tmp_path, capsys, argv, message):
+        paths = {}
+        for name, n in (("small", 8), ("large", 16)):
+            assert run("prepare", "--nx", str(n), "--ny", str(n),
+                       "--out", str(tmp_path / name)) == 0
+            paths[name] = tmp_path / name / "field.wfgrid"
+        capsys.readouterr()
+        assert run(*(arg.format(**paths) for arg in argv), "--distance-mm", "2",
+                   "--out", str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
 
     def test_unrepresentable_out_is_validation_error(self, tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from dstsim import (
     ModeSpec,
     ScanRecords,
     TransverseWavefunction,
-    fidelity,
     gauge_fix,
     make_mode,
     normalize,
@@ -24,6 +23,7 @@ from dstsim import (
     write_records_csv,
 )
 from conftest import random_field, random_smooth_field
+from oracles import fidelity
 
 STRONG = math.pi / 2
 
@@ -249,12 +249,13 @@ class TestScore:
     def test_grid_mismatch(self, gaussian_8):
         res = reconstruct_dst(scan(gaussian_8, STRONG))
         other = make_mode(ModeSpec("gaussian", waist=4e-4), GridSpec(9, 9, 1e-4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^reconstruction grid 8x8 at pitch 0\.000125 m "
+                                             r"differs from ideal grid 9x9 at pitch 0\.0001 m$"):
             score(res.field, other)
 
     def test_fidelity_phase_invariant(self, gaussian_8):
         rotated = gaussian_8.with_amps(gaussian_8.amps * np.exp(0.7j))
-        assert fidelity(gaussian_8, rotated) == pytest.approx(1.0, abs=1e-12)
+        assert score(rotated, gaussian_8).fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_power_ideal_is_degenerate(self, gaussian_8):
         zero = gaussian_8.with_amps(np.zeros((8, 8)))
@@ -265,6 +266,18 @@ class TestScore:
         zero = gaussian_8.with_amps(np.zeros((8, 8)))
         with pytest.raises(DegenerateFieldError, match="^reconstructed field has zero power$"):
             score(zero, gaussian_8)
+
+    @pytest.mark.parametrize("which", ["rec", "ideal"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_beyond_a_double_is_refused(self, gaussian_8, which):
+        # every amplitude is finite but the power is not: unit power would be zeros,
+        # and a fidelity of 0 would pass for a score
+        big = gaussian_8.with_amps(gaussian_8.amps * 1e160)
+        assert big.power() == math.inf
+        fields = (big, gaussian_8) if which == "rec" else (gaussian_8, big)
+        name = "reconstructed" if which == "rec" else "ideal"
+        with pytest.raises(ValueError, match=f"^{name} field power overflows a double$"):
+            score(*fields)
 
     @pytest.mark.parametrize("c", [1.0, 1e-3, 36.8, 1e4])
     @pytest.mark.parametrize("phi", [0.0, 0.7, -2.0, math.pi])
@@ -303,12 +316,6 @@ class TestScore:
         report = score(ideal.with_amps(np.array([[0, 1j], [0, 0]])), ideal)
         assert report.fidelity == 0.0
         assert report.rmse_re == 0.5 and report.rmse_im == 0.5
-
-    def test_fidelity_of_a_zero_field_is_degenerate(self, gaussian_8):
-        zero = gaussian_8.with_amps(np.zeros((8, 8)))
-        for pair in ((zero, gaussian_8), (gaussian_8, zero)):
-            with pytest.raises(DegenerateFieldError, match="^fidelity of a zero field is undefined$"):
-                fidelity(*pair)
 
 
 @settings(max_examples=60, deadline=None, database=None)

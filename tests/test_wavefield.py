@@ -127,6 +127,11 @@ class TestMakeMode:
         with pytest.raises(ValueError, match=f"^l = {oam} and radial = {radial}: "):
             make_mode(spec, grid)
 
+    def test_a_mode_that_underflows_everywhere_is_refused_by_name(self, grid_8):
+        # a waist far below the pitch leaves exp(-r^2 / w0^2) zero at every cell centre
+        with pytest.raises(DegenerateFieldError, match="^Gaussian mode has zero power$"):
+            make_mode(ModeSpec("gaussian", waist=1e-3 * grid_8.pitch), grid_8)
+
     @pytest.mark.parametrize("waist", [0.0, -1e-4, float("inf")])
     def test_bad_waist(self, waist):
         with pytest.raises(ValueError):
@@ -274,7 +279,7 @@ class TestNormalize:
         assert np.max(np.abs(scaled.amps - gaussian_8.amps)) < 1e-12
 
     def test_zero_field(self, grid_8):
-        with pytest.raises(DegenerateFieldError):
+        with pytest.raises(DegenerateFieldError, match="^field has zero power$"):
             normalize(TransverseWavefunction(grid_8, np.zeros((8, 8), complex)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -282,7 +287,8 @@ class TestNormalize:
         # every amplitude is finite but their power is not; dividing by its
         # square root would return zeros
         f = TransverseWavefunction(GridSpec(4, 4, 1e-6), np.full((4, 4), 1e160 + 0j))
-        with pytest.raises(ValueError, match="power overflows a double"):
+        assert f.power() == math.inf   # and no overflow warning
+        with pytest.raises(ValueError, match="^field power overflows a double$"):
             normalize(f)
 
     def test_scales_by_the_root_of_the_power(self, gaussian_8):
