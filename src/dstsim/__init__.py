@@ -18,7 +18,6 @@ from .wavefield import (
     default_waist,
     make_mode,
     normalize,
-    phase_winding,
     read_wfgrid,
     write_wfgrid,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "make_mode",
     "normalize",
     "object_from_pgm",
-    "phase_winding",
     "pointer_amplitudes",
     "propagate_forward",
     "propagate_inverse",

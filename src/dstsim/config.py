@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from .engine import STRONG_THETA, check_budget, check_seed, check_theta
 from .holography import KERNELS, OBJECT_MAPS, PropagationSpec, check_threshold
 from .reconstruct import ESTIMATORS
-from .wavefield import MODES, GridSpec, ModeSpec, default_waist, is_integer
+from .wavefield import MODES, GridSpec, ModeSpec, check_charge, default_waist, is_integer
 
 _AUTO = "auto"
 
@@ -90,6 +90,7 @@ class ExperimentConfig:
         try:
             self.grid()
             self.mode_spec()
+            check_charge("vortex_l", self.vortex_l)
             check_budget(self.photons)
             check_seed(self.seed)
             check_theta(self.theta)
@@ -124,7 +125,7 @@ _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 #: The keys behind each parameter that a library check in ``validate`` names first in
 #: its error.
 _KEYS_OF = {"grid": ("nx", "ny"), "pitch": ("pitch_um",), "waist": ("waist_um",),
-            "radial index": ("radial",), "center": ("cx_um", "cy_um"),
+            "oam": ("l",), "radial index": ("radial",), "center": ("cx_um", "cy_um"),
             "photons_per_setting": ("photons",), "seed": ("seed",), "theta": ("theta",),
             "threshold": ("threshold",), "wavelength": ("lambda_nm",),
             "distance": ("distance_mm",), "pad_factor": ("pad_factor",)}

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateFieldError, FileFormatError
-from .wavefield import GridSpec, TransverseWavefunction, is_integer
+from .wavefield import GridSpec, TransverseWavefunction, _gauge, is_integer
 
 _PSI_TILDE_MIN = 1e-12
 #: The strong coupling angle, the default of every call that takes theta.
@@ -93,15 +93,12 @@ def gauge_fix(f: TransverseWavefunction) -> tuple[TransverseWavefunction, float]
     :class:`DegenerateFieldError` when the sum vanishes, since such a field
     never passes zero-momentum post-selection.
     """
-    s = f.amp_sum()
-    mag = abs(s)
-    if mag < _PSI_TILDE_MIN:
+    amps, ptilde = _gauge(f.amps)
+    if ptilde < _PSI_TILDE_MIN:
         raise DegenerateFieldError(
-            f"amplitude sum is {mag:.3e}; zero-momentum post-selection is impossible"
+            f"amplitude sum is {ptilde:.3e}; zero-momentum post-selection is impossible"
         )
-    if s.imag == 0.0 and s.real > 0.0:
-        return f, mag
-    return f.with_amps(f.amps * (mag / s)), mag
+    return (f if amps is f.amps else f.with_amps(amps)), ptilde
 
 
 def pointer_amplitudes(
@@ -182,11 +179,15 @@ def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
 
 
 def check_budget(photons_per_setting: int) -> None:
-    """Raise ValueError unless ``photons_per_setting`` is an integer >= 0 (0: noiseless)."""
+    """Raise ValueError unless ``photons_per_setting`` is an integer in [0, 2**61]; 0: noiseless."""
     if not is_integer(photons_per_setting):
         raise ValueError(f"photons_per_setting must be an integer, got {photons_per_setting!r}")
     if photons_per_setting < 0:
         raise ValueError("photons_per_setting must be >= 0")
+    # a basis of a unit-power field weighs at most 1 + 2/sqrt(N) + 2/N <= 2.5, so
+    # its Poisson mean stays below numpy's limit of about 9.22e18
+    if photons_per_setting > 2**61:
+        raise ValueError(f"photons_per_setting must be at most 2**61, got {photons_per_setting}")
 
 
 def check_theta(theta: float) -> None:

@@ -184,17 +184,19 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec, inverse: bool) -> np.nd
 
     The spherical kernel depends on the offsets only through dx^2 and dy^2,
     and the negative ``fftfreq`` bins are exact negatives of the positive
-    ones, so it is evaluated on the non-negative quadrant and mirrored bit
-    for bit.
+    ones, so it is evaluated on the leading quadrant of the same offsets and
+    mirrored bit for bit.
     """
     py = grid.ny * spec.pad_factor
     px = grid.nx * spec.pad_factor
     k = spec.wavenumber
     d = spec.distance
     lam = spec.wavelength
+    # the signed offsets in FFT order; fftfreq's scale 1 / (n * (1 / n)) is not
+    # exactly 1 for every n, and the mirrored quadrant must match it bit for bit
+    dx = np.fft.fftfreq(px, 1.0 / px) * grid.pitch
+    dy = np.fft.fftfreq(py, 1.0 / py) * grid.pitch
     if spec.kernel == "fresnel":
-        dx = np.fft.fftfreq(px, 1.0 / px) * grid.pitch
-        dy = np.fft.fftfreq(py, 1.0 / py) * grid.pitch
         ex = np.exp(1j * k * d) / (1j * lam * d) * np.exp(1j * k * dx**2 / (2.0 * d))
         ey = np.exp(1j * k * dy**2 / (2.0 * d))
         if inverse:
@@ -203,11 +205,8 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec, inverse: bool) -> np.nd
         return _by_rows(np.multiply, ey[:, None], ex[None, :], out=_padded_empty((py, px)))
     my = py // 2 + 1
     mx = px // 2 + 1
-    # |fftfreq| rather than arange * pitch: fftfreq's scale 1 / (n * (1 / n))
-    # is not exactly 1 for every n, and the mirror must match it bit for bit
-    dx = np.abs(np.fft.fftfreq(px, 1.0 / px)[:mx] * grid.pitch)
-    dy = np.abs(np.fft.fftfreq(py, 1.0 / py)[:my] * grid.pitch)
-    r = np.sqrt(dx[None, :]**2 + dy[:, None]**2 + d * d)
+    # an even size's last quadrant offset is the negative Nyquist bin: its square is the same
+    r = np.sqrt(dx[None, :mx]**2 + dy[:my, None]**2 + d * d)
     quad = np.exp(1j * k * r)
     quad /= 1j * lam * r
     del r   # the padded buffer is taken once only the quadrant block is left

@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateFieldError
-from .wavefield import TransverseWavefunction, _unit_power
+from .wavefield import TransverseWavefunction, _gauge, _unit_power
 from .engine import ScanRecords
 
 @dataclass(frozen=True)
@@ -78,7 +77,9 @@ def _invert(records: ScanRecords, p1_weight: float, scale: float,
     """Invert the raw quadrature maps ``(P+ - P- + p1_weight P1 + i (PL - PR)) / scale``.
 
     The raw maps equal ``ptilde * psi / N`` on exact records, so requiring
-    the field to be normalized fixes the gauge constant.  Sampled records
+    the field to be normalized fixes the gauge constant: ``ptilde = N * norm``
+    with ``norm`` the one that scales the maps to unit power, and maps that
+    vanish raise DegenerateFieldError.  Sampled records
     enter as count/budget, which estimates the unnormalized projector
     probability directly (the per-basis frequency times the sampled
     post-selection weight); their mask marks cells where some basis
@@ -90,12 +91,9 @@ def _invert(records: ScanRecords, p1_weight: float, scale: float,
         maps = maps / records.photons_per_setting
     plus, minus, _, p1, left, right = maps
     raw = (plus - minus + p1_weight * p1 + 1j * (left - right)) / scale
-    s = float(np.sqrt(np.sum(np.abs(raw) ** 2)))
-    if s <= 0.0:
-        raise DegenerateFieldError("raw quadrature maps vanish; cannot fix the scale")
-    raw /= s
+    amps, norm = _unit_power(raw, "raw quadrature map")
     grid = records.grid
-    return ReconstructionResult(TransverseWavefunction(grid, raw), grid.ncells * s, estimator,
+    return ReconstructionResult(TransverseWavefunction(grid, amps), grid.ncells * norm, estimator,
                                 zero_mask)
 
 
@@ -130,7 +128,7 @@ def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> Quali
 
     Both fields are first scaled to unit power, so the scale of either does
     not count while its power fits in a double; a larger power raises
-    ValueError, as do grids that differ, and a zero power
+    ValueError, as do grids that differ, and a zero field
     DegenerateFieldError.  The ideal is turned so its amplitude sum is real
     and positive, the engine's gauge, and the reconstruction by the phase of
     its overlap ``o`` with the ideal, which brings it closest (a zero sum or
@@ -143,11 +141,8 @@ def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> Quali
     """
     if field.grid != ideal.grid:
         raise ValueError(f"reconstruction grid {field.grid} differs from ideal grid {ideal.grid}")
-    amps = _unit_power(ideal.amps, "ideal field")
-    s = amps.sum()
-    if s != 0:
-        amps = amps * (abs(s) / s)
-    rec = _unit_power(field.amps, "reconstructed field")
+    amps, _ = _gauge(_unit_power(ideal.amps, "ideal field")[0])
+    rec, _ = _unit_power(field.amps, "reconstructed field")
     o = complex(np.vdot(rec, amps))
     if o != 0:
         rec = rec * (o / abs(o))

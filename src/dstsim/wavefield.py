@@ -13,6 +13,7 @@ vortex plate and the LG modes is ``atan2(y, x)`` (y up, x right).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -39,9 +40,12 @@ class GridSpec:
     pitch: float
 
     def __post_init__(self):
-        for name in ("nx", "ny"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("nx", "ny"):   # a WFGRID header stores each as a u32
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value >= 2**32:
+                raise ValueError(f"{name} must be below 2**32, got {value}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
         if not np.isfinite(self.pitch) or self.pitch <= 0:
@@ -97,10 +101,6 @@ class TransverseWavefunction:
         """Total ``sum(|psi|^2)`` over cells, inf when it overflows a double; never warns."""
         return _power(self.amps)
 
-    def amp_sum(self) -> complex:
-        """Sum of all amplitudes (the post-selection overlap, up to 1/sqrt(N))."""
-        return complex(np.sum(self.amps))
-
     def with_amps(self, amps: np.ndarray) -> "TransverseWavefunction":
         return TransverseWavefunction(self.grid, amps)
 
@@ -132,13 +132,25 @@ class ModeSpec:
             raise ValueError(f"kind must be one of {', '.join(MODES)}, got {self.kind!r}")
         if not np.isfinite(self.waist) or self.waist <= 0:
             raise ValueError(f"waist must be positive and finite, got {self.waist}")
-        for name in ("oam", "radial"):   # a half charge would put a branch cut in the phase
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_charge("oam", self.oam)
+        if not is_integer(self.radial):
+            raise ValueError(f"radial must be an integer, got {self.radial!r}")
         if self.radial < 0:
             raise ValueError(f"radial index must be non-negative, got {self.radial}")
         if not np.all(np.isfinite(self.center)):
             raise ValueError(f"center must be finite, got {self.center}")
+
+
+def check_charge(name: str, l: int) -> None:
+    """Raise ValueError naming ``name`` unless the charge ``l`` is an integer, ``|l| <= 2**53``.
+
+    A half charge would put a branch cut in the phase, and every integer up
+    to 2**53 is a double, so ``l * phi`` takes the charge exactly.
+    """
+    if not is_integer(l):
+        raise ValueError(f"{name} must be an integer, got {l!r}")
+    if abs(l) > 2**53:
+        raise ValueError(f"{name} must be at most 2**53 in magnitude, got {l}")
 
 
 def default_waist(grid: GridSpec) -> float:
@@ -210,18 +222,16 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
 
     # a power that overflows or vanishes is refused by the mode's name (only
     # LG indices can overflow; a waist far below the pitch can vanish)
-    return TransverseWavefunction(grid, _unit_power(amps, name))
+    return TransverseWavefunction(grid, _unit_power(amps, name)[0])
 
 
 def apply_vortex_plate(f: TransverseWavefunction, l: int) -> TransverseWavefunction:
     """Multiply by ``exp(i l phi)`` with phi the azimuthal angle about the grid center.
 
     The multiplier has unit modulus, so the total power is unchanged.  A
-    charge ``l`` that is not an integer raises ValueError: its phase would jump
-    along a branch cut.
+    charge ``l`` that :func:`check_charge` refuses raises ValueError.
     """
-    if not is_integer(l):
-        raise ValueError(f"l must be an integer, got {l!r}")
+    check_charge("l", l)
     if l == 0:
         return f
     x, y = f.grid.mesh()
@@ -234,61 +244,53 @@ def _power(amps: np.ndarray) -> float:
         return float(np.sum(np.abs(amps) ** 2))
 
 
-def _unit_power(amps: np.ndarray, name: str) -> np.ndarray:
-    """``amps`` scaled to ``sum(|amps|^2) == 1``; each refusal calls them ``name``.
+def _unit_power(amps: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """``amps`` scaled to ``sum(|amps|^2) == 1``, and the norm they were divided by.
 
-    A power that is not finite raises ValueError ``<name> power overflows a
-    double``, and a zero power DegenerateFieldError ``<name> has zero power``;
-    neither warns.
+    The norm is ``sqrt(sum(|amps|^2))``, the one scale of every field.  A
+    power below the smallest normal double is summed again after the
+    complex128 ``amps`` are scaled by the power of two of their largest
+    magnitude, which is exact, so such a field normalizes as any power-of-two
+    multiple of it does; a power that is a normal double is used as it is.
+    Each refusal calls the amplitudes ``name``: a power that is not finite
+    raises ValueError ``<name> power overflows a double``, and a zero field
+    DegenerateFieldError ``<name> has zero power``; neither warns.
     """
     p = _power(amps)
     if not np.isfinite(p):
         raise ValueError(f"{name} power overflows a double")
-    if p <= 0.0:
-        raise DegenerateFieldError(f"{name} has zero power")
-    return amps / np.sqrt(p)
+    shift = 0
+    if p < np.finfo(np.float64).tiny:   # the squares lost their bits or vanished
+        peak = float(np.max(np.abs(amps)))
+        if peak == 0.0:
+            raise DegenerateFieldError(f"{name} has zero power")
+        shift = -math.frexp(peak)[1]
+        amps = np.ldexp(amps.view(np.float64), shift).view(np.complex128)
+        p = _power(amps)
+    norm = np.sqrt(p)
+    return amps / norm, float(np.ldexp(norm, -shift))
 
 
 def normalize(f: TransverseWavefunction) -> TransverseWavefunction:
     """Rescale to ``sum(|psi|^2) == 1``; phases are untouched.
 
     A field whose power overflows a double raises ValueError, and a zero
-    field DegenerateFieldError.
+    field DegenerateFieldError; a field whose power underflows is kept.
     """
-    return f.with_amps(_unit_power(f.amps, "field"))
+    return f.with_amps(_unit_power(f.amps, "field")[0])
 
 
-def phase_winding(phase: np.ndarray, radius: int,
-                  center: tuple[float, float] | None = None) -> float:
-    """Winding number of a phase map around ``center`` on a square loop.
+def _gauge(amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """``amps`` turned so their sum is real and positive, and that sum's magnitude.
 
-    Walks the boundary of the axis-aligned square block of cells at loop
-    index ``radius`` counterclockwise (x right, y up) and accumulates
-    wrapped phase differences.  Returns total accumulated phase / 2 pi,
-    which is an integer up to rounding whenever the phase map is smooth
-    along the loop.  ``center`` is in (row, column) index units and
-    defaults to the geometric grid center (half-integer on even grids).
+    This is the zero-momentum gauge of the protocol.  A sum that is zero, or
+    already real and positive, leaves ``amps`` as they are.
     """
-    ny, nx = phase.shape
-    if center is None:
-        center = ((ny - 1) / 2.0, (nx - 1) / 2.0)
-    cy, cx = center
-    if radius < 1:
-        raise ValueError("loop radius must be >= 1")
-    r0 = int(np.ceil(cy - radius))
-    r1 = int(np.floor(cy + radius))
-    c0 = int(np.ceil(cx - radius))
-    c1 = int(np.floor(cx + radius))
-    if r0 < 0 or c0 < 0 or r1 >= ny or c1 >= nx:
-        raise ValueError(f"loop of radius {radius} does not fit inside the grid")
-
-    # bottom edge left->right, right edge bottom->top, top edge right->left,
-    # left edge top->bottom (counterclockwise with y increasing upward)
-    vals = np.concatenate([phase[r0, c0:c1], phase[r0:r1, c1],
-                           phase[r1, c1:c0:-1], phase[r1:r0:-1, c0]])
-    diffs = np.diff(np.concatenate([vals, vals[:1]]))
-    wrapped = (diffs + np.pi) % (2.0 * np.pi) - np.pi
-    return float(np.sum(wrapped) / (2.0 * np.pi))
+    s = complex(np.sum(amps))
+    mag = abs(s)
+    if mag == 0.0 or (s.imag == 0.0 and s.real > 0.0):
+        return amps, mag
+    return amps * (mag / s), mag
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ coupling Hamiltonian as a dense matrix, the beam oracle evaluates the
 textbook Gaussian-beam propagation formula, and the kernel oracle evaluates
 the propagation kernel at every offset of the padded grid and convolves
 through an explicitly zero-filled buffer, the stream oracle draws one
-cell's counts from the written definition of sampling stream v1, and the
-fidelity is the overlap of two fields summed cell by cell.
+cell's counts from the written definition of sampling stream v1, the
+fidelity is the overlap of two fields summed cell by cell, and the phase
+winding walks a square loop of a phase map.
 """
 
 from __future__ import annotations
@@ -86,6 +87,39 @@ def fidelity(a, b) -> float:
     va, vb = np.ravel(a.amps), np.ravel(b.amps)
     overlap = np.sum(np.conj(va) * vb)
     return float(abs(overlap) ** 2 / (np.sum(np.abs(va) ** 2) * np.sum(np.abs(vb) ** 2)))
+
+
+def phase_winding(phase: np.ndarray, radius: int,
+                  center: tuple[float, float] | None = None) -> float:
+    """Winding number of a phase map around ``center`` on a square loop.
+
+    Walks the boundary of the axis-aligned square block of cells at loop
+    index ``radius`` counterclockwise (x right, y up) and accumulates
+    wrapped phase differences.  Returns total accumulated phase / 2 pi,
+    which is an integer up to rounding whenever the phase map is smooth
+    along the loop.  ``center`` is in (row, column) index units and
+    defaults to the geometric grid center (half-integer on even grids).
+    """
+    ny, nx = phase.shape
+    if center is None:
+        center = ((ny - 1) / 2.0, (nx - 1) / 2.0)
+    cy, cx = center
+    if radius < 1:
+        raise ValueError("loop radius must be >= 1")
+    r0 = int(np.ceil(cy - radius))
+    r1 = int(np.floor(cy + radius))
+    c0 = int(np.ceil(cx - radius))
+    c1 = int(np.floor(cx + radius))
+    if r0 < 0 or c0 < 0 or r1 >= ny or c1 >= nx:
+        raise ValueError(f"loop of radius {radius} does not fit inside the grid")
+
+    # bottom edge left->right, right edge bottom->top, top edge right->left,
+    # left edge top->bottom (counterclockwise with y increasing upward)
+    vals = np.concatenate([phase[r0, c0:c1], phase[r0:r1, c1],
+                           phase[r1, c1:c0:-1], phase[r1:r0:-1, c0]])
+    diffs = np.diff(np.concatenate([vals, vals[:1]]))
+    wrapped = (diffs + np.pi) % (2.0 * np.pi) - np.pi
+    return float(np.sum(wrapped) / (2.0 * np.pi))
 
 
 def kernel_on_padded_grid(

@@ -29,7 +29,6 @@ from dstsim import (
     gauge_fix,
     make_mode,
     normalize,
-    phase_winding,
     pointer_amplitudes,
     propagate_forward,
     propagate_inverse,
@@ -42,7 +41,7 @@ from dstsim import (
 )
 from dstsim import engine
 from conftest import random_field, random_smooth_field
-from oracles import fidelity, pearson, pointer_via_matrix_exponential
+from oracles import fidelity, pearson, phase_winding, pointer_via_matrix_exponential
 
 STRONG = math.pi / 2
 LAM = 808e-9

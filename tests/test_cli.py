@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dstsim import read_records_csv, read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction
+from dstsim import ScanRecords, write_records_csv
 from dstsim import gauge_fix, normalize
 from dstsim import cli, reconstruct
 from dstsim import config as cfgmod
@@ -21,6 +22,7 @@ from dstsim.wavefield import MODES
 from dstsim.holography import KERNELS, PARAXIAL_MIN_EXTENTS
 from dstsim.reconstruct import ESTIMATORS, ReconstructionResult
 from conftest import edit_csv
+from oracles import phase_winding
 
 
 def run(*argv):
@@ -74,6 +76,7 @@ KEY_NAMING = {
     "grid": ({"nx": 1}, "nx, ny: grid must be at least 2x2, got 1, 64"),
     "pitch": ({"pitch_um": -5.0}, "pitch_um: pitch must be positive and finite, got -5.0"),
     "waist": ({"waist_um": -3.0}, "waist_um: waist must be positive and finite, got -3.0"),
+    "oam": ({"l": 2**53 + 1}, "l: oam must be at most 2**53 in magnitude, got 9007199254740993"),
     "radial index": ({"radial": -1}, "radial: radial index must be non-negative, got -1"),
     "center": ({"cx_um": math.inf}, "cx_um, cy_um: center must be finite, got inf, 0.0"),
     "photons_per_setting": ({"photons": -1}, "photons: photons_per_setting must be >= 0, got -1"),
@@ -232,7 +235,6 @@ class TestPrepare:
         assert run("prepare", "--mode", "gaussian", "--nx", "24", "--ny", "24",
                    "--cx-um", "250", "--cy-um", "125", "--vortex-l", "1",
                    "--out", str(out)) == 0
-        from dstsim import phase_winding
         f = read_wfgrid(out / "field.wfgrid")
         assert phase_winding(np.angle(f.amps), 4) == pytest.approx(1.0, abs=1e-9)
         assert run("measure", "--field", str(out / "field.wfgrid"),
@@ -527,6 +529,16 @@ class TestMeasureReconstruct:
         path = out / "records.csv"
         path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
         assert run("reconstruct", "--records", str(path), "--out", str(out)) == 4
+
+    def test_all_zero_sampled_records_are_numerical_error(self, tmp_path, capsys):
+        # a sampled scan that detected no photon: the raw quadrature map vanishes,
+        # and no scale makes it a field
+        records = tmp_path / "records.csv"
+        write_records_csv(ScanRecords(np.zeros((6, 4, 4), dtype=np.int64),
+                                      GridSpec(4, 4, 125e-6), math.pi / 2, 1000), records)
+        assert run("reconstruct", "--records", str(records), "--out", str(tmp_path / "run")) == 3
+        assert capsys.readouterr().err == "error: raw quadrature map has zero power\n"
+        assert not (tmp_path / "run").exists()
 
     def test_reconstruct_takes_the_grid_from_the_records(self, tmp_path):
         # the configured grid is not read: records of 12x12 cells at 125 um stay so
@@ -876,6 +888,39 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: l = 2000 and radial = 2000: LG mode power overflows a double"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--nx", 10**400, "nx must be below 2**32, got 1000"),
+        ("--ny", 2**32, "ny must be below 2**32, got 4294967296"),
+        ("--photons", 2**61 + 1,
+         "photons: photons_per_setting must be at most 2**61, got 2305843009213693953"),
+        ("--photons", 10**400, "photons: photons_per_setting must be at most 2**61, got 1000"),
+        ("--l", 2**53 + 1, "l: oam must be at most 2**53 in magnitude, got 9007199254740993"),
+        ("--l", -10**400, "l: oam must be at most 2**53 in magnitude, got -1000"),
+        ("--vortex-l", -2**53 - 1,
+         "vortex_l must be at most 2**53 in magnitude, got -9007199254740993"),
+        ("--vortex-l", 10**400, "vortex_l must be at most 2**53 in magnitude, got 1000"),
+    ], ids=["nx", "ny", "photons", "photons-huge", "l", "l-huge", "vortex_l", "vortex_l-huge"])
+    def test_integer_the_program_cannot_represent_is_validation_error(self, tmp_path, capsys,
+                                                                      flag, value, message):
+        # score reads none of these keys, and its input files do not exist: the value
+        # is refused where the config enters, key first, before any file is read
+        absent = str(tmp_path / "absent.wfgrid")
+        code = run("score", "--rec", absent, "--ideal", absent, flag, str(value),
+                   "--out", str(tmp_path / "run"))
+        assert (code, capsys.readouterr().err[:7 + len(message)]) == (2, f"error: {message}")
+        assert not (tmp_path / "run").exists()
+
+    def test_integer_bounds_accept_their_edges(self, tmp_path):
+        # the largest grid and charges are configured without allocating the grid
+        cfg = ExperimentConfig(nx=2**32 - 1, ny=2, l=-2**53, vortex_l=2**53, photons=2**61)
+        assert cfg.grid() == GridSpec(2**32 - 1, 2, 125e-6)
+        # the largest budget samples a 4x4 field, whose Poisson means stay in numpy's range
+        out = tmp_path / "run"
+        assert run("prepare", "--nx", "4", "--ny", "4", "--out", str(out)) == 0
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", str(2**61),
+                   "--out", str(out)) == 0
+        assert read_records_csv(out / "records.csv").photons_per_setting == 2**61
 
     @pytest.mark.parametrize("argv, message", [
         (("measure", "--field", "{big}"),

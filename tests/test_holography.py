@@ -246,6 +246,22 @@ class TestKernelMirror:
             bound = fresnel_kernel_bound(nx, ny, grid.pitch, pad, spec.distance)
             assert np.all(np.abs(kern - expected) <= bound)
 
+    # the paraxial kernel, forward and inverse, is the outer product of its two chirps
+    # bit for bit (the spherical one equals the direct formula, above); even and odd sizes
+    @pytest.mark.parametrize("nx,ny,pad", [(5, 3, 3), (7, 4, 2), (8, 8, 4), (7, 14, 7)])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["fresnel", "fresnel-inverse"])
+    def test_paraxial_kernel_is_the_outer_product_of_its_chirps(self, nx, ny, pad, inverse):
+        grid = GridSpec(nx, ny, 3e-6)
+        spec = replace(FRESNEL64, pad_factor=pad)
+        k, d = spec.wavenumber, spec.distance
+        dx = np.fft.fftfreq(nx * pad, 1.0 / (nx * pad)) * grid.pitch
+        dy = np.fft.fftfreq(ny * pad, 1.0 / (ny * pad)) * grid.pitch
+        ex = np.exp(1j * k * d) / (1j * LAM * d) * np.exp(1j * k * dx**2 / (2.0 * d))
+        ey = np.exp(1j * k * dy**2 / (2.0 * d))
+        if inverse:
+            ex, ey = np.conj(ex), np.conj(ey)
+        assert np.array_equal(_kernel_array(grid, spec, inverse), ey[:, None] * ex[None, :])
+
     @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
                              ids=[kind for _, _, kind in KERNEL_KINDS])
     def test_propagation_matches_zero_buffer_convolution(self, spec, inverse, kind):

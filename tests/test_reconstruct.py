@@ -279,6 +279,18 @@ class TestScore:
         with pytest.raises(ValueError, match=f"^{name} field power overflows a double$"):
             score(*fields)
 
+    @pytest.mark.parametrize("which", ["rec", "ideal"])
+    def test_power_that_underflows_scores_as_its_scaled_up_copy(self, gaussian_8, which):
+        # a power of two scales exactly, and the power of the tiny copy is 0 in a double
+        rec = reconstruct_dst(scan(gaussian_8, STRONG, photons_per_setting=1000, seed=3)).field
+        fields = [rec, gaussian_8]
+        i = 0 if which == "rec" else 1
+        tiny = fields[i].with_amps(fields[i].amps * 2.0**-600)
+        assert tiny.power() == 0.0
+        expected = repr(score(*fields))
+        fields[i] = tiny
+        assert repr(score(*fields)) == expected
+
     @pytest.mark.parametrize("c", [1.0, 1e-3, 36.8, 1e4])
     @pytest.mark.parametrize("phi", [0.0, 0.7, -2.0, math.pi])
     def test_scale_and_global_phase_do_not_count(self, c, phi):

@@ -21,10 +21,10 @@ from dstsim import (
     default_waist,
     make_mode,
     normalize,
-    phase_winding,
     read_wfgrid,
     write_wfgrid,
 )
+from oracles import phase_winding
 
 
 class TestGridSpec:
@@ -36,6 +36,7 @@ class TestGridSpec:
     @pytest.mark.parametrize("nx,ny,pitch", [
         (1, 4, 1e-4), (4, 1, 1e-4), (4, 4, 0.0), (4, 4, -1e-6), (4, 4, float("nan")),
         (4.0, 4, 1e-4), (4, True, 1e-4),   # sizes that are not integers
+        (2**32, 4, 1e-4), (4, 2**32, 1e-4),   # sizes beyond the u32 of a WFGRID header
     ])
     def test_invalid(self, nx, ny, pitch):
         with pytest.raises(ValueError):
@@ -263,6 +264,14 @@ class TestVortexPlate:
         with pytest.raises(ValueError, match="l must be an integer"):
             apply_vortex_plate(gaussian_8, l)
 
+    @pytest.mark.parametrize("l", [2**53 + 1, -10**400], ids=["2**53+1", "-10**400"])
+    def test_charge_beyond_a_double_refused(self, gaussian_8, l):
+        # l * phi would round the charge, or overflow converting it
+        with pytest.raises(ValueError, match=r"^l must be at most 2\*\*53 in magnitude, got "):
+            apply_vortex_plate(gaussian_8, l)
+        with pytest.raises(ValueError, match=r"^oam must be at most 2\*\*53 in magnitude, got "):
+            ModeSpec("lg", waist=1e-4, oam=l)
+
     def test_power_preserved(self, gaussian_8):
         v = apply_vortex_plate(gaussian_8, 3)
         assert abs(v.power() - gaussian_8.power()) < 1e-12
@@ -290,6 +299,12 @@ class TestNormalize:
         assert f.power() == math.inf   # and no overflow warning
         with pytest.raises(ValueError, match="^field power overflows a double$"):
             normalize(f)
+
+    @pytest.mark.parametrize("amp", [1e-160, 1e-170, 5e-324])
+    def test_power_that_underflows_is_kept(self, amp):
+        # the squares of 1e-160 keep a few bits, those of 1e-170 and 5e-324 none
+        f = normalize(TransverseWavefunction(GridSpec(4, 4, 1e-6), np.full((4, 4), amp + 0j)))
+        assert abs(f.power() - 1.0) <= 1e-15
 
     def test_scales_by_the_root_of_the_power(self, gaussian_8):
         f = gaussian_8.with_amps(7.0 * gaussian_8.amps)
