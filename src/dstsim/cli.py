@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: prepare, measure, reconstruct, score, holo forward|inverse|object.
-Exit codes: 0 success, 2 validation error, 3 numerical or degenerate-input
-error, 4 I/O or file-format error.  Output files are written atomically.
+Exit codes: 0 success, 2 validation error, 3 numerical, degenerate-input or
+out-of-memory error, 4 I/O or file-format error.  Output files are atomic.
 """
 
 from __future__ import annotations
@@ -226,7 +226,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         print(args.func(args, _load_config(args)))
-    except (DegenerateFieldError, SamplingGuardError) as exc:
+    # numpy's MemoryError names the size of the array it could not allocate
+    except (DegenerateFieldError, SamplingGuardError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (FileFormatError, OSError) as exc:

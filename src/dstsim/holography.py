@@ -8,11 +8,10 @@ distance D:
     paraxial (Fresnel):        K(dx, dy) = exp(i k D) / (i lambda D)
                                * exp(i k (dx^2 + dy^2) / (2 D))
 
-The paraxial kernel has a closed-form inverse, its complex conjugate
-
-    L(dx, dy) = exp(-i k D) / (-i lambda D) * exp(-i k (dx^2+dy^2) / (2 D)),
-
-used for back-propagation from the detection plane to the object plane.
+The paraxial kernel's inverse is its complex conjugate, ``L = conj(K)``, so
+back-propagation from the detection plane to the object plane is the
+conjugate of the conjugate field's forward propagation:
+``L (*) f = conj(K (*) conj(f))``, with ``(*)`` the convolution.
 Convolutions are evaluated on a zero-padded grid (at least 2x per axis) so
 they are linear, not circular, over all offsets that connect input cells to
 output cells; the result is cropped back to the input grid and scaled by
@@ -32,11 +31,10 @@ to Fourier Optics*, ch. 4),
     K(dx, dy) = [exp(i k D) / (i lambda D) * exp(i k dx^2 / (2 D))]
                 * exp(i k dy^2 / (2 D)),
 
-so its padded array is one outer product of two chirps; the inverse kernel
-conjugates each chirp.  The spherical kernel does not factorize: it is
-evaluated once per ``(|dx|, |dy|)`` and mirrored into the other three
-quadrants of the padded grid, since it depends on the offsets only through
-their squares.
+so its padded array is one outer product of two chirps.  The spherical
+kernel does not factorize: it is evaluated once per ``(|dx|, |dy|)`` and
+mirrored into the other three quadrants of the padded grid, since it depends
+on the offsets only through their squares.
 
 A propagation holds at most two padded arrays at once, plus the spherical
 kernel's quadrant block while it is mirrored.  The field spectrum is taken
@@ -172,15 +170,14 @@ def _by_rows(ufunc: np.ufunc, *operands: np.ndarray, out: np.ndarray) -> np.ndar
         return ufunc(*operands, out=out)
 
 
-def _kernel_array(grid: GridSpec, spec: PropagationSpec, inverse: bool) -> np.ndarray:
+def _kernel_array(grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
     """The kernel sampled at every offset of the padded grid, in FFT order.
 
     The paraxial kernel is the outer product of its y chirp and its x chirp,
     the x chirp carrying the constant ``exp(i k D) / (i lambda D)``: one
-    complex exponential per row and per column instead of one per cell.  For
-    the inverse kernel each chirp is conjugated, which equals the conjugate
-    of the product bit for bit.  It differs from evaluating the 2-D formula
-    directly only by the rounding of the two phases.
+    complex exponential per row and per column instead of one per cell.  It
+    differs from evaluating the 2-D formula directly only by the rounding of
+    the two phases.
 
     The spherical kernel depends on the offsets only through dx^2 and dy^2,
     and the negative ``fftfreq`` bins are exact negatives of the positive
@@ -199,9 +196,6 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec, inverse: bool) -> np.nd
     if spec.kernel == "fresnel":
         ex = np.exp(1j * k * d) / (1j * lam * d) * np.exp(1j * k * dx**2 / (2.0 * d))
         ey = np.exp(1j * k * dy**2 / (2.0 * d))
-        if inverse:
-            np.conj(ex, out=ex)
-            np.conj(ey, out=ey)
         return _by_rows(np.multiply, ey[:, None], ex[None, :], out=_padded_empty((py, px)))
     my = py // 2 + 1
     mx = px // 2 + 1
@@ -237,14 +231,13 @@ def _ifft2_in_place(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return block
 
 
-def _convolve(f: TransverseWavefunction, spec: PropagationSpec,
-              inverse: bool) -> TransverseWavefunction:
+def _convolve(f: TransverseWavefunction, spec: PropagationSpec) -> TransverseWavefunction:
     _check_guards(f.grid, spec)
     grid = f.grid
     shape = (grid.ny * spec.pad_factor, grid.nx * spec.pad_factor)
     # columns first, so the strided pass runs over the input columns only
     spectrum = np.fft.fft2(f.amps, s=shape[::-1], axes=(1, 0))
-    kern = _kernel_array(grid, spec, inverse)
+    kern = _kernel_array(grid, spec)
     np.fft.fft2(kern, out=kern)
     _by_rows(np.multiply, spectrum, kern, out=kern)
     del spectrum
@@ -254,24 +247,25 @@ def _convolve(f: TransverseWavefunction, spec: PropagationSpec,
 
 def propagate_forward(f: TransverseWavefunction, spec: PropagationSpec) -> TransverseWavefunction:
     """Propagate from the source plane a distance ``spec.distance`` forward."""
-    return _convolve(f, spec, inverse=False)
+    return _convolve(f, spec)
 
 
 def propagate_inverse(f_d: TransverseWavefunction, spec: PropagationSpec) -> TransverseWavefunction:
     """Back-propagate a detection-plane field to the source plane.
 
-    Only the paraxial kernel has a closed-form inverse; the spherical
-    kernel is rejected.
+    The paraxial kernel's inverse is its conjugate, so this is the conjugate of
+    the conjugate field's forward propagation; the spherical kernel is refused.
     """
     if spec.kernel != "fresnel":
         raise ValueError("inverse propagation is defined for the paraxial kernel only")
-    return _convolve(f_d, spec, inverse=True)
+    back = _convolve(f_d.with_amps(np.conj(f_d.amps)), spec)
+    return back.with_amps(np.conj(back.amps))
 
 
 def check_threshold(threshold: float) -> None:
-    """Raise ValueError unless the validity ``threshold`` is positive and finite."""
-    if not math.isfinite(threshold) or threshold <= 0:
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+    """Raise ValueError unless the validity ``threshold`` is in (0, 1]; above 1 no cell is valid."""
+    if not 0 < threshold <= 1:   # NaN fails the comparison too
+        raise ValueError(f"threshold must be positive and at most 1, got {threshold}")
 
 
 @dataclass(frozen=True)

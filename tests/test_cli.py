@@ -14,7 +14,7 @@ import pytest
 from dstsim import read_records_csv, read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction
 from dstsim import ScanRecords, write_records_csv
 from dstsim import gauge_fix, normalize
-from dstsim import cli, reconstruct
+from dstsim import cli, reconstruct, wavefield
 from dstsim import config as cfgmod
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_text, to_text
@@ -82,7 +82,7 @@ KEY_NAMING = {
     "photons_per_setting": ({"photons": -1}, "photons: photons_per_setting must be >= 0, got -1"),
     "seed": ({"seed": -1}, "seed: seed must be an integer in [0, 2**64), got -1"),
     "theta": ({"theta": 0.0}, "theta: theta must be in (0, pi/2], got 0.0"),
-    "threshold": ({"threshold": 0.0}, "threshold: threshold must be positive and finite, got 0.0"),
+    "threshold": ({"threshold": 2.0}, "threshold: threshold must be positive and at most 1, got 2.0"),
     "wavelength": ({"lambda_nm": -5.0}, "lambda_nm: wavelength must be positive, got -5.0"),
     "distance": ({"distance_mm": 0.0}, "distance_mm: distance must be positive, got 0.0"),
     "pad_factor": ({"pad_factor": 1}, "pad_factor: pad_factor must be an integer >= 2, got 1"),
@@ -730,7 +730,7 @@ class TestHoloCommands:
         assert 0.0 < report["nyquist_fraction"] < 1.0
         assert report["distance_over_extent"] >= PARAXIAL_MIN_EXTENTS
 
-    @pytest.mark.parametrize("threshold", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("threshold", ["-1", "0", "nan", "2"])
     def test_bad_threshold_is_validation_error(self, tmp_path, threshold):
         out = self._field(tmp_path)
         common = ["--lambda-nm", "808", "--distance-mm", "2.5", "--kernel", "fresnel",
@@ -828,6 +828,31 @@ class TestExitCodes:
         assert "illumination too weak" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("prepare", "--nx", "300000", "--ny", "300000"),
+         "Unable to allocate 671. GiB for an array with shape (300000, 300000) "
+         "and data type float64"),
+        (("holo", "forward", "--in", "in/field.wfgrid", "--distance-mm", "2",
+          "--pad-factor", "100000"),
+         "Unable to allocate 37.3 TiB for an array with shape (1600000, 1600000) "
+         "and data type complex128"),
+    ], ids=["prepare", "holo-forward"])
+    def test_out_of_memory_is_numerical_error(self, tmp_path, monkeypatch, capsys, argv,
+                                              message):
+        # the first large allocation raises numpy's MemoryError; none is attempted here
+        monkeypatch.chdir(tmp_path)
+        assert run("prepare", "--nx", "16", "--ny", "16", "--pitch-um", "3", "--out", "in") == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(wavefield, "make_mode", refuse)
+        monkeypatch.setattr(np.fft, "fft2", refuse)
+        assert run(*argv, "--out", "run") == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_nyquist_violation_is_numerical_error(self, tmp_path):
         out = tmp_path / "run"
         assert run("prepare", "--mode", "gaussian", "--nx", "16", "--ny", "16",
@@ -867,6 +892,11 @@ class TestExitCodes:
         (("prepare", "--cx-um", "inf"), "center must be finite"),
         (("prepare", "--cy-um", "nan"), "center must be finite"),
         (("prepare", "--pad-factor", "1"), "pad_factor must be an integer >= 2, got 1"),
+        # a threshold above 1 selects no cell: refused before holo object reads a file,
+        # and prepare writes no config.resolved that carries it
+        (("holo", "object", "--measured", "in/none.wfgrid", "--input", "in/none.wfgrid",
+          "--threshold", "2"), "error: threshold: threshold must be positive and at most 1"),
+        (("prepare", "--threshold", "2"), "error: threshold: threshold must be positive and at most 1"),
     ])
     def test_bad_key_is_validation_error_on_every_command(self, tmp_path, monkeypatch, capsys,
                                                           argv, message):

@@ -111,6 +111,19 @@ class TestKernelSampling:
         with pytest.raises(ValueError):
             propagate_inverse(f, FEYNMAN64)
 
+    def test_spherical_inverse_refused_before_any_transform(self, monkeypatch):
+        calls = []
+        fft2 = np.fft.fft2
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft2", counting)
+        with pytest.raises(ValueError, match="paraxial kernel only"):
+            propagate_inverse(gaussian_on(GRID64), FEYNMAN64)
+        assert calls == []
+
 
 def per_axis_guards(grid, spec):
     """The guards evaluated once per axis, a reference for ``_check_guards``.
@@ -234,23 +247,22 @@ class TestKernelMirror:
     # of two chirps and matches to its rounding bound.
     @pytest.mark.parametrize("nx,ny,pad", [(5, 3, 3), (7, 4, 2), (16, 9, 5), (8, 8, 4),
                                            (7, 14, 7)])
-    @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
-                             ids=[kind for _, _, kind in KERNEL_KINDS])
-    def test_matches_direct_formula(self, nx, ny, pad, spec, inverse, kind):
+    @pytest.mark.parametrize("kind", holography.KERNELS)
+    def test_matches_direct_formula(self, nx, ny, pad, kind):
         grid = GridSpec(nx, ny, 3e-6)
+        spec = PropagationSpec(LAM, D64, kind, pad)
         expected = kernel_on_padded_grid(nx, ny, grid.pitch, pad, LAM, spec.distance, kind)
-        kern = _kernel_array(grid, replace(spec, pad_factor=pad), inverse)
+        kern = _kernel_array(grid, spec)
         if kind == "feynman":
             assert np.array_equal(kern, expected)
         else:
             bound = fresnel_kernel_bound(nx, ny, grid.pitch, pad, spec.distance)
             assert np.all(np.abs(kern - expected) <= bound)
 
-    # the paraxial kernel, forward and inverse, is the outer product of its two chirps
-    # bit for bit (the spherical one equals the direct formula, above); even and odd sizes
+    # the paraxial kernel is the outer product of its two chirps bit for bit (the
+    # spherical one equals the direct formula, above); even and odd sizes
     @pytest.mark.parametrize("nx,ny,pad", [(5, 3, 3), (7, 4, 2), (8, 8, 4), (7, 14, 7)])
-    @pytest.mark.parametrize("inverse", [False, True], ids=["fresnel", "fresnel-inverse"])
-    def test_paraxial_kernel_is_the_outer_product_of_its_chirps(self, nx, ny, pad, inverse):
+    def test_paraxial_kernel_is_the_outer_product_of_its_chirps(self, nx, ny, pad):
         grid = GridSpec(nx, ny, 3e-6)
         spec = replace(FRESNEL64, pad_factor=pad)
         k, d = spec.wavenumber, spec.distance
@@ -258,9 +270,7 @@ class TestKernelMirror:
         dy = np.fft.fftfreq(ny * pad, 1.0 / (ny * pad)) * grid.pitch
         ex = np.exp(1j * k * d) / (1j * LAM * d) * np.exp(1j * k * dx**2 / (2.0 * d))
         ey = np.exp(1j * k * dy**2 / (2.0 * d))
-        if inverse:
-            ex, ey = np.conj(ex), np.conj(ey)
-        assert np.array_equal(_kernel_array(grid, spec, inverse), ey[:, None] * ex[None, :])
+        assert np.array_equal(_kernel_array(grid, spec), ey[:, None] * ex[None, :])
 
     @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
                              ids=[kind for _, _, kind in KERNEL_KINDS])
@@ -455,6 +465,16 @@ class TestOperatorProperties:
         # so the outputs agree exactly one cell apart
         assert np.max(np.abs(out_shifted[:, 1:] - out[:, :-1])) < 1e-12
 
+    # square, non-square and Bluestein (101 x 2 = 202) padded sizes
+    @pytest.mark.parametrize("nx,ny,pad", [(64, 64, 4), (48, 40, 3), (101, 37, 2), (7, 5, 3)])
+    def test_inverse_is_the_conjugate_of_the_conjugate_fields_forward(self, nx, ny, pad):
+        # the paraxial kernel's inverse is its conjugate: L (*) f = conj(K (*) conj f)
+        grid = GridSpec(nx, ny, 3e-6)
+        f = random_field(grid, nx * 1000 + ny)
+        spec = PropagationSpec(LAM, 40.0 * grid.extent, "fresnel", pad)
+        forward = propagate_forward(f.with_amps(np.conj(f.amps)), spec).amps
+        assert propagate_inverse(f, spec).amps.tobytes() == np.conj(forward).tobytes()
+
     def test_zero_field_propagates_to_zero(self):
         f = TransverseWavefunction(GRID64, np.zeros((64, 64), complex))
         assert propagate_forward(f, FRESNEL64).power() == 0.0
@@ -534,14 +554,18 @@ class TestObjectReconstruction:
         assert not obj.transmission.amps[~m].any()
 
     def test_empty_mask_rejected(self):
+        # a threshold in (0, 1] keeps the brightest cell, so only a zero
+        # illumination leaves the mask empty
         f = gaussian_on(GRID64)
         d = propagate_forward(f, FRESNEL64)
+        zero = f.with_amps(np.zeros((64, 64)))
         with pytest.raises(DegenerateFieldError):
-            reconstruct_object(d, f, FRESNEL64, threshold=2.0)
+            reconstruct_object(d, zero, FRESNEL64, threshold=1.0)
 
     def test_empty_mask_rejected_before_any_transform(self, monkeypatch):
         f = gaussian_on(GRID64)
         d = propagate_forward(f, FRESNEL64)
+        zero = f.with_amps(np.zeros((64, 64)))
         calls = []
         fft2 = np.fft.fft2
 
@@ -551,7 +575,7 @@ class TestObjectReconstruction:
 
         monkeypatch.setattr(np.fft, "fft2", counting)
         with pytest.raises(DegenerateFieldError):
-            reconstruct_object(d, f, FRESNEL64, threshold=2.0)
+            reconstruct_object(d, zero, FRESNEL64, threshold=0.05)
         assert calls == []
         # the counter sees the back-propagation's three transforms
         reconstruct_object(d, f, FRESNEL64, threshold=0.05)
@@ -573,13 +597,21 @@ class TestObjectReconstruction:
         with pytest.raises(ValueError):
             reconstruct_object(f, other, FRESNEL64)
 
-    @pytest.mark.parametrize("threshold", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, np.nan, np.inf, 2.0])
     def test_threshold_must_be_positive_and_finite(self, threshold):
         # -1 would mark every cell valid and divide by illumination near 0;
-        # nan is a validation error, not an empty mask (DegenerateFieldError)
+        # nan and anything above 1, which selects no cell, are validation
+        # errors, not an empty mask (DegenerateFieldError)
         f = gaussian_on(GRID64)
         with pytest.raises(ValueError, match="threshold"):
             reconstruct_object(f, f, FRESNEL64, threshold=threshold)
+
+    def test_threshold_one_keeps_the_brightest_cells(self):
+        f = gaussian_on(GRID64)
+        obj = reconstruct_object(propagate_forward(f, FRESNEL64), f, FRESNEL64, threshold=1.0)
+        mag = np.abs(f.amps)
+        assert obj.validity_mask.any()
+        assert np.array_equal(obj.validity_mask, mag == mag.max())
 
     def test_guard_margins(self):
         f = gaussian_on(GRID64)
