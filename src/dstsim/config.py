@@ -183,10 +183,12 @@ def from_text(text: str) -> ExperimentConfig:
 def from_file(path) -> ExperimentConfig:
     """The configuration in the UTF-8 file ``path``; each ValueError it raises names the file.
 
-    Text that is not UTF-8 is refused with the config line of its first bad byte.
+    One leading UTF-8 byte order mark is skipped; a U+FEFF anywhere else is
+    text.  Text that is not UTF-8 is refused with the config line of its
+    first bad byte.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return from_text(data.decode("utf-8"))
     except UnicodeDecodeError as exc:  # from_text's count of lines up to the bad byte's own

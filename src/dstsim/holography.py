@@ -40,9 +40,11 @@ A propagation holds at most two padded arrays at once, plus the spherical
 kernel's quadrant block while it is mirrored.  The field spectrum is taken
 first; the kernel is then built and transformed in its own buffer
 (``fft2(..., out=kern)``), the spectrum is multiplied into that buffer and
-released, and the product is inverted in the kernel's buffer too: numpy's
-``ifft2`` ignores ``out=``, but ``fft2`` honours it, so the inverse is taken
-as ``conj(fft2(conj(product), norm="forward"))`` (see :func:`_ifft2_in_place`).
+released, and the product is inverted in the kernel's buffer too.  numpy's
+``ifft2`` ignores ``out=``, but ``fft2`` honours it, and an inverse transform
+is a forward one read at negated indices, ``ifft2(X)[n] == fft2(X)[-n] / N``;
+so the product is transformed forward in place with ``norm="forward"`` and
+the output block is copied from indices ``(-iy, -ix)``.
 
 The kernel's buffer spaces its rows an odd number of 64-byte cache lines
 apart, 1028 complex values for a 1024-point row (:func:`_padded_empty`), so
@@ -211,43 +213,34 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
     return full
 
 
-def _ifft2_in_place(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """``np.fft.ifft2(spectrum)[:ny, :nx]`` for ``shape == (ny, nx)``, in place.
-
-    Uses ``ifft2(a) == conj(fft2(conj(a), norm="forward"))``: the spectrum is
-    conjugated and transformed in its own buffer, and only the leading
-    ``shape`` block is conjugated back.  The result is that block, a view of
-    ``spectrum``, whose other entries are left conjugated.  It equals
-    ``ifft2`` bit for bit whenever pocketfft transforms each axis with its
-    direct passes, as for every padded size whose prime factors are small;
-    an axis length with a large prime factor (89, 101, 202, ...) goes
-    through Bluestein's algorithm, whose result differs from ``ifft2`` by
-    rounding.
-    """
-    _by_rows(np.conj, spectrum, out=spectrum)
-    np.fft.fft2(spectrum, out=spectrum, norm="forward")
-    block = spectrum[: shape[0], : shape[1]]
-    np.conj(block, out=block)
-    return block
-
-
-def _convolve(f: TransverseWavefunction, spec: PropagationSpec) -> TransverseWavefunction:
-    _check_guards(f.grid, spec)
-    grid = f.grid
+def _convolve(amps: np.ndarray, grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
+    """``amps`` convolved with the kernel over the padded grid, times ``pitch**2``: a new array."""
+    _check_guards(grid, spec)
     shape = (grid.ny * spec.pad_factor, grid.nx * spec.pad_factor)
     # columns first, so the strided pass runs over the input columns only
-    spectrum = np.fft.fft2(f.amps, s=shape[::-1], axes=(1, 0))
+    spectrum = np.fft.fft2(amps, s=shape[::-1], axes=(1, 0))
     kern = _kernel_array(grid, spec)
     np.fft.fft2(kern, out=kern)
     _by_rows(np.multiply, spectrum, kern, out=kern)
     del spectrum
-    out = _ifft2_in_place(kern, (grid.ny, grid.nx)) * grid.pitch**2
-    return TransverseWavefunction(grid, out)
+    # ifft2(X)[n] == fft2(X, norm="forward")[-n]: the inverse runs forward in
+    # the kernel's buffer, and the output block is read at negated indices:
+    # index 0, then the last n - 1 in reverse, copied from views (a gather by
+    # index arrays measured about 1 MB more peak RSS at 256x256, pad 4)
+    np.fft.fft2(kern, out=kern, norm="forward")
+    ny, nx = grid.ny, grid.nx
+    out = np.empty((ny, nx), dtype=np.complex128)
+    out[0, 0] = kern[0, 0]
+    out[0, 1:] = kern[0, :-nx:-1]
+    out[1:, 0] = kern[:-ny:-1, 0]
+    out[1:, 1:] = kern[:-ny:-1, :-nx:-1]
+    out *= grid.pitch**2
+    return out
 
 
 def propagate_forward(f: TransverseWavefunction, spec: PropagationSpec) -> TransverseWavefunction:
     """Propagate from the source plane a distance ``spec.distance`` forward."""
-    return _convolve(f, spec)
+    return f.with_amps(_convolve(f.amps, f.grid, spec))
 
 
 def propagate_inverse(f_d: TransverseWavefunction, spec: PropagationSpec) -> TransverseWavefunction:
@@ -258,8 +251,8 @@ def propagate_inverse(f_d: TransverseWavefunction, spec: PropagationSpec) -> Tra
     """
     if spec.kernel != "fresnel":
         raise ValueError("inverse propagation is defined for the paraxial kernel only")
-    back = _convolve(f_d.with_amps(np.conj(f_d.amps)), spec)
-    return back.with_amps(np.conj(back.amps))
+    back = _convolve(np.conj(f_d.amps), f_d.grid, spec)
+    return f_d.with_amps(np.conj(back, out=back))
 
 
 def check_threshold(threshold: float) -> None:

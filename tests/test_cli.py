@@ -17,7 +17,7 @@ from dstsim import gauge_fix, normalize
 from dstsim import cli, reconstruct, wavefield
 from dstsim import config as cfgmod
 from dstsim.cli import main
-from dstsim.config import ExperimentConfig, from_text, to_text
+from dstsim.config import ExperimentConfig, from_file, from_text, to_text
 from dstsim.wavefield import MODES
 from dstsim.holography import KERNELS, PARAXIAL_MIN_EXTENTS
 from dstsim.reconstruct import ESTIMATORS, ReconstructionResult
@@ -171,6 +171,12 @@ class TestConfig:
         # a line break is counted as from_text counts it: CR LF once, a lone CR too
         (b"nx = 8\r\n\r# \xff\n", "config line 3: 'utf-8' codec can't decode byte 0xff "
                                    "in position 11: invalid start byte"),
+        # one leading byte order mark is skipped, and lines count from the text after it
+        (b"\xef\xbb\xbfnx = 8\n# Gau\xdf beam\n", "config line 2: 'utf-8' codec can't decode "
+                                              "byte 0xdf in position 12: invalid continuation byte"),
+        # a U+FEFF anywhere else is text, a second mark included
+        (b"\xef\xbb\xbf\xef\xbb\xbfnx = 8\n", "unknown configuration key '\\ufeffnx'"),
+        (b"nx = 8\n\xef\xbb\xbfny = 8\n", "unknown configuration key '\\ufeffny'"),
     ])
     def test_config_file_error_names_the_file(self, tmp_path, capsys, content, message):
         cfg_path = tmp_path / "exp.cfg"
@@ -178,6 +184,12 @@ class TestConfig:
         assert run("prepare", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 2
         assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
         assert not (tmp_path / "run").exists()
+
+    def test_config_file_after_a_byte_order_mark_reads_as_without_it(self, tmp_path):
+        text = b"nx = 16\nny = 8  # \xef\xbb\xbf in a comment is text\n"
+        (tmp_path / "plain.cfg").write_bytes(text)
+        (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+        assert from_file(tmp_path / "bom.cfg") == from_file(tmp_path / "plain.cfg")
 
     def test_comments_and_blanks(self):
         text = "# hello\n\nnx = 16\nny = 16  # inline\n"

@@ -324,9 +324,10 @@ class TestCellStream:
         assert not engine._ZERO_COUNTER.flags.writeable
 
 
+# budgets up to 2**61, the largest that scan accepts
 @settings(max_examples=100, deadline=None, database=None)
 @given(nx=st.integers(2, 9), ny=st.integers(2, 7), field_seed=st.integers(0, 2**16),
-       seed=st.integers(0, 2**64 - 1), budget=st.sampled_from([1, 10**3, 10**8]),
+       seed=st.integers(0, 2**64 - 1), budget=st.sampled_from([1, 10**3, 10**8, 2**61]),
        theta=st.sampled_from([STRONG, 0.3]))
 def test_scan_draws_stream_v1_at_every_cell(nx, ny, field_seed, seed, budget, theta):
     # each cell's counts are stream v1's draw from that cell's probabilities alone
