@@ -45,7 +45,7 @@ THETA_TOL = 1e-12
 PROJECTORS = ("plus", "minus", "0", "1", "L", "R")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanRecords:
     """Readout of a full scan of ``grid`` at coupling ``theta``: one array ``[projector, iy, ix]``.
 

@@ -43,8 +43,9 @@ first; the kernel is then built and transformed in its own buffer
 released, and the product is inverted in the kernel's buffer too.  numpy's
 ``ifft2`` ignores ``out=``, but ``fft2`` honours it, and an inverse transform
 is a forward one read at negated indices, ``ifft2(X)[n] == fft2(X)[-n] / N``;
-so the product is transformed forward in place with ``norm="forward"`` and
-the output block is copied from indices ``(-iy, -ix)``.
+so the product is transformed forward in place with ``norm="forward"``, and
+the output block moves from indices ``(-iy, -ix)`` into the buffer's top-left
+corner, which it never overlaps at ``pad_factor >= 2``, and is returned as a view.
 
 The kernel's buffer spaces its rows an odd number of 64-byte cache lines
 apart, 1028 complex values for a 1024-point row (:func:`_padded_empty`), so
@@ -214,7 +215,11 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
 
 
 def _convolve(amps: np.ndarray, grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
-    """``amps`` convolved with the kernel over the padded grid, times ``pitch**2``: a new array."""
+    """``amps`` convolved with the kernel over the padded grid, times ``pitch**2``.
+
+    A view of the kernel's buffer: the output block moves from its negated indices,
+    past ``n`` on a padded side of at least ``2 n``, into the top-left corner.
+    """
     _check_guards(grid, spec)
     shape = (grid.ny * spec.pad_factor, grid.nx * spec.pad_factor)
     # columns first, so the strided pass runs over the input columns only
@@ -223,19 +228,14 @@ def _convolve(amps: np.ndarray, grid: GridSpec, spec: PropagationSpec) -> np.nda
     np.fft.fft2(kern, out=kern)
     _by_rows(np.multiply, spectrum, kern, out=kern)
     del spectrum
-    # ifft2(X)[n] == fft2(X, norm="forward")[-n]: the inverse runs forward in
-    # the kernel's buffer, and the output block is read at negated indices:
-    # index 0, then the last n - 1 in reverse, copied from views (a gather by
-    # index arrays measured about 1 MB more peak RSS at 256x256, pad 4)
-    np.fft.fft2(kern, out=kern, norm="forward")
+    np.fft.fft2(kern, out=kern, norm="forward")   # the inverse, read at negated indices
     ny, nx = grid.ny, grid.nx
-    out = np.empty((ny, nx), dtype=np.complex128)
-    out[0, 0] = kern[0, 0]
-    out[0, 1:] = kern[0, :-nx:-1]
-    out[1:, 0] = kern[:-ny:-1, 0]
-    out[1:, 1:] = kern[:-ny:-1, :-nx:-1]
-    out *= grid.pitch**2
-    return out
+    # moved between views: a gather by index arrays took about 1 MB more peak RSS (256^2, pad 4)
+    kern[0, 1:nx] = kern[0, :-nx:-1]
+    kern[1:ny, 0] = kern[:-ny:-1, 0]
+    kern[1:ny, 1:nx] = kern[:-ny:-1, :-nx:-1]
+    out = kern[:ny, :nx]
+    return _by_rows(np.multiply, out, grid.pitch**2, out=out)
 
 
 def propagate_forward(f: TransverseWavefunction, spec: PropagationSpec) -> TransverseWavefunction:
@@ -261,7 +261,7 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be positive and at most 1, got {threshold}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectReconstruction:
     """Complex transmission estimate and where it is trustworthy.
 

@@ -29,7 +29,7 @@ import numpy as np
 from .wavefield import TransverseWavefunction, _gauge, _unit_power
 from .engine import ScanRecords
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     """Reconstructed field plus the gauge constant that scaled it.
 

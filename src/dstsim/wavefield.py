@@ -74,12 +74,13 @@ class GridSpec:
         return np.meshgrid(self.x_coords(), self.y_coords())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransverseWavefunction:
     """Complex amplitudes ``amps[iy, ix]`` on a :class:`GridSpec`.
 
     Instances are immutable: the field holds its own copy of the amplitudes,
-    marked read-only, and every operation returns a new instance.
+    marked read-only, and every operation returns a new instance.  Fields
+    compare and hash by identity.
     """
 
     grid: GridSpec
@@ -88,11 +89,9 @@ class TransverseWavefunction:
     def __post_init__(self):
         arr = np.array(self.amps, dtype=np.complex128, order="C")
         if arr.shape != (self.grid.ny, self.grid.nx):
-            raise ValueError(
-                f"amps shape {arr.shape} does not match grid "
-                f"({self.grid.ny}, {self.grid.nx})"
-            )
-        if not np.all(np.isfinite(arr.view(np.float64))):
+            raise ValueError(f"amps shape {arr.shape} does not match grid "
+                             f"({self.grid.ny}, {self.grid.nx})")
+        if not np.isfinite(arr).all():
             raise ValueError("field amplitudes must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)

@@ -333,6 +333,20 @@ def random_field(grid, seed):
     return TransverseWavefunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
+@pytest.fixture
+def fft2_outs(monkeypatch):
+    """The ``out=`` argument of every ``np.fft.fft2`` call, None where there is none."""
+    outs = []
+    fft2 = np.fft.fft2
+
+    def recording(a, *args, out=None, **kwargs):
+        outs.append(out)
+        return fft2(a, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", recording)
+    return outs
+
+
 @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
                          ids=[kind for _, _, kind in KERNEL_KINDS])
 class TestPropagationBuffers:
@@ -364,6 +378,15 @@ class TestPropagationBuffers:
         first = propagate(f, replace(spec, pad_factor=4))
         assert np.array_equal(propagate(f, replace(spec, pad_factor=4)).amps, first.amps)
 
+    def test_one_copy_of_the_output(self, spec, inverse, kind, fft2_outs):
+        # the convolution returns a view of the inverse's buffer, and the field
+        # built from it holds the propagation's one copy
+        f = random_field(GRID64, 6)
+        spec = replace(spec, pad_factor=3)
+        assert np.shares_memory(holography._convolve(f.amps, f.grid, spec), fft2_outs[-1])
+        propagate = propagate_inverse if inverse else propagate_forward
+        assert not np.shares_memory(propagate(f, spec).amps, fft2_outs[-1])
+
 
 def propagation_case(nx, ny, pad, kind):
     """A random field on an nx x ny grid and a spec at pad ``pad`` for ``kind``."""
@@ -383,20 +406,12 @@ class TestPaddedRowLayout:
                                            (101, 64, 2)])
     @pytest.mark.parametrize("kind", KINDS)
     def test_inverse_runs_in_rows_an_odd_number_of_cache_lines_apart(self, nx, ny, pad,
-                                                                      kind, monkeypatch):
+                                                                      kind, fft2_outs):
         # the inverse is the propagation's last fft2 call, into the kernel's buffer
-        strides = []
-        fft2 = np.fft.fft2
-
-        def recording(a, *args, out=None, **kwargs):
-            strides.append(None if out is None else out.strides)
-            return fft2(a, *args, out=out, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft2", recording)
         f, spec, propagate = propagation_case(nx, ny, pad, kind)
         propagate(f, spec)
-        assert len(strides) == 3
-        row, item = strides[-1]
+        assert len(fft2_outs) == 3
+        row, item = fft2_outs[-1].strides
         itemsize = np.dtype(np.complex128).itemsize
         assert item == itemsize
         assert row % 64 == 0 and (row // 64) % 2 == 1

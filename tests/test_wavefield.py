@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from dstsim import (
     FileFormatError,
     GridSpec,
     ModeSpec,
+    ObjectReconstruction,
+    ReconstructionResult,
+    ScanRecords,
     TransverseWavefunction,
     apply_vortex_plate,
     default_waist,
@@ -70,6 +74,31 @@ class TestWavefunction:
         f = TransverseWavefunction(GridSpec(2, 2, 1.0), base.reshape(2, 2))
         base[0] = 5   # the caller's buffer stays writable, and the field does not see it
         assert f.amps[0, 0] == 1
+
+    def test_construction_peaks_at_its_copy_and_one_finiteness_pass(self):
+        # one bool per amplitude for the finiteness check, not one per float64 part
+        amps = np.ones((256, 256), complex)
+        tracemalloc.start()
+        try:
+            TransverseWavefunction(GridSpec(256, 256, 1e-6), amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < amps.nbytes + 1.5 * amps.size
+
+    @pytest.mark.parametrize("build", [
+        lambda f: f,
+        lambda f: ScanRecords(np.ones((6, 2, 2)), f.grid, 1.0),
+        lambda f: ReconstructionResult(f, 1.0, "dst", np.zeros((2, 2), bool)),
+        lambda f: ObjectReconstruction(f, f, np.ones((2, 2), bool), 0.5, 20.0),
+    ], ids=["field", "records", "reconstruction", "object"])
+    def test_array_holders_compare_by_identity(self, build):
+        # generated value equality would compare the arrays and raise on their truth value
+        a, b = (build(TransverseWavefunction(GridSpec(2, 2, 1.0), np.ones((2, 2), complex)))
+                for _ in range(2))
+        assert a == a and b == b
+        assert a != b
+        assert len({a, b}) == 2
 
 
 class TestMakeMode:
