@@ -24,7 +24,6 @@ from .wavefield import (
 from .engine import (
     PROJECTORS,
     ScanRecords,
-    gauge_fix,
     pointer_amplitudes,
     read_records_csv,
     scan,
@@ -42,7 +41,6 @@ from .holography import (
     ObjectReconstruction,
     PropagationSpec,
     apply_object,
-    object_from_pgm,
     propagate_forward,
     propagate_inverse,
     read_pgm,
@@ -67,10 +65,8 @@ __all__ = [
     "apply_object",
     "apply_vortex_plate",
     "default_waist",
-    "gauge_fix",
     "make_mode",
     "normalize",
-    "object_from_pgm",
     "pointer_amplitudes",
     "propagate_forward",
     "propagate_inverse",

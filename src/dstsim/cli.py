@@ -130,7 +130,7 @@ def cmd_score(args, cfg: cfgmod.ExperimentConfig) -> str:
 def cmd_holo_forward(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.infile)
     if args.object:
-        transmission = holography.object_from_pgm(holography.read_pgm(args.object), cfg.object_map)
+        transmission = holography.OBJECT_MAPS[cfg.object_map](holography.read_pgm(args.object))
         try:
             field = holography.apply_object(field, transmission)
         except ValueError as exc:   # the object's shape is not the field's

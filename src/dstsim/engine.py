@@ -86,21 +86,6 @@ class ScanRecords:
         object.__setattr__(self, "readout", data)
 
 
-def gauge_fix(f: TransverseWavefunction) -> tuple[TransverseWavefunction, float]:
-    """Rotate the global phase so the amplitude sum is real and positive.
-
-    Returns the gauged field and ptilde = |sum psi|.  Raises
-    :class:`DegenerateFieldError` when the sum vanishes, since such a field
-    never passes zero-momentum post-selection.
-    """
-    amps, ptilde = _gauge(f.amps)
-    if ptilde < _PSI_TILDE_MIN:
-        raise DegenerateFieldError(
-            f"amplitude sum is {ptilde:.3e}; zero-momentum post-selection is impossible"
-        )
-    return (f if amps is f.amps else f.with_amps(amps)), ptilde
-
-
 def pointer_amplitudes(
     f: TransverseWavefunction, theta: float = STRONG_THETA
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -109,31 +94,22 @@ def pointer_amplitudes(
     Both are ``(ny, nx)`` complex arrays; element ``[iy, ix]`` is the pointer
     after coupling at angle ``theta`` at cell ``(ix, iy)`` and post-selection.
     Applies the ptilde-real-positive gauge to the field internally, so the
-    result is invariant under any global phase on the input.
+    result is invariant under any global phase on the input.  Raises
+    :class:`DegenerateFieldError` when the amplitude sum vanishes, since such
+    a field never passes zero-momentum post-selection.
     """
     check_theta(theta)
     if abs(f.power() - 1.0) > 1e-9:
         raise ValueError("input field must be normalized (power within 1e-9 of 1)")
-    g, ptilde = gauge_fix(f)
-    root_n = math.sqrt(g.grid.ncells)
-    a0 = (ptilde - (1.0 - math.cos(theta)) * g.amps) / root_n
-    a1 = math.sin(theta) * g.amps / root_n
+    amps, ptilde = _gauge(f.amps)
+    if ptilde < _PSI_TILDE_MIN:
+        raise DegenerateFieldError(
+            f"amplitude sum is {ptilde:.3e}; zero-momentum post-selection is impossible"
+        )
+    root_n = math.sqrt(f.grid.ncells)
+    a0 = (ptilde - (1.0 - math.cos(theta)) * amps) / root_n
+    a1 = math.sin(theta) * amps / root_n
     return a0, a1
-
-
-def _projector_probs(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """The six projector probabilities of pointer amplitudes.
-
-    Stacked on a new first axis in :data:`PROJECTORS` order.
-    """
-    return np.stack([
-        np.abs(a0 + a1) ** 2 / 2.0,
-        np.abs(a0 - a1) ** 2 / 2.0,
-        np.abs(a0) ** 2,
-        np.abs(a1) ** 2,
-        np.abs(a0 - 1j * a1) ** 2 / 2.0,
-        np.abs(a0 + 1j * a1) ** 2 / 2.0,
-    ])
 
 
 class _CellKey(ISeedSequence):
@@ -224,7 +200,15 @@ def scan_probability_maps(f: TransverseWavefunction, theta: float = STRONG_THETA
     Returns a ``(6, ny, nx)`` array indexed ``[projector, iy, ix]`` in
     :data:`PROJECTORS` order: the ``readout`` of a noiseless :func:`scan`.
     """
-    return _projector_probs(*pointer_amplitudes(f, theta))
+    a0, a1 = pointer_amplitudes(f, theta)
+    return np.stack([
+        np.abs(a0 + a1) ** 2 / 2.0,
+        np.abs(a0 - a1) ** 2 / 2.0,
+        np.abs(a0) ** 2,
+        np.abs(a1) ** 2,
+        np.abs(a0 - 1j * a1) ** 2 / 2.0,
+        np.abs(a0 + 1j * a1) ** 2 / 2.0,
+    ])
 
 
 def scan(

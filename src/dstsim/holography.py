@@ -348,13 +348,6 @@ OBJECT_MAPS = {
 }
 
 
-def object_from_pgm(img: np.ndarray, mapping: str = "amplitude") -> np.ndarray:
-    """Map 8-bit grayscale to a complex transmission array by ``OBJECT_MAPS[mapping]``."""
-    if mapping not in OBJECT_MAPS:
-        raise ValueError(f"mapping must be one of {', '.join(OBJECT_MAPS)}, got {mapping!r}")
-    return OBJECT_MAPS[mapping](np.asarray(img, dtype=np.float64))
-
-
 def apply_object(f: TransverseWavefunction, transmission: np.ndarray) -> TransverseWavefunction:
     """Transmit a field through a thin object: pointwise multiply."""
     t = np.asarray(transmission)

@@ -306,7 +306,7 @@ def write_wfgrid(path, f: TransverseWavefunction) -> None:
     payload = np.asarray(f.amps, dtype=_WFGRID_DTYPE)
     with open(path, "wb") as fh:
         fh.write(_WFGRID_HEADER.pack(_WFGRID_MAGIC, f.grid.nx, f.grid.ny, f.grid.pitch))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_wfgrid(path) -> TransverseWavefunction:

@@ -13,7 +13,7 @@ import pytest
 
 from dstsim import read_records_csv, read_wfgrid, write_wfgrid, GridSpec, TransverseWavefunction
 from dstsim import ScanRecords, write_records_csv
-from dstsim import gauge_fix, normalize
+from dstsim import normalize
 from dstsim import cli, reconstruct, wavefield
 from dstsim import config as cfgmod
 from dstsim.cli import main
@@ -22,7 +22,7 @@ from dstsim.wavefield import MODES
 from dstsim.holography import KERNELS, PARAXIAL_MIN_EXTENTS
 from dstsim.reconstruct import ESTIMATORS, ReconstructionResult
 from conftest import edit_csv
-from oracles import phase_winding
+from oracles import gauge_align, phase_winding
 
 
 def run(*argv):
@@ -126,7 +126,8 @@ class TestConfig:
             ExperimentConfig(out=out)
 
     @pytest.mark.parametrize("key, value", [("mode", "custom"), ("estimator", "DST"),
-                                            ("kernel", "spherical")])
+                                            ("kernel", "spherical"),
+                                            ("object_map", "intensity")])
     def test_choice_error_names_key_and_values(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be one of"):
             ExperimentConfig(**{key: value})
@@ -461,8 +462,9 @@ class TestMeasureReconstruct:
                    "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["estimator"] == "dwt" and report["theta"] == 0.3
-        gauged, ptilde = gauge_fix(read_wfgrid(field))
-        expected = gauged.amps - (1 - math.cos(0.3)) * np.abs(gauged.amps) ** 2 / ptilde
+        ideal = read_wfgrid(field).amps
+        gauged, ptilde = gauge_align(ideal), abs(np.sum(ideal))
+        expected = gauged - (1 - math.cos(0.3)) * np.abs(gauged) ** 2 / ptilde
         expected /= np.linalg.norm(expected)
         rec = read_wfgrid(out / "reconstruction.wfgrid").amps
         assert np.max(np.abs(rec - expected)) < 1e-9

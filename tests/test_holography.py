@@ -19,14 +19,13 @@ from dstsim import (
     apply_object,
     make_mode,
     normalize,
-    object_from_pgm,
     propagate_forward,
     propagate_inverse,
     read_pgm,
     reconstruct_object,
 )
 from dstsim import holography
-from dstsim.holography import PARAXIAL_MIN_EXTENTS, _kernel_array
+from dstsim.holography import OBJECT_MAPS, PARAXIAL_MIN_EXTENTS, _kernel_array
 from oracles import convolve_zero_padded, gaussian_beam_at_distance, kernel_on_padded_grid
 
 LAM = 808e-9
@@ -672,14 +671,14 @@ class TestPgm:
 
     def test_amplitude_mapping(self):
         arr = np.array([[0, 255], [51, 102]], dtype=np.uint8)
-        t = object_from_pgm(arr, "amplitude")
+        t = OBJECT_MAPS["amplitude"](arr)
         assert t[0, 0] == 0.0
         assert t[0, 1] == 1.0
         assert t[1, 0] == pytest.approx(0.2)
 
     def test_phase_mapping(self):
         arr = np.array([[0, 64], [128, 255]], dtype=np.uint8)
-        t = object_from_pgm(arr, "phase")
+        t = OBJECT_MAPS["phase"](arr)
         assert np.allclose(np.abs(t), 1.0)
         assert np.angle(t[0, 0]) == pytest.approx(0.0)
         assert np.angle(t[1, 0]) == pytest.approx(np.pi)
@@ -687,9 +686,12 @@ class TestPgm:
         assert np.angle(t[1, 1]) == pytest.approx(2 * np.pi * 255 / 256) or \
             np.angle(t[1, 1]) == pytest.approx(2 * np.pi * 255 / 256 - 2 * np.pi)
 
-    def test_bad_mapping(self):
-        with pytest.raises(ValueError):
-            object_from_pgm(np.zeros((2, 2), np.uint8), "intensity")
+    @pytest.mark.parametrize("mapping", list(OBJECT_MAPS))
+    def test_map_reads_uint8_levels_as_their_values(self, mapping):
+        # holo forward maps read_pgm's uint8 levels as they are
+        levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        assert np.array_equal(OBJECT_MAPS[mapping](levels),
+                              OBJECT_MAPS[mapping](levels.astype(np.float64)))
 
     def test_apply_object_shape_mismatch(self, gaussian_8):
         with pytest.raises(ValueError):

@@ -436,6 +436,20 @@ class TestWfgrid:
         assert len(raw) == 20 + 4 * 16
         assert np.frombuffer(raw, "<f8", offset=20)[0:4].tolist() == [1.0, 2.0, 3.0, 4.0]
 
+    def test_write_copies_no_payload(self, tmp_path):
+        # the payload goes to the file from the field's own buffer, not through a
+        # bytes copy of it (1 MiB at 256x256)
+        f = TransverseWavefunction(GridSpec(256, 256, 1e-6), np.ones((256, 256), complex))
+        path = tmp_path / "f.wfgrid"
+        tracemalloc.start()
+        try:
+            write_wfgrid(path, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2**20
+        assert path.read_bytes()[20:] == f.amps.tobytes()
+
 
 # every finite float, with both signed zeros drawn often
 _PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
