@@ -54,9 +54,11 @@ class ScanRecords:
     holds.  A noiseless scan (``photons_per_setting == 0``) measured the exact
     probabilities, unnormalized by post-selection (each basis pair sums to the
     post-selection weight of the cell, not to one).  A sampled scan measured
-    integer photon counts.  The records keep their own read-only copy of the
-    array, and they carry the grid and the angle they were taken at, so their
-    inversion needs nothing else.
+    integer photon counts.  The records hold the array read-only: one that is
+    already read-only, C-contiguous and owns its data, as :func:`scan` hands
+    over, is kept as it is, and anything else (a list, a writeable array, a
+    view) is copied.  They carry the grid and the angle they were taken at,
+    so their inversion needs nothing else.
     """
 
     readout: np.ndarray
@@ -67,7 +69,10 @@ class ScanRecords:
     def __post_init__(self):
         check_theta(self.theta)
         check_budget(self.photons_per_setting)
-        data = np.array(self.readout, order="C")
+        data = self.readout
+        if not (type(data) is np.ndarray and not data.flags.writeable
+                and data.flags.c_contiguous and data.flags.owndata):
+            data = np.array(data, order="C")
         if data.dtype.kind not in "fiu":
             raise ValueError(f"readout must hold real numbers, got {data.dtype}")
         shape = (len(PROJECTORS), self.grid.ny, self.grid.nx)
@@ -75,12 +80,14 @@ class ScanRecords:
             raise ValueError(f"readout must have shape {shape} of the {self.grid.nx}x"
                              f"{self.grid.ny} grid, got {data.shape}")
         sampled = self.photons_per_setting > 0
-        if sampled:
-            if not np.issubdtype(data.dtype, np.integer):
-                raise ValueError(f"counts must be integers, got {data.dtype}")
-        elif not np.isfinite(data).all():
+        if sampled and not np.issubdtype(data.dtype, np.integer):
+            raise ValueError(f"counts must be integers, got {data.dtype}")
+        # min and max carry a NaN through, and allocate no per-cell array
+        with np.errstate(invalid="ignore"):   # refused by name below
+            lo, hi = data.min(), data.max()
+        if not (sampled or np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("non-finite probability")
-        if (data < 0).any():
+        if lo < 0:
             raise ValueError(f"negative {'count' if sampled else 'probability'}")
         data.flags.writeable = False
         object.__setattr__(self, "readout", data)
@@ -228,6 +235,7 @@ def scan(
     check_budget(photons_per_setting)
     check_seed(seed)
     readout = scan_probability_maps(f, theta)
+    readout.flags.writeable = False   # fresh and C-ordered: the records keep it uncopied
     if photons_per_setting > 0:
         nx = f.grid.nx
         cells = readout.reshape(len(PROJECTORS), -1).T.tolist()

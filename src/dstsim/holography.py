@@ -36,16 +36,17 @@ kernel does not factorize: it is evaluated once per ``(|dx|, |dy|)`` and
 mirrored into the other three quadrants of the padded grid, since it depends
 on the offsets only through their squares.
 
-A propagation holds at most two padded arrays at once, plus the spherical
-kernel's quadrant block while it is mirrored.  The field spectrum is taken
-first; the kernel is then built and transformed in its own buffer
-(``fft2(..., out=kern)``), the spectrum is multiplied into that buffer and
-released, and the product is inverted in the kernel's buffer too.  numpy's
-``ifft2`` ignores ``out=``, but ``fft2`` honours it, and an inverse transform
-is a forward one read at negated indices, ``ifft2(X)[n] == fft2(X)[-n] / N``;
-so the product is transformed forward in place with ``norm="forward"``, and
-the output block moves from indices ``(-iy, -ix)`` into the buffer's top-left
-corner, which it never overlaps at ``pad_factor >= 2``, and is returned as a view.
+A propagation holds at most two padded arrays at once, plus one row block
+of the spherical kernel's quadrant, a sixteenth of its rows, while that
+kernel is built.  The field spectrum is taken first; the kernel is then
+built and transformed in its own buffer (``fft2(..., out=kern)``), the
+spectrum is multiplied into that buffer and released, and the product is
+inverted in the kernel's buffer too.  numpy's ``ifft2`` ignores ``out=``,
+but ``fft2`` honours it, and an inverse transform is a forward one read at
+negated indices, ``ifft2(X)[n] == fft2(X)[-n] / N``; so the product is
+transformed forward in place with ``norm="forward"``, and the output block
+moves from indices ``(-iy, -ix)`` into the buffer's top-left corner, which
+it never overlaps at ``pad_factor >= 2``, and is returned as a view.
 
 The kernel's buffer spaces its rows an odd number of 64-byte cache lines
 apart, 1028 complex values for a 1024-point row (:func:`_padded_empty`), so
@@ -86,6 +87,10 @@ PARAXIAL_MIN_EXTENTS = 10.0
 
 #: Bytes per cache line; a padded buffer's rows are an odd number of lines apart.
 _CACHE_LINE = 64
+
+#: Row blocks of the spherical kernel's quadrant, each evaluated straight into
+#: the padded buffer; a block scales with the quadrant, a sixteenth of its rows.
+_KERNEL_BLOCKS = 16
 
 
 #: The ``kernel`` values of a :class:`PropagationSpec`, spherical and paraxial;
@@ -185,7 +190,11 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
     The spherical kernel depends on the offsets only through dx^2 and dy^2,
     and the negative ``fftfreq`` bins are exact negatives of the positive
     ones, so it is evaluated on the leading quadrant of the same offsets and
-    mirrored bit for bit.
+    mirrored bit for bit.  The quadrant is evaluated straight into the padded
+    buffer in :data:`_KERNEL_BLOCKS` blocks of rows, each with the direct
+    formula's operations in its order: a block fills its rows' leading
+    columns and its column mirror the rest, and the rows are then mirrored
+    within the buffer.  So no temporary is larger than one block.
     """
     py = grid.ny * spec.pad_factor
     px = grid.nx * spec.pad_factor
@@ -203,13 +212,17 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
     my = py // 2 + 1
     mx = px // 2 + 1
     # an even size's last quadrant offset is the negative Nyquist bin: its square is the same
-    r = np.sqrt(dx[None, :mx]**2 + dy[:my, None]**2 + d * d)
-    quad = np.exp(1j * k * r)
-    quad /= 1j * lam * r
-    del r   # the padded buffer is taken once only the quadrant block is left
+    dx2 = dx[:mx]**2
     full = _padded_empty((py, px))
-    full[:my, :mx] = quad
-    full[:my, mx:] = quad[:, px - mx:0:-1]
+    step = -(-my // _KERNEL_BLOCKS)
+    for y in range(0, my, step):
+        rows = slice(y, min(y + step, my))
+        r = np.sqrt(dx2 + dy[rows, None]**2 + d * d)
+        block = np.exp(1j * k * r)
+        block /= 1j * lam * r
+        full[rows, :mx] = block
+        full[rows, mx:] = block[:, px - mx:0:-1]
+    # disjoint source and target rows: numpy copies them without a temporary
     full[my:] = full[py - my:0:-1]
     return full
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,6 +618,34 @@ class TestScanRecords:
         probs[1, 1, 0] = np.inf
         with pytest.raises(ValueError):
             ScanRecords(probs, GRID_2X2, STRONG)
+
+    def test_keeps_a_read_only_array_it_is_handed(self):
+        # a noiseless scan hands over its fresh maps read-only; the records check
+        # them without a copy or a per-cell temporary
+        readout = scan_probability_maps(random_field(GridSpec(128, 128, 1e-5), 8))
+        readout.flags.writeable = False
+        tracemalloc.start()
+        try:
+            records = ScanRecords(readout, GridSpec(128, 128, 1e-5), STRONG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * readout.nbytes
+        assert np.shares_memory(records.readout, readout)
+
+    def test_noiseless_scan_hands_over_its_maps(self, monkeypatch):
+        built = []
+        maps = engine.scan_probability_maps
+        monkeypatch.setattr(engine, "scan_probability_maps",
+                            lambda *args: built.append(maps(*args)) or built[-1])
+        assert scan(uniform_field()).readout is built[0]
+
+    def test_copies_a_writeable_array(self):
+        readout = np.full((6, 2, 2), 0.25)
+        records = ScanRecords(readout, GRID_2X2, STRONG)
+        readout[0, 0, 0] = 0.5
+        assert not records.readout.flags.writeable
+        assert np.all(records.readout == 0.25)
 
     def test_scan_records_its_grid_and_theta(self, gaussian_8):
         for theta in (0.3, STRONG):

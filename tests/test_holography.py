@@ -243,9 +243,11 @@ class TestKernelMirror:
     # odd, even and mixed padded sizes; 7x14 pad 7 pads to 49 x 98, where
     # fftfreq's scale 1 / (n * (1 / n)) is not exactly 1.  The spherical
     # kernel is mirrored bit for bit; the paraxial kernel is an outer product
-    # of two chirps and matches to its rounding bound.
+    # of two chirps and matches to its rounding bound.  The spherical quadrant
+    # is built in row blocks: 48x40 pad 3 and 101x37 pad 2 end on a block
+    # shorter than the others, and 2x2 pad 2 has fewer quadrant rows than blocks.
     @pytest.mark.parametrize("nx,ny,pad", [(5, 3, 3), (7, 4, 2), (16, 9, 5), (8, 8, 4),
-                                           (7, 14, 7)])
+                                           (7, 14, 7), (48, 40, 3), (101, 37, 2), (2, 2, 2)])
     @pytest.mark.parametrize("kind", holography.KERNELS)
     def test_matches_direct_formula(self, nx, ny, pad, kind):
         grid = GridSpec(nx, ny, 3e-6)
@@ -257,6 +259,24 @@ class TestKernelMirror:
         else:
             bound = fresnel_kernel_bound(nx, ny, grid.pitch, pad, spec.distance)
             assert np.all(np.abs(kern - expected) <= bound)
+
+    # the kernel's buffer and one row block of the spherical quadrant, never the
+    # whole quadrant: measured 1.09 to 1.12 padded arrays here, against 1.28 to
+    # 1.30 when the quadrant was evaluated whole
+    @pytest.mark.parametrize("nx,ny,pad", [(64, 64, 4), (48, 40, 3), (101, 37, 2),
+                                           (64, 64, 2)])
+    @pytest.mark.parametrize("kind", holography.KERNELS)
+    def test_peak_below_one_and_a_quarter_padded_arrays(self, nx, ny, pad, kind):
+        grid = GridSpec(nx, ny, 3e-6)
+        spec = PropagationSpec(LAM, 40.0 * grid.extent, kind, pad)
+        padded_bytes = nx * pad * ny * pad * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            _kernel_array(grid, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * padded_bytes
 
     # the paraxial kernel is the outer product of its two chirps bit for bit (the
     # spherical one equals the direct formula, above); even and odd sizes
@@ -349,10 +369,9 @@ def fft2_outs(monkeypatch):
 @pytest.mark.parametrize("spec,inverse,kind", KERNEL_KINDS,
                          ids=[kind for _, _, kind in KERNEL_KINDS])
 class TestPropagationBuffers:
-    def test_peak_below_two_and_a_half_padded_arrays(self, spec, inverse, kind):
+    def test_peak_below_two_and_a_quarter_padded_arrays(self, spec, inverse, kind):
         # the spectrum and the kernel's slightly wider buffer, each transformed
-        # in place: two padded arrays at a time, plus the spherical kernel's
-        # quadrant block
+        # in place: two padded arrays at a time
         f = random_field(GRID64, 3)
         propagate = propagate_inverse if inverse else propagate_forward
         padded_bytes = (64 * 4) ** 2 * np.dtype(np.complex128).itemsize
@@ -362,7 +381,7 @@ class TestPropagationBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * padded_bytes
+        assert peak < 2.25 * padded_bytes
 
     def test_input_unchanged(self, spec, inverse, kind):
         f = random_field(GRID64, 4)
