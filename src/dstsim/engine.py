@@ -235,13 +235,14 @@ def scan(
     check_budget(photons_per_setting)
     check_seed(seed)
     readout = scan_probability_maps(f, theta)
-    readout.flags.writeable = False   # fresh and C-ordered: the records keep it uncopied
     if photons_per_setting > 0:
-        nx = f.grid.nx
-        cells = readout.reshape(len(PROJECTORS), -1).T.tolist()
-        readout = np.array(
-            [_sample_cell(p, photons_per_setting, cell_rng(seed, i % nx, i // nx))
-             for i, p in enumerate(cells)], dtype=np.int64).T.reshape(readout.shape)
+        # one row of cells at a time, so no per-cell list spans the grid
+        probs, readout = readout, np.empty(readout.shape, dtype=np.int64)
+        for iy in range(f.grid.ny):
+            readout[:, iy].T[...] = [
+                _sample_cell(p, photons_per_setting, cell_rng(seed, ix, iy))
+                for ix, p in enumerate(probs[:, iy].T.tolist())]
+    readout.flags.writeable = False   # fresh and C-ordered: the records keep it uncopied
     return ScanRecords(readout, f.grid, theta, photons_per_setting)
 
 
@@ -256,7 +257,7 @@ _HEADER_KEYS = ("nx", "ny", "pitch", "theta", "budget")
 _COLUMNS = {False: (["w_" + p for p in PROJECTORS], "%.17g", np.float64),
             True: (["n_" + p for p in PROJECTORS], "%d", np.int64)}
 #: Rows formatted per write, which bounds the writer's memory.
-_ROW_BLOCK = 4096
+_ROW_BLOCK = 1024
 
 
 def write_records_csv(records: ScanRecords, path) -> None:
@@ -292,28 +293,35 @@ def read_records_csv(path) -> ScanRecords:
     probability or a negative count.
     """
     with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n", 2)
-    if len(lines) < 3:
+        text = fh.read()
+    # the header and the column names end at the first two line feeds, as in
+    # text.split(b"\n", 2); the rows are parsed in place, after them
+    end_header = text.find(b"\n")
+    end_names = text.find(b"\n", end_header + 1)   # also -1 when there is no line feed
+    if end_names < 0:
         raise FileFormatError(f"{path}: missing header")
-    header, names, body = lines
-    header = header.rstrip(b"\r").decode("latin-1")
+    header = text[:end_header].rstrip(b"\r").decode("latin-1")
     pairs = [item.partition("=") for item in header.split(",")]
     if [(key, sep) for key, sep, _ in pairs] != [(key, "=") for key in _HEADER_KEYS]:
         raise FileFormatError(f"{path}: expected the header "
                               f"{','.join(k + '=' for k in _HEADER_KEYS)}, got {header!r}")
     nx, ny, pitch, theta, budget = (value for _, _, value in pairs)
-    names = names.rstrip(b"\r").decode("latin-1").split(",")
+    names = text[end_header + 1:end_names].rstrip(b"\r").decode("latin-1").split(",")
     try:
         grid, budget = GridSpec(int(nx), int(ny), float(pitch)), int(budget)
         expected, _, dtype = _COLUMNS[budget > 0]
         if names != expected:
             raise FileFormatError(f"{path}: columns {','.join(names)!r}, but budget {budget} "
                                   f"records {','.join(expected)}")
-        n = grid.ncells
-        if body.count(b"\n") != n or body.count(b",") != (len(names) - 1) * n:
+        n, start = grid.ncells, end_names + 1
+        if (text.count(b"\n", start) != n
+                or text.count(b",", start) != (len(names) - 1) * n):
             raise FileFormatError(f"{path}: expected {n} rows of {len(names)} fields, "
                                   f"one per cell of the {grid.nx}x{grid.ny} grid")
-        table = np.loadtxt(io.BytesIO(body), dtype, delimiter=",", comments=None, ndmin=2)
+        body = io.BytesIO(text)   # shares the bytes of text, which it never writes
+        body.seek(start)
+        table = np.loadtxt(body, dtype, delimiter=",", comments=None, ndmin=2)
+        del text, body   # dropped before the records take their transposed copy
         return ScanRecords(table.T.reshape(len(PROJECTORS), grid.ny, grid.nx), grid,
                            float(theta), budget)
     except ValueError as exc:
