@@ -53,8 +53,8 @@ def _atomic_write(path: str, content) -> str:
 def _load_config(args) -> cfgmod.ExperimentConfig:
     """The ``--config`` file's configuration, or the defaults, with the given flags applied."""
     cfg = cfgmod.from_file(args.config) if args.config else cfgmod.ExperimentConfig()
-    flags = {f.name: cfgmod.parse_value(f.name, getattr(args, f.name))
-             for f in dataclasses.fields(cfg) if getattr(args, f.name) is not None}
+    flags = {f.name: cfgmod.parse_value(f.name, value) for f in dataclasses.fields(cfg)
+             if (value := getattr(args, f.name, None)) is not None}
     return dataclasses.replace(cfg, **flags)
 
 
@@ -166,58 +166,62 @@ def cmd_holo_object(args, cfg: cfgmod.ExperimentConfig) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _shared_parser() -> argparse.ArgumentParser:
-    """``--config`` and one flag per configuration key, its value read as the file would."""
-    p = argparse.ArgumentParser(add_help=False)
+def _command(sub, name: str, func, keys: tuple[str, ...], help: str) -> argparse.ArgumentParser:
+    """The subparser ``name`` running ``func``: ``--config``, then a flag for each key
+    it reads and ``--out``, whose value reads as the same text in the file would."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)   # a prefix names no flag
     p.add_argument("--config", help="configuration file (flags override its values)")
     for f in dataclasses.fields(cfgmod.ExperimentConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **f.metadata)
+        if f.name in keys or f.name == "out":
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **f.metadata)
+    p.set_defaults(func=func)
     return p
 
 
 @functools.cache  # parse_args leaves the parser as it is, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    shared = _shared_parser()
     parser = argparse.ArgumentParser(
         prog="dstsim",
         description="Simulate direct strong tomography of 2D photon wavefunctions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every_key = tuple(f.name for f in dataclasses.fields(cfgmod.ExperimentConfig))
+    optics = ("lambda_nm", "distance_mm", "kernel", "pad_factor")
 
-    p = sub.add_parser("prepare", parents=[shared], help="generate an input mode")
-    p.set_defaults(func=cmd_prepare)
+    # prepare writes every key to config.resolved
+    _command(sub, "prepare", cmd_prepare, every_key, "generate an input mode")
 
-    p = sub.add_parser("measure", parents=[shared], help="scan a field cell by cell")
+    p = _command(sub, "measure", cmd_measure, ("theta", "photons", "seed"),
+                 "scan a field cell by cell")
     p.add_argument("--field", required=True, help="input WFGRID file")
-    p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("reconstruct", parents=[shared], help="invert a records CSV")
+    # theta is accepted but not read, as the records carry it: the benchmark's workloads
+    # still pass it, and ROADMAP item 1a, which drops those calls, removes it here
+    p = _command(sub, "reconstruct", cmd_reconstruct, ("estimator", "maps", "theta"),
+                 "invert a records CSV")
     p.add_argument("--records", required=True, help="records CSV from 'measure'")
     p.add_argument("--ideal", help="optional WFGRID ground truth to score against")
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("score", parents=[shared], help="score one WFGRID against another")
+    p = _command(sub, "score", cmd_score, (), "score one WFGRID against another")
     p.add_argument("--rec", required=True, help="reconstructed WFGRID")
     p.add_argument("--ideal", required=True, help="ideal WFGRID")
-    p.set_defaults(func=cmd_score)
 
-    holo = sub.add_parser("holo", help="propagation and object reconstruction")
+    holo = sub.add_parser("holo", help="propagation and object reconstruction",
+                          allow_abbrev=False)
     hsub = holo.add_subparsers(dest="holo_command", required=True)
 
-    p = hsub.add_parser("forward", parents=[shared], help="propagate forward")
+    p = _command(hsub, "forward", cmd_holo_forward, (*optics, "object_map"),
+                 "propagate forward")
     p.add_argument("--in", dest="infile", required=True, help="input WFGRID")
     p.add_argument("--object", help="PGM (P5) object mask applied before propagation")
-    p.set_defaults(func=cmd_holo_forward)
 
-    p = hsub.add_parser("inverse", parents=[shared], help="back-propagate (paraxial)")
+    p = _command(hsub, "inverse", cmd_holo_inverse, optics, "back-propagate (paraxial)")
     p.add_argument("--in", dest="infile", required=True, help="input WFGRID")
-    p.set_defaults(func=cmd_holo_inverse)
 
-    p = hsub.add_parser("object", parents=[shared],
-                        help="back-propagate, then reconstruct object transmission")
+    p = _command(hsub, "object", cmd_holo_object, (*optics, "threshold"),
+                 "back-propagate, then reconstruct object transmission")
     p.add_argument("--measured", required=True, help="measured detection-plane WFGRID")
     p.add_argument("--input", required=True, help="known illumination WFGRID")
-    p.set_defaults(func=cmd_holo_object)
 
     return parser
 

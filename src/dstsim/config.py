@@ -1,13 +1,14 @@
 """Flat key-value experiment configuration with canonical serialization.
 
-Every shared knob of the CLI commands lives here: each key ``k`` is also the
-flag ``--k`` (``_`` written as ``-``) whose value overrides the file's, and
-the canonical text form is a serialization fixed point (serialize -> parse
--> serialize returns identical text), which keeps experiment provenance
-diff-friendly.  A config file is read as UTF-8 whatever the locale, the
-encoding in which the CLI writes ``config.resolved``.  A run is reproducible
-bit for bit from (config, seed) and its input files.  Each value is checked
-once, where the config is built, by the library code that uses it.
+Every shared knob of the CLI commands lives here: a config file may hold every
+key, and each key ``k`` that a command reads is also its flag ``--k`` (``_``
+written as ``-``), whose value overrides the file's.  The canonical text
+form is a serialization fixed point (serialize -> parse -> serialize returns
+identical text), which keeps experiment provenance diff-friendly.  A config
+file is read as UTF-8 whatever the locale, the encoding in which the CLI
+writes ``config.resolved``.  A run is reproducible bit for bit from (config,
+seed) and its input files.  Each value is checked once, where the config is
+built, by the library code that uses it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class ExperimentConfig:
     lambda_nm: float = _key(808.0, "wavelength (nm)")
     distance_mm: float = _key(10.0, "propagation distance (mm)")
     kernel: str = _key("fresnel", "propagation kernel", list(KERNELS))
-    pad_factor: int = _key(2, "zero-padding factor of the propagation grid (>= 2)")
+    pad_factor: int = _key(2, "zero-padding factor of the propagation grid (2 to 2**31)")
     # holography
     object_map: str = _key("amplitude", "transmission map of the --object PGM", list(OBJECT_MAPS))
     threshold: float = _key(1e-3, "holo object validity threshold relative to peak illumination")

@@ -208,14 +208,18 @@ def scan_probability_maps(f: TransverseWavefunction, theta: float = STRONG_THETA
     :data:`PROJECTORS` order: the ``readout`` of a noiseless :func:`scan`.
     """
     a0, a1 = pointer_amplitudes(f, theta)
-    return np.stack([
-        np.abs(a0 + a1) ** 2 / 2.0,
-        np.abs(a0 - a1) ** 2 / 2.0,
-        np.abs(a0) ** 2,
-        np.abs(a1) ** 2,
-        np.abs(a0 - 1j * a1) ** 2 / 2.0,
-        np.abs(a0 + 1j * a1) ** 2 / 2.0,
-    ])
+    # filled map by map, so that one complex temporary at a time lives beside the maps
+    maps = np.empty((len(PROJECTORS), *a0.shape))
+    np.abs(a0 + a1, out=maps[0])
+    np.abs(a0 - a1, out=maps[1])
+    np.abs(a0, out=maps[2])
+    np.abs(a1, out=maps[3])
+    np.abs(a0 - 1j * a1, out=maps[4])
+    np.abs(a0 + 1j * a1, out=maps[5])
+    np.square(maps, out=maps)
+    maps[:2] /= 2.0
+    maps[4:] /= 2.0
+    return maps
 
 
 def scan(

@@ -100,7 +100,7 @@ KERNELS = ("feynman", "fresnel")
 
 @dataclass(frozen=True)
 class PropagationSpec:
-    """Wavelength, distance, kernel (one of :data:`KERNELS`) and zero padding (>= 2) per axis."""
+    """Wavelength, distance, kernel (one of :data:`KERNELS`), zero padding (2 to 2**31) per axis."""
 
     wavelength: float
     distance: float
@@ -116,6 +116,9 @@ class PropagationSpec:
             raise ValueError(f"distance must be positive, got {self.distance}")
         if not is_integer(self.pad_factor) or self.pad_factor < 2:
             raise ValueError(f"pad_factor must be an integer >= 2, got {self.pad_factor}")
+        # a grid side is below 2**32, so a padded side stays below 2**63
+        if self.pad_factor > 2**31:
+            raise ValueError(f"pad_factor must be at most 2**31, got {self.pad_factor}")
 
     @property
     def wavenumber(self) -> float:

@@ -19,7 +19,7 @@ from dstsim import config as cfgmod
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_file, from_text, to_text
 from dstsim.wavefield import MODES
-from dstsim.holography import KERNELS, PARAXIAL_MIN_EXTENTS
+from dstsim.holography import KERNELS, OBJECT_MAPS, PARAXIAL_MIN_EXTENTS
 from dstsim.reconstruct import ESTIMATORS, ReconstructionResult
 from conftest import edit_csv
 from oracles import gauge_align, phase_winding
@@ -68,6 +68,21 @@ EVERY_FIELD_SET = dict(
     lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, object_map="phase",
     threshold=0.02, maps="gnuplot", out="runs/a b=c",
 )
+
+
+_OPTICS = {"lambda_nm", "distance_mm", "kernel", "pad_factor"}
+#: The configuration keys each command takes as flags besides ``--config``: the
+#: keys it reads and ``out``.  prepare writes every key to config.resolved, and
+#: reconstruct also takes theta, which it does not read.
+COMMAND_KEYS = {
+    ("prepare",): set(EVERY_FIELD_SET),
+    ("measure",): {"theta", "photons", "seed", "out"},
+    ("reconstruct",): {"estimator", "maps", "theta", "out"},
+    ("score",): {"out"},
+    ("holo", "forward"): _OPTICS | {"object_map", "out"},
+    ("holo", "inverse"): _OPTICS | {"out"},
+    ("holo", "object"): _OPTICS | {"threshold", "out"},
+}
 
 
 #: One bad value per entry of ``config._KEYS_OF``, and the error ``validate`` raises
@@ -250,8 +265,7 @@ class TestPrepare:
                    "--out", str(out)) == 0
         f = read_wfgrid(out / "field.wfgrid")
         assert phase_winding(np.angle(f.amps), 4) == pytest.approx(1.0, abs=1e-9)
-        assert run("measure", "--field", str(out / "field.wfgrid"),
-                   "--nx", "24", "--ny", "24", "--out", str(out)) == 0
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
 
     def test_centered_lg_measure_refused(self, tmp_path):
         out = tmp_path / "run"
@@ -281,7 +295,7 @@ class TestMeasureReconstruct:
     def test_noiseless_counts_empty(self, tmp_path):
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "0",
-                   "--nx", "12", "--ny", "12", "--out", str(out)) == 0
+                   "--out", str(out)) == 0
         lines = (out / "records.csv").read_text().splitlines()
         assert len(lines) == 2 + 144
         assert lines[1] == "w_plus,w_minus,w_0,w_1,w_L,w_R"
@@ -291,8 +305,7 @@ class TestMeasureReconstruct:
         out = tmp_path / "run"
         assert run("prepare", "--mode", "gaussian", "--nx", "64", "--ny", "64",
                    "--out", str(out)) == 0
-        assert run("measure", "--field", str(out / "field.wfgrid"),
-                   "--nx", "64", "--ny", "64", "--out", str(out)) == 0
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
         lines = (out / "records.csv").read_text().splitlines()
         assert len(lines) == 2 + 64 * 64
 
@@ -423,10 +436,10 @@ class TestMeasureReconstruct:
         assert json.loads((out / "report.json").read_text())["zero_count_cells"] == expected
 
     def test_dwt_without_theta_takes_the_default(self, tmp_path):
-        # measure uses no estimator, and both commands read the same pi/2
+        # measure scans at the default pi/2, and dwt inverts at the pi/2 the records carry
         out = self._prepare(tmp_path)
         field = str(out / "field.wfgrid")
-        assert run("measure", "--field", field, "--estimator", "dwt", "--out", str(out)) == 0
+        assert run("measure", "--field", field, "--out", str(out)) == 0
         assert run("reconstruct", "--records", str(out / "records.csv"), "--estimator", "dwt",
                    "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
@@ -554,12 +567,22 @@ class TestMeasureReconstruct:
         assert capsys.readouterr().err == "error: raw quadrature map has zero power\n"
         assert not (tmp_path / "run").exists()
 
-    def test_reconstruct_takes_the_grid_from_the_records(self, tmp_path):
-        # the configured grid is not read: records of 12x12 cells at 125 um stay so
+    def test_reconstruct_takes_the_grid_from_the_records(self, tmp_path, capsys):
+        # reconstruct takes no grid flag, and the grid of a config file is not read:
+        # records of 12x12 cells at 125 um stay so
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
-        assert run("reconstruct", "--records", str(out / "records.csv"), "--pitch-um", "999",
-                   "--nx", "9", "--out", str(out)) == 0
+        records = str(out / "records.csv")
+        for flags in (["--pitch-um", "999"], ["--nx", "9"]):
+            with pytest.raises(SystemExit) as exc:
+                run("reconstruct", "--records", records, *flags, "--out", str(tmp_path / "rec"))
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("pitch_um = 999\nnx = 9\n")
+        assert run("reconstruct", "--records", records, "--config", str(cfg_path),
+                   "--out", str(out)) == 0
         rec = read_wfgrid(out / "reconstruction.wfgrid")
         assert rec.grid == GridSpec(12, 12, 125e-6)
 
@@ -758,20 +781,24 @@ class TestHoloCommands:
     def test_config_resolved_reproduces_the_holo_run(self, tmp_path):
         # prepare records the holography keys once; the holo commands then run from
         # config.resolved alone and match a run given every key as a flag
-        keys = ["--lambda-nm", "808", "--distance-mm", "2.0", "--kernel", "fresnel",
-                "--pad-factor", "4", "--object-map", "phase", "--threshold", "0.02"]
+        optics = ["--lambda-nm", "808", "--distance-mm", "2.0", "--kernel", "fresnel",
+                  "--pad-factor", "4"]
         out = tmp_path / "run"
         assert run("prepare", "--nx", "64", "--ny", "64", "--pitch-um", "3.0",
-                   "--waist-um", "60.0", *keys, "--out", str(out)) == 0
+                   "--waist-um", "60.0", *optics, "--object-map", "phase", "--threshold", "0.02",
+                   "--out", str(out)) == 0
         field = str(out / "field.wfgrid")
         pgm = tmp_path / "steps.pgm"
         pgm.write_bytes(b"P5\n64 64\n255\n" + np.arange(64 * 64, dtype=np.uint8).tobytes())
         flags = tmp_path / "flags"
-        for directory, settings in ((flags, [*keys, "--out", str(flags)]),
-                                    (out, ["--config", str(out / "config.resolved")])):
-            assert run("holo", "forward", "--in", field, "--object", str(pgm), *settings) == 0
+        resolved = ["--config", str(out / "config.resolved")]
+        for directory, forward, obj in (
+                (flags, [*optics, "--object-map", "phase", "--out", str(flags)],
+                 [*optics, "--threshold", "0.02", "--out", str(flags)]),
+                (out, resolved, resolved)):
+            assert run("holo", "forward", "--in", field, "--object", str(pgm), *forward) == 0
             assert run("holo", "object", "--measured", str(directory / "propagated.wfgrid"),
-                       "--input", field, *settings) == 0
+                       "--input", field, *obj) == 0
         for name in ("transmission.wfgrid", "object_report.json"):
             assert (out / name).read_bytes() == (flags / name).read_bytes(), name
         assert json.loads((out / "object_report.json").read_text())["threshold"] == 0.02
@@ -796,9 +823,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("measure", "--field", "{bad}"),
-        ("holo", "forward", "--in", "{bad}"),
-        ("holo", "object", "--measured", "{bad}", "--input", "{good}"),
-        ("holo", "object", "--measured", "{good}", "--input", "{bad}"),
+        ("holo", "forward", "--in", "{bad}", "--distance-mm", "2"),
+        ("holo", "object", "--measured", "{bad}", "--input", "{good}", "--distance-mm", "2"),
+        ("holo", "object", "--measured", "{good}", "--input", "{bad}", "--distance-mm", "2"),
         ("score", "--rec", "{good}", "--ideal", "{bad}"),
         ("reconstruct", "--records", "{records}", "--ideal", "{bad}"),
     ], ids=["measure", "holo-forward", "holo-object-measured", "holo-object-input", "score",
@@ -817,8 +844,7 @@ class TestExitCodes:
         bad.write_bytes(bytes(raw))
         capsys.readouterr()
         paths = dict(bad=bad, good=good, records=good.parent / "records.csv")
-        code = run(*(arg.format(**paths) for arg in argv), "--distance-mm", "2",
-                   "--out", str(tmp_path / "run"))
+        code = run(*(arg.format(**paths) for arg in argv), "--out", str(tmp_path / "run"))
         assert code == 4
         assert capsys.readouterr().err == f"error: {bad}: field amplitudes must be finite\n"
         assert not (tmp_path / "run").exists()
@@ -896,31 +922,42 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "config.resolved").exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (("measure", "--field", "in/field.wfgrid", "--nx", "1"), "grid must be at least 2x2"),
-        (("measure", "--field", "in/field.wfgrid", "--pitch-um", "nan"), "pitch must be positive"),
-        (("reconstruct", "--records", "in/records.csv", "--radial", "-1"),
-         "radial index must be non-negative"),
-        (("holo", "inverse", "--in", "in/field.wfgrid", "--threshold", "0"),
-         "threshold must be positive"),
-        (("prepare", "--cx-um", "inf"), "center must be finite"),
-        (("prepare", "--cy-um", "nan"), "center must be finite"),
-        (("prepare", "--pad-factor", "1"), "pad_factor must be an integer >= 2, got 1"),
+    @pytest.mark.parametrize("argv, setting, message", [
+        (("measure", "--field", "in/field.wfgrid"), "nx = 1",
+         "nx, ny: grid must be at least 2x2, got 1, 64"),
+        (("measure", "--field", "in/field.wfgrid"), "pitch_um = nan",
+         "pitch_um: pitch must be positive and finite, got nan"),
+        (("reconstruct", "--records", "in/records.csv"), "radial = -1",
+         "radial: radial index must be non-negative, got -1"),
+        (("score", "--rec", "in/field.wfgrid", "--ideal", "in/field.wfgrid"), "seed = -1",
+         "seed: seed must be an integer in [0, 2**64), got -1"),
+        (("holo", "inverse", "--in", "in/field.wfgrid"), "threshold = 0",
+         "threshold: threshold must be positive and at most 1, got 0.0"),
+        (("holo", "forward", "--in", "in/field.wfgrid"), "photons = -1",
+         "photons: photons_per_setting must be >= 0, got -1"),
+        (("prepare",), "cx_um = inf", "cx_um, cy_um: center must be finite, got inf, 0.0"),
+        (("prepare",), "cy_um = nan", "cx_um, cy_um: center must be finite, got 0.0, nan"),
+        (("prepare",), "pad_factor = 1", "pad_factor: pad_factor must be an integer >= 2, got 1"),
         # a threshold above 1 selects no cell: refused before holo object reads a file,
         # and prepare writes no config.resolved that carries it
-        (("holo", "object", "--measured", "in/none.wfgrid", "--input", "in/none.wfgrid",
-          "--threshold", "2"), "error: threshold: threshold must be positive and at most 1"),
-        (("prepare", "--threshold", "2"), "error: threshold: threshold must be positive and at most 1"),
-    ])
+        (("holo", "object", "--measured", "in/none.wfgrid", "--input", "in/none.wfgrid"),
+         "threshold = 2", "threshold: threshold must be positive and at most 1, got 2.0"),
+        (("prepare",), "threshold = 2",
+         "threshold: threshold must be positive and at most 1, got 2.0"),
+    ], ids=["measure-nx", "measure-pitch_um", "reconstruct-radial", "score-seed",
+            "holo-inverse-threshold", "holo-forward-photons", "prepare-cx_um", "prepare-cy_um",
+            "prepare-pad_factor", "holo-object-threshold", "prepare-threshold"])
     def test_bad_key_is_validation_error_on_every_command(self, tmp_path, monkeypatch, capsys,
-                                                          argv, message):
-        # each key is checked where the config enters, whether or not the command uses it
+                                                          argv, setting, message):
+        # each key of a config file is checked where the config enters, whether or not
+        # the command reads it
         monkeypatch.chdir(tmp_path)
         assert run("prepare", "--nx", "12", "--ny", "12", "--out", "in") == 0
         assert run("measure", "--field", "in/field.wfgrid", "--out", "in") == 0
+        (tmp_path / "bad.cfg").write_text(setting + "\n")
         capsys.readouterr()
-        assert run(*argv, "--out", "run") == 2
-        assert message in capsys.readouterr().err
+        assert run(*argv, "--config", "bad.cfg", "--out", "run") == 2
+        assert capsys.readouterr().err == f"error: bad.cfg: {message}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -933,32 +970,41 @@ class TestExitCodes:
             "error: l = 2000 and radial = 2000: LG mode power overflows a double"]
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--nx", 10**400, "nx must be below 2**32, got 1000"),
-        ("--ny", 2**32, "ny must be below 2**32, got 4294967296"),
-        ("--photons", 2**61 + 1,
+    @pytest.mark.parametrize("key, value, message", [
+        ("nx", 10**400, "nx must be below 2**32, got 1000"),
+        ("ny", 2**32, "ny must be below 2**32, got 4294967296"),
+        ("photons", 2**61 + 1,
          "photons: photons_per_setting must be at most 2**61, got 2305843009213693953"),
-        ("--photons", 10**400, "photons: photons_per_setting must be at most 2**61, got 1000"),
-        ("--l", 2**53 + 1, "l: oam must be at most 2**53 in magnitude, got 9007199254740993"),
-        ("--l", -10**400, "l: oam must be at most 2**53 in magnitude, got -1000"),
-        ("--vortex-l", -2**53 - 1,
+        ("photons", 10**400, "photons: photons_per_setting must be at most 2**61, got 1000"),
+        ("l", 2**53 + 1, "l: oam must be at most 2**53 in magnitude, got 9007199254740993"),
+        ("l", -10**400, "l: oam must be at most 2**53 in magnitude, got -1000"),
+        ("vortex_l", -2**53 - 1,
          "vortex_l must be at most 2**53 in magnitude, got -9007199254740993"),
-        ("--vortex-l", 10**400, "vortex_l must be at most 2**53 in magnitude, got 1000"),
-    ], ids=["nx", "ny", "photons", "photons-huge", "l", "l-huge", "vortex_l", "vortex_l-huge"])
+        ("vortex_l", 10**400, "vortex_l must be at most 2**53 in magnitude, got 1000"),
+        ("pad_factor", 2**31 + 1, "pad_factor: pad_factor must be at most 2**31, got 2147483649"),
+        ("pad_factor", 10**30,
+         "pad_factor: pad_factor must be at most 2**31, got 1000000000000000000000000000000"),
+    ], ids=["nx", "ny", "photons", "photons-huge", "l", "l-huge", "vortex_l", "vortex_l-huge",
+            "pad_factor", "pad_factor-huge"])
     def test_integer_the_program_cannot_represent_is_validation_error(self, tmp_path, capsys,
-                                                                      flag, value, message):
+                                                                      key, value, message):
         # score reads none of these keys, and its input files do not exist: the value
         # is refused where the config enters, key first, before any file is read
         absent = str(tmp_path / "absent.wfgrid")
-        code = run("score", "--rec", absent, "--ideal", absent, flag, str(value),
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"{key} = {value}\n")
+        code = run("score", "--rec", absent, "--ideal", absent, "--config", str(cfg_path),
                    "--out", str(tmp_path / "run"))
-        assert (code, capsys.readouterr().err[:7 + len(message)]) == (2, f"error: {message}")
+        expected = f"error: {cfg_path}: {message}"
+        assert (code, capsys.readouterr().err[:len(expected)]) == (2, expected)
         assert not (tmp_path / "run").exists()
 
     def test_integer_bounds_accept_their_edges(self, tmp_path):
-        # the largest grid and charges are configured without allocating the grid
-        cfg = ExperimentConfig(nx=2**32 - 1, ny=2, l=-2**53, vortex_l=2**53, photons=2**61)
+        # the largest grid, charges and padding are configured without allocating the grid
+        cfg = ExperimentConfig(nx=2**32 - 1, ny=2, l=-2**53, vortex_l=2**53, photons=2**61,
+                               pad_factor=2**31)
         assert cfg.grid() == GridSpec(2**32 - 1, 2, 125e-6)
+        assert cfg.propagation_spec().pad_factor == 2**31
         # the largest budget samples a 4x4 field, whose Poisson means stay in numpy's range
         out = tmp_path / "run"
         assert run("prepare", "--nx", "4", "--ny", "4", "--out", str(out)) == 0
@@ -994,7 +1040,7 @@ class TestExitCodes:
         (("score", "--rec", "{small}", "--ideal", "{large}"),
          "reconstruction grid 8x8 at pitch 0.000125 m differs from "
          "ideal grid 16x16 at pitch 0.000125 m"),
-        (("holo", "object", "--measured", "{small}", "--input", "{large}"),
+        (("holo", "object", "--measured", "{small}", "--input", "{large}", "--distance-mm", "2"),
          "measured grid 8x8 at pitch 0.000125 m differs from "
          "known-input grid 16x16 at pitch 0.000125 m"),
     ], ids=["score", "holo-object"])
@@ -1005,8 +1051,7 @@ class TestExitCodes:
                        "--out", str(tmp_path / name)) == 0
             paths[name] = tmp_path / name / "field.wfgrid"
         capsys.readouterr()
-        assert run(*(arg.format(**paths) for arg in argv), "--distance-mm", "2",
-                   "--out", str(tmp_path / "run")) == 2
+        assert run(*(arg.format(**paths) for arg in argv), "--out", str(tmp_path / "run")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
 
@@ -1045,10 +1090,12 @@ class TestExitCodes:
 
 class TestParser:
     def test_choices_come_from_the_tuples(self):
-        actions = {a.dest: a for a in subparser("reconstruct")._actions}
-        assert actions["mode"].choices == list(MODES)
-        assert actions["kernel"].choices == list(KERNELS)
-        assert list(actions["estimator"].choices) == list(ESTIMATORS)
+        tuples = {"mode": MODES, "kernel": KERNELS, "estimator": ESTIMATORS,
+                  "object_map": OBJECT_MAPS}
+        for command, keys in COMMAND_KEYS.items():
+            actions = {a.dest: a for a in subparser(*command)._actions}
+            for key in tuples.keys() & keys:
+                assert list(actions[key].choices) == list(tuples[key]), (command, key)
 
     def test_calls_share_the_parser_but_not_its_values(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1060,12 +1107,11 @@ class TestParser:
 
     def test_config_flags_are_config_fields(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        expected = sorted((name, [flag(name)]) for name in names)
-        for command in (["prepare"], ["measure"], ["reconstruct"], ["score"],
-                        ["holo", "forward"], ["holo", "inverse"], ["holo", "object"]):
+        for command, keys in COMMAND_KEYS.items():
             actions = subparser(*command)._actions
-            assert sorted((a.dest, a.option_strings) for a in actions
-                          if a.dest in names) == expected, command
+            flags = sorted((a.dest, a.option_strings) for a in actions if a.dest in names)
+            assert flags == sorted((key, [flag(key)]) for key in keys), command
+        assert sum(map(len, COMMAND_KEYS.values())) == 48
 
     def test_per_command_flags_are_input_files(self):
         # every knob is a config key; a command adds only the files it reads
@@ -1089,3 +1135,82 @@ class TestParser:
         assert run("prepare", "--config", str(resolved), "--waist-um", "auto", "--out", "b") == 0
         assert from_text((tmp_path / "b" / "config.resolved").read_text()) == ExperimentConfig(
             **{**EVERY_FIELD_SET, "waist_um": None, "out": "b"})
+
+
+class RecordingConfig(ExperimentConfig):
+    """A configuration that records which keys are read once it is validated."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        if name in EVERY_FIELD_SET:
+            object.__getattribute__(self, "__dict__").get("reads", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+#: A real run of each command on the files ``command_inputs`` makes; the inverse
+#: propagations take the paraxial kernel, the only one with an inverse.
+COMMAND_ARGV = {
+    ("prepare",): [],
+    ("measure",): ["--field", "in/field.wfgrid"],
+    ("reconstruct",): ["--records", "in/records.csv", "--ideal", "in/field.wfgrid"],
+    ("score",): ["--rec", "in/field.wfgrid", "--ideal", "in/field.wfgrid"],
+    ("holo", "forward"): ["--in", "in/field.wfgrid", "--object", "in/object.pgm"],
+    ("holo", "inverse"): ["--in", "in/propagated.wfgrid", "--kernel", "fresnel"],
+    ("holo", "object"): ["--measured", "in/propagated.wfgrid", "--input", "in/field.wfgrid",
+                         "--kernel", "fresnel"],
+}
+
+
+@pytest.fixture
+def command_inputs(tmp_path, monkeypatch):
+    """A 16x16 field at 3 um pitch, its records and propagation, and an object, in ./in."""
+    monkeypatch.chdir(tmp_path)
+    assert run("prepare", "--nx", "16", "--ny", "16", "--pitch-um", "3", "--out", "in") == 0
+    assert run("measure", "--field", "in/field.wfgrid", "--theta", "0.3", "--out", "in") == 0
+    assert run("holo", "forward", "--in", "in/field.wfgrid", "--distance-mm", "2",
+               "--out", "in") == 0
+    (tmp_path / "in" / "object.pgm").write_bytes(b"P5 16 16 255\n" + bytes(range(256)))
+    return tmp_path
+
+
+class TestCommandKeys:
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS), ids=" ".join)
+    def test_each_command_reads_exactly_its_flags(self, command_inputs, monkeypatch, command):
+        # from a config file that holds every key, a command reads the keys it takes as
+        # flags and no other
+        (command_inputs / "every.cfg").write_text(to_text(ExperimentConfig(**EVERY_FIELD_SET)))
+        load, configs = cli._load_config, []
+        monkeypatch.setattr(cli, "_load_config", lambda args: configs.append(
+            RecordingConfig(**dataclasses.asdict(load(args)))) or configs[-1])
+        assert run(*command, *COMMAND_ARGV[command], "--config", "every.cfg") == 0
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        flags = {a.dest for a in subparser(*command)._actions if a.dest in names}
+        assert configs[0].reads == flags - ({"theta"} if command == ("reconstruct",) else set())
+
+    def test_reconstruct_takes_theta_but_reads_the_records(self, command_inputs):
+        assert run("reconstruct", "--records", "in/records.csv", "--theta", "1.0",
+                   "--out", "run") == 0
+        assert json.loads((command_inputs / "run" / "report.json").read_text())["theta"] == 0.3
+
+    @pytest.mark.parametrize("command, flags", [
+        (("measure",), ["--nx", "8"]),
+        (("reconstruct",), ["--photons", "5"]),
+        (("score",), ["--distance-mm", "3"]),
+        (("holo", "forward"), ["--threshold", "0.5"]),
+        (("holo", "inverse"), ["--object-map", "phase"]),
+        (("holo", "object"), ["--seed", "1"]),
+        # flag names are exact: a prefix that only --threshold has here sets no key,
+        # and neither does a prefix of a flag the command does not take
+        (("holo", "object"), ["--t", "0.5"]),
+        (("measure",), ["--dist", "3"]),
+    ], ids=lambda v: " ".join(v))
+    def test_flag_the_command_does_not_take_is_refused(self, command_inputs, capsys, command,
+                                                       flags):
+        with pytest.raises(SystemExit) as exc:
+            run(*command, *COMMAND_ARGV[command], *flags, "--out", "run")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (command_inputs / "run").exists()
