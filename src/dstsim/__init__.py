@@ -15,7 +15,6 @@ from .wavefield import (
     ModeSpec,
     TransverseWavefunction,
     apply_vortex_plate,
-    default_waist,
     make_mode,
     normalize,
     read_wfgrid,
@@ -64,7 +63,6 @@ __all__ = [
     "TransverseWavefunction",
     "apply_object",
     "apply_vortex_plate",
-    "default_waist",
     "make_mode",
     "normalize",
     "pointer_amplitudes",

@@ -58,13 +58,9 @@ def _load_config(args) -> cfgmod.ExperimentConfig:
     return dataclasses.replace(cfg, **flags)
 
 
-def _out_path(cfg: cfgmod.ExperimentConfig, name: str) -> str:
-    return os.path.join(cfg.out, name)
-
-
 def _write_field(cfg: cfgmod.ExperimentConfig, name: str, field) -> str:
     """Write ``field`` as the WFGRID file ``name`` in the output directory; return its path."""
-    return _atomic_write(_out_path(cfg, name), lambda p: wavefield.write_wfgrid(p, field))
+    return _atomic_write(os.path.join(cfg.out, name), lambda p: wavefield.write_wfgrid(p, field))
 
 
 def _write_json(cfg: cfgmod.ExperimentConfig, name: str, data: dict) -> str:
@@ -74,7 +70,7 @@ def _write_json(cfg: cfgmod.ExperimentConfig, name: str, data: dict) -> str:
     non-finite value raises ValueError: JSON has no NaN or infinity.
     """
     text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(_out_path(cfg, name), text + "\n")
+    _atomic_write(os.path.join(cfg.out, name), text + "\n")
     return text
 
 
@@ -85,7 +81,7 @@ def _write_plot_maps(res: reconstruct.ReconstructionResult, cfg) -> None:
     rows = (" %.9g %%.17g\n" % y for y in grid.y_coords() * 1e6)
     fmt = "".join("".join(x + row for x in xs) + "\n" for row in rows)  # coordinates baked in
     for name, data in (("density.dat", res.density_map), ("phase.dat", res.phase_map)):
-        _atomic_write(_out_path(cfg, name), fmt % tuple(data.ravel().tolist()))
+        _atomic_write(os.path.join(cfg.out, name), fmt % tuple(data.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +89,17 @@ def _write_plot_maps(res: reconstruct.ReconstructionResult, cfg) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_prepare(args, cfg: cfgmod.ExperimentConfig) -> str:
-    field = wavefield.make_mode(cfg.mode_spec(), cfg.grid())
-    if cfg.vortex_l:
-        field = wavefield.apply_vortex_plate(field, cfg.vortex_l)
+    field = wavefield.apply_vortex_plate(wavefield.make_mode(cfg.mode_spec(), cfg.grid()),
+                                         cfg.vortex_l)
     path = _write_field(cfg, "field.wfgrid", field)
-    _atomic_write(_out_path(cfg, "config.resolved"), cfgmod.to_text(cfg))
+    _atomic_write(os.path.join(cfg.out, "config.resolved"), cfgmod.to_text(cfg))
     return path
 
 
 def cmd_measure(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.field)
     records = engine.scan(field, cfg.theta, cfg.photons, cfg.seed)
-    return _atomic_write(_out_path(cfg, "records.csv"),
+    return _atomic_write(os.path.join(cfg.out, "records.csv"),
                          lambda p: engine.write_records_csv(records, p))
 
 
@@ -112,14 +107,19 @@ def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
     records = engine.read_records_csv(args.records)
     # looked up on the module at call time, so a wrapped or patched inversion is the one run
     res = getattr(reconstruct, "reconstruct_" + cfg.estimator)(records)
-    report = None
+    # every QualityReport metric, null without --ideal; zero_count_cells is null when noiseless
+    metrics = dict.fromkeys(f.name for f in dataclasses.fields(reconstruct.QualityReport))
     if args.ideal:
-        report = reconstruct.score(res.field, wavefield.read_wfgrid(args.ideal))
+        ideal = wavefield.read_wfgrid(args.ideal)
+        metrics = dataclasses.asdict(reconstruct.score(res.field, ideal))
+    mask = res.zero_count_mask
     _write_field(cfg, "reconstruction.wfgrid", res.field)
-    _write_json(cfg, "report.json", reconstruct.sidecar_dict(res, records.theta, report))
+    _write_json(cfg, "report.json", {
+        "psi_tilde": res.psi_tilde, "estimator": res.estimator, "theta": records.theta,
+        "zero_count_cells": None if mask is None else int(mask.sum()), **metrics})
     if cfg.maps == "gnuplot":
         _write_plot_maps(res, cfg)
-    return _out_path(cfg, "report.json")
+    return os.path.join(cfg.out, "report.json")
 
 
 def cmd_score(args, cfg: cfgmod.ExperimentConfig) -> str:
@@ -174,7 +174,7 @@ def _command(sub, name: str, func, keys: tuple[str, ...], help: str) -> argparse
     for f in dataclasses.fields(cfgmod.ExperimentConfig):
         if f.name in keys or f.name == "out":
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **f.metadata)
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, parser=p)   # a refused flag prints this command's usage
     return p
 
 
@@ -227,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         print(args.func(args, _load_config(args)))
     # numpy's MemoryError names the size of the array it could not allocate

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from .engine import STRONG_THETA, check_budget, check_seed, check_theta
 from .holography import KERNELS, OBJECT_MAPS, PropagationSpec, check_threshold
 from .reconstruct import ESTIMATORS
-from .wavefield import MODES, GridSpec, ModeSpec, check_charge, default_waist, is_integer
+from .wavefield import MODES, GridSpec, ModeSpec, check_charge, is_integer
 
 _AUTO = "auto"
 
@@ -111,7 +111,8 @@ class ExperimentConfig:
 
     def mode_spec(self) -> ModeSpec:
         """The input mode that prepare generates, in SI units; waist auto is resolved."""
-        waist = self.waist_um * 1e-6 if self.waist_um is not None else default_waist(self.grid())
+        grid = self.grid()
+        waist = self.waist_um * 1e-6 if self.waist_um is not None else grid.nx * grid.pitch / 8.0
         return ModeSpec(kind=self.mode, waist=waist, oam=self.l, radial=self.radial,
                         center=(self.cx_um * 1e-6, self.cy_um * 1e-6))
 

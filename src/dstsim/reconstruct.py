@@ -22,7 +22,7 @@ ptilde_est = N * sqrt(sum |r|^2).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,19 +156,3 @@ def score(field: TransverseWavefunction, ideal: TransverseWavefunction) -> Quali
     rmse_re = float(np.sqrt(np.mean((rec.real - amps.real) ** 2)))
     rmse_im = float(np.sqrt(np.mean((rec.imag - amps.imag) ** 2)))
     return QualityReport(r_square, abs(o) ** 2, rmse_re, rmse_im)
-
-
-def sidecar_dict(res: ReconstructionResult, theta: float,
-                 report: QualityReport | None = None) -> dict:
-    """The ``report.json`` fields: every ``QualityReport`` metric, or null without one.
-
-    ``theta`` is the coupling angle the inversion used, the records' own.
-    ``zero_count_cells`` counts the cells of ``zero_count_mask``; it is null
-    for noiseless records.
-    """
-    metrics = (asdict(report) if report is not None
-               else dict.fromkeys(f.name for f in fields(QualityReport)))
-    mask = res.zero_count_mask
-    return {"psi_tilde": res.psi_tilde, "estimator": res.estimator, "theta": theta,
-            "zero_count_cells": None if mask is None else int(mask.sum()), **metrics}
-

@@ -152,11 +152,6 @@ def check_charge(name: str, l: int) -> None:
         raise ValueError(f"{name} must be at most 2**53 in magnitude, got {l}")
 
 
-def default_waist(grid: GridSpec) -> float:
-    """Default beam waist: an eighth of the grid width, well resolved and contained."""
-    return grid.nx * grid.pitch / 8.0
-
-
 def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
     """Generalized Laguerre polynomial ``L_n^alpha(x)`` for integers ``n, alpha >= 0``.
 

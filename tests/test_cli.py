@@ -416,6 +416,24 @@ class TestMeasureReconstruct:
         assert "maps must be one of none, gnuplot" in capsys.readouterr().err
         assert not (tmp_path / "rec").exists()
 
+    @pytest.mark.parametrize("photons, ideal", [("100", True), ("0", False)],
+                             ids=["sampled-ideal", "noiseless"])
+    def test_report_keys(self, tmp_path, photons, ideal):
+        # exactly these keys; the four metrics are set with --ideal and null without it,
+        # zero_count_cells is set for sampled records and null for noiseless ones
+        out = self._prepare(tmp_path)
+        field = str(out / "field.wfgrid")
+        assert run("measure", "--field", field, "--photons", photons, "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"),
+                   *(["--ideal", field] if ideal else []), "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        metrics = {"r_square", "fidelity", "rmse_re", "rmse_im"}
+        assert report.keys() == {"psi_tilde", "estimator", "theta", "zero_count_cells", *metrics}
+        assert report["psi_tilde"] > 0 and report["estimator"] == "dst"
+        assert report["theta"] == math.pi / 2
+        nulls = {k for k, v in report.items() if v is None}
+        assert nulls == (set() if ideal else metrics | {"zero_count_cells"})
+
     def test_reconstruct_without_ideal_has_null_metrics(self, tmp_path):
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
@@ -1212,5 +1230,16 @@ class TestCommandKeys:
         with pytest.raises(SystemExit) as exc:
             run(*command, *COMMAND_ARGV[command], *flags, "--out", "run")
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+        # the command's own usage, which lists the flags it does take
+        assert err.splitlines()[0].startswith(f"usage: dstsim {' '.join(command)} ")
         assert not (command_inputs / "run").exists()
+
+    def test_flag_before_the_command_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run("--bogus", "prepare", "--out", "run")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

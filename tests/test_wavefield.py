@@ -22,12 +22,12 @@ from dstsim import (
     ScanRecords,
     TransverseWavefunction,
     apply_vortex_plate,
-    default_waist,
     make_mode,
     normalize,
     read_wfgrid,
     write_wfgrid,
 )
+from dstsim.config import ExperimentConfig
 from oracles import phase_winding
 
 
@@ -214,8 +214,9 @@ class TestMakeMode:
         assert np.max(np.abs(again.amps - gaussian_8.amps)) < 1e-12
 
     def test_default_waist(self):
-        grid = GridSpec(64, 64, 125e-6)
-        assert default_waist(grid) == pytest.approx(1e-3)
+        # waist auto is an eighth of the grid width: nx, not ny, on a non-square grid
+        spec = ExperimentConfig(nx=64, ny=48, pitch_um=125.0).mode_spec()
+        assert spec.waist == pytest.approx(1e-3)
 
     def test_offcenter_mode(self):
         grid = GridSpec(32, 32, 1e-4)
