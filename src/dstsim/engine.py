@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -125,17 +126,21 @@ class _CellKey(ISeedSequence):
     A seed sequence that hashes nothing: ``Philox(_CellKey(words))`` takes
     ``words`` as its key with the counter at 0, without first building a
     ``SeedSequence`` from OS entropy as ``Philox(key=...)`` does.
+    ``generate_state(2, np.uint64)`` returns the pair of Python ints as it is,
+    and Philox reads the two words by index, so no array is built for a key.
+    Any other request raises ValueError.
     """
 
     __slots__ = ("_words",)
 
-    def __init__(self, words: np.ndarray):
+    def __init__(self, words: tuple[int, int]):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a cell key is two uint64 words, not {n_words} x {dtype}")
-        return self._words
+        # Philox passes the type np.uint64 itself, which spares a dtype conversion per cell
+        if n_words == 2 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+            return self._words
+        raise ValueError(f"a cell key is two uint64 words, not {n_words} x {dtype}")
 
 
 #: The starting counter of every :func:`cell_rng` stream, shared and read-only.
@@ -153,12 +158,27 @@ def cell_rng(seed: int, ix: int, iy: int) -> np.random.Generator:
     probabilities, so the scan may be parallelized over cells without
     changing results.  The stream is that of
     ``Philox(key=(seed << 64) | (iy << 32) | ix)`` (stream v1), keyed
-    directly.  ``spawn()`` on the generator raises TypeError: a cell key is
-    not a spawnable seed sequence.
+    directly: its two key words, ``(iy << 32) | ix`` and ``seed``, reach
+    Philox as Python ints.  ``spawn()`` on the generator raises TypeError: a
+    cell key is not a spawnable seed sequence.
+
+    ``seed`` must be an integer in [0, 2**64) and ``ix``, ``iy`` integers in
+    [0, 2**32); a numpy integer keys the stream of the int of equal value.
+    Anything else, a bool or a float included, raises ValueError rather than
+    being masked onto another cell's stream.
     """
-    words = np.array([((int(iy) & 0xFFFFFFFF) << 32) | (int(ix) & 0xFFFFFFFF),
-                      int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_CellKey(words), counter=_ZERO_COUNTER))
+    if bool not in (type(seed), type(ix), type(iy)):
+        try:
+            # a numpy integer becomes the int of equal value; a float raises TypeError
+            s, x, y = index(seed), index(ix), index(iy)
+        except TypeError:
+            pass
+        else:
+            if 0 <= s < 2**64 and 0 <= x < 2**32 and 0 <= y < 2**32:
+                key = _CellKey(((y << 32) | x, s))
+                return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
+    raise ValueError("a cell key is an integer seed in [0, 2**64) and integer indices "
+                     f"in [0, 2**32), got seed={seed!r}, ix={ix!r}, iy={iy!r}")
 
 
 def check_budget(photons_per_setting: int) -> None:

@@ -279,7 +279,7 @@ class TestSampledScan:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_aliasing_seed(self, seed):
-        # cell_rng keeps 64 seed bits: -1 would draw seed 2**64 - 1's streams
+        # a stream is keyed by 64 seed bits: -1 masked to them would draw seed 2**64 - 1's
         with pytest.raises(ValueError):
             scan(uniform_field(2), STRONG, photons_per_setting=10, seed=seed)
         assert scan(uniform_field(2), STRONG, photons_per_setting=1000,
@@ -303,6 +303,26 @@ class TestCellStream:
                               ref.integers(0, 2**64, size=8, dtype=np.uint64))
         assert rng.poisson(1e7) == ref.poisson(1e7)
         assert rng.binomial(10**8, 0.3) == ref.binomial(10**8, 0.3)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64])
+    @pytest.mark.parametrize("cell", EDGE_CELLS)
+    def test_numpy_integer_key_equals_the_int_key(self, cell, dtype):
+        # a numpy uint32 index shifted left by 32 unconverted would lose the index
+        ix, iy = cell
+        seed = 2**64 - 1
+        rng = cell_rng(np.uint64(seed), dtype(ix), dtype(iy))
+        ref = np.random.Generator(np.random.Philox(key=(seed << 64) | (iy << 32) | ix))
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("key", [
+        # masked to 32 and 64 bits, these four drew the streams of (5, 0, 0),
+        # (5, 2**32 - 1, 0), (2**64 - 1, 0, 0) and (1, 0, 0)
+        (5, 2**32, 0), (5, -1, 0), (-1, 0, 0), (1.5, 0, 0),
+        (2**64, 0, 0), (5, 0, 2**32), (5, 0.0, 0), (True, 0, 0), (5, False, 0), (5, 0, np.True_),
+    ], ids=repr)
+    def test_refuses_a_key_it_would_alias(self, key):
+        with pytest.raises(ValueError):
+            cell_rng(*key)
 
     @pytest.mark.parametrize("cell", EDGE_CELLS)
     def test_cell_draw_at_edge_cells_matches_reference(self, cell):
