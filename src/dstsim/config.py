@@ -38,7 +38,6 @@ class ExperimentConfig:
     # input mode
     mode: str = _key("gaussian", "input mode", list(MODES))
     l: int = _key(1, "azimuthal index of an lg mode")
-    radial: int = _key(0, "radial index of an lg mode")
     waist_um: float | None = _key(None, "beam waist (um); auto: nx * pitch / 8")
     cx_um: float = _key(0.0, "mode center x offset (um)")
     cy_um: float = _key(0.0, "mode center y offset (um)")
@@ -113,7 +112,7 @@ class ExperimentConfig:
         """The input mode that prepare generates, in SI units; waist auto is resolved."""
         grid = self.grid()
         waist = self.waist_um * 1e-6 if self.waist_um is not None else grid.nx * grid.pitch / 8.0
-        return ModeSpec(kind=self.mode, waist=waist, oam=self.l, radial=self.radial,
+        return ModeSpec(kind=self.mode, waist=waist, oam=self.l,
                         center=(self.cx_um * 1e-6, self.cy_um * 1e-6))
 
     def propagation_spec(self) -> PropagationSpec:
@@ -125,12 +124,10 @@ class ExperimentConfig:
 #: The type of every key: int, float, str or float | None.
 _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 #: The keys behind each parameter that a library check in ``validate`` names first in
-#: its error.
+#: its error, where the two names differ; an error that names its key is raised as written.
 _KEYS_OF = {"grid": ("nx", "ny"), "pitch": ("pitch_um",), "waist": ("waist_um",),
-            "oam": ("l",), "radial index": ("radial",), "center": ("cx_um", "cy_um"),
-            "photons_per_setting": ("photons",), "seed": ("seed",), "theta": ("theta",),
-            "threshold": ("threshold",), "wavelength": ("lambda_nm",),
-            "distance": ("distance_mm",), "pad_factor": ("pad_factor",)}
+            "oam": ("l",), "center": ("cx_um", "cy_um"), "photons_per_setting": ("photons",),
+            "wavelength": ("lambda_nm",), "distance": ("distance_mm",)}
 
 
 def _format_value(key: str, value) -> str:
@@ -178,7 +175,10 @@ def from_text(text: str) -> ExperimentConfig:
         val = val.strip()
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = parse_value(key, val)
+        try:
+            values[key] = parse_value(key, val)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
     return ExperimentConfig(**values)
 
 

@@ -114,16 +114,15 @@ class ModeSpec:
     """Parameters of a generated input mode.
 
     ``kind`` is one of :data:`MODES`.  ``waist`` is the 1/e amplitude radius
-    w0 in meters.  ``oam`` (azimuthal index l) and ``radial`` (index p) apply
-    to LG modes only.  ``center`` is the mode center in meters relative to
-    the grid center.  For an arbitrary field, use
+    w0 in meters.  ``oam`` (azimuthal index l) applies to LG modes only; their
+    radial index is 0.  ``center`` is the mode center in meters relative to
+    the grid center.  For any other field, LG_p^l with p > 0 included, use
     ``normalize(TransverseWavefunction(grid, amps))`` instead.
     """
 
     kind: str
     waist: float
     oam: int = 0
-    radial: int = 0
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
@@ -132,10 +131,6 @@ class ModeSpec:
         if not np.isfinite(self.waist) or self.waist <= 0:
             raise ValueError(f"waist must be positive and finite, got {self.waist}")
         check_charge("oam", self.oam)
-        if not is_integer(self.radial):
-            raise ValueError(f"radial must be an integer, got {self.radial!r}")
-        if self.radial < 0:
-            raise ValueError(f"radial index must be non-negative, got {self.radial}")
         if not np.all(np.isfinite(self.center)):
             raise ValueError(f"center must be finite, got {self.center}")
 
@@ -152,44 +147,14 @@ def check_charge(name: str, l: int) -> None:
         raise ValueError(f"{name} must be at most 2**53 in magnitude, got {l}")
 
 
-def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre polynomial ``L_n^alpha(x)`` for integers ``n, alpha >= 0``.
-
-    scipy's ``eval_genlaguerre`` recurrence and binomial operation for
-    operation, so the values equal scipy's bit for bit while
-    ``min(n, alpha) < 20``; beyond, scipy takes the binomial from a beta
-    function and the two differ in the last bits.  Indices too large for a
-    double give a non-finite coefficient, as scipy's do.
-    """
-    if n == 0:
-        return np.ones_like(x)
-    if n == 1:
-        return -x + alpha + 1.0
-    d = -x / (alpha + 1.0)
-    p = d + 1.0
-    for k in range(1, n):
-        d = -x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
-        p = d + p
-    # C(n + alpha, n) as a product over the smaller index, rescaled before it overflows
-    top, kx = float(n + alpha), min(n, alpha)
-    num = den = 1.0
-    for i in range(1, kx + 1):
-        num *= i + top - kx
-        den *= i
-        if abs(num) > 1e50:
-            num /= den
-            den = 1.0
-    return num / den * p
-
-
 def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
     """Generate a normalized mode on ``grid``.
 
-    Gaussian: ``exp(-r^2 / w0^2)``.  Laguerre-Gaussian LG_{p,l}:
-    ``(sqrt(2) r / w0)^|l| L_p^|l|(2 r^2 / w0^2) exp(-r^2 / w0^2) exp(i l phi)``.
-    Both are normalized to unit cell-sum power afterwards, so analytic
-    prefactors are irrelevant.  LG indices whose amplitudes overflow a double
-    on ``grid`` raise ValueError.
+    Gaussian: ``exp(-r^2 / w0^2)``.  Laguerre-Gaussian of radial index 0,
+    LG_0^l: ``(sqrt(2) r / w0)^|l| exp(-r^2 / w0^2) exp(i l phi)``.  Both are
+    normalized to unit cell-sum power afterwards, so analytic prefactors are
+    irrelevant.  LG indices whose amplitudes overflow a double on ``grid``
+    raise ValueError.
     """
     x, y = grid.mesh()
     cx, cy = spec.center
@@ -203,16 +168,13 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
         r2 = xr**2 + yr**2
         r = np.sqrt(r2)
         phi = np.arctan2(yr, xr)
-        la = abs(spec.oam)
-        rho = 2.0 * r2 / spec.waist**2
         with np.errstate(over="ignore", invalid="ignore"):   # refused by name below
             amps = (
-                (np.sqrt(2.0) * r / spec.waist) ** la
-                * _genlaguerre(spec.radial, la, rho)
+                (np.sqrt(2.0) * r / spec.waist) ** abs(spec.oam)
                 * np.exp(-r2 / spec.waist**2)
                 * np.exp(1j * spec.oam * phi)
             )
-        name = f"l = {spec.oam} and radial = {spec.radial}: LG mode"
+        name = f"l = {spec.oam}: LG mode"
 
     # a power that overflows or vanishes is refused by the mode's name (only
     # LG indices can overflow; a waist far below the pitch can vanish)

@@ -63,7 +63,7 @@ def run_in_c_locale(*argv, cwd=None) -> subprocess.CompletedProcess:
 #: Every field away from its default, so a field that to_text or from_text
 #: drops or mistypes breaks the round trip.
 EVERY_FIELD_SET = dict(
-    nx=32, ny=24, pitch_um=100.5, mode="lg", l=2, radial=1, waist_um=500.0, cx_um=-12.5,
+    nx=32, ny=24, pitch_um=100.5, mode="lg", l=2, waist_um=500.0, cx_um=-12.5,
     cy_um=7.25, vortex_l=-1, theta=0.4, estimator="dwt", photons=100, seed=2**64 - 1,
     lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, object_map="phase",
     threshold=0.02, maps="gnuplot", out="runs/a b=c",
@@ -85,22 +85,23 @@ COMMAND_KEYS = {
 }
 
 
-#: One bad value per entry of ``config._KEYS_OF``, and the error ``validate`` raises
-#: for it: the entry's keys, the library's reason, then the values as written.
+#: One bad value per parameter that a library check in ``validate`` names first, and
+#: the error ``validate`` raises for it: for an entry of ``config._KEYS_OF``, the
+#: entry's keys, the library's reason, then the values as written; else the
+#: library's error as written.
 KEY_NAMING = {
     "grid": ({"nx": 1}, "nx, ny: grid must be at least 2x2, got 1, 64"),
     "pitch": ({"pitch_um": -5.0}, "pitch_um: pitch must be positive and finite, got -5.0"),
     "waist": ({"waist_um": -3.0}, "waist_um: waist must be positive and finite, got -3.0"),
     "oam": ({"l": 2**53 + 1}, "l: oam must be at most 2**53 in magnitude, got 9007199254740993"),
-    "radial index": ({"radial": -1}, "radial: radial index must be non-negative, got -1"),
     "center": ({"cx_um": math.inf}, "cx_um, cy_um: center must be finite, got inf, 0.0"),
     "photons_per_setting": ({"photons": -1}, "photons: photons_per_setting must be >= 0, got -1"),
-    "seed": ({"seed": -1}, "seed: seed must be an integer in [0, 2**64), got -1"),
-    "theta": ({"theta": 0.0}, "theta: theta must be in (0, pi/2], got 0.0"),
-    "threshold": ({"threshold": 2.0}, "threshold: threshold must be positive and at most 1, got 2.0"),
+    "seed": ({"seed": -1}, "seed must be an integer in [0, 2**64), got -1"),
+    "theta": ({"theta": 0.0}, "theta must be in (0, pi/2], got 0.0"),
+    "threshold": ({"threshold": 2.0}, "threshold must be positive and at most 1, got 2.0"),
     "wavelength": ({"lambda_nm": -5.0}, "lambda_nm: wavelength must be positive, got -5.0"),
     "distance": ({"distance_mm": 0.0}, "distance_mm: distance must be positive, got 0.0"),
-    "pad_factor": ({"pad_factor": 1}, "pad_factor: pad_factor must be an integer >= 2, got 1"),
+    "pad_factor": ({"pad_factor": 1}, "pad_factor must be an integer >= 2, got 1"),
 }
 
 
@@ -148,12 +149,15 @@ class TestConfig:
             ExperimentConfig(**{key: value})
 
     def test_key_naming_covers_every_entry(self):
-        assert set(KEY_NAMING) == set(cfgmod._KEYS_OF)
+        # and each parameter whose check names its own key, which _KEYS_OF leaves out
+        assert set(KEY_NAMING) == {*cfgmod._KEYS_OF, "seed", "theta", "threshold", "pad_factor"}
+        assert all(keys != (entry,) for entry, keys in cfgmod._KEYS_OF.items())
 
     @pytest.mark.parametrize("entry", list(KEY_NAMING))
     def test_error_names_the_entrys_keys(self, entry):
         values, message = KEY_NAMING[entry]
-        assert message.startswith(f"{', '.join(cfgmod._KEYS_OF[entry])}: {entry} ")
+        keys = cfgmod._KEYS_OF.get(entry, ())
+        assert message.startswith(f"{', '.join(keys)}: {entry} " if keys else f"{entry} ")
         with pytest.raises(ValueError) as exc:
             ExperimentConfig(**values)
         assert str(exc.value) == message
@@ -191,8 +195,13 @@ class TestConfig:
         (b"\xef\xbb\xbfnx = 8\n# Gau\xdf beam\n", "config line 2: 'utf-8' codec can't decode "
                                               "byte 0xdf in position 12: invalid continuation byte"),
         # a U+FEFF anywhere else is text, a second mark included
-        (b"\xef\xbb\xbf\xef\xbb\xbfnx = 8\n", "unknown configuration key '\\ufeffnx'"),
-        (b"nx = 8\n\xef\xbb\xbfny = 8\n", "unknown configuration key '\\ufeffny'"),
+        (b"\xef\xbb\xbf\xef\xbb\xbfnx = 8\n",
+         "config line 1: unknown configuration key '\\ufeffnx'"),
+        (b"nx = 8\n\xef\xbb\xbfny = 8\n", "config line 2: unknown configuration key '\\ufeffny'"),
+        # a key or a value that does not parse is refused at its line
+        (b"nx = 8\n\nradial = 0\n", "config line 3: unknown configuration key 'radial'"),
+        (b"# grid\nnx = 8.5\n",
+         "config line 2: nx: invalid literal for int() with base 10: '8.5'"),
     ])
     def test_config_file_error_names_the_file(self, tmp_path, capsys, content, message):
         cfg_path = tmp_path / "exp.cfg"
@@ -945,24 +954,23 @@ class TestExitCodes:
          "nx, ny: grid must be at least 2x2, got 1, 64"),
         (("measure", "--field", "in/field.wfgrid"), "pitch_um = nan",
          "pitch_um: pitch must be positive and finite, got nan"),
-        (("reconstruct", "--records", "in/records.csv"), "radial = -1",
-         "radial: radial index must be non-negative, got -1"),
+        (("reconstruct", "--records", "in/records.csv"), "l = 9007199254740993",
+         "l: oam must be at most 2**53 in magnitude, got 9007199254740993"),
         (("score", "--rec", "in/field.wfgrid", "--ideal", "in/field.wfgrid"), "seed = -1",
-         "seed: seed must be an integer in [0, 2**64), got -1"),
+         "seed must be an integer in [0, 2**64), got -1"),
         (("holo", "inverse", "--in", "in/field.wfgrid"), "threshold = 0",
-         "threshold: threshold must be positive and at most 1, got 0.0"),
+         "threshold must be positive and at most 1, got 0.0"),
         (("holo", "forward", "--in", "in/field.wfgrid"), "photons = -1",
          "photons: photons_per_setting must be >= 0, got -1"),
         (("prepare",), "cx_um = inf", "cx_um, cy_um: center must be finite, got inf, 0.0"),
         (("prepare",), "cy_um = nan", "cx_um, cy_um: center must be finite, got 0.0, nan"),
-        (("prepare",), "pad_factor = 1", "pad_factor: pad_factor must be an integer >= 2, got 1"),
+        (("prepare",), "pad_factor = 1", "pad_factor must be an integer >= 2, got 1"),
         # a threshold above 1 selects no cell: refused before holo object reads a file,
         # and prepare writes no config.resolved that carries it
         (("holo", "object", "--measured", "in/none.wfgrid", "--input", "in/none.wfgrid"),
-         "threshold = 2", "threshold: threshold must be positive and at most 1, got 2.0"),
-        (("prepare",), "threshold = 2",
-         "threshold: threshold must be positive and at most 1, got 2.0"),
-    ], ids=["measure-nx", "measure-pitch_um", "reconstruct-radial", "score-seed",
+         "threshold = 2", "threshold must be positive and at most 1, got 2.0"),
+        (("prepare",), "threshold = 2", "threshold must be positive and at most 1, got 2.0"),
+    ], ids=["measure-nx", "measure-pitch_um", "reconstruct-l", "score-seed",
             "holo-inverse-threshold", "holo-forward-photons", "prepare-cx_um", "prepare-cy_um",
             "prepare-pad_factor", "holo-object-threshold", "prepare-threshold"])
     def test_bad_key_is_validation_error_on_every_command(self, tmp_path, monkeypatch, capsys,
@@ -980,12 +988,12 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_lg_indices_are_validation_error(self, tmp_path, capsys):
-        # the Laguerre coefficient C(4000, 2000) exceeds a double
-        assert run("prepare", "--mode", "lg", "--radial", "2000", "--l", "2000",
+        # (sqrt(2) r / w0)^2000 exceeds a double
+        assert run("prepare", "--mode", "lg", "--l", "2000",
                    "--nx", "8", "--ny", "8", "--out", str(tmp_path / "run")) == 2
-        # one line naming both keys, and no numpy overflow warning before it
+        # one line naming the key, and no numpy overflow warning before it
         assert capsys.readouterr().err.splitlines() == [
-            "error: l = 2000 and radial = 2000: LG mode power overflows a double"]
+            "error: l = 2000: LG mode power overflows a double"]
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key, value, message", [
@@ -999,9 +1007,9 @@ class TestExitCodes:
         ("vortex_l", -2**53 - 1,
          "vortex_l must be at most 2**53 in magnitude, got -9007199254740993"),
         ("vortex_l", 10**400, "vortex_l must be at most 2**53 in magnitude, got 1000"),
-        ("pad_factor", 2**31 + 1, "pad_factor: pad_factor must be at most 2**31, got 2147483649"),
+        ("pad_factor", 2**31 + 1, "pad_factor must be at most 2**31, got 2147483649"),
         ("pad_factor", 10**30,
-         "pad_factor: pad_factor must be at most 2**31, got 1000000000000000000000000000000"),
+         "pad_factor must be at most 2**31, got 1000000000000000000000000000000"),
     ], ids=["nx", "ny", "photons", "photons-huge", "l", "l-huge", "vortex_l", "vortex_l-huge",
             "pad_factor", "pad_factor-huge"])
     def test_integer_the_program_cannot_represent_is_validation_error(self, tmp_path, capsys,
@@ -1129,7 +1137,7 @@ class TestParser:
             actions = subparser(*command)._actions
             flags = sorted((a.dest, a.option_strings) for a in actions if a.dest in names)
             assert flags == sorted((key, [flag(key)]) for key in keys), command
-        assert sum(map(len, COMMAND_KEYS.values())) == 48
+        assert sum(map(len, COMMAND_KEYS.values())) == 47
 
     def test_per_command_flags_are_input_files(self):
         # every knob is a config key; a command adds only the files it reads
@@ -1234,6 +1242,28 @@ class TestCommandKeys:
         assert f"unrecognized arguments: {' '.join(flags)}" in err
         # the command's own usage, which lists the flags it does take
         assert err.splitlines()[0].startswith(f"usage: dstsim {' '.join(command)} ")
+        assert not (command_inputs / "run").exists()
+
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS), ids=" ".join)
+    def test_radial_flag_is_refused(self, command_inputs, capsys, command):
+        # LG modes have radial index 0: no command takes a radial flag, and prepare
+        # refuses one that once built a Laguerre factor for minutes
+        flags = ["--radial", "100000000"] if command == ("prepare",) else ["--radial", "0"]
+        with pytest.raises(SystemExit) as exc:
+            run(*command, *COMMAND_ARGV[command], *flags, "--out", "run")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (command_inputs / "run").exists()
+
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS), ids=" ".join)
+    def test_radial_in_a_config_file_is_refused_at_its_line(self, command_inputs, capsys,
+                                                            command):
+        # a config.resolved written while the key existed holds radial = 0
+        (command_inputs / "old.cfg").write_text("nx = 16\n# LG index\nradial = 0\n")
+        assert run(*command, *COMMAND_ARGV[command], "--config", "old.cfg",
+                   "--out", "run") == 2
+        assert capsys.readouterr().err == (
+            "error: old.cfg: config line 3: unknown configuration key 'radial'\n")
         assert not (command_inputs / "run").exists()
 
     def test_flag_before_the_command_is_refused(self, tmp_path, monkeypatch, capsys):
