@@ -74,16 +74,6 @@ def _write_json(cfg: cfgmod.ExperimentConfig, name: str, data: dict) -> str:
     return text
 
 
-def _write_plot_maps(res: reconstruct.ReconstructionResult, cfg) -> None:
-    """Emit gnuplot-ready density/phase maps: 'x_um y_um value' triplets, a blank line per row."""
-    grid = res.field.grid
-    xs = ["%.9g" % x for x in grid.x_coords() * 1e6]
-    rows = (" %.9g %%.17g\n" % y for y in grid.y_coords() * 1e6)
-    fmt = "".join("".join(x + row for x in xs) + "\n" for row in rows)  # coordinates baked in
-    for name, data in (("density.dat", res.density_map), ("phase.dat", res.phase_map)):
-        _atomic_write(os.path.join(cfg.out, name), fmt % tuple(data.ravel().tolist()))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -117,8 +107,6 @@ def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
     _write_json(cfg, "report.json", {
         "psi_tilde": res.psi_tilde, "estimator": res.estimator, "theta": records.theta,
         "zero_count_cells": None if mask is None else int(mask.sum()), **metrics})
-    if cfg.maps == "gnuplot":
-        _write_plot_maps(res, cfg)
     return os.path.join(cfg.out, "report.json")
 
 
@@ -197,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # theta is accepted but not read, as the records carry it: the benchmark's workloads
     # still pass it, and ROADMAP item 1a, which drops those calls, removes it here
-    p = _command(sub, "reconstruct", cmd_reconstruct, ("estimator", "maps", "theta"),
+    p = _command(sub, "reconstruct", cmd_reconstruct, ("estimator", "theta"),
                  "invert a records CSV")
     p.add_argument("--records", required=True, help="records CSV from 'measure'")
     p.add_argument("--ideal", help="optional WFGRID ground truth to score against")

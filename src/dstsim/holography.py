@@ -132,7 +132,8 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
     at the grid's extent (its larger side: both kernels' frequencies grow
     with the offset) as a fraction of Nyquist, accepted up to 1, and distance
     over that extent, accepted for the paraxial kernel from
-    :data:`PARAXIAL_MIN_EXTENTS`.
+    :data:`PARAXIAL_MIN_EXTENTS`.  A distance at which the kernel's phase is
+    not a double, ``k D`` or the spherical kernel's ``D^2``, is refused too.
     """
     k = spec.wavenumber
     d = spec.distance
@@ -149,6 +150,11 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
         raise SamplingGuardError(
             f"paraxial kernel needs distance >= {PARAXIAL_MIN_EXTENTS:g} x grid extent "
             f"({PARAXIAL_MIN_EXTENTS * extent:.3e} m), got {d:.3e} m"
+        )
+    if not math.isfinite(k * d) or not (paraxial or math.isfinite(d * d)):
+        raise SamplingGuardError(
+            f"kernel phase is not finite at distance {d:.3e} m "
+            f"(k*D{'' if paraxial else ' or D*D'} overflows a double); reduce the distance"
         )
     return nyquist_fraction, d / extent
 

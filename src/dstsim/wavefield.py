@@ -153,31 +153,32 @@ def make_mode(spec: ModeSpec, grid: GridSpec) -> TransverseWavefunction:
     Gaussian: ``exp(-r^2 / w0^2)``.  Laguerre-Gaussian of radial index 0,
     LG_0^l: ``(sqrt(2) r / w0)^|l| exp(-r^2 / w0^2) exp(i l phi)``.  Both are
     normalized to unit cell-sum power afterwards, so analytic prefactors are
-    irrelevant.  LG indices whose amplitudes overflow a double on ``grid``
-    raise ValueError.
+    irrelevant.  Nothing warns: a waist whose square overflows gives the flat
+    field the Gaussian tends to.  LG indices whose amplitudes overflow a
+    double on ``grid``, and a field the formula leaves NaN (``r^2 / w0^2`` of
+    ``inf / inf`` or ``0 / 0``), raise ValueError; a field that is zero in
+    every cell raises DegenerateFieldError.
     """
-    x, y = grid.mesh()
-    cx, cy = spec.center
-    xr = x - cx
-    yr = y - cy
-
-    if spec.kind == "gaussian":
-        amps = np.exp(-(xr**2 + yr**2) / spec.waist**2).astype(np.complex128)
-        name = "Gaussian mode"
-    else:  # "lg"
+    # each overflow or 0 / 0 is refused by name below, or is the limit the formula tends to
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, y = grid.mesh()
+        cx, cy = spec.center
+        xr = x - cx
+        yr = y - cy
         r2 = xr**2 + yr**2
-        r = np.sqrt(r2)
-        phi = np.arctan2(yr, xr)
-        with np.errstate(over="ignore", invalid="ignore"):   # refused by name below
+        w2 = np.float64(spec.waist) ** 2   # a Python float's ** raises on overflow
+        if spec.kind == "gaussian":
+            amps = np.exp(-r2 / w2).astype(np.complex128)
+            name = "Gaussian mode"
+        else:  # "lg"
             amps = (
-                (np.sqrt(2.0) * r / spec.waist) ** abs(spec.oam)
-                * np.exp(-r2 / spec.waist**2)
-                * np.exp(1j * spec.oam * phi)
+                (np.sqrt(2.0) * np.sqrt(r2) / spec.waist) ** abs(spec.oam)
+                * np.exp(-r2 / w2)
+                * np.exp(1j * spec.oam * np.arctan2(yr, xr))
             )
-        name = f"l = {spec.oam}: LG mode"
+            name = f"l = {spec.oam}: LG mode"
 
-    # a power that overflows or vanishes is refused by the mode's name (only
-    # LG indices can overflow; a waist far below the pitch can vanish)
+    # a power that overflows, is NaN or vanishes is refused by the mode's name
     return TransverseWavefunction(grid, _unit_power(amps, name)[0])
 
 
@@ -208,11 +209,14 @@ def _unit_power(amps: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     complex128 ``amps`` are scaled by the power of two of their largest
     magnitude, which is exact, so such a field normalizes as any power-of-two
     multiple of it does; a power that is a normal double is used as it is.
-    Each refusal calls the amplitudes ``name``: a power that is not finite
-    raises ValueError ``<name> power overflows a double``, and a zero field
-    DegenerateFieldError ``<name> has zero power``; neither warns.
+    Each refusal calls the amplitudes ``name``: an infinite power raises
+    ValueError ``<name> power overflows a double``, a NaN one ValueError
+    ``<name> power is not a number``, and a zero field DegenerateFieldError
+    ``<name> has zero power``; none warns.
     """
     p = _power(amps)
+    if np.isnan(p):
+        raise ValueError(f"{name} power is not a number")
     if not np.isfinite(p):
         raise ValueError(f"{name} power overflows a double")
     shift = 0

@@ -20,7 +20,7 @@ from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_file, from_text, to_text
 from dstsim.wavefield import MODES
 from dstsim.holography import KERNELS, OBJECT_MAPS, PARAXIAL_MIN_EXTENTS
-from dstsim.reconstruct import ESTIMATORS, ReconstructionResult
+from dstsim.reconstruct import ESTIMATORS
 from conftest import edit_csv
 from oracles import gauge_align, phase_winding
 
@@ -66,7 +66,7 @@ EVERY_FIELD_SET = dict(
     nx=32, ny=24, pitch_um=100.5, mode="lg", l=2, waist_um=500.0, cx_um=-12.5,
     cy_um=7.25, vortex_l=-1, theta=0.4, estimator="dwt", photons=100, seed=2**64 - 1,
     lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, object_map="phase",
-    threshold=0.02, maps="gnuplot", out="runs/a b=c",
+    threshold=0.02, out="runs/a b=c",
 )
 
 
@@ -77,7 +77,7 @@ _OPTICS = {"lambda_nm", "distance_mm", "kernel", "pad_factor"}
 COMMAND_KEYS = {
     ("prepare",): set(EVERY_FIELD_SET),
     ("measure",): {"theta", "photons", "seed", "out"},
-    ("reconstruct",): {"estimator", "maps", "theta", "out"},
+    ("reconstruct",): {"estimator", "theta", "out"},
     ("score",): {"out"},
     ("holo", "forward"): _OPTICS | {"object_map", "out"},
     ("holo", "inverse"): _OPTICS | {"out"},
@@ -332,7 +332,7 @@ class TestMeasureReconstruct:
         field = str(out / "field.wfgrid")
         assert run("measure", "--field", field, "--out", str(out)) == 0
         assert run("reconstruct", "--records", str(out / "records.csv"),
-                   "--ideal", field, "--maps", "gnuplot", "--out", str(out)) == 0
+                   "--ideal", field, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["estimator"] == "dst" and report["theta"] == math.pi / 2
         assert report["fidelity"] >= 1 - 1e-10
@@ -341,8 +341,6 @@ class TestMeasureReconstruct:
         rec = read_wfgrid(out / "reconstruction.wfgrid")
         ideal = read_wfgrid(field)
         assert np.max(np.abs(rec.amps - ideal.amps)) < 1e-9
-        density = (out / "density.dat").read_text().splitlines()
-        assert len([ln for ln in density if ln.strip()]) == 144
 
     def test_reconstruct_writes_no_maps_by_default(self, tmp_path):
         out = self._prepare(tmp_path)
@@ -350,23 +348,11 @@ class TestMeasureReconstruct:
         rec = tmp_path / "rec"
         assert run("reconstruct", "--records", str(out / "records.csv"), "--out", str(rec)) == 0
         assert sorted(os.listdir(rec)) == ["reconstruction.wfgrid", "report.json"]
-        # maps = none leaves a map an earlier run wrote as it is
+        # and leaves a file an earlier run wrote beside them as it is
         (rec / "density.dat").write_text("earlier\n")
         assert run("reconstruct", "--records", str(out / "records.csv"), "--out", str(rec)) == 0
         assert (rec / "density.dat").read_text() == "earlier\n"
         assert not (rec / "phase.dat").exists()
-
-    def test_gnuplot_maps_are_the_writers_bytes(self, tmp_path):
-        out = self._prepare(tmp_path)
-        assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "100",
-                   "--out", str(out)) == 0
-        rec = tmp_path / "rec"
-        assert run("reconstruct", "--records", str(out / "records.csv"), "--maps", "gnuplot",
-                   "--out", str(rec)) == 0
-        res = reconstruct.reconstruct_dst(read_records_csv(out / "records.csv"))
-        cli._write_plot_maps(res, ExperimentConfig(out=str(tmp_path / "direct")))
-        for name in ("density.dat", "phase.dat"):
-            assert (rec / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
 
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     def test_reconstruct_calls_the_module_inversion(self, tmp_path, monkeypatch, estimator):
@@ -387,42 +373,24 @@ class TestMeasureReconstruct:
         assert len(calls) == 1 and calls[0].theta == math.pi / 2
         assert json.loads((out / "report.json").read_text())["estimator"] == estimator
 
-    def test_gnuplot_maps_from_a_config_file(self, tmp_path):
-        # the key reads from a file as from its flag and round-trips through config.resolved
-        out = self._prepare(tmp_path)
-        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
-        records = str(out / "records.csv")
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("maps = gnuplot\n")
-        first = tmp_path / "first"
-        assert run("prepare", "--config", str(cfg_path), "--out", str(first)) == 0
-        resolved = first / "config.resolved"
-        assert "\nmaps = gnuplot\n" in resolved.read_text()
-        assert from_text(resolved.read_text()).maps == "gnuplot"
-        flagged = tmp_path / "flagged"
-        assert run("reconstruct", "--records", records, "--maps", "gnuplot",
-                   "--out", str(flagged)) == 0
-        for directory, settings in ((tmp_path / "file", ["--config", str(cfg_path)]),
-                                    (first, ["--config", str(resolved)])):
-            assert run("reconstruct", "--records", records, *settings,
-                       "--out", str(directory)) == 0
-            for name in ("density.dat", "phase.dat", "reconstruction.wfgrid", "report.json"):
-                assert (directory / name).read_bytes() == (flagged / name).read_bytes(), name
-
     def test_unknown_maps_value_is_validation_error(self, tmp_path, capsys):
+        # reconstruct writes its field as WFGRID only: no command takes --maps, and a
+        # config file that holds the key, as every older config.resolved does, is refused
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            run("reconstruct", "--records", str(out / "records.csv"), "--maps", "png",
-                "--out", str(tmp_path / "rec"))
-        assert exc.value.code == 2
-        assert "--maps" in capsys.readouterr().err
+        for command, argv in (("reconstruct", ["--records", str(out / "records.csv")]),
+                              ("prepare", [])):
+            with pytest.raises(SystemExit) as exc:
+                run(command, *argv, "--maps", "gnuplot", "--out", str(tmp_path / "rec"))
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --maps gnuplot" in capsys.readouterr().err
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("maps = png\n")
+        cfg_path.write_text("maps = none\n")
         assert run("reconstruct", "--records", str(out / "records.csv"), "--config",
                    str(cfg_path), "--out", str(tmp_path / "rec")) == 2
-        assert "maps must be one of none, gnuplot" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: config line 1: unknown configuration key 'maps'\n")
         assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize("photons, ideal", [("100", True), ("0", False)],
@@ -636,27 +604,6 @@ class TestOutputFiles:
         assert sorted(os.listdir(tmp_path)) == ["config.resolved", "field.wfgrid"]
         for name in ("config.resolved", "field.wfgrid"):
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640, name
-
-    def test_plot_map_golden_bytes(self, tmp_path):
-        # a 3x2 grid whose coordinates need all 9 digits of x_um and y_um
-        grid = GridSpec(3, 2, 1e-4 / 3)
-        amps = np.array([[0.1, 0.2j, 0.3], [1 / 3, -0.5, 0.25 + 0.25j]])
-        res = ReconstructionResult(TransverseWavefunction(grid, amps), 1.0, "dst")
-        cli._write_plot_maps(res, ExperimentConfig(out=str(tmp_path)))
-        xy = [b"-33.3333333 -16.6666667", b"0 -16.6666667", b"33.3333333 -16.6666667",
-              b"-33.3333333 16.6666667", b"0 16.6666667", b"33.3333333 16.6666667"]
-
-        def expected(values):
-            lines = [b"%s %s\n" % (a, v) for a, v in zip(xy, values)]
-            return b"".join(lines[:3]) + b"\n" + b"".join(lines[3:]) + b"\n"
-
-        assert (tmp_path / "density.dat").read_bytes() == expected(
-            [b"0.010000000000000002", b"0.040000000000000008", b"0.089999999999999997",
-             b"0.1111111111111111", b"0.25", b"0.125"])
-        assert (tmp_path / "phase.dat").read_bytes() == expected(
-            [b"0", b"1.5707963267948966", b"0", b"0", b"3.1415926535897931",
-             b"0.78539816339744828"])
-
 
 class TestScoreCommand:
     def test_score_identity(self, tmp_path, capsys):
@@ -1137,7 +1084,7 @@ class TestParser:
             actions = subparser(*command)._actions
             flags = sorted((a.dest, a.option_strings) for a in actions if a.dest in names)
             assert flags == sorted((key, [flag(key)]) for key in keys), command
-        assert sum(map(len, COMMAND_KEYS.values())) == 47
+        assert sum(map(len, COMMAND_KEYS.values())) == 45
 
     def test_per_command_flags_are_input_files(self):
         # every knob is a config key; a command adds only the files it reads
@@ -1266,6 +1213,17 @@ class TestCommandKeys:
             "error: old.cfg: config line 3: unknown configuration key 'radial'\n")
         assert not (command_inputs / "run").exists()
 
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS), ids=" ".join)
+    def test_maps_in_a_config_file_is_refused_at_its_line(self, command_inputs, capsys,
+                                                          command):
+        # a config.resolved written while the key existed holds maps = none
+        (command_inputs / "old.cfg").write_text("nx = 16\nmaps = none\n")
+        assert run(*command, *COMMAND_ARGV[command], "--config", "old.cfg",
+                   "--out", "run") == 2
+        assert capsys.readouterr().err == (
+            "error: old.cfg: config line 2: unknown configuration key 'maps'\n")
+        assert not (command_inputs / "run").exists()
+
     def test_flag_before_the_command_is_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -1273,3 +1231,48 @@ class TestCommandKeys:
         assert exc.value.code == 2
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+def _far(clause: str, distance_m: str) -> str:
+    return (f"error: kernel phase is not finite at distance {distance_m} m "
+            f"({clause} overflows a double); reduce the distance\n")
+
+
+#: Float keys at the ends of the doubles: each command line, its exit code and its
+#: error output.  A waist whose square overflows gives the flat field the Gaussian
+#: tends to; a mode the formula leaves NaN, or zero in every cell, is refused by name;
+#: a distance at which the kernel phase overflows is refused before any transform.
+FLOAT_EXTREMES = {
+    "waist 1e300": (["prepare", "--waist-um", "1e300"], 0, ""),
+    "pitch 1e300": (["prepare", "--pitch-um", "1e300"], 2,
+                    "error: Gaussian mode power is not a number\n"),
+    "pitch 1e200": (["prepare", "--pitch-um", "1e200"], 2,
+                    "error: Gaussian mode power is not a number\n"),
+    "pitch 1e-300": (["prepare", "--pitch-um", "1e-300"], 2,
+                     "error: Gaussian mode power is not a number\n"),
+    "waist 1e-200": (["prepare", "--waist-um", "1e-200"], 3,
+                     "error: Gaussian mode has zero power\n"),
+    "cx 1e200": (["prepare", "--cx-um", "1e200"], 3, "error: Gaussian mode has zero power\n"),
+    "forward fresnel": (["holo", "forward", "--in", "in/field.wfgrid", "--distance-mm",
+                         "1.7e308"], 3, _far("k*D", "1.700e+305")),
+    "forward feynman": (["holo", "forward", "--in", "in/field.wfgrid", "--kernel", "feynman",
+                         "--distance-mm", "1.7e308"], 3, _far("k*D or D*D", "1.700e+305")),
+    "forward feynman 1e200": (["holo", "forward", "--in", "in/field.wfgrid", "--kernel",
+                               "feynman", "--distance-mm", "1e200"], 3,
+                              _far("k*D or D*D", "1.000e+197")),
+    "object": (["holo", "object", *COMMAND_ARGV["holo", "object"], "--distance-mm",
+                "1.7e308"], 3, _far("k*D", "1.700e+305")),
+}
+
+
+@pytest.mark.parametrize("case", list(FLOAT_EXTREMES))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_float_extreme_exits_with_its_code(command_inputs, capsys, case):
+    argv, code, err = FLOAT_EXTREMES[case]
+    capsys.readouterr()
+    assert run(*argv, "--out", "run") == code
+    assert capsys.readouterr().err == err
+    if code:
+        assert not (command_inputs / "run").exists()
+    else:   # flat: every one of the 64x64 cells holds 1/64
+        assert np.all(read_wfgrid(command_inputs / "run" / "field.wfgrid").amps == 1 / 64)

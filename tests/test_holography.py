@@ -182,6 +182,31 @@ class TestGuards:
         assert str(exc.value) == ("kernel local frequency 12.38 x Nyquist at offset 8.000e-03 m; "
                                   "increase distance or refine the grid")
 
+    # the kernel phase k D overflows at 1.7e305 m, and the spherical kernel's D^2 at 1e197 m;
+    # at 1e150 m D^2 is a double, but a wavelength of 6e-160 m puts k D beyond one
+    @pytest.mark.parametrize("pitch, wavelength, distance, kernel, clause", [
+        (3e-6, LAM, 1.7e305, "fresnel", "k*D"),
+        (3e-6, LAM, 1.7e305, "feynman", "k*D or D*D"),
+        (3e-6, LAM, 1e197, "feynman", "k*D or D*D"),
+        (1e-150, 6e-160, 1e150, "feynman", "k*D or D*D"),
+    ], ids=["fresnel", "feynman", "feynman D^2", "feynman kD"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_distance_whose_kernel_phase_overflows_is_refused(self, monkeypatch, pitch,
+                                                              wavelength, distance, kernel,
+                                                              clause):
+        def transform(*args, **kwargs):
+            raise AssertionError("a refused propagation ran a transform")
+
+        monkeypatch.setattr(np.fft, "fft2", transform)
+        f = gaussian_on(GridSpec(16, 16, pitch))
+        spec = PropagationSpec(wavelength, distance, kernel)
+        message = (f"kernel phase is not finite at distance {distance:.3e} m "
+                   f"({clause} overflows a double); reduce the distance")
+        for call in (propagate_forward, lambda f, spec: reconstruct_object(f, f, spec)):
+            with pytest.raises(SamplingGuardError) as exc:
+                call(f, spec)
+            assert str(exc.value) == message
+
     def test_spherical_kernel_reports_distance_over_extent(self):
         grid = GridSpec(48, 40, 3e-6)
         _, distance_over_extent = holography._check_guards(grid, replace(FEYNMAN64, distance=2e-3))

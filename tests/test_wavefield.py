@@ -152,6 +152,30 @@ class TestMakeMode:
         with pytest.raises(DegenerateFieldError, match="^Gaussian mode has zero power$"):
             make_mode(ModeSpec("gaussian", waist=1e-3 * grid_8.pitch), grid_8)
 
+    # float keys at the ends of the doubles, on an 8x8 grid with the auto waist nx * pitch / 8
+    # unless given: a waist whose square overflows gives the flat field exp(-r^2 / w0^2)
+    # tends to, r^2 / w0^2 = inf / inf or 0 / 0 is NaN, and a field that is zero in every
+    # cell (r^2 / 0 or inf / w0^2) has zero power; none warns
+    @pytest.mark.parametrize("pitch, waist, center, error, message", [
+        (125e-6, 1e294, (0.0, 0.0), None, None),
+        (1e294, None, (0.0, 0.0), ValueError, "power is not a number"),
+        (1e194, None, (0.0, 0.0), ValueError, "power is not a number"),
+        (1e-306, None, (0.0, 0.0), ValueError, "power is not a number"),
+        (125e-6, 1e-206, (0.0, 0.0), DegenerateFieldError, "has zero power"),
+        (125e-6, None, (1e194, 0.0), DegenerateFieldError, "has zero power"),
+    ], ids=["waist 1e294", "pitch 1e294", "pitch 1e194", "pitch 1e-306", "waist 1e-206",
+            "cx 1e194"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_extremes_give_the_limit_or_a_refusal(self, pitch, waist, center, error,
+                                                        message):
+        grid = GridSpec(8, 8, pitch)
+        spec = ModeSpec("gaussian", waist=pitch if waist is None else waist, center=center)
+        if error is None:
+            assert np.all(make_mode(spec, grid).amps == 1 / 8)
+        else:
+            with pytest.raises(error, match=f"^Gaussian mode {message}$"):
+                make_mode(spec, grid)
+
     @pytest.mark.parametrize("waist", [0.0, -1e-4, float("inf")])
     def test_bad_waist(self, waist):
         with pytest.raises(ValueError):
