@@ -118,9 +118,8 @@ def cmd_score(args, cfg: cfgmod.ExperimentConfig) -> str:
 def cmd_holo_forward(args, cfg: cfgmod.ExperimentConfig) -> str:
     field = wavefield.read_wfgrid(args.infile)
     if args.object:
-        transmission = holography.OBJECT_MAPS[cfg.object_map](holography.read_pgm(args.object))
         try:
-            field = holography.apply_object(field, transmission)
+            field = holography.apply_object(field, holography.read_pgm(args.object) / 255.0)
         except ValueError as exc:   # the object's shape is not the field's
             raise ValueError(f"{args.object}: {exc}") from None
     out = holography.propagate_forward(field, cfg.propagation_spec())
@@ -198,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
                           allow_abbrev=False)
     hsub = holo.add_subparsers(dest="holo_command", required=True)
 
-    p = _command(hsub, "forward", cmd_holo_forward, (*optics, "object_map"),
-                 "propagate forward")
+    p = _command(hsub, "forward", cmd_holo_forward, optics, "propagate forward")
     p.add_argument("--in", dest="infile", required=True, help="input WFGRID")
-    p.add_argument("--object", help="PGM (P5) object mask applied before propagation")
+    p.add_argument("--object", help="PGM (P5) object mask applied before propagation, "
+                                    "each grey level as the amplitude level/255")
 
     p = _command(hsub, "inverse", cmd_holo_inverse, optics, "back-propagate (paraxial)")
     p.add_argument("--in", dest="infile", required=True, help="input WFGRID")

@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field, fields
 
 from .engine import STRONG_THETA, check_budget, check_seed, check_theta
-from .holography import KERNELS, OBJECT_MAPS, PropagationSpec, check_threshold
+from .holography import KERNELS, PropagationSpec, check_threshold
 from .reconstruct import ESTIMATORS
 from .wavefield import MODES, GridSpec, ModeSpec, check_charge, is_integer
 
@@ -56,7 +56,6 @@ class ExperimentConfig:
     kernel: str = _key("fresnel", "propagation kernel", list(KERNELS))
     pad_factor: int = _key(2, "zero-padding factor of the propagation grid (2 to 2**31)")
     # holography
-    object_map: str = _key("amplitude", "transmission map of the --object PGM", list(OBJECT_MAPS))
     threshold: float = _key(1e-3, "holo object validity threshold relative to peak illumination")
     # output
     out: str = _key("out", "output directory")

@@ -15,8 +15,8 @@ class DegenerateFieldError(ValueError):
 
 
 class SamplingGuardError(ValueError):
-    """A propagation kernel would be aliased on this grid, or the
-    paraxial-validity condition is violated for the requested distance."""
+    """A propagation kernel would be aliased, or overflow a double, on this grid,
+    or the paraxial-validity condition is violated for the requested distance."""
 
 
 class FileFormatError(Exception):

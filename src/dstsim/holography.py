@@ -133,7 +133,8 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
     with the offset) as a fraction of Nyquist, accepted up to 1, and distance
     over that extent, accepted for the paraxial kernel from
     :data:`PARAXIAL_MIN_EXTENTS`.  A distance at which the kernel's phase is
-    not a double, ``k D`` or the spherical kernel's ``D^2``, is refused too.
+    not a double, ``k D`` or the spherical kernel's ``D^2``, is refused too, as is a
+    largest padded offset whose square (spherical: ``r^2``), hence ``pitch^2``, is not.
     """
     k = spec.wavenumber
     d = spec.distance
@@ -156,6 +157,14 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
             f"kernel phase is not finite at distance {d:.3e} m "
             f"(k*D{'' if paraxial else ' or D*D'} overflows a double); reduce the distance"
         )
+    # the largest padded offsets as _kernel_array's fftfreq scales them, each >= 2 pitch
+    ox, oy = (n // 2 * (1.0 / (n * (1.0 / n))) * grid.pitch
+              for n in (grid.nx * spec.pad_factor, grid.ny * spec.pad_factor))
+    far = max(ox, oy)
+    if not math.isfinite(far * far if paraxial else ox * ox + oy * oy + d * d):
+        raise SamplingGuardError(
+            f"largest padded offset {far:.3e} m at pitch {grid.pitch:.3e} m is not finite "
+            f"{'squared' if paraxial else 'in the kernel r^2'}; reduce the pitch")
     return nyquist_fraction, d / extent
 
 
@@ -360,14 +369,6 @@ def read_pgm(path) -> np.ndarray:
     if len(data) - pos != width * height:
         raise FileFormatError(f"{path}: expected {width * height} pixels, got {len(data) - pos}")
     return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width)
-
-
-#: Maps of 8-bit grey levels to complex transmission, by name.  ``amplitude``:
-#: linear to [0, 1].  ``phase``: linear to [0, 2 pi) with unit modulus.
-OBJECT_MAPS = {
-    "amplitude": lambda levels: (levels / 255.0).astype(np.complex128),
-    "phase": lambda levels: np.exp(1j * levels * (2.0 * np.pi / 256.0)),
-}
 
 
 def apply_object(f: TransverseWavefunction, transmission: np.ndarray) -> TransverseWavefunction:

@@ -19,7 +19,7 @@ from dstsim import config as cfgmod
 from dstsim.cli import main
 from dstsim.config import ExperimentConfig, from_file, from_text, to_text
 from dstsim.wavefield import MODES
-from dstsim.holography import KERNELS, OBJECT_MAPS, PARAXIAL_MIN_EXTENTS
+from dstsim.holography import KERNELS, PARAXIAL_MIN_EXTENTS
 from dstsim.reconstruct import ESTIMATORS
 from conftest import edit_csv
 from oracles import gauge_align, phase_winding
@@ -65,8 +65,8 @@ def run_in_c_locale(*argv, cwd=None) -> subprocess.CompletedProcess:
 EVERY_FIELD_SET = dict(
     nx=32, ny=24, pitch_um=100.5, mode="lg", l=2, waist_um=500.0, cx_um=-12.5,
     cy_um=7.25, vortex_l=-1, theta=0.4, estimator="dwt", photons=100, seed=2**64 - 1,
-    lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, object_map="phase",
-    threshold=0.02, out="runs/a b=c",
+    lambda_nm=632.8, distance_mm=2.5, kernel="feynman", pad_factor=3, threshold=0.02,
+    out="runs/a b=c",
 )
 
 
@@ -79,7 +79,7 @@ COMMAND_KEYS = {
     ("measure",): {"theta", "photons", "seed", "out"},
     ("reconstruct",): {"estimator", "theta", "out"},
     ("score",): {"out"},
-    ("holo", "forward"): _OPTICS | {"object_map", "out"},
+    ("holo", "forward"): _OPTICS | {"out"},
     ("holo", "inverse"): _OPTICS | {"out"},
     ("holo", "object"): _OPTICS | {"threshold", "out"},
 }
@@ -142,8 +142,7 @@ class TestConfig:
             ExperimentConfig(out=out)
 
     @pytest.mark.parametrize("key, value", [("mode", "custom"), ("estimator", "DST"),
-                                            ("kernel", "spherical"),
-                                            ("object_map", "intensity")])
+                                            ("kernel", "spherical")])
     def test_choice_error_names_key_and_values(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be one of"):
             ExperimentConfig(**{key: value})
@@ -722,7 +721,7 @@ class TestHoloCommands:
         common = ["--lambda-nm", "808", "--distance-mm", "2.0", "--kernel", "fresnel",
                   "--pad-factor", "4", "--out", str(out)]
         assert run("holo", "forward", "--in", str(out / "field.wfgrid"),
-                   "--object", str(pgm), "--object-map", "amplitude", *common) == 0
+                   "--object", str(pgm), *common) == 0
         assert run("holo", "object", "--measured", str(out / "propagated.wfgrid"),
                    "--input", str(out / "field.wfgrid"), "--threshold", "0.02", *common) == 0
         t = read_wfgrid(out / "transmission.wfgrid")
@@ -759,15 +758,14 @@ class TestHoloCommands:
                   "--pad-factor", "4"]
         out = tmp_path / "run"
         assert run("prepare", "--nx", "64", "--ny", "64", "--pitch-um", "3.0",
-                   "--waist-um", "60.0", *optics, "--object-map", "phase", "--threshold", "0.02",
-                   "--out", str(out)) == 0
+                   "--waist-um", "60.0", *optics, "--threshold", "0.02", "--out", str(out)) == 0
         field = str(out / "field.wfgrid")
         pgm = tmp_path / "steps.pgm"
         pgm.write_bytes(b"P5\n64 64\n255\n" + np.arange(64 * 64, dtype=np.uint8).tobytes())
         flags = tmp_path / "flags"
         resolved = ["--config", str(out / "config.resolved")]
         for directory, forward, obj in (
-                (flags, [*optics, "--object-map", "phase", "--out", str(flags)],
+                (flags, [*optics, "--out", str(flags)],
                  [*optics, "--threshold", "0.02", "--out", str(flags)]),
                 (out, resolved, resolved)):
             assert run("holo", "forward", "--in", field, "--object", str(pgm), *forward) == 0
@@ -1063,8 +1061,7 @@ class TestExitCodes:
 
 class TestParser:
     def test_choices_come_from_the_tuples(self):
-        tuples = {"mode": MODES, "kernel": KERNELS, "estimator": ESTIMATORS,
-                  "object_map": OBJECT_MAPS}
+        tuples = {"mode": MODES, "kernel": KERNELS, "estimator": ESTIMATORS}
         for command, keys in COMMAND_KEYS.items():
             actions = {a.dest: a for a in subparser(*command)._actions}
             for key in tuples.keys() & keys:
@@ -1084,7 +1081,7 @@ class TestParser:
             actions = subparser(*command)._actions
             flags = sorted((a.dest, a.option_strings) for a in actions if a.dest in names)
             assert flags == sorted((key, [flag(key)]) for key in keys), command
-        assert sum(map(len, COMMAND_KEYS.values())) == 45
+        assert sum(map(len, COMMAND_KEYS.values())) == 43
 
     def test_per_command_flags_are_input_files(self):
         # every knob is a config key; a command adds only the files it reads
@@ -1139,13 +1136,16 @@ COMMAND_ARGV = {
 
 @pytest.fixture
 def command_inputs(tmp_path, monkeypatch):
-    """A 16x16 field at 3 um pitch, its records and propagation, and an object, in ./in."""
+    """A 16x16 field at 3 um pitch, its records and propagation, and an object, in ./in;
+    and a flat 16x16 field at a pitch whose square overflows a double, in/wide.wfgrid."""
     monkeypatch.chdir(tmp_path)
     assert run("prepare", "--nx", "16", "--ny", "16", "--pitch-um", "3", "--out", "in") == 0
     assert run("measure", "--field", "in/field.wfgrid", "--theta", "0.3", "--out", "in") == 0
     assert run("holo", "forward", "--in", "in/field.wfgrid", "--distance-mm", "2",
                "--out", "in") == 0
     (tmp_path / "in" / "object.pgm").write_bytes(b"P5 16 16 255\n" + bytes(range(256)))
+    write_wfgrid(tmp_path / "in" / "wide.wfgrid",
+                 TransverseWavefunction(GridSpec(16, 16, 1e194), np.full((16, 16), 1 / 16 + 0j)))
     return tmp_path
 
 
@@ -1173,7 +1173,7 @@ class TestCommandKeys:
         (("reconstruct",), ["--photons", "5"]),
         (("score",), ["--distance-mm", "3"]),
         (("holo", "forward"), ["--threshold", "0.5"]),
-        (("holo", "inverse"), ["--object-map", "phase"]),
+        (("holo", "forward"), ["--object-map", "phase"]),
         (("holo", "object"), ["--seed", "1"]),
         # flag names are exact: a prefix that only --threshold has here sets no key,
         # and neither does a prefix of a flag the command does not take
@@ -1202,26 +1202,18 @@ class TestCommandKeys:
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not (command_inputs / "run").exists()
 
+    # a config.resolved written while one of these keys existed holds it at the one value
+    # that a check uses: the LG radial index, the reconstruction's maps and the object map
+    @pytest.mark.parametrize("line", ["radial = 0", "maps = none", "object_map = amplitude"])
     @pytest.mark.parametrize("command", list(COMMAND_KEYS), ids=" ".join)
-    def test_radial_in_a_config_file_is_refused_at_its_line(self, command_inputs, capsys,
-                                                            command):
-        # a config.resolved written while the key existed holds radial = 0
-        (command_inputs / "old.cfg").write_text("nx = 16\n# LG index\nradial = 0\n")
+    def test_removed_key_in_a_config_file_is_refused_at_its_line(self, command_inputs, capsys,
+                                                                 command, line):
+        (command_inputs / "old.cfg").write_text(f"nx = 16\n# written by an older dstsim\n{line}\n")
         assert run(*command, *COMMAND_ARGV[command], "--config", "old.cfg",
                    "--out", "run") == 2
+        key = line.split(" = ")[0]
         assert capsys.readouterr().err == (
-            "error: old.cfg: config line 3: unknown configuration key 'radial'\n")
-        assert not (command_inputs / "run").exists()
-
-    @pytest.mark.parametrize("command", list(COMMAND_KEYS), ids=" ".join)
-    def test_maps_in_a_config_file_is_refused_at_its_line(self, command_inputs, capsys,
-                                                          command):
-        # a config.resolved written while the key existed holds maps = none
-        (command_inputs / "old.cfg").write_text("nx = 16\nmaps = none\n")
-        assert run(*command, *COMMAND_ARGV[command], "--config", "old.cfg",
-                   "--out", "run") == 2
-        assert capsys.readouterr().err == (
-            "error: old.cfg: config line 2: unknown configuration key 'maps'\n")
+            f"error: old.cfg: config line 3: unknown configuration key '{key}'\n")
         assert not (command_inputs / "run").exists()
 
     def test_flag_before_the_command_is_refused(self, tmp_path, monkeypatch, capsys):
@@ -1238,10 +1230,18 @@ def _far(clause: str, distance_m: str) -> str:
             f"({clause} overflows a double); reduce the distance\n")
 
 
+#: Past the distance guards, at a wavelength and distance of 1e291 m, in/wide.wfgrid's
+#: pitch squared overflows, and so does its largest padded offset's (16 pitches).
+_WIDE = ["--lambda-nm", "1e300", "--distance-mm", "1e294"]
+_WIDE_ERR = ("error: largest padded offset 1.600e+195 m at pitch 1.000e+194 m is not finite "
+             "squared; reduce the pitch\n")
+
+
 #: Float keys at the ends of the doubles: each command line, its exit code and its
 #: error output.  A waist whose square overflows gives the flat field the Gaussian
 #: tends to; a mode the formula leaves NaN, or zero in every cell, is refused by name;
-#: a distance at which the kernel phase overflows is refused before any transform.
+#: a distance at which the kernel phase overflows, and a pitch at which the kernel's
+#: offsets do, are refused before any transform.
 FLOAT_EXTREMES = {
     "waist 1e300": (["prepare", "--waist-um", "1e300"], 0, ""),
     "pitch 1e300": (["prepare", "--pitch-um", "1e300"], 2,
@@ -1262,6 +1262,12 @@ FLOAT_EXTREMES = {
                               _far("k*D or D*D", "1.000e+197")),
     "object": (["holo", "object", *COMMAND_ARGV["holo", "object"], "--distance-mm",
                 "1.7e308"], 3, _far("k*D", "1.700e+305")),
+    "forward pitch 1e194": (["holo", "forward", "--in", "in/wide.wfgrid", *_WIDE], 3,
+                            _WIDE_ERR),
+    "inverse pitch 1e194": (["holo", "inverse", "--in", "in/wide.wfgrid", *_WIDE], 3,
+                            _WIDE_ERR),
+    "object pitch 1e194": (["holo", "object", "--measured", "in/wide.wfgrid", "--input",
+                            "in/wide.wfgrid", *_WIDE], 3, _WIDE_ERR),
 }
 
 

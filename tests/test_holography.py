@@ -24,8 +24,9 @@ from dstsim import (
     read_pgm,
     reconstruct_object,
 )
-from dstsim import holography
-from dstsim.holography import OBJECT_MAPS, PARAXIAL_MIN_EXTENTS, _kernel_array
+from dstsim import holography, write_wfgrid
+from dstsim.cli import main
+from dstsim.holography import PARAXIAL_MIN_EXTENTS, _kernel_array
 from oracles import convolve_zero_padded, gaussian_beam_at_distance, kernel_on_padded_grid
 
 LAM = 808e-9
@@ -183,26 +184,38 @@ class TestGuards:
                                   "increase distance or refine the grid")
 
     # the kernel phase k D overflows at 1.7e305 m, and the spherical kernel's D^2 at 1e197 m;
-    # at 1e150 m D^2 is a double, but a wavelength of 6e-160 m puts k D beyond one
+    # at 1e150 m D^2 is a double, but a wavelength of 6e-160 m puts k D beyond one.  Past
+    # those guards: a pitch whose square overflows, and then so does the largest padded
+    # offset's (16 pitches); an offset whose square overflows at a finite pitch squared;
+    # and offsets whose squares are doubles but whose spherical r^2 is not
     @pytest.mark.parametrize("pitch, wavelength, distance, kernel, clause", [
-        (3e-6, LAM, 1.7e305, "fresnel", "k*D"),
-        (3e-6, LAM, 1.7e305, "feynman", "k*D or D*D"),
-        (3e-6, LAM, 1e197, "feynman", "k*D or D*D"),
-        (1e-150, 6e-160, 1e150, "feynman", "k*D or D*D"),
-    ], ids=["fresnel", "feynman", "feynman D^2", "feynman kD"])
+        (3e-6, LAM, 1.7e305, "fresnel", "(k*D overflows a double); reduce the distance"),
+        (3e-6, LAM, 1.7e305, "feynman", "(k*D or D*D overflows a double); reduce the distance"),
+        (3e-6, LAM, 1e197, "feynman", "(k*D or D*D overflows a double); reduce the distance"),
+        (1e-150, 6e-160, 1e150, "feynman", "(k*D or D*D overflows a double); reduce the distance"),
+        (1e194, 1e291, 1e291, "fresnel", "squared; reduce the pitch"),
+        (1e153, 1e291, 1e291, "fresnel", "squared; reduce the pitch"),
+        (6.25e152, 1.3e153, 1e-3, "feynman", "in the kernel r^2; reduce the pitch"),
+    ], ids=["fresnel", "feynman", "feynman D^2", "feynman kD", "pitch^2", "offset^2", "r^2"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_distance_whose_kernel_phase_overflows_is_refused(self, monkeypatch, pitch,
-                                                              wavelength, distance, kernel,
-                                                              clause):
+    def test_kernel_that_overflows_is_refused(self, monkeypatch, pitch, wavelength, distance,
+                                              kernel, clause):
         def transform(*args, **kwargs):
             raise AssertionError("a refused propagation ran a transform")
 
         monkeypatch.setattr(np.fft, "fft2", transform)
-        f = gaussian_on(GridSpec(16, 16, pitch))
+        grid = GridSpec(16, 16, pitch)
+        f = TransverseWavefunction(grid, np.full((16, 16), 1 / 16, dtype=np.complex128))
         spec = PropagationSpec(wavelength, distance, kernel)
-        message = (f"kernel phase is not finite at distance {distance:.3e} m "
-                   f"({clause} overflows a double); reduce the distance")
-        for call in (propagate_forward, lambda f, spec: reconstruct_object(f, f, spec)):
+        if clause.endswith("distance"):
+            message = f"kernel phase is not finite at distance {distance:.3e} m {clause}"
+        else:
+            message = (f"largest padded offset {16 * pitch:.3e} m at pitch {pitch:.3e} m "
+                       f"is not finite {clause}")
+        calls = [propagate_forward, lambda f, spec: reconstruct_object(f, f, spec)]
+        if kernel == "fresnel":
+            calls.append(propagate_inverse)
+        for call in calls:
             with pytest.raises(SamplingGuardError) as exc:
                 call(f, spec)
             assert str(exc.value) == message
@@ -713,29 +726,22 @@ class TestPgm:
         with pytest.raises(FileFormatError):
             read_pgm(path)
 
-    def test_amplitude_mapping(self):
-        arr = np.array([[0, 255], [51, 102]], dtype=np.uint8)
-        t = OBJECT_MAPS["amplitude"](arr)
-        assert t[0, 0] == 0.0
-        assert t[0, 1] == 1.0
-        assert t[1, 0] == pytest.approx(0.2)
-
-    def test_phase_mapping(self):
-        arr = np.array([[0, 64], [128, 255]], dtype=np.uint8)
-        t = OBJECT_MAPS["phase"](arr)
-        assert np.allclose(np.abs(t), 1.0)
-        assert np.angle(t[0, 0]) == pytest.approx(0.0)
-        assert np.angle(t[1, 0]) == pytest.approx(np.pi)
-        # 8-bit levels map onto [0, 2 pi): level 255 stays short of a full turn
-        assert np.angle(t[1, 1]) == pytest.approx(2 * np.pi * 255 / 256) or \
-            np.angle(t[1, 1]) == pytest.approx(2 * np.pi * 255 / 256 - 2 * np.pi)
-
-    @pytest.mark.parametrize("mapping", list(OBJECT_MAPS))
-    def test_map_reads_uint8_levels_as_their_values(self, mapping):
-        # holo forward maps read_pgm's uint8 levels as they are
-        levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        assert np.array_equal(OBJECT_MAPS[mapping](levels),
-                              OBJECT_MAPS[mapping](levels.astype(np.float64)))
+    def test_holo_forward_applies_each_level_as_amplitude_over_255(self, tmp_path):
+        # every 8-bit level, one per cell; the CLI writes what the library computes
+        grid = GridSpec(16, 16, 3e-6)
+        field = tmp_path / "field.wfgrid"
+        write_wfgrid(field, gaussian_on(grid))
+        pgm = tmp_path / "levels.pgm"
+        pgm.write_bytes(b"P5 16 16 255\n" + bytes(range(256)))
+        assert main(["holo", "forward", "--in", str(field), "--object", str(pgm),
+                     "--distance-mm", "2", "--out", str(tmp_path / "cli")]) == 0
+        spec = PropagationSpec(LAM, 2e-3)
+        levels = read_pgm(pgm)
+        assert levels.dtype == np.uint8 and sorted(levels.ravel()) == list(range(256))
+        write_wfgrid(tmp_path / "library.wfgrid",
+                     propagate_forward(apply_object(gaussian_on(grid), levels / 255.0), spec))
+        assert ((tmp_path / "cli" / "propagated.wfgrid").read_bytes()
+                == (tmp_path / "library.wfgrid").read_bytes())
 
     def test_apply_object_shape_mismatch(self, gaussian_8):
         with pytest.raises(ValueError):
