@@ -126,15 +126,16 @@ class PropagationSpec:
 
 
 def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
-    """Refuse an aliased or non-paraxial propagation; return its guard margins.
+    """Refuse an aliased, non-paraxial or non-finite propagation; return its guard margins.
 
     The margins, returned for both kernels, are the kernel's local frequency
     at the grid's extent (its larger side: both kernels' frequencies grow
     with the offset) as a fraction of Nyquist, accepted up to 1, and distance
     over that extent, accepted for the paraxial kernel from
-    :data:`PARAXIAL_MIN_EXTENTS`.  A distance at which the kernel's phase is
-    not a double, ``k D`` or the spherical kernel's ``D^2``, is refused too, as is a
-    largest padded offset whose square (spherical: ``r^2``), hence ``pitch^2``, is not.
+    :data:`PARAXIAL_MIN_EXTENTS`.  The kernel itself, evaluated by
+    :func:`_fill_kernel` at zero and at the largest padded offsets, must be
+    finite and nonzero at all four: each of its intermediate values grows with
+    the offset, so those four bound every other offset's.
     """
     k = spec.wavenumber
     d = spec.distance
@@ -152,19 +153,17 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
             f"paraxial kernel needs distance >= {PARAXIAL_MIN_EXTENTS:g} x grid extent "
             f"({PARAXIAL_MIN_EXTENTS * extent:.3e} m), got {d:.3e} m"
         )
-    if not math.isfinite(k * d) or not (paraxial or math.isfinite(d * d)):
-        raise SamplingGuardError(
-            f"kernel phase is not finite at distance {d:.3e} m "
-            f"(k*D{'' if paraxial else ' or D*D'} overflows a double); reduce the distance"
-        )
-    # the largest padded offsets as _kernel_array's fftfreq scales them, each >= 2 pitch
+    # zero and the largest padded offsets, each >= 2 pitch, as _kernel_array's fftfreq scales them
     ox, oy = (n // 2 * (1.0 / (n * (1.0 / n))) * grid.pitch
               for n in (grid.nx * spec.pad_factor, grid.ny * spec.pad_factor))
-    far = max(ox, oy)
-    if not math.isfinite(far * far if paraxial else ox * ox + oy * oy + d * d):
+    with np.errstate(all="ignore"):
+        corners = _fill_kernel(np.array([0.0, -ox]), np.array([0.0, -oy]), spec,
+                               np.empty((2, 2), dtype=np.complex128))
+    if not (np.isfinite(corners).all() and corners.all()):
         raise SamplingGuardError(
-            f"largest padded offset {far:.3e} m at pitch {grid.pitch:.3e} m is not finite "
-            f"{'squared' if paraxial else 'in the kernel r^2'}; reduce the pitch")
+            f"kernel is not finite and nonzero at wavelength {spec.wavelength:.3e} m, "
+            f"distance {d:.3e} m and offsets up to {max(ox, oy):.3e} m; "
+            f"change the wavelength, distance or pitch")
     return nyquist_fraction, d / extent
 
 
@@ -196,8 +195,9 @@ def _by_rows(ufunc: np.ufunc, *operands: np.ndarray, out: np.ndarray) -> np.ndar
         return ufunc(*operands, out=out)
 
 
-def _kernel_array(grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
-    """The kernel sampled at every offset of the padded grid, in FFT order.
+def _fill_kernel(dx: np.ndarray, dy: np.ndarray, spec: PropagationSpec,
+                 full: np.ndarray) -> np.ndarray:
+    """Write the kernel at the signed offsets ``dy`` by ``dx``, in FFT order, into ``full``.
 
     The paraxial kernel is the outer product of its y chirp and its x chirp,
     the x chirp carrying the constant ``exp(i k D) / (i lambda D)``: one
@@ -207,31 +207,25 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
 
     The spherical kernel depends on the offsets only through dx^2 and dy^2,
     and the negative ``fftfreq`` bins are exact negatives of the positive
-    ones, so it is evaluated on the leading quadrant of the same offsets and
-    mirrored bit for bit.  The quadrant is evaluated straight into the padded
-    buffer in :data:`_KERNEL_BLOCKS` blocks of rows, each with the direct
-    formula's operations in its order: a block fills its rows' leading
-    columns and its column mirror the rest, and the rows are then mirrored
-    within the buffer.  So no temporary is larger than one block.
+    ones, so it is evaluated on the leading quadrant of the offsets and
+    mirrored bit for bit.  The quadrant is evaluated straight into ``full``
+    in :data:`_KERNEL_BLOCKS` blocks of rows, each with the direct formula's
+    operations in its order: a block fills its rows' leading columns and its
+    column mirror the rest, and the rows are then mirrored within the buffer.
+    So no temporary is larger than one block.
     """
-    py = grid.ny * spec.pad_factor
-    px = grid.nx * spec.pad_factor
+    py, px = full.shape
     k = spec.wavenumber
     d = spec.distance
     lam = spec.wavelength
-    # the signed offsets in FFT order; fftfreq's scale 1 / (n * (1 / n)) is not
-    # exactly 1 for every n, and the mirrored quadrant must match it bit for bit
-    dx = np.fft.fftfreq(px, 1.0 / px) * grid.pitch
-    dy = np.fft.fftfreq(py, 1.0 / py) * grid.pitch
     if spec.kernel == "fresnel":
         ex = np.exp(1j * k * d) / (1j * lam * d) * np.exp(1j * k * dx**2 / (2.0 * d))
         ey = np.exp(1j * k * dy**2 / (2.0 * d))
-        return _by_rows(np.multiply, ey[:, None], ex[None, :], out=_padded_empty((py, px)))
+        return _by_rows(np.multiply, ey[:, None], ex[None, :], out=full)
     my = py // 2 + 1
     mx = px // 2 + 1
     # an even size's last quadrant offset is the negative Nyquist bin: its square is the same
     dx2 = dx[:mx]**2
-    full = _padded_empty((py, px))
     step = -(-my // _KERNEL_BLOCKS)
     for y in range(0, my, step):
         rows = slice(y, min(y + step, my))
@@ -243,6 +237,17 @@ def _kernel_array(grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
     # disjoint source and target rows: numpy copies them without a temporary
     full[my:] = full[py - my:0:-1]
     return full
+
+
+def _kernel_array(grid: GridSpec, spec: PropagationSpec) -> np.ndarray:
+    """The kernel sampled at every offset of the padded grid, in FFT order."""
+    py = grid.ny * spec.pad_factor
+    px = grid.nx * spec.pad_factor
+    # the signed offsets in FFT order; fftfreq's scale 1 / (n * (1 / n)) is not
+    # exactly 1 for every n, and the mirrored quadrant must match it bit for bit
+    dx = np.fft.fftfreq(px, 1.0 / px) * grid.pitch
+    dy = np.fft.fftfreq(py, 1.0 / py) * grid.pitch
+    return _fill_kernel(dx, dy, spec, _padded_empty((py, px)))
 
 
 def _convolve(amps: np.ndarray, grid: GridSpec, spec: PropagationSpec) -> np.ndarray:

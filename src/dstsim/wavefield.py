@@ -63,15 +63,10 @@ class GridSpec:
         """Largest physical side length of the grid (m)."""
         return max(self.nx, self.ny) * self.pitch
 
-    def x_coords(self) -> np.ndarray:
-        return (np.arange(self.nx) - (self.nx - 1) / 2.0) * self.pitch
-
-    def y_coords(self) -> np.ndarray:
-        return (np.arange(self.ny) - (self.ny - 1) / 2.0) * self.pitch
-
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell-center coordinates ``(X, Y)`` as ``(ny, nx)`` arrays (m)."""
-        return np.meshgrid(self.x_coords(), self.y_coords())
+        return np.meshgrid(*((np.arange(n) - (n - 1) / 2.0) * self.pitch
+                             for n in (self.nx, self.ny)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1137,15 +1137,17 @@ COMMAND_ARGV = {
 @pytest.fixture
 def command_inputs(tmp_path, monkeypatch):
     """A 16x16 field at 3 um pitch, its records and propagation, and an object, in ./in;
-    and a flat 16x16 field at a pitch whose square overflows a double, in/wide.wfgrid."""
+    and flat 16x16 fields at a pitch whose square overflows a double, in/wide.wfgrid,
+    and at a 1e150 m pitch, in/far.wfgrid."""
     monkeypatch.chdir(tmp_path)
     assert run("prepare", "--nx", "16", "--ny", "16", "--pitch-um", "3", "--out", "in") == 0
     assert run("measure", "--field", "in/field.wfgrid", "--theta", "0.3", "--out", "in") == 0
     assert run("holo", "forward", "--in", "in/field.wfgrid", "--distance-mm", "2",
                "--out", "in") == 0
     (tmp_path / "in" / "object.pgm").write_bytes(b"P5 16 16 255\n" + bytes(range(256)))
-    write_wfgrid(tmp_path / "in" / "wide.wfgrid",
-                 TransverseWavefunction(GridSpec(16, 16, 1e194), np.full((16, 16), 1 / 16 + 0j)))
+    for name, pitch in (("wide", 1e194), ("far", 1e150)):
+        write_wfgrid(tmp_path / "in" / f"{name}.wfgrid", TransverseWavefunction(
+            GridSpec(16, 16, pitch), np.full((16, 16), 1 / 16 + 0j)))
     return tmp_path
 
 
@@ -1225,23 +1227,27 @@ class TestCommandKeys:
         assert not (tmp_path / "run").exists()
 
 
-def _far(clause: str, distance_m: str) -> str:
-    return (f"error: kernel phase is not finite at distance {distance_m} m "
-            f"({clause} overflows a double); reduce the distance\n")
+def _kernel_err(wavelength_m: str, distance_m: str, offset_m: str) -> str:
+    return (f"error: kernel is not finite and nonzero at wavelength {wavelength_m} m, "
+            f"distance {distance_m} m and offsets up to {offset_m} m; "
+            f"change the wavelength, distance or pitch\n")
 
 
-#: Past the distance guards, at a wavelength and distance of 1e291 m, in/wide.wfgrid's
-#: pitch squared overflows, and so does its largest padded offset's (16 pitches).
+#: At a wavelength and distance of 1e291 m, in/wide.wfgrid's pitch squared overflows,
+#: and so does its largest padded offset's (16 pitches).
 _WIDE = ["--lambda-nm", "1e300", "--distance-mm", "1e294"]
-_WIDE_ERR = ("error: largest padded offset 1.600e+195 m at pitch 1.000e+194 m is not finite "
-             "squared; reduce the pitch\n")
+_WIDE_ERR = _kernel_err("1.000e+291", "1.000e+291", "1.600e+195")
+#: At a wavelength and distance of 1e200 m, lambda D overflows, and the paraxial
+#: kernel's constant 1 / (i lambda D) with it is zero.
+_LAMBDA_D = ["--lambda-nm", "1e209", "--distance-mm", "1e203"]
+_LAMBDA_D_ERR = _kernel_err("1.000e+200", "1.000e+200", "4.800e-05")
 
 
 #: Float keys at the ends of the doubles: each command line, its exit code and its
 #: error output.  A waist whose square overflows gives the flat field the Gaussian
 #: tends to; a mode the formula leaves NaN, or zero in every cell, is refused by name;
-#: a distance at which the kernel phase overflows, and a pitch at which the kernel's
-#: offsets do, are refused before any transform.
+#: a wavelength, distance or pitch at which the kernel is not finite and nonzero is
+#: refused before any transform.
 FLOAT_EXTREMES = {
     "waist 1e300": (["prepare", "--waist-um", "1e300"], 0, ""),
     "pitch 1e300": (["prepare", "--pitch-um", "1e300"], 2,
@@ -1254,20 +1260,30 @@ FLOAT_EXTREMES = {
                      "error: Gaussian mode has zero power\n"),
     "cx 1e200": (["prepare", "--cx-um", "1e200"], 3, "error: Gaussian mode has zero power\n"),
     "forward fresnel": (["holo", "forward", "--in", "in/field.wfgrid", "--distance-mm",
-                         "1.7e308"], 3, _far("k*D", "1.700e+305")),
+                         "1.7e308"], 3, _kernel_err("8.080e-07", "1.700e+305", "4.800e-05")),
     "forward feynman": (["holo", "forward", "--in", "in/field.wfgrid", "--kernel", "feynman",
-                         "--distance-mm", "1.7e308"], 3, _far("k*D or D*D", "1.700e+305")),
+                         "--distance-mm", "1.7e308"], 3,
+                        _kernel_err("8.080e-07", "1.700e+305", "4.800e-05")),
     "forward feynman 1e200": (["holo", "forward", "--in", "in/field.wfgrid", "--kernel",
                                "feynman", "--distance-mm", "1e200"], 3,
-                              _far("k*D or D*D", "1.000e+197")),
+                              _kernel_err("8.080e-07", "1.000e+197", "4.800e-05")),
     "object": (["holo", "object", *COMMAND_ARGV["holo", "object"], "--distance-mm",
-                "1.7e308"], 3, _far("k*D", "1.700e+305")),
+                "1.7e308"], 3, _kernel_err("8.080e-07", "1.700e+305", "4.800e-05")),
     "forward pitch 1e194": (["holo", "forward", "--in", "in/wide.wfgrid", *_WIDE], 3,
                             _WIDE_ERR),
     "inverse pitch 1e194": (["holo", "inverse", "--in", "in/wide.wfgrid", *_WIDE], 3,
                             _WIDE_ERR),
     "object pitch 1e194": (["holo", "object", "--measured", "in/wide.wfgrid", "--input",
                             "in/wide.wfgrid", *_WIDE], 3, _WIDE_ERR),
+    "forward lambda D": (["holo", "forward", "--in", "in/field.wfgrid", *_LAMBDA_D], 3,
+                         _LAMBDA_D_ERR),
+    "inverse lambda D": (["holo", "inverse", "--in", "in/field.wfgrid", *_LAMBDA_D], 3,
+                         _LAMBDA_D_ERR),
+    "object lambda D": (["holo", "object", *COMMAND_ARGV["holo", "object"], *_LAMBDA_D], 3,
+                        _LAMBDA_D_ERR),
+    "forward feynman lambda r": (["holo", "forward", "--in", "in/far.wfgrid", "--kernel",
+                                  "feynman", "--lambda-nm", "1e170", "--distance-mm", "1"], 3,
+                                 _kernel_err("1.000e+161", "1.000e-03", "1.600e+151")),
 }
 
 

@@ -184,22 +184,27 @@ class TestGuards:
                                   "increase distance or refine the grid")
 
     # the kernel phase k D overflows at 1.7e305 m, and the spherical kernel's D^2 at 1e197 m;
-    # at 1e150 m D^2 is a double, but a wavelength of 6e-160 m puts k D beyond one.  Past
-    # those guards: a pitch whose square overflows, and then so does the largest padded
-    # offset's (16 pitches); an offset whose square overflows at a finite pitch squared;
-    # and offsets whose squares are doubles but whose spherical r^2 is not
-    @pytest.mark.parametrize("pitch, wavelength, distance, kernel, clause", [
-        (3e-6, LAM, 1.7e305, "fresnel", "(k*D overflows a double); reduce the distance"),
-        (3e-6, LAM, 1.7e305, "feynman", "(k*D or D*D overflows a double); reduce the distance"),
-        (3e-6, LAM, 1e197, "feynman", "(k*D or D*D overflows a double); reduce the distance"),
-        (1e-150, 6e-160, 1e150, "feynman", "(k*D or D*D overflows a double); reduce the distance"),
-        (1e194, 1e291, 1e291, "fresnel", "squared; reduce the pitch"),
-        (1e153, 1e291, 1e291, "fresnel", "squared; reduce the pitch"),
-        (6.25e152, 1.3e153, 1e-3, "feynman", "in the kernel r^2; reduce the pitch"),
-    ], ids=["fresnel", "feynman", "feynman D^2", "feynman kD", "pitch^2", "offset^2", "r^2"])
+    # at 1e150 m D^2 is a double, but a wavelength of 6e-160 m puts k D beyond one.  Then:
+    # a pitch whose square overflows, and then so does the largest padded offset's (16
+    # pitches); an offset whose square overflows at a finite pitch squared; offsets whose
+    # squares are doubles but whose spherical r^2 is not; a lambda D that overflows, and
+    # with it the paraxial constant 1 / (i lambda D) becomes zero; and a spherical lambda r
+    # that overflows at the largest offsets only
+    @pytest.mark.parametrize("pitch, wavelength, distance, kernel", [
+        (3e-6, LAM, 1.7e305, "fresnel"),
+        (3e-6, LAM, 1.7e305, "feynman"),
+        (3e-6, LAM, 1e197, "feynman"),
+        (1e-150, 6e-160, 1e150, "feynman"),
+        (1e194, 1e291, 1e291, "fresnel"),
+        (1e153, 1e291, 1e291, "fresnel"),
+        (6.25e152, 1.3e153, 1e-3, "feynman"),
+        (3e-6, 1e200, 1e200, "fresnel"),
+        (1e150, 1e161, 1e-3, "feynman"),
+    ], ids=["fresnel", "feynman", "feynman D^2", "feynman kD", "pitch^2", "offset^2", "r^2",
+            "lambda D", "lambda r"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_kernel_that_overflows_is_refused(self, monkeypatch, pitch, wavelength, distance,
-                                              kernel, clause):
+                                              kernel):
         def transform(*args, **kwargs):
             raise AssertionError("a refused propagation ran a transform")
 
@@ -207,11 +212,9 @@ class TestGuards:
         grid = GridSpec(16, 16, pitch)
         f = TransverseWavefunction(grid, np.full((16, 16), 1 / 16, dtype=np.complex128))
         spec = PropagationSpec(wavelength, distance, kernel)
-        if clause.endswith("distance"):
-            message = f"kernel phase is not finite at distance {distance:.3e} m {clause}"
-        else:
-            message = (f"largest padded offset {16 * pitch:.3e} m at pitch {pitch:.3e} m "
-                       f"is not finite {clause}")
+        message = (f"kernel is not finite and nonzero at wavelength {wavelength:.3e} m, "
+                   f"distance {distance:.3e} m and offsets up to {16 * pitch:.3e} m; "
+                   f"change the wavelength, distance or pitch")
         calls = [propagate_forward, lambda f, spec: reconstruct_object(f, f, spec)]
         if kernel == "fresnel":
             calls.append(propagate_inverse)
@@ -219,6 +222,26 @@ class TestGuards:
             with pytest.raises(SamplingGuardError) as exc:
                 call(f, spec)
             assert str(exc.value) == message
+
+    # odd, even and mixed padded sizes; 7x14 pad 7 pads to 49 x 98, where fftfreq's
+    # scale is not exactly 1
+    @pytest.mark.parametrize("nx,ny,pad", [(7, 5, 3), (7, 14, 7), (24, 17, 2), (256, 256, 4)])
+    @pytest.mark.parametrize("kind", holography.KERNELS)
+    def test_guard_evaluates_the_kernels_corner_bins(self, monkeypatch, nx, ny, pad, kind):
+        filled = []
+        fill = holography._fill_kernel
+
+        def recording(*args):
+            filled.append(fill(*args))
+            return filled[-1]
+
+        monkeypatch.setattr(holography, "_fill_kernel", recording)
+        grid = GridSpec(nx, ny, 3e-6)
+        spec = PropagationSpec(LAM, 40.0 * grid.extent, kind, pad)
+        holography._check_guards(grid, spec)
+        kern = _kernel_array(grid, spec)
+        corners = kern[np.ix_([0, ny * pad // 2], [0, nx * pad // 2])]
+        assert filled[0].tobytes() == corners.tobytes()   # bit for bit
 
     def test_spherical_kernel_reports_distance_over_extent(self):
         grid = GridSpec(48, 40, 3e-6)
