@@ -276,34 +276,37 @@ def scan(
 
 #: The keys of the header line, which states the scan once: ``nx=64,ny=64,...``.
 _HEADER_KEYS = ("nx", "ny", "pitch", "theta", "budget")
-#: The column names, value format and dtype of the probabilities of a noiseless
-#: scan (``False``) and of the counts of a sampled one (``True``).
-_COLUMNS = {False: (["w_" + p for p in PROJECTORS], "%.17g", np.float64),
-            True: (["n_" + p for p in PROJECTORS], "%d", np.int64)}
+#: The column names, field format, value formatter and parser (``None``: the format
+#: and numpy's own parser) and dtype of the probabilities of a noiseless scan
+#: (``False``), C99 hexadecimal floats that read back bit for bit, and of the
+#: counts of a sampled one (``True``).
+_COLUMNS = {False: (["w_" + p for p in PROJECTORS], "%s", float.hex, float.fromhex, np.float64),
+            True: (["n_" + p for p in PROJECTORS], "%d", None, None, np.int64)}
 #: Rows formatted per write, which bounds the writer's memory.
-_ROW_BLOCK = 1024
+_ROW_BLOCK = 512
 
 
 def write_records_csv(records: ScanRecords, path) -> None:
     """Write the header, the column names, then one row per cell in row-major order.
 
     The header states ``nx``, ``ny``, the pitch (m), theta and the budget,
-    floats as ``repr``.  A row holds the cell's six probabilities with 17
-    significant digits when the scan is noiseless, or its six counts when it
-    is sampled.
+    floats as ``repr``.  A row holds the cell's six probabilities as
+    hexadecimal floats (``float.hex``) when the scan is noiseless, or its six
+    counts when it is sampled.
     """
     grid = records.grid
     values = (grid.nx, grid.ny, repr(float(grid.pitch)), repr(float(records.theta)),
               records.photons_per_setting)
     header = ",".join(f"{k}={v}" for k, v in zip(_HEADER_KEYS, values))
-    names, fmt, _ = _COLUMNS[records.photons_per_setting > 0]
+    names, fmt, to_text, _, _ = _COLUMNS[records.photons_per_setting > 0]
     cells = records.readout.reshape(len(PROJECTORS), -1).T
     row = ",".join([fmt] * len(names)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"{header}\r\n{','.join(names)}\r\n")
         for start in range(0, grid.ncells, _ROW_BLOCK):
             block = cells[start:start + _ROW_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            values = block.ravel().tolist()
+            fh.write((row * len(block)) % tuple(map(to_text, values) if to_text else values))
 
 
 def read_records_csv(path) -> ScanRecords:
@@ -312,9 +315,10 @@ def read_records_csv(path) -> ScanRecords:
     Raises :class:`FileFormatError` on a missing or malformed header, column
     names other than the probabilities' for budget 0 or the counts' for a
     budget > 0, other than ``nx * ny`` rows (each ending in a line break) of
-    six fields, a non-integer count, and anything :class:`ScanRecords`
-    refuses: a grid or theta out of range, a negative or non-finite
-    probability or a negative count.
+    six fields, a probability that is not a hexadecimal float (a decimal one
+    included, which ``float.fromhex`` would misread), a non-integer count,
+    and anything :class:`ScanRecords` refuses: a grid or theta out of range,
+    a negative or non-finite probability or a negative count.
     """
     with open(path, "rb") as fh:
         text = fh.read()
@@ -333,7 +337,7 @@ def read_records_csv(path) -> ScanRecords:
     names = text[end_header + 1:end_names].rstrip(b"\r").decode("latin-1").split(",")
     try:
         grid, budget = GridSpec(int(nx), int(ny), float(pitch)), int(budget)
-        expected, _, dtype = _COLUMNS[budget > 0]
+        expected, _, _, from_text, dtype = _COLUMNS[budget > 0]
         if names != expected:
             raise FileFormatError(f"{path}: columns {','.join(names)!r}, but budget {budget} "
                                   f"records {','.join(expected)}")
@@ -342,9 +346,14 @@ def read_records_csv(path) -> ScanRecords:
                 or text.count(b",", start) != (len(names) - 1) * n):
             raise FileFormatError(f"{path}: expected {n} rows of {len(names)} fields, "
                                   f"one per cell of the {grid.nx}x{grid.ny} grid")
+        # one 0x per field, so every field is read as a hexadecimal float
+        if not budget and text.count(b"0x", start) != len(names) * n:
+            raise FileFormatError(f"{path}: the probabilities must be hexadecimal floats; "
+                                  "re-run measure to rewrite records written in decimal")
         body = io.BytesIO(text)   # shares the bytes of text, which it never writes
         body.seek(start)
-        table = np.loadtxt(body, dtype, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(body, dtype, delimiter=",", comments=None, ndmin=2,
+                           converters=from_text)
         del text, body   # dropped before the records take their transposed copy
         return ScanRecords(table.T.reshape(len(PROJECTORS), grid.ny, grid.nx), grid,
                            float(theta), budget)

@@ -544,6 +544,23 @@ class TestMeasureReconstruct:
         assert str(path) in capsys.readouterr().err
         assert not (out / "rec").exists()
 
+    def test_decimal_probabilities_are_format_error(self, tmp_path, capsys):
+        # noiseless records in the earlier encoding, 17 significant digits: float.fromhex
+        # would misread them, so they are refused, naming the file, and nothing is written
+        out = self._prepare(tmp_path)
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
+        path = out / "records.csv"
+        cells = read_records_csv(path).readout.reshape(6, -1).T.tolist()
+        lines = path.read_text().splitlines()[:2]
+        lines += [",".join("%.17g" % p for p in cell) for cell in cells]
+        path.write_text("\r\n".join(lines) + "\r\n")
+        capsys.readouterr()
+        assert run("reconstruct", "--records", str(path), "--out", str(out / "rec")) == 4
+        err = capsys.readouterr().err
+        assert f"{path}: the probabilities must be hexadecimal floats" in err
+        assert "re-run measure" in err
+        assert not (out / "rec").exists()
+
     def test_records_without_header_are_format_error(self, tmp_path):
         out = self._prepare(tmp_path)
         assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0

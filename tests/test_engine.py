@@ -39,9 +39,13 @@ def uniform_field(n=2, pitch=1e-4):
 # records.csv of the uniform 2x2 field: the scan header, the column names, then
 # the cells (0, 0), (1, 0), (0, 1), (1, 1)
 UNIFORM_2X2_HEADER = b"nx=2,ny=2,pitch=0.0001,theta=1.5707963267948966,budget=%d\r\n"
-UNIFORM_2X2_PROBS = b"0.5,0.125,0.5625,0.0625,0.31250000000000006,0.31250000000000006"
+UNIFORM_2X2_PROBS = (b"0x1.0000000000000p-1,0x1.0000000000000p-3,0x1.2000000000000p-1,"
+                     b"0x1.0000000000000p-4,0x1.4000000000001p-2,0x1.4000000000001p-2")
 UNIFORM_2X2_NOISELESS = (UNIFORM_2X2_HEADER % 0 + b"w_plus,w_minus,w_0,w_1,w_L,w_R\r\n"
                          + b"%s\r\n" % UNIFORM_2X2_PROBS * 4)
+# the same scan in the earlier encoding, 17 significant digits, which is refused
+UNIFORM_2X2_DECIMAL = UNIFORM_2X2_NOISELESS.replace(
+    UNIFORM_2X2_PROBS, b"0.5,0.125,0.5625,0.0625,0.31250000000000006,0.31250000000000006")
 UNIFORM_2X2_COUNTS_SEED0 = (b"2,0,6,1,1,6", b"1,2,4,0,4,7", b"3,4,5,0,1,1", b"7,2,8,2,3,0")
 UNIFORM_2X2_SAMPLED_SEED0 = (UNIFORM_2X2_HEADER % 10 + b"n_plus,n_minus,n_0,n_1,n_L,n_R\r\n"
                              + b"".join(b"%s\r\n" % c for c in UNIFORM_2X2_COUNTS_SEED0))
@@ -467,7 +471,7 @@ class TestRecordsCsv:
         assert back.grid == gaussian_8.grid and back.theta == STRONG
         assert back.readout.dtype == np.float64
         assert back.photons_per_setting == 0
-        assert np.array_equal(back.readout, records.readout)  # 17 significant digits round-trip
+        assert np.array_equal(back.readout, records.readout)  # hexadecimal floats are exact
 
     def test_round_trip_sampled(self, tmp_path, gaussian_8):
         records = scan(gaussian_8, STRONG, photons_per_setting=1000, seed=5)
@@ -553,40 +557,63 @@ class TestRecordsCsv:
         with pytest.raises(FileFormatError, match="columns"):
             read_records_csv(path)
 
-    @pytest.mark.parametrize("budget, rows, column, value", [
-        (10, [3], 1, "-1"),              # a negative count
-        (0, [3], 0, "-0.5"),             # a negative probability
-        (10, [-2], 4, "budget=0"),       # counts with a zero budget
-        (0, [-2], 4, "budget=10"),       # a budget without count columns
-        (0, [3], 2, "nan"),              # a non-finite probability
-        (10, [3], 5, "2.0"),             # a non-integer count
-        (0, [3], 5, "0,0"),              # an extra field
-        (0, [-2], 1, "ny=7"),            # 64 rows for a grid of 56 cells
-        (0, [-2], 1, "ny=16"),           # 64 rows for a grid of 128 cells
-        (0, [-2], 3, "theta=0.0"),       # theta out of (0, pi/2]
-        (0, [-2], 3, "theta=1.6"),
-        (0, [-2], 3, "theta=nan"),
-        (0, [-2], 2, "pitch=0.0"),       # a pitch that is not positive
-        (0, [-2], 2, "pitch=-0.000125"),
-        (0, [-2], 0, "nx=8.0"),          # a malformed header
-        (0, [-2], 1, "ny"),
-        (0, [-2], 4, "photons=0"),
-        (0, [-2], 4, "budget=0,seed=1"),
-        (0, [-1], 1, "w_minus "),        # unexpected column names
-        (10, [-1], 5, ""),
+    @pytest.mark.parametrize("budget, rows, column, value, message", [
+        (10, [3], 1, "-1", "negative count"),
+        (0, [3], 0, "-0x1p-1", "negative probability"),
+        (10, [-2], 4, "budget=0", "columns"),          # counts with a zero budget
+        (0, [-2], 4, "budget=10", "columns"),          # a budget without count columns
+        (0, [3], 2, "nan", "hexadecimal floats"),      # a non-finite probability
+        (0, [3], 2, "0.5", "hexadecimal floats"),      # fromhex would read 0.3125
+        (0, [3], 2, "0x1p2000", "could not convert"),  # beyond the doubles
+        (10, [3], 5, "2.0", "could not convert"),      # a non-integer count
+        (0, [3], 5, "0x0,0x0", "6 fields"),            # an extra field
+        (0, [-2], 1, "ny=7", "56 rows"),               # 64 rows for a grid of 56 cells
+        (0, [-2], 1, "ny=16", "128 rows"),             # 64 rows for a grid of 128 cells
+        (0, [-2], 3, "theta=0.0", "theta"),            # theta out of (0, pi/2]
+        (0, [-2], 3, "theta=1.6", "theta"),
+        (0, [-2], 3, "theta=nan", "theta"),
+        (0, [-2], 2, "pitch=0.0", "pitch"),            # a pitch that is not positive
+        (0, [-2], 2, "pitch=-0.000125", "pitch"),
+        (0, [-2], 0, "nx=8.0", "int"),                 # a malformed header
+        (0, [-2], 1, "ny", "expected the header"),
+        (0, [-2], 4, "photons=0", "expected the header"),
+        (0, [-2], 4, "budget=0,seed=1", "expected the header"),
+        (0, [-1], 1, "w_minus ", "columns"),           # unexpected column names
+        (10, [-1], 5, "", "columns"),
     ], ids=["negative-count", "negative-prob", "counts-zero-budget", "budget-no-counts",
-            "nan-prob", "float-count", "extra-field", "rows-exceed-grid",
-            "rows-short-of-grid", "theta-zero", "theta-above-half-pi", "theta-nan",
-            "pitch-zero", "pitch-negative", "float-nx", "key-without-value", "unknown-key",
-            "extra-key", "column-name", "column-missing"])
-    def test_rejects_invalid_rows(self, tmp_path, gaussian_8, budget, rows, column, value):
+            "nan-prob", "decimal-prob", "overflow-prob", "float-count", "extra-field",
+            "rows-exceed-grid", "rows-short-of-grid", "theta-zero", "theta-above-half-pi",
+            "theta-nan", "pitch-zero", "pitch-negative", "float-nx", "key-without-value",
+            "unknown-key", "extra-key", "column-name", "column-missing"])
+    def test_rejects_invalid_rows(self, tmp_path, gaussian_8, budget, rows, column, value,
+                                  message):
         path = tmp_path / "records.csv"
         write_records_csv(scan(gaussian_8, STRONG, photons_per_setting=budget, seed=0), path)
         read_records_csv(path)
         edit_csv(path, rows, column, value)
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=message):
             read_records_csv(path)
 
+    def test_rejects_decimal_probabilities(self, tmp_path):
+        # the earlier encoding wrote a noiseless scan's probabilities to 17 significant
+        # digits; float.fromhex would misread them (0.5 as 0.3125), so they are refused
+        path = tmp_path / "records.csv"
+        path.write_bytes(UNIFORM_2X2_DECIMAL)
+        with pytest.raises(FileFormatError, match="hexadecimal floats") as refused:
+            read_records_csv(path)
+        assert str(refused.value).startswith(f"{path}: ")
+        assert "re-run measure" in str(refused.value)
+
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 2.2250738585072014e-308, 1 - 2**-53])
+    def test_round_trip_extreme_probabilities(self, tmp_path, value):
+        # zero, the least subnormal, the least normal and the greatest double below 1
+        readout = np.full((6, 2, 2), 0.25)
+        readout[3, 1, 0] = value
+        path = tmp_path / "records.csv"
+        write_records_csv(ScanRecords(readout, GRID_2X2, STRONG), path)
+        assert path.read_bytes().count(b",%s," % value.hex().encode()) == 1
+        back = read_records_csv(path)
+        assert back.readout.tobytes() == readout.tobytes()
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(nx=st.integers(2, 9), ny=st.integers(2, 9), pitch=st.floats(1e-9, 1.0),
@@ -710,7 +737,7 @@ class TestScanRecords:
         assert peak < path.stat().st_size + 1.5 * records.readout.nbytes
 
     def test_records_write_holds_one_row_block(self, tmp_path):
-        # 1024 formatted rows at a time: measured 0.37 MiB at 128x128
+        # 512 formatted rows at a time: measured 0.41 MiB at 128x128
         records = scan(random_field(GridSpec(128, 128, 1e-5), 8))
         tracemalloc.start()
         try:
