@@ -276,14 +276,50 @@ def scan(
 
 #: The keys of the header line, which states the scan once: ``nx=64,ny=64,...``.
 _HEADER_KEYS = ("nx", "ny", "pitch", "theta", "budget")
-#: The column names, field format, value formatter and parser (``None``: the format
-#: and numpy's own parser) and dtype of the probabilities of a noiseless scan
-#: (``False``), C99 hexadecimal floats that read back bit for bit, and of the
-#: counts of a sampled one (``True``).
-_COLUMNS = {False: (["w_" + p for p in PROJECTORS], "%s", float.hex, float.fromhex, np.float64),
-            True: (["n_" + p for p in PROJECTORS], "%d", None, None, np.int64)}
+#: The column names, parser (``None``: numpy's own) and dtype of the probabilities
+#: of a noiseless scan (``False``), C99 hexadecimal floats that read back bit for
+#: bit, and of the counts of a sampled one (``True``).
+_COLUMNS = {False: (["w_" + p for p in PROJECTORS], float.fromhex, np.float64),
+            True: (["n_" + p for p in PROJECTORS], None, np.int64)}
 #: Rows formatted per write, which bounds the writer's memory.
 _ROW_BLOCK = 512
+
+# ``float.hex`` in pieces for :func:`_hex_rows`: tables of text, each entry viewed as
+# one unsigned integer, so that a gather copies whole entries
+#: The prefix by sign and by whether the exponent field is nonzero (a normal double).
+_HEX_PREFIX = np.array([b"0x0", b"0x1", b"-0x0", b"-0x1"], "S4").view(np.uint32)
+#: Two lowercase hexadecimal digits per byte value.
+_HEX_PAIRS = np.array([b"%02x" % i for i in range(256)], "S2").view(np.uint16)
+#: The suffix by the exponent field: ``p`` and the field less 1023, or -1022 for the
+#: subnormals at field 0.
+_HEX_SUFFIX = np.array([b"p%+d" % e for e in (-1022, *range(-1022, 1025))], "S8").view(np.uint64)
+#: A zero after its ``0x0``: ``.0p+0``, NUL-padded to the digits' and the suffix's width.
+_HEX_ZERO = np.frombuffer(b".0".ljust(14, b"\0") + b"p+0".ljust(8, b"\0"), np.uint8)
+#: What ends each of a row's six fields.
+_FIELD_ENDS = np.array([b","] * (len(PROJECTORS) - 1) + [b"\r\n"], "S2").view(np.uint16)
+
+
+def _hex_rows(block: np.ndarray) -> bytes:
+    """The rows of a ``(rows, 6)`` block of finite doubles, each as ``float.hex`` writes it.
+
+    Each value is first laid out in 28 bytes, NUL-padded: the sign and ``0x0`` or
+    ``0x1`` (bytes 0-3), the point and 13 digits (4-17), the suffix (18-25), then
+    a comma or CRLF (26-27).  Dropping the NULs leaves the text.
+    """
+    values = np.ascontiguousarray(block).ravel()
+    bits = values.view(np.uint64)
+    exponent = bits >> 52 & 0x7ff
+    fields = np.empty((len(bits), 28), np.uint8)
+    fields[:, :4].view(np.uint32)[:, 0] = _HEX_PREFIX.take(bits >> 62 & 2 | (exponent > 0))
+    # bytes 1-7 of the big-endian double hold the low 4 bits of the exponent, which
+    # the point replaces, then the 52 bits of the mantissa
+    big_endian = bits.astype(">u8").view(np.uint8).reshape(-1, 8)
+    fields[:, 4:18].view(np.uint16)[:] = _HEX_PAIRS.take(big_endian[:, 1:])
+    fields[:, 4] = ord(".")
+    fields[:, 18:26].view(np.uint64)[:, 0] = _HEX_SUFFIX.take(exponent)
+    fields[values == 0, 4:26] = _HEX_ZERO
+    fields.reshape(-1, len(_FIELD_ENDS), 28)[..., 26:].view(np.uint16)[..., 0] = _FIELD_ENDS
+    return fields.tobytes().translate(None, b"\0")
 
 
 def write_records_csv(records: ScanRecords, path) -> None:
@@ -291,22 +327,25 @@ def write_records_csv(records: ScanRecords, path) -> None:
 
     The header states ``nx``, ``ny``, the pitch (m), theta and the budget,
     floats as ``repr``.  A row holds the cell's six probabilities as
-    hexadecimal floats (``float.hex``) when the scan is noiseless, or its six
-    counts when it is sampled.
+    hexadecimal floats, byte for byte as ``float.hex`` writes them, when the
+    scan is noiseless, or its six counts when it is sampled.  Each block of
+    512 rows is formatted whole: the probabilities by array operations, the
+    counts by one ``%d`` format.
     """
     grid = records.grid
     values = (grid.nx, grid.ny, repr(float(grid.pitch)), repr(float(records.theta)),
               records.photons_per_setting)
     header = ",".join(f"{k}={v}" for k, v in zip(_HEADER_KEYS, values))
-    names, fmt, to_text, _, _ = _COLUMNS[records.photons_per_setting > 0]
+    sampled = records.photons_per_setting > 0
+    names = _COLUMNS[sampled][0]
     cells = records.readout.reshape(len(PROJECTORS), -1).T
-    row = ",".join([fmt] * len(names)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{header}\r\n{','.join(names)}\r\n")
+    row = b",".join([b"%d"] * len(names)) + b"\r\n"
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\r\n{','.join(names)}\r\n".encode())
         for start in range(0, grid.ncells, _ROW_BLOCK):
             block = cells[start:start + _ROW_BLOCK]
-            values = block.ravel().tolist()
-            fh.write((row * len(block)) % tuple(map(to_text, values) if to_text else values))
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()) if sampled
+                     else _hex_rows(block))
 
 
 def read_records_csv(path) -> ScanRecords:
@@ -337,7 +376,7 @@ def read_records_csv(path) -> ScanRecords:
     names = text[end_header + 1:end_names].rstrip(b"\r").decode("latin-1").split(",")
     try:
         grid, budget = GridSpec(int(nx), int(ny), float(pitch)), int(budget)
-        expected, _, _, from_text, dtype = _COLUMNS[budget > 0]
+        expected, from_text, dtype = _COLUMNS[budget > 0]
         if names != expected:
             raise FileFormatError(f"{path}: columns {','.join(names)!r}, but budget {budget} "
                                   f"records {','.join(expected)}")

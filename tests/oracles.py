@@ -179,3 +179,24 @@ def stream_v1_counts(probs, budget: int, seed: int, ix: int, iy: int) -> list[in
         na = int(rng.binomial(total, pa / (pa + pb))) if total else 0
         counts += [na, total - na]
     return counts
+
+
+def records_csv_reference(records) -> bytes:
+    """The bytes of a records CSV, built value by value from its written definition.
+
+    The header ``nx=..,ny=..,pitch=..,theta=..,budget=..`` with the floats as
+    ``repr``, then the column names, ``w_`` for a noiseless scan's probabilities
+    and ``n_`` for a sampled scan's counts, then one row per cell, y outer and x
+    inner, of the six values in projector order: probabilities as ``float.hex``,
+    counts as ``%d``.  Every line ends in CRLF.
+    """
+    grid, budget = records.grid, records.photons_per_setting
+    kind = "n_" if budget else "w_"
+    lines = [f"nx={grid.nx},ny={grid.ny},pitch={float(grid.pitch)!r},"
+             f"theta={float(records.theta)!r},budget={budget}",
+             ",".join(kind + p for p in ("plus", "minus", "0", "1", "L", "R"))]
+    for iy in range(grid.ny):
+        for ix in range(grid.nx):
+            cell = [records.readout[k, iy, ix] for k in range(6)]
+            lines.append(",".join("%d" % v if budget else float.hex(float(v)) for v in cell))
+    return "".join(line + "\r\n" for line in lines).encode()

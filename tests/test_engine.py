@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dstsim import (
     DegenerateFieldError,
@@ -26,7 +26,7 @@ from dstsim import (
 from dstsim import engine
 from dstsim.engine import cell_rng
 from conftest import edit_csv, random_field
-from oracles import gauge_align, stream_v1_counts
+from oracles import gauge_align, records_csv_reference, stream_v1_counts
 
 STRONG = math.pi / 2
 
@@ -604,9 +604,11 @@ class TestRecordsCsv:
         assert str(refused.value).startswith(f"{path}: ")
         assert "re-run measure" in str(refused.value)
 
-    @pytest.mark.parametrize("value", [0.0, 5e-324, 2.2250738585072014e-308, 1 - 2**-53])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1 - 2**-53])
     def test_round_trip_extreme_probabilities(self, tmp_path, value):
-        # zero, the least subnormal, the least normal and the greatest double below 1
+        # zero, negative zero (no scan measures one, but the records accept it, and it
+        # is the one value here that runs the formatter's sign), the least subnormal,
+        # the least normal and the greatest double below 1
         readout = np.full((6, 2, 2), 0.25)
         readout[3, 1, 0] = value
         path = tmp_path / "records.csv"
@@ -614,6 +616,42 @@ class TestRecordsCsv:
         assert path.read_bytes().count(b",%s," % value.hex().encode()) == 1
         back = read_records_csv(path)
         assert back.readout.tobytes() == readout.tobytes()
+
+    @pytest.mark.parametrize("budget", [0, 10**6], ids=["noiseless", "sampled"])
+    def test_bytes_equal_the_reference(self, tmp_path, budget):
+        # 851 cells: the rows cross the 512-row block boundary, and the last block is partial
+        records = scan(random_field(GridSpec(37, 23, 1e-5), 4), 0.3, budget, seed=2)
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        assert path.read_bytes() == records_csv_reference(records)
+
+
+def float_hex_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a block of doubles, each value by ``float.hex``."""
+    return "".join(",".join(map(float.hex, row)) + "\r\n" for row in block.tolist()).encode()
+
+
+# a 64-bit pattern, its sign bit drawn apart: the integers lean to small values
+BITS_64 = st.builds(lambda sign, rest: sign << 63 | rest, st.integers(0, 1),
+                    st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.lists(BITS_64, min_size=6, max_size=6), min_size=1, max_size=8))
+def test_hex_rows_equal_float_hex(rows):
+    block = np.array(rows, dtype=np.uint64).view(np.float64)
+    assume(np.isfinite(block).all())
+    assert engine._hex_rows(block) == float_hex_rows(block)
+
+
+def test_hex_rows_equal_float_hex_at_the_edges():
+    # zero, the least subnormal, the least normal, the greatest double, the greatest
+    # below 1, and a power of two at every exponent; each with both signs: 701 rows
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1 - 2**-53]
+    edges += [2.0**k for k in range(-1074, 1024)]
+    block = np.array(edges + [-v for v in edges]).reshape(-1, 6)
+    assert engine._hex_rows(block) == float_hex_rows(block)
+
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(nx=st.integers(2, 9), ny=st.integers(2, 9), pitch=st.floats(1e-9, 1.0),
@@ -737,7 +775,7 @@ class TestScanRecords:
         assert peak < path.stat().st_size + 1.5 * records.readout.nbytes
 
     def test_records_write_holds_one_row_block(self, tmp_path):
-        # 512 formatted rows at a time: measured 0.41 MiB at 128x128
+        # 512 rows formatted at a time, by array operations: measured 0.36 MiB at 128x128
         records = scan(random_field(GridSpec(128, 128, 1e-5), 8))
         tracemalloc.start()
         try:
