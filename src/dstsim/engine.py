@@ -19,7 +19,7 @@ reduces to a0 = (ptilde - psi)/sqrt(N), a1 = psi/sqrt(N).
 
 from __future__ import annotations
 
-import io
+import binascii
 import math
 from dataclasses import dataclass
 from operator import index
@@ -276,88 +276,58 @@ def scan(
 
 #: The keys of the header line, which states the scan once: ``nx=64,ny=64,...``.
 _HEADER_KEYS = ("nx", "ny", "pitch", "theta", "budget")
-#: The column names, parser (``None``: numpy's own) and dtype of the probabilities
-#: of a noiseless scan (``False``), C99 hexadecimal floats that read back bit for
-#: bit, and of the counts of a sampled one (``True``).
-_COLUMNS = {False: (["w_" + p for p in PROJECTORS], float.fromhex, np.float64),
-            True: (["n_" + p for p in PROJECTORS], None, np.int64)}
-#: Rows formatted per write, which bounds the writer's memory.
+#: The column names and dtype of the probabilities of a noiseless scan (``False``)
+#: and of the counts of a sampled one (``True``).
+_COLUMNS = {False: (["w_" + p for p in PROJECTORS], np.dtype(np.float64)),
+            True: (["n_" + p for p in PROJECTORS], np.dtype(np.int64))}
+#: Rows formatted or parsed at a time, which bounds the memory beside the readout.
 _ROW_BLOCK = 512
-
-# ``float.hex`` in pieces for :func:`_hex_rows`: tables of text, each entry viewed as
-# one unsigned integer, so that a gather copies whole entries
-#: The prefix by sign and by whether the exponent field is nonzero (a normal double).
-_HEX_PREFIX = np.array([b"0x0", b"0x1", b"-0x0", b"-0x1"], "S4").view(np.uint32)
-#: Two lowercase hexadecimal digits per byte value.
-_HEX_PAIRS = np.array([b"%02x" % i for i in range(256)], "S2").view(np.uint16)
-#: The suffix by the exponent field: ``p`` and the field less 1023, or -1022 for the
-#: subnormals at field 0.
-_HEX_SUFFIX = np.array([b"p%+d" % e for e in (-1022, *range(-1022, 1025))], "S8").view(np.uint64)
-#: A zero after its ``0x0``: ``.0p+0``, NUL-padded to the digits' and the suffix's width.
-_HEX_ZERO = np.frombuffer(b".0".ljust(14, b"\0") + b"p+0".ljust(8, b"\0"), np.uint8)
-#: What ends each of a row's six fields.
-_FIELD_ENDS = np.array([b","] * (len(PROJECTORS) - 1) + [b"\r\n"], "S2").view(np.uint16)
+#: A row as written: six values of 16 hexadecimal digits, each ended by a comma or CRLF.
+_ROW = b",".join([b"0" * 16] * len(PROJECTORS)) + b"\r\n"
 
 
-def _hex_rows(block: np.ndarray) -> bytes:
-    """The rows of a ``(rows, 6)`` block of finite doubles, each as ``float.hex`` writes it.
-
-    Each value is first laid out in 28 bytes, NUL-padded: the sign and ``0x0`` or
-    ``0x1`` (bytes 0-3), the point and 13 digits (4-17), the suffix (18-25), then
-    a comma or CRLF (26-27).  Dropping the NULs leaves the text.
-    """
-    values = np.ascontiguousarray(block).ravel()
-    bits = values.view(np.uint64)
-    exponent = bits >> 52 & 0x7ff
-    fields = np.empty((len(bits), 28), np.uint8)
-    fields[:, :4].view(np.uint32)[:, 0] = _HEX_PREFIX.take(bits >> 62 & 2 | (exponent > 0))
-    # bytes 1-7 of the big-endian double hold the low 4 bits of the exponent, which
-    # the point replaces, then the 52 bits of the mantissa
-    big_endian = bits.astype(">u8").view(np.uint8).reshape(-1, 8)
-    fields[:, 4:18].view(np.uint16)[:] = _HEX_PAIRS.take(big_endian[:, 1:])
-    fields[:, 4] = ord(".")
-    fields[:, 18:26].view(np.uint64)[:, 0] = _HEX_SUFFIX.take(exponent)
-    fields[values == 0, 4:26] = _HEX_ZERO
-    fields.reshape(-1, len(_FIELD_ENDS), 28)[..., 26:].view(np.uint16)[..., 0] = _FIELD_ENDS
-    return fields.tobytes().translate(None, b"\0")
+def _digits(rows: np.ndarray) -> np.ndarray:
+    """The ``(rows, 6, 16)`` view of the values' digits in a ``(rows, width)`` byte array."""
+    return rows[:, :17 * len(PROJECTORS)].reshape(len(rows), len(PROJECTORS), 17)[..., :16]
 
 
 def write_records_csv(records: ScanRecords, path) -> None:
     """Write the header, the column names, then one row per cell in row-major order.
 
     The header states ``nx``, ``ny``, the pitch (m), theta and the budget,
-    floats as ``repr``.  A row holds the cell's six probabilities as
-    hexadecimal floats, byte for byte as ``float.hex`` writes them, when the
-    scan is noiseless, or its six counts when it is sampled.  Each block of
-    512 rows is formatted whole: the probabilities by array operations, the
-    counts by one ``%d`` format.
+    floats as ``repr``.  A row holds the cell's six probabilities (float64)
+    when the scan is noiseless, or its six counts (int64) when it is sampled,
+    each as the 16 lowercase hexadecimal digits of its 64 bits, most
+    significant first: ``3fe0000000000000`` is 0.5, ``0000000000000007`` is 7.
+    So every row is 103 bytes, and each block of 512 rows is formatted whole.
     """
     grid = records.grid
     values = (grid.nx, grid.ny, repr(float(grid.pitch)), repr(float(records.theta)),
               records.photons_per_setting)
     header = ",".join(f"{k}={v}" for k, v in zip(_HEADER_KEYS, values))
-    sampled = records.photons_per_setting > 0
-    names = _COLUMNS[sampled][0]
+    names, dtype = _COLUMNS[records.photons_per_setting > 0]
     cells = records.readout.reshape(len(PROJECTORS), -1).T
-    row = b",".join([b"%d"] * len(names)) + b"\r\n"
     with open(path, "wb") as fh:
         fh.write(f"{header}\r\n{','.join(names)}\r\n".encode())
         for start in range(0, grid.ncells, _ROW_BLOCK):
-            block = cells[start:start + _ROW_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()) if sampled
-                     else _hex_rows(block))
+            words = cells[start:start + _ROW_BLOCK].astype(dtype.newbyteorder(">"), order="C")
+            rows = np.tile(np.frombuffer(_ROW, np.uint8), (len(words), 1))
+            _digits(rows)[:] = np.frombuffer(binascii.hexlify(words), np.uint8).reshape(
+                len(words), len(PROJECTORS), 16)
+            fh.write(rows)
 
 
 def read_records_csv(path) -> ScanRecords:
     """Read a records CSV that :func:`write_records_csv` wrote.
 
-    Raises :class:`FileFormatError` on a missing or malformed header, column
-    names other than the probabilities' for budget 0 or the counts' for a
-    budget > 0, other than ``nx * ny`` rows (each ending in a line break) of
-    six fields, a probability that is not a hexadecimal float (a decimal one
-    included, which ``float.fromhex`` would misread), a non-integer count,
-    and anything :class:`ScanRecords` refuses: a grid or theta out of range,
-    a negative or non-finite probability or a negative count.
+    The rows must all end in CRLF, as written, or all in LF.  Raises
+    :class:`FileFormatError` on a missing or malformed header, column names
+    other than the probabilities' for budget 0 or the counts' for a budget
+    > 0, a body other than ``nx * ny`` rows of six fields of 16 hexadecimal
+    digits (records in an earlier encoding included, decimal or ``float.hex``,
+    which are to be written again by ``measure``), and anything
+    :class:`ScanRecords` refuses: a grid or theta out of range, a negative or
+    non-finite probability or a negative count.
     """
     with open(path, "rb") as fh:
         text = fh.read()
@@ -376,25 +346,29 @@ def read_records_csv(path) -> ScanRecords:
     names = text[end_header + 1:end_names].rstrip(b"\r").decode("latin-1").split(",")
     try:
         grid, budget = GridSpec(int(nx), int(ny), float(pitch)), int(budget)
-        expected, from_text, dtype = _COLUMNS[budget > 0]
+        expected, dtype = _COLUMNS[budget > 0]
         if names != expected:
             raise FileFormatError(f"{path}: columns {','.join(names)!r}, but budget {budget} "
                                   f"records {','.join(expected)}")
-        n, start = grid.ncells, end_names + 1
-        if (text.count(b"\n", start) != n
-                or text.count(b",", start) != (len(names) - 1) * n):
-            raise FileFormatError(f"{path}: expected {n} rows of {len(names)} fields, "
-                                  f"one per cell of the {grid.nx}x{grid.ny} grid")
-        # one 0x per field, so every field is read as a hexadecimal float
-        if not budget and text.count(b"0x", start) != len(names) * n:
-            raise FileFormatError(f"{path}: the probabilities must be hexadecimal floats; "
-                                  "re-run measure to rewrite records written in decimal")
-        body = io.BytesIO(text)   # shares the bytes of text, which it never writes
-        body.seek(start)
-        table = np.loadtxt(body, dtype, delimiter=",", comments=None, ndmin=2,
-                           converters=from_text)
-        del text, body   # dropped before the records take their transposed copy
-        return ScanRecords(table.T.reshape(len(PROJECTORS), grid.ny, grid.nx), grid,
-                           float(theta), budget)
+        # the rows all end in CRLF, as written, or all in LF; every separator must sit
+        # in its column, so that no edit moves a digit into another field or cell
+        n, body = grid.ncells, np.frombuffer(text, np.uint8, offset=end_names + 1)
+        row = np.frombuffer(_ROW if body.size == n * len(_ROW) else _ROW[:-2] + b"\n", np.uint8)
+        separators = row != ord("0")
+        if body.size != n * row.size or (body.reshape(n, -1)[:, separators]
+                                         != row[separators]).any():
+            raise FileFormatError(
+                f"{path}: expected {n} rows of {len(names)} fields of 16 hexadecimal digits, "
+                f"one per cell of the {grid.nx}x{grid.ny} grid; re-run measure to rewrite "
+                "records written in an earlier encoding")
+        rows, big_endian = body.reshape(n, -1), dtype.newbyteorder(">")
+        readout = np.empty((len(PROJECTORS), grid.ny, grid.nx), dtype)
+        values = readout.reshape(len(PROJECTORS), n)
+        for start in range(0, n, _ROW_BLOCK):
+            digits = np.ascontiguousarray(_digits(rows[start:start + _ROW_BLOCK]))
+            words = np.frombuffer(binascii.unhexlify(digits), big_endian)
+            values[:, start:start + len(digits)] = words.reshape(-1, len(PROJECTORS)).T
+        readout.flags.writeable = False   # fresh and C-ordered: the records keep it uncopied
+        return ScanRecords(readout, grid, float(theta), budget)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None

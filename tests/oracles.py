@@ -13,6 +13,8 @@ winding walks a square loop of a phase map.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -187,16 +189,17 @@ def records_csv_reference(records) -> bytes:
     The header ``nx=..,ny=..,pitch=..,theta=..,budget=..`` with the floats as
     ``repr``, then the column names, ``w_`` for a noiseless scan's probabilities
     and ``n_`` for a sampled scan's counts, then one row per cell, y outer and x
-    inner, of the six values in projector order: probabilities as ``float.hex``,
-    counts as ``%d``.  Every line ends in CRLF.
+    inner, of the six values in projector order, each as the 16 hexadecimal
+    digits of its big-endian 64 bits: a probability packed as a double, a count
+    as a signed integer.  Every line ends in CRLF.
     """
     grid, budget = records.grid, records.photons_per_setting
-    kind = "n_" if budget else "w_"
+    kind, word = ("n_", ">q") if budget else ("w_", ">d")
     lines = [f"nx={grid.nx},ny={grid.ny},pitch={float(grid.pitch)!r},"
              f"theta={float(records.theta)!r},budget={budget}",
              ",".join(kind + p for p in ("plus", "minus", "0", "1", "L", "R"))]
     for iy in range(grid.ny):
         for ix in range(grid.nx):
-            cell = [records.readout[k, iy, ix] for k in range(6)]
-            lines.append(",".join("%d" % v if budget else float.hex(float(v)) for v in cell))
+            cell = [records.readout[k, iy, ix].item() for k in range(6)]
+            lines.append(",".join(struct.pack(word, v).hex() for v in cell))
     return "".join(line + "\r\n" for line in lines).encode()

@@ -506,7 +506,7 @@ class TestMeasureReconstruct:
         assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", "100",
                    "--out", str(out)) == 0
         path = out / "records.csv"
-        edit_csv(path, [4], 0, "-3")   # a negative n_plus
+        edit_csv(path, [4], 0, "fffffffffffffffd")   # a negative n_plus, -3
         assert run("reconstruct", "--records", str(path), "--out", str(out)) == 4
 
     def test_sampled_records_hold_counts_alone(self, tmp_path, capsys):
@@ -517,10 +517,11 @@ class TestMeasureReconstruct:
         lines = path.read_text().splitlines()
         assert lines[1] == "n_plus,n_minus,n_0,n_1,n_L,n_R"
         assert len(lines) == 2 + 144
-        assert all(len(row) == 6 and all(v.isdigit() for v in row)
+        # each count as the 16 hexadecimal digits of a non-negative int64
+        assert all(len(row) == 6 and all(len(v) == 16 and 0 <= int(v, 16) < 2**63 for v in row)
                    for row in (line.split(",") for line in lines[2:]))
         # the same counts with the probabilities beside them, as an earlier layout wrote
-        probs = ["0.25"] * 6
+        probs = ["3fd0000000000000"] * 6   # 0.25
         lines[1] = ",".join(["w_plus", "w_minus", "w_0", "w_1", "w_L", "w_R", lines[1]])
         lines[2:] = [",".join(probs + [line]) for line in lines[2:]]
         path.write_text("\r\n".join(lines) + "\r\n")
@@ -544,20 +545,26 @@ class TestMeasureReconstruct:
         assert str(path) in capsys.readouterr().err
         assert not (out / "rec").exists()
 
-    def test_decimal_probabilities_are_format_error(self, tmp_path, capsys):
-        # noiseless records in the earlier encoding, 17 significant digits: float.fromhex
-        # would misread them, so they are refused, naming the file, and nothing is written
+    # noiseless records to 17 significant digits or as float.hex wrote them, and sampled
+    # ones with decimal counts
+    @pytest.mark.parametrize("photons, to_text", [
+        (0, "%.17g".__mod__), (0, float.hex), (100, "%d".__mod__),
+    ], ids=["decimal", "float-hex", "decimal-counts"])
+    def test_earlier_encodings_are_format_error(self, tmp_path, capsys, photons, to_text):
+        # records in an earlier encoding are refused, naming the file and saying how to
+        # rewrite them, and nothing is written
         out = self._prepare(tmp_path)
-        assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--photons", str(photons),
+                   "--out", str(out)) == 0
         path = out / "records.csv"
         cells = read_records_csv(path).readout.reshape(6, -1).T.tolist()
         lines = path.read_text().splitlines()[:2]
-        lines += [",".join("%.17g" % p for p in cell) for cell in cells]
+        lines += [",".join(map(to_text, cell)) for cell in cells]
         path.write_text("\r\n".join(lines) + "\r\n")
         capsys.readouterr()
         assert run("reconstruct", "--records", str(path), "--out", str(out / "rec")) == 4
         err = capsys.readouterr().err
-        assert f"{path}: the probabilities must be hexadecimal floats" in err
+        assert f"{path}: expected 144 rows of 6 fields of 16 hexadecimal digits" in err
         assert "re-run measure" in err
         assert not (out / "rec").exists()
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import edit_csv, random_field
 from oracles import gauge_align, records_csv_reference, stream_v1_counts
 
 STRONG = math.pi / 2
+GRID_2X2 = GridSpec(2, 2, 1e-4)
 
 
 def uniform_field(n=2, pitch=1e-4):
@@ -37,18 +39,35 @@ def uniform_field(n=2, pitch=1e-4):
 
 
 # records.csv of the uniform 2x2 field: the scan header, the column names, then
-# the cells (0, 0), (1, 0), (0, 1), (1, 1)
+# the cells (0, 0), (1, 0), (0, 1), (1, 1), each value as the 16 hexadecimal
+# digits of its 64 bits: 0.5, 0.125, 0.5625, 0.0625, 0.31250000000000006 twice
 UNIFORM_2X2_HEADER = b"nx=2,ny=2,pitch=0.0001,theta=1.5707963267948966,budget=%d\r\n"
-UNIFORM_2X2_PROBS = (b"0x1.0000000000000p-1,0x1.0000000000000p-3,0x1.2000000000000p-1,"
-                     b"0x1.0000000000000p-4,0x1.4000000000001p-2,0x1.4000000000001p-2")
+UNIFORM_2X2_PROBS = (b"3fe0000000000000,3fc0000000000000,3fe2000000000000,"
+                     b"3fb0000000000000,3fd4000000000001,3fd4000000000001")
 UNIFORM_2X2_NOISELESS = (UNIFORM_2X2_HEADER % 0 + b"w_plus,w_minus,w_0,w_1,w_L,w_R\r\n"
                          + b"%s\r\n" % UNIFORM_2X2_PROBS * 4)
-# the same scan in the earlier encoding, 17 significant digits, which is refused
+UNIFORM_2X2_COUNTS_SEED0 = ((2, 0, 6, 1, 1, 6), (1, 2, 4, 0, 4, 7), (3, 4, 5, 0, 1, 1),
+                            (7, 2, 8, 2, 3, 0))
+
+
+def uniform_2x2_counts(value_format: bytes, before: bytes = b"") -> bytes:
+    """The rows of the seed-0 counts, each count in ``value_format``, after ``before``."""
+    return b"".join(before + b",".join(value_format % n for n in c) + b"\r\n"
+                    for c in UNIFORM_2X2_COUNTS_SEED0)
+
+
+UNIFORM_2X2_COLUMNS_SAMPLED = b"n_plus,n_minus,n_0,n_1,n_L,n_R\r\n"
+UNIFORM_2X2_SAMPLED_SEED0 = (UNIFORM_2X2_HEADER % 10 + UNIFORM_2X2_COLUMNS_SAMPLED
+                             + uniform_2x2_counts(b"%016x"))
+# the same two scans in the earlier encodings, which are refused: the probabilities
+# to 17 significant digits, then as float.hex writes them, and the counts in decimal
 UNIFORM_2X2_DECIMAL = UNIFORM_2X2_NOISELESS.replace(
     UNIFORM_2X2_PROBS, b"0.5,0.125,0.5625,0.0625,0.31250000000000006,0.31250000000000006")
-UNIFORM_2X2_COUNTS_SEED0 = (b"2,0,6,1,1,6", b"1,2,4,0,4,7", b"3,4,5,0,1,1", b"7,2,8,2,3,0")
-UNIFORM_2X2_SAMPLED_SEED0 = (UNIFORM_2X2_HEADER % 10 + b"n_plus,n_minus,n_0,n_1,n_L,n_R\r\n"
-                             + b"".join(b"%s\r\n" % c for c in UNIFORM_2X2_COUNTS_SEED0))
+UNIFORM_2X2_FLOAT_HEX = UNIFORM_2X2_NOISELESS.replace(
+    UNIFORM_2X2_PROBS, b"0x1.0000000000000p-1,0x1.0000000000000p-3,0x1.2000000000000p-1,"
+                       b"0x1.0000000000000p-4,0x1.4000000000001p-2,0x1.4000000000001p-2")
+UNIFORM_2X2_DECIMAL_COUNTS = (UNIFORM_2X2_HEADER % 10 + UNIFORM_2X2_COLUMNS_SAMPLED
+                              + uniform_2x2_counts(b"%d"))
 
 
 class TestCouplingAngle:
@@ -553,20 +572,20 @@ class TestRecordsCsv:
         path.write_bytes(
             UNIFORM_2X2_HEADER % 10
             + b"w_plus,w_minus,w_0,w_1,w_L,w_R,n_plus,n_minus,n_0,n_1,n_L,n_R\r\n"
-            + b"".join(b"%s,%s\r\n" % (UNIFORM_2X2_PROBS, c) for c in UNIFORM_2X2_COUNTS_SEED0))
+            + uniform_2x2_counts(b"%016x", UNIFORM_2X2_PROBS + b","))
         with pytest.raises(FileFormatError, match="columns"):
             read_records_csv(path)
 
     @pytest.mark.parametrize("budget, rows, column, value, message", [
-        (10, [3], 1, "-1", "negative count"),
-        (0, [3], 0, "-0x1p-1", "negative probability"),
+        (10, [3], 1, "ffffffffffffffff", "negative count"),            # -1
+        (0, [3], 0, "bfe0000000000000", "negative probability"),       # -0.5
         (10, [-2], 4, "budget=0", "columns"),          # counts with a zero budget
         (0, [-2], 4, "budget=10", "columns"),          # a budget without count columns
-        (0, [3], 2, "nan", "hexadecimal floats"),      # a non-finite probability
-        (0, [3], 2, "0.5", "hexadecimal floats"),      # fromhex would read 0.3125
-        (0, [3], 2, "0x1p2000", "could not convert"),  # beyond the doubles
-        (10, [3], 5, "2.0", "could not convert"),      # a non-integer count
-        (0, [3], 5, "0x0,0x0", "6 fields"),            # an extra field
+        (0, [3], 2, "7ff8000000000000", "non-finite probability"),     # nan
+        (0, [3], 2, "0.5", "64 rows of 6 fields of 16 hexadecimal"),   # a decimal value
+        (0, [3], 2, "7ff0000000000000", "non-finite probability"),     # inf, an overflow
+        (10, [3], 5, "2.0", "64 rows of 6 fields of 16 hexadecimal"),  # a decimal count
+        (0, [3], 5, "0x0,0x0", "64 rows of 6 fields"),                 # an extra field
         (0, [-2], 1, "ny=7", "56 rows"),               # 64 rows for a grid of 56 cells
         (0, [-2], 1, "ny=16", "128 rows"),             # 64 rows for a grid of 128 cells
         (0, [-2], 3, "theta=0.0", "theta"),            # theta out of (0, pi/2]
@@ -594,26 +613,45 @@ class TestRecordsCsv:
         with pytest.raises(FileFormatError, match=message):
             read_records_csv(path)
 
-    def test_rejects_decimal_probabilities(self, tmp_path):
-        # the earlier encoding wrote a noiseless scan's probabilities to 17 significant
-        # digits; float.fromhex would misread them (0.5 as 0.3125), so they are refused
+    @pytest.mark.parametrize(
+        "text", [UNIFORM_2X2_DECIMAL, UNIFORM_2X2_FLOAT_HEX, UNIFORM_2X2_DECIMAL_COUNTS],
+        ids=["decimal", "float-hex", "decimal-counts"])
+    def test_rejects_earlier_encodings(self, tmp_path, text):
+        # their rows are not six fields of 16 hexadecimal digits
         path = tmp_path / "records.csv"
-        path.write_bytes(UNIFORM_2X2_DECIMAL)
-        with pytest.raises(FileFormatError, match="hexadecimal floats") as refused:
+        path.write_bytes(text)
+        with pytest.raises(FileFormatError, match="4 rows of 6 fields") as refused:
             read_records_csv(path)
         assert str(refused.value).startswith(f"{path}: ")
         assert "re-run measure" in str(refused.value)
 
+    @pytest.mark.parametrize("budget", [0, 10])
+    @pytest.mark.parametrize("edit, message", [
+        # a comma and the digit before it swapped: a 15-digit field beside a 17-digit
+        # one, in a row of the right width and the same digits in the same order
+        (lambda row: row[:15] + row[16:17] + row[15:16] + row[17:], "64 rows of 6 fields"),
+        (lambda row: row[:20] + b"g" + row[21:], "Non-hexadecimal digit"),
+        (lambda row: row[:-2] + b"\n", "64 rows of 6 fields"),   # one LF row among CRLF rows
+    ], ids=["comma-swapped", "non-hex-digit", "mixed-line-ends"])
+    def test_rejects_a_row_edit(self, tmp_path, gaussian_8, budget, edit, message):
+        path = tmp_path / "records.csv"
+        write_records_csv(scan(gaussian_8, STRONG, photons_per_setting=budget, seed=0), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[5] = edit(lines[5])
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(FileFormatError, match=message):
+            read_records_csv(path)
+
     @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1 - 2**-53])
     def test_round_trip_extreme_probabilities(self, tmp_path, value):
         # zero, negative zero (no scan measures one, but the records accept it, and it
-        # is the one value here that runs the formatter's sign), the least subnormal,
-        # the least normal and the greatest double below 1
+        # is the one value here with the sign bit set), the least subnormal, the least
+        # normal and the greatest double below 1
         readout = np.full((6, 2, 2), 0.25)
         readout[3, 1, 0] = value
         path = tmp_path / "records.csv"
         write_records_csv(ScanRecords(readout, GRID_2X2, STRONG), path)
-        assert path.read_bytes().count(b",%s," % value.hex().encode()) == 1
+        assert path.read_bytes().count(b",%s," % struct.pack(">d", value).hex().encode()) == 1
         back = read_records_csv(path)
         assert back.readout.tobytes() == readout.tobytes()
 
@@ -626,31 +664,23 @@ class TestRecordsCsv:
         assert path.read_bytes() == records_csv_reference(records)
 
 
-def float_hex_rows(block: np.ndarray) -> bytes:
-    """The CSV rows of a block of doubles, each value by ``float.hex``."""
-    return "".join(",".join(map(float.hex, row)) + "\r\n" for row in block.tolist()).encode()
-
-
-# a 64-bit pattern, its sign bit drawn apart: the integers lean to small values
-BITS_64 = st.builds(lambda sign, rest: sign << 63 | rest, st.integers(0, 1),
-                    st.integers(0, 2**63 - 1))
+# a 64-bit pattern without the sign bit: a probability or a count the records accept
+# when it is finite; the integers lean to small values
+WORDS_63 = st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=6, max_size=6),
+                    min_size=4, max_size=4)
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.lists(st.lists(BITS_64, min_size=6, max_size=6), min_size=1, max_size=8))
-def test_hex_rows_equal_float_hex(rows):
-    block = np.array(rows, dtype=np.uint64).view(np.float64)
-    assume(np.isfinite(block).all())
-    assert engine._hex_rows(block) == float_hex_rows(block)
-
-
-def test_hex_rows_equal_float_hex_at_the_edges():
-    # zero, the least subnormal, the least normal, the greatest double, the greatest
-    # below 1, and a power of two at every exponent; each with both signs: 701 rows
-    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1 - 2**-53]
-    edges += [2.0**k for k in range(-1074, 1024)]
-    block = np.array(edges + [-v for v in edges]).reshape(-1, 6)
-    assert engine._hex_rows(block) == float_hex_rows(block)
+@given(words=WORDS_63, sampled=st.booleans())
+def test_records_csv_round_trip_any_word(tmp_path_factory, words, sampled):
+    readout = np.array(words, np.uint64).T.reshape(6, 2, 2).view(
+        np.int64 if sampled else np.float64)
+    assume(sampled or np.isfinite(readout).all())
+    records = ScanRecords(readout, GRID_2X2, 1.0, 10 if sampled else 0)
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    write_records_csv(records, path)
+    assert path.read_bytes() == records_csv_reference(records)
+    assert read_records_csv(path).readout.tobytes() == readout.tobytes()
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -667,9 +697,6 @@ def test_records_csv_round_trip(tmp_path_factory, nx, ny, pitch, theta, field_se
     assert back.photons_per_setting == budget
     assert back.readout.dtype == records.readout.dtype == (np.int64 if budget else np.float64)
     assert back.readout.tobytes() == records.readout.tobytes()
-
-
-GRID_2X2 = GridSpec(2, 2, 1e-4)
 
 
 class TestScanRecords:
@@ -760,8 +787,8 @@ class TestScanRecords:
         assert peak < 2.5 * maps.nbytes
 
     def test_records_read_holds_the_file_and_one_readout(self, tmp_path):
-        # the rows are parsed in the buffer read, and the text is dropped before
-        # the records take their copy; measured the file plus 1.2 readouts
+        # the rows are parsed in the buffer read, 512 at a time, into the readout
+        # the records keep; measured the file plus 1.16 readouts
         records = scan(random_field(GridSpec(128, 128, 1e-5), 8))
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
@@ -775,7 +802,7 @@ class TestScanRecords:
         assert peak < path.stat().st_size + 1.5 * records.readout.nbytes
 
     def test_records_write_holds_one_row_block(self, tmp_path):
-        # 512 rows formatted at a time, by array operations: measured 0.36 MiB at 128x128
+        # 512 rows formatted at a time, by array operations: measured 0.13 MiB at 128x128
         records = scan(random_field(GridSpec(128, 128, 1e-5), 8))
         tracemalloc.start()
         try:
