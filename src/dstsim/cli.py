@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: prepare, measure, reconstruct, score, holo forward|inverse|object.
+Commands: prepare, measure, reconstruct, holo forward|inverse|object.
 Exit codes: 0 success, 2 validation error, 3 numerical, degenerate-input or
 out-of-memory error, 4 I/O or file-format error.  Output files are atomic.
 """
@@ -64,14 +64,11 @@ def _write_field(cfg: cfgmod.ExperimentConfig, name: str, field) -> str:
 
 
 def _write_json(cfg: cfgmod.ExperimentConfig, name: str, data: dict) -> str:
-    """Write ``data`` as the indented, key-sorted JSON file ``name`` in the output directory.
-
-    Returns the JSON text, which the file holds with a final line break.  A
-    non-finite value raises ValueError: JSON has no NaN or infinity.
-    """
+    """Write ``data`` as the indented, key-sorted JSON file ``name`` in the output directory,
+    with a final line break; return its path.  A non-finite value raises ValueError:
+    JSON has no NaN or infinity."""
     text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(os.path.join(cfg.out, name), text + "\n")
-    return text
+    return _atomic_write(os.path.join(cfg.out, name), text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +101,9 @@ def cmd_reconstruct(args, cfg: cfgmod.ExperimentConfig) -> str:
         metrics = dataclasses.asdict(reconstruct.score(res.field, ideal))
     mask = res.zero_count_mask
     _write_field(cfg, "reconstruction.wfgrid", res.field)
-    _write_json(cfg, "report.json", {
+    return _write_json(cfg, "report.json", {
         "psi_tilde": res.psi_tilde, "estimator": res.estimator, "theta": records.theta,
         "zero_count_cells": None if mask is None else int(mask.sum()), **metrics})
-    return os.path.join(cfg.out, "report.json")
-
-
-def cmd_score(args, cfg: cfgmod.ExperimentConfig) -> str:
-    report = reconstruct.score(wavefield.read_wfgrid(args.rec), wavefield.read_wfgrid(args.ideal))
-    return _write_json(cfg, "score.json", dataclasses.asdict(report))
 
 
 def cmd_holo_forward(args, cfg: cfgmod.ExperimentConfig) -> str:
@@ -188,10 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "invert a records CSV")
     p.add_argument("--records", required=True, help="records CSV from 'measure'")
     p.add_argument("--ideal", help="optional WFGRID ground truth to score against")
-
-    p = _command(sub, "score", cmd_score, (), "score one WFGRID against another")
-    p.add_argument("--rec", required=True, help="reconstructed WFGRID")
-    p.add_argument("--ideal", required=True, help="ideal WFGRID")
 
     holo = sub.add_parser("holo", help="propagation and object reconstruction",
                           allow_abbrev=False)

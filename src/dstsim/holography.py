@@ -3,11 +3,14 @@
 Two point-spread kernels are supported for forward propagation over a
 distance D:
 
-    spherical (exact scalar):  K(dx, dy) = (1 / i lambda) * exp(i k r) / r,
+    spherical (point source):  K(dx, dy) = (1 / i lambda) * exp(i k r) / r,
                                r = sqrt(dx^2 + dy^2 + D^2)
     paraxial (Fresnel):        K(dx, dy) = exp(i k D) / (i lambda D)
                                * exp(i k (dx^2 + dy^2) / (2 D))
 
+The spherical kernel lacks the Rayleigh-Sommerfeld obliquity factor D / r, and
+departs from that kernel's propagation by 3.5e-6 of the peak on a 256x256
+Gaussian (3 um, 808 nm, 9 mm) and by 7.7e-5 on a binary mask of it.
 The paraxial kernel's inverse is its complex conjugate, ``L = conj(K)``, so
 back-propagation from the detection plane to the object plane is the
 conjugate of the conjugate field's forward propagation:

@@ -78,7 +78,6 @@ COMMAND_KEYS = {
     ("prepare",): set(EVERY_FIELD_SET),
     ("measure",): {"theta", "photons", "seed", "out"},
     ("reconstruct",): {"estimator", "theta", "out"},
-    ("score",): {"out"},
     ("holo", "forward"): _OPTICS | {"out"},
     ("holo", "inverse"): _OPTICS | {"out"},
     ("holo", "object"): _OPTICS | {"threshold", "out"},
@@ -291,6 +290,12 @@ class TestPrepare:
         assert f.grid.nx == 10 and f.grid.ny == 8
         resolved = (out / "config.resolved").read_text()
         assert "nx = 10" in resolved
+
+
+def nothing_to_invert(theta: str) -> str:
+    """The refusal of records whose raw quadrature map is zero, at ``theta`` as written."""
+    return (f"error: the raw quadrature map of records at theta {theta} is zero: no photon "
+            "was counted, or theta is too small for the signal to survive rounding\n")
 
 
 class TestMeasureReconstruct:
@@ -582,7 +587,20 @@ class TestMeasureReconstruct:
         write_records_csv(ScanRecords(np.zeros((6, 4, 4), dtype=np.int64),
                                       GridSpec(4, 4, 125e-6), math.pi / 2, 1000), records)
         assert run("reconstruct", "--records", str(records), "--out", str(tmp_path / "run")) == 3
-        assert capsys.readouterr().err == "error: raw quadrature map has zero power\n"
+        assert capsys.readouterr().err == nothing_to_invert(repr(math.pi / 2))
+        assert not (tmp_path / "run").exists()
+
+    def test_theta_too_small_to_invert_is_numerical_error(self, tmp_path, capsys):
+        # at theta 1e-300, P+ = P-, PL = PR and P1 underflows: measure writes the
+        # records, and reconstruct refuses them, naming the theta they carry
+        out = tmp_path / "in"
+        assert run("prepare", "--nx", "24", "--ny", "16", "--out", str(out)) == 0
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--theta", "1e-300",
+                   "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("reconstruct", "--records", str(out / "records.csv"),
+                   "--out", str(tmp_path / "run")) == 3
+        assert capsys.readouterr().err == nothing_to_invert("1e-300")
         assert not (tmp_path / "run").exists()
 
     def test_reconstruct_takes_the_grid_from_the_records(self, tmp_path, capsys):
@@ -628,42 +646,62 @@ class TestOutputFiles:
         for name in ("config.resolved", "field.wfgrid"):
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640, name
 
-class TestScoreCommand:
-    def test_score_identity(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert run("prepare", "--mode", "gaussian", "--nx", "10", "--ny", "10",
-                   "--out", str(out)) == 0
-        field = str(out / "field.wfgrid")
-        capsys.readouterr()
-        assert run("score", "--rec", field, "--ideal", field, "--out", str(out)) == 0
-        report = json.loads((out / "score.json").read_text())
-        assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
-        assert report["r_square"] == pytest.approx(1.0, abs=1e-12)
-        printed = capsys.readouterr().out   # print adds the file's final line break
-        assert (out / "score.json").read_text() == printed
-        assert printed == json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-    def test_undefined_r_square_is_null(self, tmp_path):
-        # a flat density has no variance to explain: R^2 is undefined, and JSON
-        # has no -Infinity to write for it
-        uniform, gauss = tmp_path / "u", tmp_path / "g"
-        assert run("prepare", "--nx", "8", "--ny", "8", "--waist-um", "1e30",
-                   "--out", str(uniform)) == 0
-        assert run("prepare", "--nx", "8", "--ny", "8", "--out", str(gauss)) == 0
-        assert run("score", "--rec", str(uniform / "field.wfgrid"),
-                   "--ideal", str(gauss / "field.wfgrid"), "--out", str(tmp_path)) == 0
-
-        def refuse(name):
-            raise ValueError(f"{name} is not JSON")
-        report = json.loads((tmp_path / "score.json").read_text(), parse_constant=refuse)
-        assert report["r_square"] is None
-        assert 0.0 < report["fidelity"] < 1.0
-
     def test_non_finite_json_value_refused(self, tmp_path):
         cfg = ExperimentConfig(out=str(tmp_path / "run"))
         with pytest.raises(ValueError):
             cli._write_json(cfg, "x.json", {"r_square": -math.inf})
         assert not (tmp_path / "run" / "x.json").exists()
+
+
+class TestIdealScore:
+    """``reconstruct --ideal`` scores the reconstruction in report.json."""
+
+    def _reconstruct(self, tmp_path, ideal, *prepare):
+        """report.json of noiseless records of a field that ``prepare`` makes, scored
+        against ``ideal``, or against that field itself when ``ideal`` is None."""
+        out = tmp_path / "run"
+        assert run("prepare", *prepare, "--out", str(out)) == 0
+        field = out / "field.wfgrid"
+        assert run("measure", "--field", str(field), "--out", str(out)) == 0
+        assert run("reconstruct", "--records", str(out / "records.csv"),
+                   "--ideal", str(ideal or field), "--out", str(out)) == 0
+        return out / "report.json"
+
+    def test_identity(self, tmp_path, capsys):
+        path = self._reconstruct(tmp_path, None, "--nx", "10", "--ny", "10")
+        report = json.loads(path.read_text())
+        assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
+        assert report["r_square"] == pytest.approx(1.0, abs=1e-12)
+        # reconstruct prints the report's path, and the file is indented, key-sorted JSON
+        assert capsys.readouterr().out.splitlines()[-1] == str(path)
+        assert path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_undefined_r_square_is_null(self, tmp_path):
+        # a flat density has no variance to explain: R^2 is undefined, and JSON
+        # has no -Infinity to write for it
+        gauss = tmp_path / "g"
+        assert run("prepare", "--nx", "8", "--ny", "8", "--out", str(gauss)) == 0
+        path = self._reconstruct(tmp_path, gauss / "field.wfgrid",
+                                 "--nx", "8", "--ny", "8", "--waist-um", "1e30")
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        report = json.loads(path.read_text(), parse_constant=refuse)
+        assert report["r_square"] is None
+        assert 0.0 < report["fidelity"] < 1.0
+
+    @pytest.mark.parametrize("factor", [2.0**-600, 2.0**500, np.exp(2j), -1j],
+                             ids=["underflow", "large", "phase-2", "phase-minus-half-pi"])
+    def test_scale_and_global_phase_of_the_ideal_do_not_count(self, tmp_path, factor):
+        # the ideal is scaled to unit power, even one whose power underflows a double,
+        # and turned so its amplitude sum is real and positive
+        expected = self._reconstruct(tmp_path / "a", None, "--nx", "12", "--ny", "8")
+        f = read_wfgrid(expected.parent / "field.wfgrid")
+        ideal = tmp_path / "ideal.wfgrid"
+        write_wfgrid(ideal, f.with_amps(f.amps * factor))
+        path = self._reconstruct(tmp_path / "b", ideal, "--nx", "12", "--ny", "8")
+        assert json.loads(path.read_text()) == pytest.approx(
+            json.loads(expected.read_text()), abs=1e-12)
 
 
 class TestHoloCommands:
@@ -822,9 +860,8 @@ class TestExitCodes:
         ("holo", "forward", "--in", "{bad}", "--distance-mm", "2"),
         ("holo", "object", "--measured", "{bad}", "--input", "{good}", "--distance-mm", "2"),
         ("holo", "object", "--measured", "{good}", "--input", "{bad}", "--distance-mm", "2"),
-        ("score", "--rec", "{good}", "--ideal", "{bad}"),
         ("reconstruct", "--records", "{records}", "--ideal", "{bad}"),
-    ], ids=["measure", "holo-forward", "holo-object-measured", "holo-object-input", "score",
+    ], ids=["measure", "holo-forward", "holo-object-measured", "holo-object-input",
             "reconstruct-ideal"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_wfgrid_is_format_error(self, tmp_path, capsys, argv, value):
@@ -925,8 +962,8 @@ class TestExitCodes:
          "pitch_um: pitch must be positive and finite, got nan"),
         (("reconstruct", "--records", "in/records.csv"), "l = 9007199254740993",
          "l: oam must be at most 2**53 in magnitude, got 9007199254740993"),
-        (("score", "--rec", "in/field.wfgrid", "--ideal", "in/field.wfgrid"), "seed = -1",
-         "seed must be an integer in [0, 2**64), got -1"),
+        (("reconstruct", "--records", "in/records.csv", "--ideal", "in/field.wfgrid"),
+         "seed = -1", "seed must be an integer in [0, 2**64), got -1"),
         (("holo", "inverse", "--in", "in/field.wfgrid"), "threshold = 0",
          "threshold must be positive and at most 1, got 0.0"),
         (("holo", "forward", "--in", "in/field.wfgrid"), "photons = -1",
@@ -939,7 +976,7 @@ class TestExitCodes:
         (("holo", "object", "--measured", "in/none.wfgrid", "--input", "in/none.wfgrid"),
          "threshold = 2", "threshold must be positive and at most 1, got 2.0"),
         (("prepare",), "threshold = 2", "threshold must be positive and at most 1, got 2.0"),
-    ], ids=["measure-nx", "measure-pitch_um", "reconstruct-l", "score-seed",
+    ], ids=["measure-nx", "measure-pitch_um", "reconstruct-l", "reconstruct-ideal-seed",
             "holo-inverse-threshold", "holo-forward-photons", "prepare-cx_um", "prepare-cy_um",
             "prepare-pad_factor", "holo-object-threshold", "prepare-threshold"])
     def test_bad_key_is_validation_error_on_every_command(self, tmp_path, monkeypatch, capsys,
@@ -983,13 +1020,13 @@ class TestExitCodes:
             "pad_factor", "pad_factor-huge"])
     def test_integer_the_program_cannot_represent_is_validation_error(self, tmp_path, capsys,
                                                                       key, value, message):
-        # score reads none of these keys, and its input files do not exist: the value
-        # is refused where the config enters, key first, before any file is read
-        absent = str(tmp_path / "absent.wfgrid")
+        # reconstruct reads none of these keys, and its input files do not exist: the
+        # value is refused where the config enters, key first, before any file is read
+        absent = str(tmp_path / "absent")
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(f"{key} = {value}\n")
-        code = run("score", "--rec", absent, "--ideal", absent, "--config", str(cfg_path),
-                   "--out", str(tmp_path / "run"))
+        code = run("reconstruct", "--records", absent + ".csv", "--ideal", absent + ".wfgrid",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "run"))
         expected = f"error: {cfg_path}: {message}"
         assert (code, capsys.readouterr().err[:len(expected)]) == (2, expected)
         assert not (tmp_path / "run").exists()
@@ -1010,12 +1047,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (("measure", "--field", "{big}"),
          "input field must be normalized (power within 1e-9 of 1)"),
-        (("score", "--rec", "{big}", "--ideal", "{good}"),
-         "reconstructed field power overflows a double"),
-        (("score", "--rec", "{good}", "--ideal", "{big}"), "ideal field power overflows a double"),
         (("reconstruct", "--records", "{records}", "--ideal", "{big}"),
          "ideal field power overflows a double"),
-    ], ids=["measure", "score-rec", "score-ideal", "reconstruct-ideal"])
+    ], ids=["measure", "reconstruct-ideal"])
     def test_power_beyond_a_double_is_validation_error(self, tmp_path, argv, message):
         # a valid WFGRID whose power overflows: refused with one line, not a numpy
         # overflow warning turned into a traceback, nor scored as fidelity 0
@@ -1032,19 +1066,21 @@ class TestExitCodes:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (("score", "--rec", "{small}", "--ideal", "{large}"),
+        (("reconstruct", "--records", "{small_records}", "--ideal", "{large}"),
          "reconstruction grid 8x8 at pitch 0.000125 m differs from "
          "ideal grid 16x16 at pitch 0.000125 m"),
         (("holo", "object", "--measured", "{small}", "--input", "{large}", "--distance-mm", "2"),
          "measured grid 8x8 at pitch 0.000125 m differs from "
          "known-input grid 16x16 at pitch 0.000125 m"),
-    ], ids=["score", "holo-object"])
+    ], ids=["reconstruct-ideal", "holo-object"])
     def test_grid_mismatch_names_both_grids(self, tmp_path, capsys, argv, message):
         paths = {}
         for name, n in (("small", 8), ("large", 16)):
-            assert run("prepare", "--nx", str(n), "--ny", str(n),
-                       "--out", str(tmp_path / name)) == 0
-            paths[name] = tmp_path / name / "field.wfgrid"
+            out = tmp_path / name
+            assert run("prepare", "--nx", str(n), "--ny", str(n), "--out", str(out)) == 0
+            assert run("measure", "--field", str(out / "field.wfgrid"), "--out", str(out)) == 0
+            paths[name] = out / "field.wfgrid"
+            paths[name + "_records"] = out / "records.csv"
         capsys.readouterr()
         assert run(*(arg.format(**paths) for arg in argv), "--out", str(tmp_path / "run")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -1105,19 +1141,30 @@ class TestParser:
             actions = subparser(*command)._actions
             flags = sorted((a.dest, a.option_strings) for a in actions if a.dest in names)
             assert flags == sorted((key, [flag(key)]) for key in keys), command
-        assert sum(map(len, COMMAND_KEYS.values())) == 43
+        assert sum(map(len, COMMAND_KEYS.values())) == 42
 
     def test_per_command_flags_are_input_files(self):
         # every knob is a config key; a command adds only the files it reads
         names = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"help", "config"}
         input_files = {
             ("prepare",): [], ("measure",): ["--field"], ("reconstruct",): ["--records", "--ideal"],
-            ("score",): ["--rec", "--ideal"], ("holo", "forward"): ["--in", "--object"],
+            ("holo", "forward"): ["--in", "--object"],
             ("holo", "inverse"): ["--in"], ("holo", "object"): ["--measured", "--input"],
         }
         for command, files in input_files.items():
             own = [a.option_strings for a in subparser(*command)._actions if a.dest not in names]
             assert own == [[f] for f in files], command
+
+    def test_score_is_no_command(self, tmp_path):
+        # reconstruct --ideal scores, and the library's score scores any two fields
+        field = str(tmp_path / "in" / "field.wfgrid")
+        assert run("prepare", "--nx", "8", "--ny", "8", "--out", str(tmp_path / "in")) == 0
+        proc = run_in_child("score", "--rec", field, "--ideal", field,
+                            "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: dstsim ")
+        assert "invalid choice: 'score'" in proc.stderr
+        assert not (tmp_path / "run").exists()
 
     def test_every_key_as_its_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1150,7 +1197,6 @@ COMMAND_ARGV = {
     ("prepare",): [],
     ("measure",): ["--field", "in/field.wfgrid"],
     ("reconstruct",): ["--records", "in/records.csv", "--ideal", "in/field.wfgrid"],
-    ("score",): ["--rec", "in/field.wfgrid", "--ideal", "in/field.wfgrid"],
     ("holo", "forward"): ["--in", "in/field.wfgrid", "--object", "in/object.pgm"],
     ("holo", "inverse"): ["--in", "in/propagated.wfgrid", "--kernel", "fresnel"],
     ("holo", "object"): ["--measured", "in/propagated.wfgrid", "--input", "in/field.wfgrid",
@@ -1197,7 +1243,7 @@ class TestCommandKeys:
     @pytest.mark.parametrize("command, flags", [
         (("measure",), ["--nx", "8"]),
         (("reconstruct",), ["--photons", "5"]),
-        (("score",), ["--distance-mm", "3"]),
+        (("reconstruct",), ["--distance-mm", "3"]),
         (("holo", "forward"), ["--threshold", "0.5"]),
         (("holo", "forward"), ["--object-map", "phase"]),
         (("holo", "object"), ["--seed", "1"]),
