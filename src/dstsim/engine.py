@@ -286,9 +286,12 @@ _ROW_BLOCK = 512
 _ROW = b",".join([b"0" * 16] * len(PROJECTORS)) + b"\r\n"
 
 
-def _digits(rows: np.ndarray) -> np.ndarray:
-    """The ``(rows, 6, 16)`` view of the values' digits in a ``(rows, width)`` byte array."""
-    return rows[:, :17 * len(PROJECTORS)].reshape(len(rows), len(PROJECTORS), 17)[..., :16]
+def _digits(buf, m: int, width: int, offset: int = 0) -> np.ndarray:
+    """The ``(m, 6)`` view of the values in ``m`` rows of ``width`` bytes from ``buf[offset]``.
+
+    Each ``V16`` item is one value's 16 digits, which move to and from :mod:`binascii` whole.
+    """
+    return np.ndarray((m, len(PROJECTORS)), "V16", buf, offset, (width, 17))
 
 
 def write_records_csv(records: ScanRecords, path) -> None:
@@ -299,7 +302,9 @@ def write_records_csv(records: ScanRecords, path) -> None:
     when the scan is noiseless, or its six counts (int64) when it is sampled,
     each as the 16 lowercase hexadecimal digits of its 64 bits, most
     significant first: ``3fe0000000000000`` is 0.5, ``0000000000000007`` is 7.
-    So every row is 103 bytes, and each block of 512 rows is formatted whole.
+    So every row is 103 bytes.  One block of 512 rows, its separators set once,
+    and one block of big-endian words serve every 512 cells: the words' digits,
+    from :func:`binascii.hexlify`, move into the rows as one 16-byte item each.
     """
     grid = records.grid
     values = (grid.nx, grid.ny, repr(float(grid.pitch)), repr(float(records.theta)),
@@ -307,14 +312,16 @@ def write_records_csv(records: ScanRecords, path) -> None:
     header = ",".join(f"{k}={v}" for k, v in zip(_HEADER_KEYS, values))
     names, dtype = _COLUMNS[records.photons_per_setting > 0]
     cells = records.readout.reshape(len(PROJECTORS), -1).T
+    rows = np.tile(np.frombuffer(_ROW, np.uint8), (min(_ROW_BLOCK, grid.ncells), 1))
+    digits = _digits(rows, len(rows), len(_ROW))
+    words = np.empty(digits.shape, dtype.newbyteorder(">"))
     with open(path, "wb") as fh:
         fh.write(f"{header}\r\n{','.join(names)}\r\n".encode())
         for start in range(0, grid.ncells, _ROW_BLOCK):
-            words = cells[start:start + _ROW_BLOCK].astype(dtype.newbyteorder(">"), order="C")
-            rows = np.tile(np.frombuffer(_ROW, np.uint8), (len(words), 1))
-            _digits(rows)[:] = np.frombuffer(binascii.hexlify(words), np.uint8).reshape(
-                len(words), len(PROJECTORS), 16)
-            fh.write(rows)
+            m = min(_ROW_BLOCK, grid.ncells - start)
+            words[:m] = cells[start:start + m]
+            digits[:m] = np.frombuffer(binascii.hexlify(words[:m]), "V16").reshape(m, -1)
+            fh.write(rows[:m])
 
 
 def read_records_csv(path) -> ScanRecords:
@@ -327,7 +334,9 @@ def read_records_csv(path) -> ScanRecords:
     digits (records in an earlier encoding included, decimal or ``float.hex``,
     which are to be written again by ``measure``), and anything
     :class:`ScanRecords` refuses: a grid or theta out of range, a negative or
-    non-finite probability or a negative count.
+    non-finite probability or a negative count.  The separators are checked in
+    the buffer read; then the digits of 512 rows at a time, one 16-byte item per
+    value, are copied into one block for :func:`binascii.unhexlify`.
     """
     with open(path, "rb") as fh:
         text = fh.read()
@@ -361,13 +370,14 @@ def read_records_csv(path) -> ScanRecords:
                 f"{path}: expected {n} rows of {len(names)} fields of 16 hexadecimal digits, "
                 f"one per cell of the {grid.nx}x{grid.ny} grid; re-run measure to rewrite "
                 "records written in an earlier encoding")
-        rows, big_endian = body.reshape(n, -1), dtype.newbyteorder(">")
         readout = np.empty((len(PROJECTORS), grid.ny, grid.nx), dtype)
         values = readout.reshape(len(PROJECTORS), n)
+        digits = np.empty((min(_ROW_BLOCK, n), len(PROJECTORS)), "V16")
         for start in range(0, n, _ROW_BLOCK):
-            digits = np.ascontiguousarray(_digits(rows[start:start + _ROW_BLOCK]))
-            words = np.frombuffer(binascii.unhexlify(digits), big_endian)
-            values[:, start:start + len(digits)] = words.reshape(-1, len(PROJECTORS)).T
+            m = min(_ROW_BLOCK, n - start)
+            digits[:m] = _digits(body, m, row.size, start * row.size)
+            words = np.frombuffer(binascii.unhexlify(digits[:m]), dtype.newbyteorder(">"))
+            values[:, start:start + m] = words.reshape(m, -1).T
         readout.flags.writeable = False   # fresh and C-ordered: the records keep it uncopied
         return ScanRecords(readout, grid, float(theta), budget)
     except ValueError as exc:

@@ -81,8 +81,9 @@ def _invert(records: ScanRecords, p1_weight: float, scale: float,
     The raw maps equal ``ptilde * psi / N`` on exact records, so requiring
     the field to be normalized fixes the gauge constant: ``ptilde = N * norm``
     with ``norm`` the one that scales the maps to unit power; maps that vanish
-    (no photon counted, or a theta whose signal rounding erased) raise
-    DegenerateFieldError naming theta.  Sampled records
+    or whose power overflows a double (no photon counted, or a theta whose
+    signal rounding erased, leaving zero or sampling noise over a tiny ``scale``)
+    raise DegenerateFieldError naming theta.  Sampled records
     enter as count/budget, which estimates the unnormalized projector
     probability directly (the per-basis frequency times the sampled
     post-selection weight); their mask marks cells where some basis
@@ -93,12 +94,15 @@ def _invert(records: ScanRecords, p1_weight: float, scale: float,
         zero_mask = (maps[0::2] + maps[1::2] == 0).any(axis=0)
         maps = maps / records.photons_per_setting
     plus, minus, _, p1, left, right = maps
-    raw = (plus - minus + p1_weight * p1 + 1j * (left - right)) / scale
-    if not raw.any():
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or nan at a subnormal theta
+        raw = (plus - minus + p1_weight * p1 + 1j * (left - right)) / scale
+    try:
+        amps, norm = _unit_power(raw, "raw quadrature map")
+    except ValueError:   # zero, or noise over a tiny scale
         raise DegenerateFieldError(
-            f"the raw quadrature map of records at theta {records.theta!r} is zero: no photon "
-            "was counted, or theta is too small for the signal to survive rounding")
-    amps, norm = _unit_power(raw, "raw quadrature map")
+            f"the raw quadrature map of records at theta {records.theta!r} is zero or overflows "
+            "a double: no photon was counted, or theta is too small for the signal to survive "
+            "rounding") from None
     grid = records.grid
     return ReconstructionResult(TransverseWavefunction(grid, amps), grid.ncells * norm, estimator,
                                 zero_mask)

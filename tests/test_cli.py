@@ -293,9 +293,10 @@ class TestPrepare:
 
 
 def nothing_to_invert(theta: str) -> str:
-    """The refusal of records whose raw quadrature map is zero, at ``theta`` as written."""
-    return (f"error: the raw quadrature map of records at theta {theta} is zero: no photon "
-            "was counted, or theta is too small for the signal to survive rounding\n")
+    """The refusal of records that leave nothing to invert, at ``theta`` as written."""
+    return (f"error: the raw quadrature map of records at theta {theta} is zero or overflows a "
+            "double: no photon was counted, or theta is too small for the signal to survive "
+            "rounding\n")
 
 
 class TestMeasureReconstruct:
@@ -597,6 +598,20 @@ class TestMeasureReconstruct:
         assert run("prepare", "--nx", "24", "--ny", "16", "--out", str(out)) == 0
         assert run("measure", "--field", str(out / "field.wfgrid"), "--theta", "1e-300",
                    "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("reconstruct", "--records", str(out / "records.csv"),
+                   "--out", str(tmp_path / "run")) == 3
+        assert capsys.readouterr().err == nothing_to_invert("1e-300")
+        assert not (tmp_path / "run").exists()
+
+    def test_sampled_records_at_a_tiny_theta_are_numerical_error(self, tmp_path, capsys):
+        # at theta 1e-300 sampled counts of P+ and P- differ by noise alone, and noise
+        # over 2 sin theta overflows the raw map's power: refused as the noiseless
+        # records are, 3, naming theta, and nothing is written
+        out = tmp_path / "in"
+        assert run("prepare", "--nx", "24", "--ny", "16", "--out", str(out)) == 0
+        assert run("measure", "--field", str(out / "field.wfgrid"), "--theta", "1e-300",
+                   "--photons", "1000", "--out", str(out)) == 0
         capsys.readouterr()
         assert run("reconstruct", "--records", str(out / "records.csv"),
                    "--out", str(tmp_path / "run")) == 3

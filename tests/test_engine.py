@@ -480,6 +480,21 @@ class TestScan:
             scan(gaussian_8, STRONG, photons_per_setting=10, seed=True)
 
 
+def block_records(nx: int, ny: int, budget: int) -> ScanRecords:
+    """Records of a random field on an ``nx`` by ``ny`` grid at theta 0.3, seed 2."""
+    return scan(random_field(GridSpec(nx, ny, 1e-5), 4), 0.3, budget, seed=2)
+
+
+# an edit of one row of records, and the refusal it meets in records of n cells
+ROW_EDITS = pytest.mark.parametrize("edit, message", [
+    # a comma and the digit before it swapped: a 15-digit field beside a 17-digit
+    # one, in a row of the right width and the same digits in the same order
+    (lambda row: row[:15] + row[16:17] + row[15:16] + row[17:], "{n} rows of 6 fields"),
+    (lambda row: row[:20] + b"g" + row[21:], "Non-hexadecimal digit"),
+    (lambda row: row[:-2] + b"\n", "{n} rows of 6 fields"),   # one LF row among CRLF rows
+], ids=["comma-swapped", "non-hex-digit", "mixed-line-ends"])
+
+
 class TestRecordsCsv:
     def test_round_trip_noiseless(self, tmp_path, gaussian_8):
         records = scan(gaussian_8, STRONG)
@@ -626,20 +641,28 @@ class TestRecordsCsv:
         assert "re-run measure" in str(refused.value)
 
     @pytest.mark.parametrize("budget", [0, 10])
-    @pytest.mark.parametrize("edit, message", [
-        # a comma and the digit before it swapped: a 15-digit field beside a 17-digit
-        # one, in a row of the right width and the same digits in the same order
-        (lambda row: row[:15] + row[16:17] + row[15:16] + row[17:], "64 rows of 6 fields"),
-        (lambda row: row[:20] + b"g" + row[21:], "Non-hexadecimal digit"),
-        (lambda row: row[:-2] + b"\n", "64 rows of 6 fields"),   # one LF row among CRLF rows
-    ], ids=["comma-swapped", "non-hex-digit", "mixed-line-ends"])
+    @ROW_EDITS
     def test_rejects_a_row_edit(self, tmp_path, gaussian_8, budget, edit, message):
         path = tmp_path / "records.csv"
         write_records_csv(scan(gaussian_8, STRONG, photons_per_setting=budget, seed=0), path)
         lines = path.read_bytes().splitlines(keepends=True)
         lines[5] = edit(lines[5])
         path.write_bytes(b"".join(lines))
-        with pytest.raises(FileFormatError, match=message):
+        with pytest.raises(FileFormatError, match=message.format(n=64)):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("budget", [0, 10])
+    @pytest.mark.parametrize("row", [512, 1199], ids=["second-block", "last-row"])
+    @ROW_EDITS
+    def test_rejects_a_row_edit_past_the_first_block(self, tmp_path, budget, row, edit,
+                                                     message):
+        # 1200 cells: rows 512 and 1199 open the second block and close the partial third
+        path = tmp_path / "records.csv"
+        write_records_csv(block_records(40, 30, budget), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2 + row] = edit(lines[2 + row])
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(FileFormatError, match=message.format(n=1200)):
             read_records_csv(path)
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1 - 2**-53])
@@ -658,10 +681,32 @@ class TestRecordsCsv:
     @pytest.mark.parametrize("budget", [0, 10**6], ids=["noiseless", "sampled"])
     def test_bytes_equal_the_reference(self, tmp_path, budget):
         # 851 cells: the rows cross the 512-row block boundary, and the last block is partial
-        records = scan(random_field(GridSpec(37, 23, 1e-5), 4), 0.3, budget, seed=2)
+        records = block_records(37, 23, budget)
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
         assert path.read_bytes() == records_csv_reference(records)
+
+    @pytest.mark.parametrize("budget", [0, 10**6], ids=["noiseless", "sampled"])
+    @pytest.mark.parametrize("nx, ny", [(32, 16), (27, 19), (32, 32)],
+                             ids=["512-cells", "513-cells", "1024-cells"])
+    def test_block_edges_write_the_reference_and_read_back(self, tmp_path, nx, ny, budget):
+        # one whole block, one row past it, and two whole blocks
+        records = block_records(nx, ny, budget)
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        assert path.read_bytes() == records_csv_reference(records)
+        assert read_records_csv(path).readout.tobytes() == records.readout.tobytes()
+
+    @pytest.mark.parametrize("budget", [0, 10**6], ids=["noiseless", "sampled"])
+    def test_lf_only_rows_read_back_across_blocks(self, tmp_path, budget):
+        # rows of 102 bytes in two whole blocks and a partial third
+        records = block_records(40, 30, budget)
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        back = read_records_csv(path)
+        assert back.grid == records.grid and back.photons_per_setting == budget
+        assert back.readout.tobytes() == records.readout.tobytes()
 
 
 # a 64-bit pattern without the sign bit: a probability or a count the records accept
@@ -787,8 +832,9 @@ class TestScanRecords:
         assert peak < 2.5 * maps.nbytes
 
     def test_records_read_holds_the_file_and_one_readout(self, tmp_path):
-        # the rows are parsed in the buffer read, 512 at a time, into the readout
-        # the records keep; measured the file plus 1.16 readouts
+        # the rows are checked in the buffer read, and their digits copied 512 rows at
+        # a time into one block that is decoded into the readout the records keep;
+        # measured the file plus 1.13 readouts
         records = scan(random_field(GridSpec(128, 128, 1e-5), 8))
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
@@ -802,7 +848,8 @@ class TestScanRecords:
         assert peak < path.stat().st_size + 1.5 * records.readout.nbytes
 
     def test_records_write_holds_one_row_block(self, tmp_path):
-        # 512 rows formatted at a time, by array operations: measured 0.13 MiB at 128x128
+        # one block of 512 rows and one of their words, reused for every block:
+        # measured 0.126 MiB at 128x128
         records = scan(random_field(GridSpec(128, 128, 1e-5), 8))
         tracemalloc.start()
         try:

@@ -27,6 +27,13 @@ from oracles import fidelity, gauge_align
 STRONG = math.pi / 2
 
 
+def nothing_to_invert(theta: float) -> str:
+    """The pattern of the refusal of records that leave nothing to invert at ``theta``."""
+    return (rf"^the raw quadrature map of records at theta {theta!r} is zero or overflows a "
+            r"double: no photon was counted, or theta is too small for the signal to survive "
+            r"rounding$")
+
+
 def uniform_field(n=2, pitch=1e-4):
     grid = GridSpec(n, n, pitch)
     return normalize(TransverseWavefunction(grid, np.ones((n, n), complex)))
@@ -138,20 +145,22 @@ class TestDstInversion:
             reconstruct_dst(records)
 
     @pytest.mark.parametrize("inversion", [reconstruct_dst, reconstruct_dwt])
-    @pytest.mark.parametrize("theta, photons", [(1e-300, 0), (STRONG, 1000)],
-                             ids=["noiseless-1e-300", "no-photon"])
-    def test_nothing_to_invert_is_refused_naming_theta(self, inversion, theta, photons):
-        # at theta 1e-300 the pointer's a1 lies below the rounding of a0: P+ = P-,
-        # PL = PR and P1 underflows; a scan that counted no photon is zero too.
-        # Either way one message names the records' theta and both causes
+    @pytest.mark.parametrize("theta, photons, counted", [
+        (1e-300, 0, True), (STRONG, 1000, False), (1e-300, 1000, True), (5e-324, 1000, True),
+    ], ids=["noiseless-1e-300", "no-photon", "sampled-1e-300", "sampled-5e-324"])
+    def test_nothing_to_invert_is_refused_naming_theta(self, inversion, theta, photons, counted):
+        # at theta 1e-300 the pointer's a1 lies below the rounding of a0: noiseless,
+        # P+ = P-, PL = PR and P1 underflows; sampled, the counts of P+ and P- differ
+        # by noise alone, which the division by 2 sin theta (dst) or theta (dwt) lifts
+        # past a double's power, and at the least subnormal theta the quotient itself
+        # is inf or nan, with no warning; a scan that counted no photon is zero. Each
+        # way one message names the records' theta and both causes
         grid = GridSpec(24, 16, 125e-6)
-        if photons:
-            records = ScanRecords(np.zeros((6, 16, 24), np.int64), grid, theta, photons)
-        else:
-            records = scan(make_mode(ModeSpec("gaussian", waist=3 * grid.pitch), grid), theta)
-        with pytest.raises(DegenerateFieldError, match=(
-                rf"^the raw quadrature map of records at theta {theta!r} is zero: no photon "
-                r"was counted, or theta is too small for the signal to survive rounding$")):
+        records = scan(make_mode(ModeSpec("gaussian", waist=3 * grid.pitch), grid), theta,
+                       photons, seed=7)
+        if not counted:
+            records = ScanRecords(np.zeros_like(records.readout), grid, theta, photons)
+        with pytest.raises(DegenerateFieldError, match=nothing_to_invert(theta)):
             inversion(records)
 
     def test_counts_path_converges(self):
