@@ -138,7 +138,8 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
     :data:`PARAXIAL_MIN_EXTENTS`.  The kernel itself, evaluated by
     :func:`_fill_kernel` at zero and at the largest padded offsets, must be
     finite and nonzero at all four: each of its intermediate values grows with
-    the offset, so those four bound every other offset's.
+    the offset, so those four bound every other offset's.  Distance over
+    extent must be finite too.
     """
     k = spec.wavenumber
     d = spec.distance
@@ -167,7 +168,12 @@ def _check_guards(grid: GridSpec, spec: PropagationSpec) -> tuple[float, float]:
             f"kernel is not finite and nonzero at wavelength {spec.wavelength:.3e} m, "
             f"distance {d:.3e} m and offsets up to {max(ox, oy):.3e} m; "
             f"change the wavelength, distance or pitch")
-    return nyquist_fraction, d / extent
+    distance_over_extent = d / extent
+    if not math.isfinite(distance_over_extent):
+        raise SamplingGuardError(
+            f"distance {d:.3e} m over grid extent {extent:.3e} m overflows a double; "
+            "change the distance or pitch")
+    return nyquist_fraction, distance_over_extent
 
 
 def _padded_empty(shape: tuple[int, int]) -> np.ndarray:

@@ -35,29 +35,16 @@ from .errors import DegenerateFieldError
 class ReconstructionResult:
     """Reconstructed field plus the gauge constant that scaled it.
 
-    ``density_map`` is exactly ``Re**2 + Im**2`` of ``field.amps`` and
-    ``phase_map`` is their ``atan2`` folded into (-pi, pi].  ``estimator``
-    is the inversion's value of :data:`ESTIMATORS`.  ``zero_count_mask``
-    marks cells where some measurement basis registered no photons at all
-    (their frequencies enter as zero rather than being dropped); it is None
-    for noiseless reconstructions.
+    ``estimator`` is the inversion's value of :data:`ESTIMATORS`.
+    ``zero_count_mask`` marks cells where some measurement basis registered
+    no photons at all (their frequencies enter as zero rather than being
+    dropped); it is None for noiseless reconstructions.
     """
 
     field: TransverseWavefunction
     psi_tilde: float
     estimator: str
     zero_count_mask: np.ndarray | None = None
-
-    @property
-    def density_map(self) -> np.ndarray:
-        a = self.field.amps
-        return a.real**2 + a.imag**2
-
-    @property
-    def phase_map(self) -> np.ndarray:
-        a = self.field.amps
-        phase = np.arctan2(a.imag, a.real)
-        return np.where(phase <= -np.pi, np.pi, phase)
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ LOOP_RADII = range(3, 9)
 class TestCriterion5:
     def test_noiseless_winding(self):
         res = reconstruct_dst(scan(lg64(1), STRONG))
-        windings = [phase_winding(res.phase_map, r) for r in LOOP_RADII]
+        windings = [phase_winding(np.angle(res.field.amps), r) for r in LOOP_RADII]
         ok = all(abs(w - 1.0) < 1e-6 for w in windings)
         report("criterion 5a (noiseless LG l=1 winding on loops 3-8)", ok,
                "windings " + ", ".join(f"{w:.6f}" for w in windings))
@@ -217,7 +217,7 @@ class TestCriterion5:
             res = reconstruct_dst(records)
             for r in LOOP_RADII:
                 total += 1
-                hits += int(round(phase_winding(res.phase_map, r)) == 1)
+                hits += int(round(phase_winding(np.angle(res.field.amps), r)) == 1)
         frac = hits / total
         report("criterion 5b (winding on >=90% of loops @ 1e6 photons)", frac >= 0.9,
                f"{hits}/{total} loops = {frac:.0%}; the sampled records carry almost "
@@ -377,7 +377,7 @@ class TestSupplementary:
             res = reconstruct_dst(records)
             for r in LOOP_RADII:
                 total += 1
-                hits += int(round(phase_winding(res.phase_map, r)) == 1)
+                hits += int(round(phase_winding(np.angle(res.field.amps), r)) == 1)
         frac = hits / total
         report("supplementary 5b' (vortex winding @ 1e8 photons)", frac >= 0.9,
                f"{hits}/{total} loops = {frac:.0%}")

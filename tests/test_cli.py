@@ -1223,14 +1223,14 @@ COMMAND_ARGV = {
 def command_inputs(tmp_path, monkeypatch):
     """A 16x16 field at 3 um pitch, its records and propagation, and an object, in ./in;
     and flat 16x16 fields at a pitch whose square overflows a double, in/wide.wfgrid,
-    and at a 1e150 m pitch, in/far.wfgrid."""
+    at a 1e150 m pitch, in/far.wfgrid, and at a 1e-16 m pitch, in/fine.wfgrid."""
     monkeypatch.chdir(tmp_path)
     assert run("prepare", "--nx", "16", "--ny", "16", "--pitch-um", "3", "--out", "in") == 0
     assert run("measure", "--field", "in/field.wfgrid", "--theta", "0.3", "--out", "in") == 0
     assert run("holo", "forward", "--in", "in/field.wfgrid", "--distance-mm", "2",
                "--out", "in") == 0
     (tmp_path / "in" / "object.pgm").write_bytes(b"P5 16 16 255\n" + bytes(range(256)))
-    for name, pitch in (("wide", 1e194), ("far", 1e150)):
+    for name, pitch in (("wide", 1e194), ("far", 1e150), ("fine", 1e-16)):
         write_wfgrid(tmp_path / "in" / f"{name}.wfgrid", TransverseWavefunction(
             GridSpec(16, 16, pitch), np.full((16, 16), 1 / 16 + 0j)))
     return tmp_path
@@ -1326,13 +1326,18 @@ _WIDE_ERR = _kernel_err("1.000e+291", "1.000e+291", "1.600e+195")
 #: kernel's constant 1 / (i lambda D) with it is zero.
 _LAMBDA_D = ["--lambda-nm", "1e209", "--distance-mm", "1e203"]
 _LAMBDA_D_ERR = _kernel_err("1.000e+200", "1.000e+200", "4.800e-05")
+#: At a distance of 1e297 m, k D and lambda D are finite, but distance over
+#: in/fine.wfgrid's extent of 16 pitches overflows.
+_FINE = ["--distance-mm", "1e300"]
+_FINE_ERR = ("error: distance 1.000e+297 m over grid extent 1.600e-15 m overflows a double; "
+             "change the distance or pitch\n")
 
 
 #: Float keys at the ends of the doubles: each command line, its exit code and its
 #: error output.  A waist whose square overflows gives the flat field the Gaussian
 #: tends to; a mode the formula leaves NaN, or zero in every cell, is refused by name;
-#: a wavelength, distance or pitch at which the kernel is not finite and nonzero is
-#: refused before any transform.
+#: a wavelength, distance or pitch at which the kernel is not finite and nonzero, or
+#: distance over the grid's extent overflows, is refused before any transform.
 FLOAT_EXTREMES = {
     "waist 1e300": (["prepare", "--waist-um", "1e300"], 0, ""),
     "pitch 1e300": (["prepare", "--pitch-um", "1e300"], 2,
@@ -1369,6 +1374,12 @@ FLOAT_EXTREMES = {
     "forward feynman lambda r": (["holo", "forward", "--in", "in/far.wfgrid", "--kernel",
                                   "feynman", "--lambda-nm", "1e170", "--distance-mm", "1"], 3,
                                  _kernel_err("1.000e+161", "1.000e-03", "1.600e+151")),
+    "forward pitch 1e-16": (["holo", "forward", "--in", "in/fine.wfgrid", *_FINE], 3,
+                            _FINE_ERR),
+    "inverse pitch 1e-16": (["holo", "inverse", "--in", "in/fine.wfgrid", *_FINE], 3,
+                            _FINE_ERR),
+    "object pitch 1e-16": (["holo", "object", "--measured", "in/fine.wfgrid", "--input",
+                            "in/fine.wfgrid", *_FINE], 3, _FINE_ERR),
 }
 
 

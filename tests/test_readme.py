@@ -1,5 +1,5 @@
-"""The README's Library example and score line run as written, and its command table and
-command lines match the parser."""
+"""The README's Library example, score line, text-map line and records line run as
+written, and its command table and command lines match the parser."""
 
 import argparse
 import dataclasses
@@ -9,7 +9,10 @@ import re
 import subprocess
 import sys
 
-from dstsim import QualityReport, cli
+import numpy as np
+import pytest
+
+from dstsim import QualityReport, cli, read_records_csv, read_wfgrid
 from dstsim.config import ExperimentConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -68,20 +71,58 @@ def test_every_command_line_names_a_command_of_the_parser():
     assert [words for words in named if words not in parsers] == []
 
 
-def test_score_line_prints_the_scores_of_the_report(tmp_path):
-    # the library's score of the two files is what reconstruct --ideal writes
-    code = re.search(r'^python -c "(.*dstsim\.score.*)" ', _readme(), re.MULTILINE).group(1)
+@pytest.fixture
+def dst_run(tmp_path):
+    """The README's DST sequence on a 12x8 grid, sampled at seed 7, in ``tmp_path``."""
     out = str(tmp_path)
-    field, rec = os.path.join(out, "field.wfgrid"), os.path.join(out, "reconstruction.wfgrid")
+    field = os.path.join(out, "field.wfgrid")
     for argv in (["prepare", "--nx", "12", "--ny", "8"],
                  ["measure", "--field", field, "--photons", "1000", "--seed", "7"],
                  ["reconstruct", "--records", os.path.join(out, "records.csv"),
                   "--ideal", field]):
         assert cli.main([*argv, "--out", out]) == 0
+    return tmp_path
+
+
+def _python_c(marker: str, *argv, cwd) -> str:
+    """Run the README's ``python -c`` line that contains ``marker``; return its stdout."""
+    line = re.search(rf'^python -c "(.*{re.escape(marker)}.*)" ', _readme(), re.MULTILINE)
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-c", code, rec, field], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+    return subprocess.run([sys.executable, "-c", line.group(1), *map(str, argv)], cwd=cwd,
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def test_score_line_prints_the_scores_of_the_report(dst_run):
+    # the library's score of the two files is what reconstruct --ideal writes
+    stdout = _python_c("dstsim.score", dst_run / "reconstruction.wfgrid",
+                       dst_run / "field.wfgrid", cwd=dst_run)
+    with open(dst_run / "report.json", encoding="utf-8") as fh:
         report = json.load(fh)
     scores = {f.name: report[f.name] for f in dataclasses.fields(QualityReport)}
-    assert proc.stdout == f"{QualityReport(**scores)}\n"
+    assert stdout == f"{QualityReport(**scores)}\n"
+
+
+def test_text_map_line_writes_ny_rows_of_nx_values(dst_run):
+    _python_c("np.savetxt", "reconstruction.wfgrid", cwd=dst_run)
+    amps = read_wfgrid(dst_run / "reconstruction.wfgrid").amps
+    assert amps.shape == (8, 12)
+    for name, expected in (("density.dat", abs(amps) ** 2), ("phase.dat", np.angle(amps))):
+        rows = (dst_run / name).read_text().splitlines()
+        assert [len(row.split()) for row in rows] == [12] * 8, name
+        assert np.array_equal(np.loadtxt(dst_run / name), expected), name
+
+
+@pytest.mark.parametrize("photons, dtype", [(0, np.float64), (1000, np.int64)],
+                         ids=["noiseless", "sampled"])
+def test_records_line_reads_the_readout_bit_for_bit(dst_run, photons, dtype):
+    # the File formats line, viewed as the dtype the README names for the records' kind
+    out = dst_run / str(photons)
+    assert cli.main(["measure", "--field", str(dst_run / "field.wfgrid"), "--photons",
+                     str(photons), "--seed", "7", "--out", str(out)]) == 0
+    path = out / "records.csv"
+    line = re.search(r"`(np\.loadtxt\(path, [^`]*\))`", _readme()).group(1)
+    words = eval(line, {"np": np, "path": path}).view(dtype)
+    readout = read_records_csv(path).readout
+    assert readout.dtype == dtype and words.shape == (8 * 12, 6)
+    assert words.T.reshape(readout.shape).tobytes() == readout.tobytes()

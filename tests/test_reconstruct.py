@@ -94,21 +94,6 @@ class TestDstInversion:
         res = reconstruct_dst(scan(f, STRONG))
         assert abs(res.field.amps[5, 6]) == pytest.approx(0.0, abs=1e-15)
 
-    def test_density_is_re2_plus_im2_bitwise(self, gaussian_8):
-        res = reconstruct_dst(scan(gaussian_8, STRONG))
-        amps = res.field.amps
-        assert np.array_equal(res.density_map, amps.real**2 + amps.imag**2)
-
-    def test_phase_convention(self, gaussian_8):
-        res = reconstruct_dst(scan(gaussian_8, STRONG))
-        assert np.all(res.phase_map > -np.pi)
-        assert np.all(res.phase_map <= np.pi)
-        dens = res.density_map
-        sig = dens > 1e-15
-        cand = np.sqrt(dens[sig]) * np.exp(1j * res.phase_map[sig])
-        target = res.field.amps[sig]
-        assert np.max(np.abs(cand - target)) < 1e-12
-
     def test_missing_cell_rejected(self, gaussian_8, tmp_path):
         path = tmp_path / "records.csv"
         write_records_csv(scan(gaussian_8, STRONG), path)
